@@ -20,7 +20,7 @@ from .exponents import ParamSet, admissibility
 from .fields import GridField, TorusGrid
 from .noise import NoiseModel, build_theta_shell
 from .reactions import MassActionSpec, ReactionSystem, build_builtin, mass_action_build
-from .solver import CutOffParams, SolverConfig
+from .solver import SCHEMES, CutOffParams, SolverConfig, horizon_steps
 
 
 class ConfigError(ValueError):
@@ -62,7 +62,6 @@ SCHEMA: dict[str, _Field] = {
     "solver.dealias": _Field("bool", True),
     "solver.require_nonneg": _Field("bool", False),
     "solver.track_balance": _Field("bool", True),
-    "solver.strat_cfl": _Field("float", 0.12),
     "solver.balance_q": _Field("float_list", [2.0]),
     "solver.lq_norms": _Field("float_list", [2.0]),
     "cutoff.enabled": _Field("bool", False),
@@ -206,8 +205,14 @@ class RunConfig:
             errors.append(f"solver.dt: must be > 0, got {v['solver.dt']}")
         if v["solver.T"] < 0:
             errors.append(f"solver.T: must be >= 0, got {v['solver.T']}")
-        if v["solver.scheme"] not in ("euler_maruyama_ito", "strat_substep"):
+        elif v["solver.dt"] > 0 and horizon_steps(v["solver.T"], v["solver.dt"]) is None:
+            errors.append(
+                f"solver.T: {v['solver.T']} is not a multiple of solver.dt = {v['solver.dt']}"
+            )
+        if v["solver.scheme"] not in SCHEMES:
             errors.append(f"solver.scheme: unknown scheme {v['solver.scheme']!r}")
+        elif v["solver.scheme"] == "strat_substep" and not v["solver.dealias"]:
+            errors.append("solver.dealias: strat_substep needs the 2/3 dealias mask")
         if v["solver.blowup.q0"] <= 2:
             errors.append(f"solver.blowup.q0: must be > 2, got {v['solver.blowup.q0']}")
         if v["solver.blowup.threshold"] <= 0:
@@ -355,7 +360,6 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
         dealias=cfg["solver.dealias"],
         record_every=cfg["solver.record_every"],
         require_nonneg=cfg["solver.require_nonneg"],
-        strat_cfl=cfg["solver.strat_cfl"],
         track_balance=cfg["solver.track_balance"],
         balance_q=tuple(cfg["solver.balance_q"]),
         lq_norms=tuple(cfg["solver.lq_norms"]),

@@ -43,6 +43,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown configuration key"):
             RunConfig.from_text("grid.m = 4")
 
+    def test_removed_strat_cfl_key_rejected(self):
+        # the RK4 sub-step CFL target went with RK4: the key is now unknown
+        with pytest.raises(ConfigError, match="solver.strat_cfl: unknown configuration key"):
+            RunConfig.from_text(MINIMAL + "solver.strat_cfl = 0.12\n")
+
+    def test_horizon_not_multiple_of_dt_rejected(self):
+        with pytest.raises(ConfigError, match="solver.T: .* not a multiple of solver.dt"):
+            RunConfig.from_text("solver.dt = 0.3\nsolver.T = 0.5")
+        RunConfig.from_text("solver.dt = 0.1\nsolver.T = 0.3")  # T/dt = 2.9999999999999996
+
+    def test_strat_substep_without_dealias_rejected(self):
+        with pytest.raises(ConfigError, match="solver.dealias"):
+            RunConfig.from_text(MINIMAL + "solver.scheme = strat_substep\nsolver.dealias = false")
+        RunConfig.from_text(MINIMAL + "solver.scheme = strat_substep")
+
     def test_type_errors_carry_key_path(self):
         with pytest.raises(ConfigError, match="solver.dt"):
             RunConfig.from_text("solver.dt = fast")

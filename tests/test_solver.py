@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from torusrd.fields import GridField, TorusGrid, l2_norm_spectral, single_mode, to_grid
 from torusrd.noise import (
@@ -16,9 +17,11 @@ from torusrd.noise import (
 from torusrd.reactions import MassActionSpec, build_builtin, mass_action_build
 from torusrd.solver import (
     CutOffParams,
+    EXPM_TAIL_TOL,
     SimState,
     SolverConfig,
     Stepper,
+    chebyshev_expm,
     initial_state,
     phi_bump,
     run,
@@ -69,6 +72,18 @@ class TestConfigValidation:
     def test_bad_q0(self):
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, T=1.0, blowup_norm_q0=2.0)
+
+    def test_horizon_not_multiple_of_dt_rejected(self):
+        with pytest.raises(ValueError, match="multiple of dt"):
+            SolverConfig(dt=0.3, T=0.5)
+
+    def test_horizon_rounding_tolerated(self):
+        assert 0.3 / 0.1 != 3  # 2.9999999999999996
+        SolverConfig(dt=0.1, T=0.3)
+
+    def test_strat_substep_needs_dealias(self):
+        with pytest.raises(ValueError, match="dealias"):
+            SolverConfig(dt=1e-3, T=0.1, scheme="strat_substep", dealias=False)
 
     def test_cutoff_params(self):
         with pytest.raises(ValueError):
@@ -148,6 +163,15 @@ class TestRunContract:
         assert np.array_equal(s1.fields, s2.fields)
         assert np.array_equal(r1.lq[2.0], r2.lq[2.0])
         assert np.array_equal(r1.grad_energy[2.0], r2.grad_energy[2.0])
+
+    def test_time_is_step_index_times_dt(self):
+        # accumulating t += 0.1 ten times ends at 0.9999999999999999
+        grid = TorusGrid(2, 8)
+        cfg = SolverConfig(dt=0.1, T=1.0, noise_on=False, track_balance=False)
+        state, record = run(build_builtin("zero", [0.1]), None, cfg,
+                            constant_fields(grid, [1.0]))
+        assert state.step_index == 10
+        assert state.t == 1.0 and record.times[-1] == 1.0
 
     def test_require_nonneg(self):
         grid = grid_32()
@@ -328,6 +352,92 @@ class TestStratSubstep:
         assert np.array_equal(stepped.fields, ran.fields)
 
 
+def _strat_stepper(d, n, max_u=0.3):
+    """Stepper and a frozen displacement field u with max|u_j| = max_u."""
+    grid = TorusGrid(d, n)
+    noise = NoiseModel(build_theta_shell(1, 0.0, d), nu=0.1)
+    cfg = SolverConfig(dt=1e-4, T=1e-4, scheme="strat_substep", noise_on=True,
+                       track_balance=False)
+    stepper = Stepper(grid, build_builtin("zero", [0.0], d=d), noise, cfg)
+    u = stepper.noise_ops.velocity_field(sample_increments(noise, 1.0, path_rng(1, 0, 0)))
+    return stepper, u * (max_u / np.abs(u).max())
+
+
+def _bessel_degree(rho):
+    """Degree at which chebyshev_expm truncates, from its Bessel-tail rule."""
+    from scipy.special import jv
+
+    c = np.abs(jv(np.arange(2 * int(np.ceil(rho)) + 64), rho))
+    return next(k for k in range(len(c)) if 2.0 * c[k + 1:].sum() < EXPM_TAIL_TOL)
+
+
+class TestChebyshevExpm:
+    @pytest.mark.parametrize("d, n", [(2, 12), (3, 8)])
+    def test_matches_dense_expm(self, d, n):
+        # reference: scipy's expm of the dense grid-space matrix of the
+        # advection operator, built column by column from unit vectors
+        stepper, u = _strat_stepper(d, n)
+        grid = stepper.grid
+        N = grid.n_points
+
+        def advect_values(vals):
+            coeffs = np.fft.fftn(vals) / N
+            return np.fft.ifftn(stepper._advection_rhs(coeffs, u)).real * N
+
+        dense = np.empty((N, N))
+        for j in range(N):
+            e = np.zeros(N)
+            e[j] = 1.0
+            dense[:, j] = advect_values(e.reshape(grid.shape)).ravel()
+        # a random real field: its modes fill the grid, beyond the mask
+        v = np.random.default_rng(d).standard_normal(grid.shape)
+        expected = (scipy.linalg.expm(dense) @ v.ravel()).reshape(grid.shape)
+
+        rho = np.sqrt(np.max(np.sum(u * u, axis=0))) * stepper.k_max
+        assert rho > 5.0  # a nontrivial degree
+        got = chebyshev_expm(lambda w: stepper._advection_rhs(w, u), np.fft.fftn(v) / N, rho)
+        got_values = np.fft.ifftn(got) * N
+        assert np.abs(got_values - expected).max() < 1e-12
+        assert np.abs(got_values.imag).max() < 1e-12
+
+    @pytest.mark.parametrize("d, n", [(2, 12), (3, 8)])
+    def test_advection_skew_on_dealiased_ball(self, d, n):
+        stepper, u = _strat_stepper(d, n)
+        grid = stepper.grid
+        rng = np.random.default_rng(5)
+        mask = grid.dealias_mask()
+        v, w = (np.fft.fftn(rng.standard_normal(grid.shape)) / grid.n_points * mask
+                for _ in range(2))
+        Av, Aw = stepper._advection_rhs(v, u), stepper._advection_rhs(w, u)
+        scale = np.linalg.norm(Av) * np.linalg.norm(w)
+        assert abs(np.vdot(w, Av) + np.vdot(Aw, v)) < 1e-13 * scale
+
+    @pytest.mark.parametrize("rho", [0.5, 4.0, 8.3, 30.0, 100.0])
+    def test_apply_count_on_dense_skew_matrix(self, rho):
+        rng = np.random.default_rng(11)
+        B = rng.standard_normal((40, 40))
+        S = B - B.T
+        S *= rho / np.linalg.norm(S, 2)
+        calls = []
+
+        def apply(w):
+            calls.append(1)
+            return S @ w
+
+        v = rng.standard_normal(40)
+        got = chebyshev_expm(apply, v, rho)
+        assert np.abs(got - scipy.linalg.expm(S) @ v).max() < 1e-12 * np.linalg.norm(v)
+        assert len(calls) == _bessel_degree(rho)
+        # J_k(rho) turns over in a band of width ~rho^(1/3) around k = rho,
+        # so the degree exceeds rho by O(rho^(1/3) log(1/tol)): within 20
+        # up to rho = 4, 23 at the 64^2 criterion-5 rho of about 8.3
+        assert len(calls) <= np.ceil(rho) + 20 * max(1.0, np.cbrt(rho / 4.0))
+
+    def test_zero_rho_is_identity(self):
+        v = np.arange(5.0)
+        assert np.array_equal(chebyshev_expm(lambda w: 0.0 * w, v, 0.0), v)
+
+
 class TestThreeDimensions:
     def test_noise_run_preserves_structure(self):
         grid = TorusGrid(3, 12)
@@ -365,7 +475,7 @@ class TestPureTransportMeanEnergy:
         noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=nu)
         sys0 = build_builtin("zero", [0.0])
         v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
-        T, paths, seed = 0.25, 16, 7
+        T, paths, seed = 0.248, 16, 7  # 124 fine and 62 coarse steps
         dt_f = 2e-3
         n_f = int(round(T / dt_f))
         biases = {1: [], 2: []}
