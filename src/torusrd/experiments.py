@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import hminus_gamma_norm, survival_estimate
+from .diagnostics import hminus_gamma_norm, lq_norm_vector, survival_estimate
 from .fields import GridField, SpectralField, TorusGrid
 from .noise import NoiseModel, build_theta_shell
 from .reactions import ReactionSystem
@@ -121,11 +121,9 @@ class _StreamingDistance:
                 return  # final off-cadence sample of a blown-up path
             raise ValueError("stochastic path sampled off the reference cadence")
         diff = values - self.ref_snaps[j]
-        mag = np.sqrt(np.sum(diff**2, axis=0))
-        self.norms.append(float(np.mean(mag**self.q) ** (1.0 / self.q)))
+        self.norms.append(lq_norm_vector(diff, self.q))
         self.times.append(t)
-        vmag = np.sqrt(np.sum(values**2, axis=0))
-        self.max_lq = max(self.max_lq, float(np.mean(vmag**self.q) ** (1.0 / self.q)))
+        self.max_lq = max(self.max_lq, lq_norm_vector(values, self.q))
         if self.hminus_gamma is not None:
             acc = 0.0
             for i in range(len(values)):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -31,53 +31,63 @@ def lattice_partition(k) -> int:
     The rule is lexicographic: k is plus iff its first nonzero coordinate is
     positive.  Exactly one of {k, -k} is plus.
     """
-    for kj in np.asarray(k).ravel():
-        if kj > 0:
-            return 1
-        if kj < 0:
-            return -1
-    raise ValueError("k = 0 has no partition sign")
+    kv = np.asarray(k).ravel()
+    if not np.any(kv):
+        raise ValueError("k = 0 has no partition sign")
+    return int(_partition_signs(kv[None, :])[0])
+
+
+def _partition_signs(vectors: np.ndarray) -> np.ndarray:
+    """lattice_partition of every row of a (m, d) array of nonzero vectors."""
+    first = np.argmax(vectors != 0, axis=1)
+    return np.sign(vectors[np.arange(len(vectors)), first]).astype(np.int64)
 
 
 def hyperplane_basis(k, d: int) -> np.ndarray:
     """Orthonormal basis of k-perp, shape (d-1, d).
 
     Deterministic construction on the plus representative of {k, -k}; the
-    result is shared by k and -k.  In d=2 the basis vector is k rotated by
-    +90 degrees; in d>=3 it is Gram-Schmidt on the canonical unit vectors in
-    index order, skipping the one most parallel to k.
+    result is shared by k and -k.  See hyperplane_bases.
     """
     kv = np.asarray(k).ravel()
     if kv.shape != (d,):
         raise ValueError(f"k has dimension {kv.shape}, expected ({d},)")
     if not np.any(kv):
         raise ValueError("k = 0 spans no hyperplane")
-    if lattice_partition(kv) < 0:
-        kv = -kv
-    return _hyperplane_basis_cached(tuple(float(x) for x in kv)).copy()
+    return hyperplane_bases(lattice_partition(kv) * kv[None, :])[0]
 
 
-@lru_cache(maxsize=200_000)
-def _hyperplane_basis_cached(kv_plus: tuple[float, ...]) -> np.ndarray:
-    kv = np.array(kv_plus)
-    d = len(kv)
-    norm_k = np.linalg.norm(kv)
+def hyperplane_bases(plus: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of k-perp for every row k of plus, shape (m, d-1, d).
+
+    In d=2 the basis vector is k rotated by +90 degrees; in d>=3 it is
+    Gram-Schmidt on the canonical unit vectors in index order, skipping the
+    one most parallel to k.
+    """
+    kv = np.asarray(plus, dtype=float)
+    m, d = kv.shape
+    norm_k = np.linalg.norm(kv, axis=1)[:, None]
     if d == 2:
-        return np.array([[-kv[1], kv[0]]]) / norm_k
-    skip = int(np.argmax(np.abs(kv)))
+        return (np.stack([-kv[:, 1], kv[:, 0]], axis=1) / norm_k)[:, None, :]
+    skip = np.argmax(np.abs(kv), axis=1)
+    # per row, the axes other than skip in increasing order (stable sort)
+    others = np.argsort(np.arange(d) == skip[:, None], axis=1, kind="stable")
     basis = [kv / norm_k]
-    out = []
-    for i in range(d):
-        if i == skip:
-            continue
-        e = np.zeros(d)
-        e[i] = 1.0
+    rows = np.arange(m)
+    for j in range(d - 1):
+        e = np.zeros((m, d))
+        e[rows, others[:, j]] = 1.0
         for b in basis:
-            e = e - np.dot(e, b) * b
-        e /= np.linalg.norm(e)
+            e = e - np.sum(e * b, axis=1, keepdims=True) * b
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
         basis.append(e)
-        out.append(e)
-    return np.array(out)
+    return np.stack(basis[1:], axis=1)
+
+
+def _row_keys(vectors: np.ndarray, span: int) -> np.ndarray:
+    """One integer per row of a (m, d) int array with entries in [-span, span]."""
+    base = 2 * span + 1
+    return (vectors + span) @ (base ** np.arange(vectors.shape[1], dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -101,18 +111,21 @@ class NoiseSpectrum:
 
     def _check_symmetry(self) -> None:
         # radial symmetry implies theta(-k) = theta(k); assert both directly
-        by_radius: dict[int, float] = {}
-        table = self.as_table()
-        for kvec, th in zip(self.support, self.theta):
-            r2 = int(np.dot(kvec, kvec))
-            if r2 in by_radius:
-                if abs(by_radius[r2] - th) > 1e-12:
-                    raise ValueError(f"theta is not radially symmetric at |k|^2={r2}")
-            else:
-                by_radius[r2] = float(th)
-            mk = tuple(-int(x) for x in kvec)
-            if mk not in table:
-                raise ValueError(f"support is not symmetric: missing -k for k={tuple(kvec)}")
+        r2 = np.sum(self.support**2, axis=1)
+        order = np.argsort(r2, kind="stable")
+        r2, theta = r2[order], self.theta[order]
+        # searchsorted finds the first mode (in support order) of each sphere
+        radial = np.abs(theta[np.searchsorted(r2, r2)] - theta) > 1e-12
+        if np.any(radial):
+            bad = int(r2[np.argmax(radial)])
+            raise ValueError(f"theta is not radially symmetric at |k|^2={bad}")
+        span = int(np.max(np.abs(self.support)))
+        keys = np.sort(_row_keys(self.support, span))
+        mirror = _row_keys(-self.support, span)
+        found = keys[np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)] == mirror
+        if not np.all(found):
+            k = tuple(int(x) for x in self.support[np.argmin(found)])
+            raise ValueError(f"support is not symmetric: missing -k for k={k}")
 
     def as_table(self) -> dict[tuple[int, ...], float]:
         return {
@@ -171,23 +184,25 @@ class NoiseModel:
         return self.d / (self.d - 1.0)
 
     @cached_property
+    def _plus_rows(self) -> np.ndarray:
+        rows = _partition_signs(self.spectrum.support) > 0
+        if 2 * np.count_nonzero(rows) != len(rows):
+            raise ValueError("support is not conjugation-symmetric")
+        return rows
+
+    @cached_property
     def plus_modes(self) -> np.ndarray:
         """(m+, d) plus-representative modes; support = plus U (-plus)."""
-        signs = np.array([lattice_partition(k) for k in self.spectrum.support])
-        plus = self.spectrum.support[signs > 0]
-        if 2 * len(plus) != len(self.spectrum.support):
-            raise ValueError("support is not conjugation-symmetric")
-        return plus
+        return self.spectrum.support[self._plus_rows]
 
     @cached_property
     def theta_plus(self) -> np.ndarray:
-        table = self.spectrum.as_table()
-        return np.array([table[tuple(int(x) for x in k)] for k in self.plus_modes])
+        return self.spectrum.theta[self._plus_rows]
 
     @cached_property
     def basis_plus(self) -> np.ndarray:
         """(m+, d-1, d) orthonormal hyperplane bases for the plus modes."""
-        return np.stack([hyperplane_basis(k, self.d) for k in self.plus_modes])
+        return hyperplane_bases(self.plus_modes)
 
     def basis(self, k) -> np.ndarray:
         """Basis a_{k,.} for any supported mode (shared between k and -k)."""
@@ -256,8 +271,9 @@ class NoiseGridOps:
     """Grid-resolved noise machinery shared by transport evaluations.
 
     Precomputes scatter indices of the plus/minus modes into the fftn layout
-    and the per-mode basis weights, so that assembling the sampled velocity
-    field costs one inverse transform per component.
+    and the per-mode basis weights.  Two real components ride one inverse
+    transform as its real and imaginary parts, so assembling the sampled
+    velocity field costs one transform in d=2 and two in d=3.
     """
 
     def __init__(self, model: NoiseModel, grid: TorusGrid):
@@ -274,6 +290,7 @@ class NoiseGridOps:
         self.grid = grid
         n = grid.n_per_dim
         plus = model.plus_modes
+        # |k_j| <= n/3 keeps the plus and minus indices distinct
         self._flat_plus = np.ravel_multi_index(tuple((plus.T % n)), grid.shape)
         self._flat_minus = np.ravel_multi_index(tuple(((-plus.T) % n)), grid.shape)
         # weight[m, alpha, j] = sqrt(c_d nu) * theta_m * a_{m,alpha}^j
@@ -283,21 +300,29 @@ class NoiseGridOps:
             * model.basis_plus
         )
 
+    def _inverse(self, plus_amp: np.ndarray, minus_amp: np.ndarray) -> np.ndarray:
+        """Grid values (unnormalized inverse transform) of a scattered spectrum."""
+        flat = np.zeros(self.grid.n_points, dtype=complex)
+        flat[self._flat_plus] = plus_amp
+        flat[self._flat_minus] = minus_amp
+        return np.fft.ifftn(flat.reshape(self.grid.shape), norm="forward")
+
     def velocity_field(self, inc: IncrementSet) -> np.ndarray:
         """Real velocity components (d, n, ..., n) for one increment set.
 
         This is sqrt(c_d nu) sum_{k,alpha} theta_k a_{k,alpha} e^{2 pi i k.x}
-        dW^{k,alpha}; it is divergence free mode by mode.
+        dW^{k,alpha}; it is divergence free mode by mode.  Components 0 and 1
+        are Hermitian spectra u0, u1, so the inverse transform of u0 + i u1
+        is u0 + i u1 in grid space.
         """
         amp = np.einsum("ma,maj->mj", inc.dw_plus, self.weights)
         out = np.empty((self.grid.d,) + self.grid.shape)
-        spec = np.zeros(self.grid.shape, dtype=complex)
-        flat = spec.ravel()
-        for j in range(self.grid.d):
-            flat[:] = 0.0
-            flat[self._flat_plus] = amp[:, j]
-            flat[self._flat_minus] += np.conj(amp[:, j])
-            out[j] = np.fft.ifftn(spec).real * self.grid.n_points
+        z = self._inverse(amp[:, 0] + 1j * amp[:, 1],
+                          np.conj(amp[:, 0]) + 1j * np.conj(amp[:, 1]))
+        out[0] = z.real
+        out[1] = z.imag
+        if self.grid.d == 3:
+            out[2] = self._inverse(amp[:, 2], np.conj(amp[:, 2])).real
         return out
 
 

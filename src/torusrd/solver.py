@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.special import jv
 
-from .diagnostics import DiagnosticsRecord, RecordBuilder
+from .diagnostics import DiagnosticsRecord, RecordBuilder, lq_norm_vector
 from .fields import GridField, SpectralField, TorusGrid
 from .noise import IncrementSet, NoiseGridOps, NoiseModel, path_rng, sample_increments
 from .reactions import ReactionSystem
@@ -150,35 +150,6 @@ class SimState:
         return [SpectralField(grid, self.fields[i]) for i in range(len(self.fields))]
 
 
-def _pairwise_inverse_real(specs: list[np.ndarray], grid: TorusGrid) -> list[np.ndarray]:
-    """Inverse-transform Hermitian spectral arrays to real fields.
-
-    Two real fields ride one complex transform: ifft(A + iB) has real part
-    ifft(A) and imaginary part ifft(B) when both A, B are Hermitian.
-    """
-    out: list[np.ndarray] = []
-    scale = grid.n_points
-    i = 0
-    while i + 1 < len(specs):
-        z = np.fft.ifftn(specs[i] + 1j * specs[i + 1]) * scale
-        out.append(np.ascontiguousarray(z.real))
-        out.append(np.ascontiguousarray(z.imag))
-        i += 2
-    if i < len(specs):
-        out.append(np.fft.ifftn(specs[i]).real * scale)
-    return out
-
-
-def lq_norm_vector(stack: np.ndarray, q: float) -> float:
-    """L^q(T^d; R^ell) norm of the stacked species fields.
-
-    Overflow maps to inf, which the caller treats as a blow-up signal.
-    """
-    with np.errstate(over="ignore"):
-        mag = np.sqrt(np.sum(stack**2, axis=0))
-        return float(np.mean(mag**q) ** (1.0 / q))
-
-
 class Stepper:
     """Engine bound to one (grid, system, noise, config) tuple."""
 
@@ -226,28 +197,38 @@ class Stepper:
         # packed multiplier: one inverse transform yields two derivative
         # components as real/imaginary parts (both factors are Hermitian)
         self._deriv_pack = self.deriv_mult[0] + 1j * self.deriv_mult[1]
+        # real inverse transforms read the Hermitian half k_d <= n/2 only
+        self._half = grid.n_per_dim // 2 + 1
+        self._deriv_half = [m[..., : self._half] for m in self.deriv_mult]
         self.zero_index = (0,) * grid.d
 
     # -- spectral helpers ------------------------------------------------
 
+    def _inverse_real(self, half: np.ndarray) -> np.ndarray:
+        """Real grid values (b, n, ..., n) of a batch of Hermitian halves."""
+        axes = tuple(range(1, half.ndim))
+        return np.fft.irfftn(half, s=self.grid.shape, axes=axes, norm="forward")
+
     def to_values(self, fields: np.ndarray) -> np.ndarray:
-        return np.stack(_pairwise_inverse_real(list(fields), self.grid))
+        return self._inverse_real(fields[..., : self._half])
 
     def _forward(self, values: np.ndarray) -> np.ndarray:
         return np.fft.fftn(values, axes=tuple(range(1, values.ndim))) / self.grid.n_points
 
     def _clean_product(self, coeffs: np.ndarray) -> np.ndarray:
-        """Post-product hygiene: dealias, or real Nyquist when dealias is off."""
+        """Post-product hygiene, in place: dealias, or real Nyquist when
+        dealias is off."""
         if self.dealias_mask is not None:
-            return coeffs * self.dealias_mask
-        nymask = self.nyquist_mask
-        coeffs[..., nymask] = coeffs[..., nymask].real
+            coeffs *= self.dealias_mask
+        else:
+            nymask = self.nyquist_mask
+            coeffs[..., nymask] = coeffs[..., nymask].real
         return coeffs
 
     def gradients(self, coeffs: np.ndarray) -> np.ndarray:
         """Real gradient fields, shape (d, n, ..., n), of one species."""
-        specs = [coeffs * m for m in self.deriv_mult]
-        return np.stack(_pairwise_inverse_real(specs, self.grid))
+        half = coeffs[..., : self._half]
+        return self._inverse_real(np.stack([half * m for m in self._deriv_half]))
 
     # -- physics terms ---------------------------------------------------
 
@@ -269,22 +250,15 @@ class Stepper:
     def _advection_rhs(self, coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Spectral coefficients of (u.grad)v for one species.
 
-        The n_points scalings of the two transforms cancel, and in d=2 both
+        The n_points scalings of the two transforms cancel, and the first two
         derivative components ride a single inverse transform.
         """
-        if self.grid.d == 2:
-            z = np.fft.ifftn(coeffs * self._deriv_pack)
-            vals = u[0] * z.real + u[1] * z.imag
-        else:
-            z = np.fft.ifftn(coeffs * self._deriv_pack)
-            d3 = np.fft.ifftn(coeffs * self.deriv_mult[2]).real
-            vals = u[0] * z.real + u[1] * z.imag + u[2] * d3
-        out = np.fft.fftn(vals)
-        if self.dealias_mask is not None:
-            out *= self.dealias_mask
-        else:
-            nym = self.nyquist_mask
-            out[nym] = out[nym].real
+        z = np.fft.ifftn(coeffs * self._deriv_pack)
+        vals = u[0] * z.real + u[1] * z.imag
+        if self.grid.d == 3:
+            d3 = coeffs[..., : self._half] * self._deriv_half[2]
+            vals += u[2] * np.fft.irfftn(d3, s=self.grid.shape, axes=(0, 1, 2))
+        out = self._clean_product(np.fft.fftn(vals))
         out[self.zero_index] = 0.0  # div sigma = 0: the term is mean free
         return out
 

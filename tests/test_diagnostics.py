@@ -1,4 +1,6 @@
-"""Balance residuals, trajectory distances, mass traces, survival statistics."""
+"""Norms, balance residuals, trajectory distances, mass traces, survival statistics."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from torusrd.diagnostics import (
     DiagnosticsRecord,
+    RecordBuilder,
     hminus_gamma_norm,
     lq_balance_residual,
+    lq_norm_vector,
     lrlq_distance,
     mass_trace,
     survival_estimate,
@@ -50,6 +54,36 @@ def _record_with(times, snaps):
         blowup_tau=None,
         snapshots=snaps,
     )
+
+
+def _sampled_lq(values, q):
+    grid = TorusGrid(2, values.shape[-1])
+    builder = RecordBuilder(grid, build_builtin("zero", [0.1] * len(values)),
+                            lq_list=(q,), balance_q=())
+    builder.sample(0.0, values, 1.0, 0.0)
+    return builder.finalize(None).lq[q][0]
+
+
+class TestLqNorms:
+    """Square-based L^q norms against mean(|v|^q)^(1/q)."""
+
+    @pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("ell", [1, 3])
+    def test_match_direct_formula(self, q, ell):
+        v = np.random.default_rng(ell).standard_normal((ell, 16, 16))
+        vector = np.mean(np.sqrt(np.sum(v**2, axis=0)) ** q) ** (1.0 / q)
+        assert lq_norm_vector(v, q) == pytest.approx(vector, rel=1e-13, abs=0)
+        per_species = [np.mean(np.abs(vi) ** q) ** (1.0 / q) for vi in v]
+        np.testing.assert_allclose(_sampled_lq(v, q), per_species, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 4.0])
+    def test_overflow_maps_to_inf(self, q):
+        v = np.full((2, 8, 8), 1.0)
+        v[1, 3, 5] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lq_norm_vector(v, q) == np.inf
+            assert list(_sampled_lq(v, q)) == [1.0, np.inf]
 
 
 class TestBalanceResidual:

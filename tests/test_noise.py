@@ -60,6 +60,17 @@ class TestHyperplaneBasis:
         assert np.abs(gram - np.eye(d - 1)).max() < 1e-14
         assert np.abs(a @ np.asarray(k, dtype=float)).max() < 1e-14 * max(abs(x) for x in k)
 
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 2)])
+    def test_model_bases_match_per_mode_basis(self, d, n):
+        model = NoiseModel(build_theta_shell(n, 0.5, d), nu=0.1)
+        table = model.spectrum.as_table()
+        assert len(model.plus_modes) == len(model.spectrum.support) // 2
+        for k, theta, basis in zip(model.plus_modes, model.theta_plus, model.basis_plus):
+            assert lattice_partition(k) == 1
+            assert theta == table[tuple(int(x) for x in k)]
+            np.testing.assert_allclose(basis, hyperplane_basis(k, d), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(basis, model.basis(-k), rtol=0, atol=1e-15)
+
 
 class TestThetaShell:
     def test_d2_first_shell(self):
@@ -105,6 +116,17 @@ class TestThetaShell:
             NoiseSpectrum(
                 support=np.array([[1, 0], [0, 1]]),
                 theta=np.array([2**-0.5, 2**-0.5]),
+            )
+        with pytest.raises(ValueError, match=r"missing -k for k=\(0, 1\)"):
+            NoiseSpectrum(
+                support=np.array([[1, 0], [-1, 0], [0, 1]]),
+                theta=np.full(3, 3**-0.5),
+            )
+        # same |k|^2 = 4, unequal weights
+        with pytest.raises(ValueError, match=r"radially symmetric at \|k\|\^2=4"):
+            NoiseSpectrum(
+                support=np.array([[1, 0], [-1, 0], [2, 0], [-2, 0], [0, 2], [0, -2]]),
+                theta=np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0]) / np.sqrt(12.0),
             )
 
 
@@ -217,6 +239,25 @@ class TestTransport:
         model = NoiseModel(build_theta_shell(16, 0.0, 2), nu=0.1)
         with pytest.raises(ValueError, match="under-resolved"):
             NoiseGridOps(model, TorusGrid(2, 64))
+
+    @pytest.mark.parametrize("d, n, shell", [(2, 32, 2), (3, 16, 1)])
+    def test_packed_velocity_matches_per_component_transforms(self, d, n, shell):
+        # direct formula: one complex inverse transform per component of
+        # sqrt(c_d nu) sum_{k, alpha} theta_k a_{k,alpha} dW(k, alpha) e^{2 pi i k.x}
+        grid = TorusGrid(d, n)
+        model = NoiseModel(build_theta_shell(shell, 0.5, d), nu=0.1)
+        inc = sample_increments(model, 1e-2, path_rng(4, 0, 0))
+        table = model.spectrum.as_table()
+        got = NoiseGridOps(model, grid).velocity_field(inc)
+        for j in range(d):
+            spec = np.zeros(grid.shape, dtype=complex)
+            for k in model.spectrum.support:
+                a = model.basis(k)
+                spec[tuple(k % n)] += np.sqrt(model.c_d * model.nu) * table[tuple(k)] * sum(
+                    a[alpha, j] * inc.dW(k, alpha) for alpha in range(d - 1)
+                )
+            expected = np.fft.ifftn(spec).real * grid.n_points
+            assert np.abs(got[j] - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_statistical_isotropy(self):
         # covariance of the sampled velocity at a fixed point is 2 nu dt I,

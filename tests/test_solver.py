@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from torusrd.fields import GridField, TorusGrid, l2_norm_spectral, single_mode, to_grid
+from torusrd.fields import (
+    GridField,
+    SpectralField,
+    TorusGrid,
+    l2_norm_spectral,
+    partial_derivative,
+    single_mode,
+    to_grid,
+)
 from torusrd.noise import (
     IncrementSet,
     NoiseModel,
@@ -96,6 +104,34 @@ class TestConfigValidation:
         cfg = SolverConfig(dt=0.5, T=1.0, noise_on=True)
         with pytest.raises(ValueError, match="step guard"):
             Stepper(grid, sys0, noise, cfg)
+
+
+class TestRealInverseTransforms:
+    """Stepper's batched irfftn paths against one complex ifftn per field."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_to_values_and_gradients_match_complex_formulas(self, d, n, ell):
+        grid = TorusGrid(d, n)
+        N = grid.n_points
+        cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False)
+        stepper = Stepper(grid, build_builtin("zero", [0.1] * ell, d=d), None, cfg)
+        values = np.random.default_rng(ell).standard_normal((ell,) + grid.shape)
+        fields = np.fft.fftn(values, axes=tuple(range(1, d + 1))) / N
+
+        def inverse(c):
+            return np.fft.ifftn(c).real * N
+
+        got = stepper.to_values(fields)
+        expected = np.stack([inverse(c) for c in fields])
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        for c in fields:
+            grads = stepper.gradients(c)
+            spec = SpectralField(grid, c)
+            expected = np.stack([inverse(partial_derivative(spec, j).coeffs) for j in range(d)])
+            assert grads.shape == expected.shape
+            assert np.abs(grads - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestLinearDiffusion:
