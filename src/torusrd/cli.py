@@ -139,18 +139,19 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="allow builtins that violate the mass-control assumption")
 
 
-def _simulate(args, deterministic: bool) -> int:
+def _prepare(args):
+    """Config, output directory, grid, reaction, solver config and v0 of a run."""
     cfg = _load_config(args)
     out = _out_dir(args)
     grid = build_grid(cfg)
     sys_ = build_reaction(cfg, allow_unsafe=args.unsafe_reaction)
-    noise = None if deterministic else build_noise(cfg)
     scfg = build_solver_config(cfg)
-    if deterministic:
-        import dataclasses
+    return cfg, out, grid, sys_, scfg, build_v0(cfg, grid, sys_.ell)
 
-        scfg = dataclasses.replace(scfg, noise_on=False)
-    v0 = build_v0(cfg, grid, sys_.ell)
+
+def _simulate(args, deterministic: bool) -> int:
+    cfg, out, grid, sys_, scfg, v0 = _prepare(args)
+    noise = None if deterministic else build_noise(cfg)
     nu_enh = cfg["noise.nu"] if deterministic else 0.0
 
     snapshots_every = cfg["io.snapshots_every"]
@@ -178,12 +179,7 @@ def _simulate(args, deterministic: bool) -> int:
 
 
 def _scaling_limit(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    grid = build_grid(cfg)
-    sys_ = build_reaction(cfg, allow_unsafe=args.unsafe_reaction)
-    scfg = build_solver_config(cfg)
-    v0 = build_v0(cfg, grid, sys_.ell)
+    cfg, out, _, sys_, scfg, v0 = _prepare(args)
     hm = cfg["experiment.hminus_gamma"]
     plan = ScalingLimitPlan(
         shells=tuple(cfg["experiment.shells"]),
@@ -223,12 +219,7 @@ def _scaling_limit(args) -> int:
 
 
 def _survival(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    grid = build_grid(cfg)
-    sys_ = build_reaction(cfg, allow_unsafe=args.unsafe_reaction)
-    scfg = build_solver_config(cfg)
-    v0 = build_v0(cfg, grid, sys_.ell)
+    cfg, out, _, sys_, scfg, v0 = _prepare(args)
     plan = SurvivalPlan(
         nus=tuple(cfg["experiment.nus"]),
         shell_n=cfg["noise.shell_n"],
@@ -263,12 +254,7 @@ def _survival(args) -> int:
 
 
 def _decay(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    grid = build_grid(cfg)
-    sys_ = build_reaction(cfg, allow_unsafe=args.unsafe_reaction)
-    scfg = build_solver_config(cfg)
-    v0 = build_v0(cfg, grid, sys_.ell)
+    cfg, out, _, sys_, scfg, v0 = _prepare(args)
     tracked = tuple(cfg["experiment.tracked_mode"]) or None
     plan = DecayPlan(
         solver=scfg,

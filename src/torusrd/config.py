@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .exponents import ParamSet, admissibility
 from .fields import GridField, TorusGrid
-from .noise import NoiseModel, build_theta_shell
+from .noise import NoiseModel, build_theta_shell, resolution_error
 from .reactions import MassActionSpec, ReactionSystem, build_builtin, mass_action_build
 from .solver import SCHEMES, CutOffParams, SolverConfig, horizon_steps
 
@@ -194,11 +194,8 @@ class RunConfig:
             shell = v["noise.shell_n"]
             if shell < 1:
                 errors.append(f"noise.shell_n: must be >= 1, got {shell}")
-            elif 2 * shell > n / 3:
-                errors.append(
-                    f"noise.shell_n: shell {shell} under-resolved on grid.n = {n} "
-                    f"(need 2*shell <= n/3 = {n / 3:.1f})"
-                )
+            elif problem := resolution_error(2 * shell, n):
+                errors.append(f"noise.shell_n: shell {shell}: {problem}")
             if v["noise.gamma"] < 0:
                 errors.append("noise.gamma: must be >= 0")
         if v["solver.dt"] <= 0:

@@ -63,7 +63,6 @@ class RecordBuilder:
         keep_snapshots: bool = False,
     ):
         self.grid = grid
-        self.sys = sys
         self.lq_list = tuple(lq_list)
         self.balance_q = tuple(balance_q)
         self.keep_snapshots = keep_snapshots
@@ -79,14 +78,15 @@ class RecordBuilder:
         self._grad_series: dict[float, list[np.ndarray]] = {q: [] for q in self.balance_q}
         self._work_series: dict[float, list[np.ndarray]] = {q: [] for q in self.balance_q}
 
-    def accumulate_balance(self, dt: float, t: float, state, stepper) -> None:
-        """Left-rule advance of the running balance integrals (pre-step values)."""
+    def accumulate_balance(self, dt: float, state, stepper) -> None:
+        """Left-rule advance of the running balance integrals (pre-step
+        values); the reaction rates are the ones the step's drift reuses."""
         if not self.balance_q:
             return
         values = state.grid_values
-        fvals = self.sys.f(t, values)
-        for i in range(self.sys.ell):
-            grad_sq = np.sum(stepper.gradients(state.fields[i]) ** 2, axis=0)
+        fvals = stepper.reaction_rates(state)
+        grads_sq = np.sum(stepper.gradients(state.fields) ** 2, axis=1)
+        for i, grad_sq in enumerate(grads_sq):
             for q in self.balance_q:
                 weight = np.abs(values[i]) ** (q - 2.0)
                 self._grad_running[q][i] += dt * float(np.mean(weight * grad_sq))

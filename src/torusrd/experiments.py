@@ -14,7 +14,7 @@ import numpy as np
 
 from .diagnostics import hminus_gamma_norm, lq_norm_vector, survival_estimate
 from .fields import GridField, SpectralField, TorusGrid
-from .noise import NoiseModel, build_theta_shell
+from .noise import NoiseModel, build_theta_shell, resolution_error
 from .reactions import ReactionSystem
 from .solver import SolverConfig, run
 
@@ -48,12 +48,8 @@ class ScalingLimitPlan:
             raise ValueError("shells must be strictly increasing")
         if self.paths < 1 or self.epsilon <= 0:
             raise ValueError("paths >= 1 and epsilon > 0 required")
-        n = self.v0[0].grid.n_per_dim
-        if 2 * max(self.shells) > n / 3:
-            raise ValueError(
-                f"grid n={n} does not resolve shell {max(self.shells)}: "
-                f"need 2*n_max <= n/3"
-            )
+        if problem := resolution_error(2 * max(self.shells), self.v0[0].grid.n_per_dim):
+            raise ValueError(f"shell {max(self.shells)}: {problem}")
 
 
 @dataclass

@@ -78,6 +78,20 @@ class TorusGrid:
         return -4.0 * np.pi**2 * self.k_squared
 
     @cached_property
+    def derivative_multipliers(self) -> tuple[np.ndarray, ...]:
+        """Per-axis spectral derivative multipliers 2 pi i k_j, broadcast to
+        the spectral shape.
+
+        The Nyquist plane is zeroed: an odd multiplier there would break both
+        realness and Hermitian symmetry.
+        """
+        ny = self.n_per_dim // 2
+        return tuple(
+            TWO_PI * 1j * np.where(np.abs(ka) == ny, 0.0, ka.astype(float))
+            for ka in self.k_axes
+        )
+
+    @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """True where any |k_j| equals the Nyquist wavenumber n/2."""
         ny = self.n_per_dim // 2
@@ -165,30 +179,10 @@ def to_grid(c: SpectralField) -> GridField:
 
 
 def partial_derivative(c: SpectralField, axis: int) -> SpectralField:
-    """Spectral derivative along an axis: multiplier 2*pi*i*k_axis.
-
-    The Nyquist plane is zeroed: an odd multiplier there would break both
-    realness and Hermitian symmetry.
-    """
+    """Spectral derivative along an axis (TorusGrid.derivative_multipliers)."""
     if not 0 <= axis < c.grid.d:
         raise ValueError(f"axis {axis} out of range for d={c.grid.d}")
-    k = c.grid.k_axes[axis].astype(float)
-    ny = c.grid.n_per_dim // 2
-    mult = TWO_PI * 1j * np.where(np.abs(c.grid.k_axes[axis]) == ny, 0.0, k)
-    return SpectralField(c.grid, c.coeffs * mult)
-
-
-def laplacian_multiplier(k: tuple[int, ...] | np.ndarray) -> float:
-    """Eigenvalue of the Laplacian at lattice vector k: -4 pi^2 |k|^2."""
-    kv = np.asarray(k, dtype=float)
-    return float(-4.0 * np.pi**2 * np.dot(kv, kv))
-
-
-def lp_norm(f: GridField, q: float) -> float:
-    """L^q norm by equal-weight quadrature on the unit-volume torus."""
-    if q < 1:
-        raise ValueError(f"exponent q must be >= 1, got {q}")
-    return float(np.mean(np.abs(f.values) ** q) ** (1.0 / q))
+    return SpectralField(c.grid, c.coeffs * c.grid.derivative_multipliers[axis])
 
 
 def dealias(c: SpectralField, rule: float = 2.0 / 3.0) -> SpectralField:

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import SpectralField, TorusGrid
+from .fields import TorusGrid
 
 SPECTRUM_L2_TOL = 1e-12
 
@@ -267,6 +267,17 @@ def path_rng(seed: int, path_index: int, step_index: int) -> np.random.Generator
     )
 
 
+def resolution_error(max_k: int, n: int) -> str | None:
+    """Why modes with |k_j| <= max_k are under-resolved on n points per
+    axis, or None.  Products with them stay dealiasable while max_k <= n/3;
+    the shell-s annulus has max_k = 2s.
+    """
+    if max_k <= n / 3:
+        return None
+    return (f"max|k_j| = {max_k} is under-resolved on grid n = {n}: products "
+            f"resolve only for max|k_j| <= n/3 = {n / 3:.1f}, i.e. shell <= {n / 6:.1f}")
+
+
 class NoiseGridOps:
     """Grid-resolved noise machinery shared by transport evaluations.
 
@@ -279,13 +290,8 @@ class NoiseGridOps:
     def __init__(self, model: NoiseModel, grid: TorusGrid):
         if grid.d != model.d:
             raise ValueError("noise and grid dimensions differ")
-        max_k = model.spectrum.max_component()
-        if max_k > grid.n_per_dim / 3:
-            raise ValueError(
-                f"noise support max|k_j| = {max_k} is under-resolved on "
-                f"n = {grid.n_per_dim}: products would not be dealiasable "
-                f"(need max|k_j| <= n/3)"
-            )
+        if problem := resolution_error(model.spectrum.max_component(), grid.n_per_dim):
+            raise ValueError(f"noise support {problem}")
         self.model = model
         self.grid = grid
         n = grid.n_per_dim
@@ -324,54 +330,6 @@ class NoiseGridOps:
         if self.grid.d == 3:
             out[2] = self._inverse(amp[:, 2], np.conj(amp[:, 2])).real
         return out
-
-
-def transport_increment(
-    model: NoiseModel,
-    v: SpectralField,
-    inc: IncrementSet,
-    apply_dealias: bool = True,
-) -> SpectralField:
-    """Spectral transport term sqrt(c_d nu) sum theta (sigma.grad)v dW.
-
-    The minus modes are the conjugates of the plus modes, so the sum equals
-    2 Re of the plus half and the output is a real field; its spatial mean
-    is exactly zero because the advecting field is divergence free.
-    """
-    ops = NoiseGridOps(model, v.grid)
-    out = _transport_raw(ops, v.coeffs, inc, apply_dealias)
-    return SpectralField(v.grid, out)
-
-
-def _transport_raw(
-    ops: NoiseGridOps,
-    coeffs: np.ndarray,
-    inc: IncrementSet,
-    apply_dealias: bool,
-    dealias_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    grid = ops.grid
-    u = ops.velocity_field(inc)
-    rhs = np.zeros(grid.shape)
-    for j in range(grid.d):
-        dj = np.fft.ifftn(_derivative_coeffs(grid, coeffs, j)).real * grid.n_points
-        rhs += u[j] * dj
-    out = np.fft.fftn(rhs) / grid.n_points
-    if apply_dealias:
-        mask = dealias_mask if dealias_mask is not None else grid.dealias_mask()
-        out *= mask
-    else:
-        out[grid.nyquist_mask] = out[grid.nyquist_mask].real
-    # div sigma = 0 makes the term mean free; pin the mode-0 roundoff to zero
-    out[(0,) * grid.d] = 0.0
-    return out
-
-
-def _derivative_coeffs(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
-    k = grid.k_axes[axis].astype(float)
-    ny = grid.n_per_dim // 2
-    mult = 2.0 * np.pi * 1j * np.where(np.abs(grid.k_axes[axis]) == ny, 0.0, k)
-    return coeffs * mult
 
 
 def spectrum_to_csv(spectrum: NoiseSpectrum, path) -> None:

@@ -19,18 +19,15 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
-from .fields import (
-    GridField,
-    SpectralField,
-    dealias as dealias_field,
-    partial_derivative,
-    to_spectral,
-)
-
 # guard so that declared growth stays > 1 even for (sub)linear systems
 EPS_H = 1e-6
 
 Evaluator = Callable[[float, np.ndarray], np.ndarray]
+
+
+def zero_rates(t: float, Y: np.ndarray) -> np.ndarray:
+    """The reaction f = 0; a system with this f and no flux is linear."""
+    return np.zeros_like(Y)
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,9 @@ class ReactionSystem:
 
     @property
     def is_linear(self) -> bool:
-        return self.name == "zero"
+        """True when the drift div F + f is known to vanish: f is zero_rates
+        and there is no flux.  The solver then skips the drift."""
+        return self.f is zero_rates and self.F is None
 
 
 @dataclass(frozen=True)
@@ -183,56 +182,9 @@ def growth_certificate(
     return float(ratio.max())
 
 
-def evaluate_reaction(
-    sys: ReactionSystem, t: float, fields: list[GridField]
-) -> tuple[list[GridField], bool]:
-    """Pointwise f at every node; the flag is False when NaN/Inf appeared."""
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise ValueError("species fields must share one grid")
-    Y = np.stack([f.values for f in fields])
-    out = sys.f(t, Y)
-    finite = bool(np.all(np.isfinite(out)))
-    return [GridField(grid, out[i]) for i in range(sys.ell)], finite
-
-
-def evaluate_flux_divergence(
-    sys: ReactionSystem,
-    t: float,
-    fields: list[GridField],
-    apply_dealias: bool = True,
-) -> tuple[list[SpectralField], bool]:
-    """div(F_i(., v)) in spectral space; mode 0 vanishes exactly.
-
-    F is evaluated pointwise, transformed, contracted with the spectral
-    divergence, and dealiased.
-    """
-    grid = fields[0].grid
-    if sys.F is None:
-        zero = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
-        return [zero] * sys.ell, True
-    Y = np.stack([f.values for f in fields])
-    flux = sys.F(t, Y)  # (ell, d, ...)
-    finite = bool(np.all(np.isfinite(flux)))
-    out = []
-    for i in range(sys.ell):
-        total = np.zeros(grid.shape, dtype=complex)
-        for j in range(grid.d):
-            fj = to_spectral(GridField(grid, flux[i, j]))
-            total = total + partial_derivative(fj, j).coeffs
-        spec_i = SpectralField(grid, total)
-        if apply_dealias:
-            spec_i = dealias_field(spec_i)
-        out.append(spec_i)
-    return out, finite
-
-
 def _builtin_zero(nu: np.ndarray) -> ReactionSystem:
-    def f(t, Y):
-        return np.zeros_like(Y)
-
     return ReactionSystem(
-        ell=len(nu), nu=nu, h=1 + EPS_H, f=f,
+        ell=len(nu), nu=nu, h=1 + EPS_H, f=zero_rates,
         mass_alpha=np.ones(len(nu)), mass_consts=(0.0, 0.0), name="zero",
     )
 
@@ -274,16 +226,13 @@ def _builtin_cubic_nontriangular(nu: np.ndarray, d: int) -> ReactionSystem:
 
 def _builtin_linear_flux(nu: np.ndarray, d: int) -> ReactionSystem:
     # F_i(v) = v_i e_1, exercising the conservative term
-    def f(t, Y):
-        return np.zeros_like(Y)
-
     def F(t, Y):
         out = np.zeros((Y.shape[0], d) + Y.shape[1:])
         out[:, 0] = Y
         return out
 
     return ReactionSystem(
-        ell=len(nu), nu=nu, h=1 + EPS_H, f=f, F=F,
+        ell=len(nu), nu=nu, h=1 + EPS_H, f=zero_rates, F=F,
         mass_alpha=np.ones(len(nu)), mass_consts=(0.0, 0.0), name="linear_flux",
     )
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import jv
 
 from .diagnostics import DiagnosticsRecord, RecordBuilder, lq_norm_vector
-from .fields import GridField, SpectralField, TorusGrid
+from .fields import GridField, TorusGrid
 from .noise import IncrementSet, NoiseGridOps, NoiseModel, path_rng, sample_increments
 from .reactions import ReactionSystem
 
@@ -134,6 +134,10 @@ class SolverConfig:
             raise ValueError("blow-up threshold must be > 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if any(q < 1 for q in self.lq_norms):
+            raise ValueError(f"lq_norms exponents must be >= 1, got {self.lq_norms}")
+        if any(q < 2 for q in self.balance_q):
+            raise ValueError(f"balance_q exponents must be >= 2, got {self.balance_q}")
 
 
 @dataclass
@@ -144,10 +148,10 @@ class SimState:
     phi_value: float = 1.0
     step_index: int = 0
     blown_up: float | None = None  # tau estimate once set
+    # derived from fields, filled by the Stepper when first needed
     grid_values: np.ndarray | None = dc_field(default=None, repr=False)
-
-    def spectral_fields(self, grid: TorusGrid) -> list[SpectralField]:
-        return [SpectralField(grid, self.fields[i]) for i in range(len(self.fields))]
+    rates: np.ndarray | None = dc_field(default=None, repr=False)  # f(t, v)
+    cutoff_integrand: float | None = None  # |v|_{L^q}^r of the cut-off
 
 
 class Stepper:
@@ -189,11 +193,7 @@ class Stepper:
             # max |2 pi k| over the mask: ||(u.grad)|| <= max|u| * k_max there
             self.k_max = math.sqrt(-lam[self.dealias_mask].min())
         self.nyquist_mask = grid.nyquist_mask
-        ny = grid.n_per_dim // 2
-        self.deriv_mult = [
-            2.0 * np.pi * 1j * np.where(np.abs(ka) == ny, 0.0, ka.astype(float))
-            for ka in grid.k_axes
-        ]
+        self.deriv_mult = grid.derivative_multipliers
         # packed multiplier: one inverse transform yields two derivative
         # components as real/imaginary parts (both factors are Hermitian)
         self._deriv_pack = self.deriv_mult[0] + 1j * self.deriv_mult[1]
@@ -205,8 +205,8 @@ class Stepper:
     # -- spectral helpers ------------------------------------------------
 
     def _inverse_real(self, half: np.ndarray) -> np.ndarray:
-        """Real grid values (b, n, ..., n) of a batch of Hermitian halves."""
-        axes = tuple(range(1, half.ndim))
+        """Real grid values (..., n, ..., n) of a batch of Hermitian halves."""
+        axes = tuple(range(half.ndim - self.grid.d, half.ndim))
         return np.fft.irfftn(half, s=self.grid.shape, axes=axes, norm="forward")
 
     def to_values(self, fields: np.ndarray) -> np.ndarray:
@@ -226,17 +226,28 @@ class Stepper:
         return coeffs
 
     def gradients(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real gradient fields, shape (d, n, ..., n), of one species."""
+        """Real gradient fields, shape (..., d, n, ..., n), of a batch of
+        species (...) in one transform."""
         half = coeffs[..., : self._half]
-        return self._inverse_real(np.stack([half * m for m in self._deriv_half]))
+        axis = -self.grid.d - 1
+        return self._inverse_real(np.stack([half * m for m in self._deriv_half], axis=axis))
 
     # -- physics terms ---------------------------------------------------
 
-    def reaction_drift(self, t: float, values: np.ndarray) -> tuple[np.ndarray, bool]:
-        """phi-free drift (div F + f) in spectral space, plus finiteness flag."""
-        fvals = self.sys.f(t, values)
-        finite = bool(np.all(np.isfinite(fvals)))
-        drift = self._clean_product(self._forward(fvals))
+    def reaction_rates(self, state: SimState) -> np.ndarray:
+        """f(t, v) at the state's grid values; the balance accumulator and
+        the step's drift share this one evaluation."""
+        if state.rates is None:
+            state.rates = self.sys.f(state.t, state.grid_values)
+        return state.rates
+
+    def reaction_drift(
+        self, t: float, values: np.ndarray, rates: np.ndarray
+    ) -> tuple[np.ndarray, bool]:
+        """phi-free drift (div F + f) in spectral space, plus finiteness flag;
+        rates is f(t, values)."""
+        finite = bool(np.all(np.isfinite(rates)))
+        drift = self._clean_product(self._forward(rates))
         if self.sys.F is not None:
             flux = self.sys.F(t, values)  # (ell, d, ...)
             finite = finite and bool(np.all(np.isfinite(flux)))
@@ -307,11 +318,13 @@ class Stepper:
 
         new = state.fields
         if not self.sys.is_linear and phi != 0.0:
-            drift, finite_drift = self.reaction_drift(state.t, pre_values)
+            drift, finite_drift = self.reaction_drift(state.t, pre_values,
+                                                      self.reaction_rates(state))
             new = new + (cfg.dt * phi) * drift
         else:
             finite_drift = True
             new = new.copy()
+        state.rates = None  # read by the balance and the drift only: free it
 
         if self.noise_ops is not None:
             if inc is None:
@@ -328,11 +341,14 @@ class Stepper:
 
         post_values = self.to_values(new)
 
-        # trapezoid advance of the cut-off accumulator A(t) = int |v|_{Lq}^r
-        acc = state.cutoff_acc
+        # trapezoid advance of the cut-off accumulator A(t) = int |v|_{Lq}^r;
+        # the pre-step integrand is carried over from the previous step
+        acc, post_n = state.cutoff_acc, None
         if cfg.cutoff is not None:
             co = cfg.cutoff
-            pre_n = lq_norm_vector(pre_values, co.q) ** co.r
+            pre_n = state.cutoff_integrand
+            if pre_n is None:
+                pre_n = lq_norm_vector(pre_values, co.q) ** co.r
             post_n = lq_norm_vector(post_values, co.q) ** co.r
             acc = acc + 0.5 * cfg.dt * (pre_n + post_n)
 
@@ -354,42 +370,8 @@ class Stepper:
             step_index=state.step_index + 1,
             blown_up=blown,
             grid_values=post_values,
+            cutoff_integrand=post_n,
         )
-
-
-def step_stochastic(
-    state: SimState,
-    sys: ReactionSystem,
-    noise: NoiseModel,
-    cfg: SolverConfig,
-    grid: TorusGrid,
-    inc: IncrementSet | None = None,
-) -> SimState:
-    """One stochastic step; increments default to the counter-based stream."""
-    stepper = Stepper(grid, sys, noise, cfg)
-    if inc is None:
-        rng = path_rng(cfg.seed, 0, state.step_index)
-        inc = sample_increments(noise, cfg.dt, rng)
-    return stepper.step(state, inc)
-
-
-def step_deterministic(
-    state: SimState,
-    sys: ReactionSystem,
-    nu: float,
-    cfg: SolverConfig,
-    grid: TorusGrid,
-) -> SimState:
-    """One deterministic step with enhanced diffusivity nu_i + nu."""
-    det_cfg = cfg if not cfg.noise_on else _with_noise_off(cfg)
-    stepper = Stepper(grid, sys, None, det_cfg, nu_enhancement=nu)
-    return stepper.step(state, None)
-
-
-def _with_noise_off(cfg: SolverConfig) -> SolverConfig:
-    import dataclasses
-
-    return dataclasses.replace(cfg, noise_on=False)
 
 
 def initial_state(
@@ -432,12 +414,7 @@ def run(
         if not np.all(np.isfinite(f.values)):
             raise ValueError("initial data contains non-finite values")
 
-    noise_active = noise is not None and cfg.noise_on
-    stepper = Stepper(
-        grid, sys, noise if noise_active else None,
-        cfg if noise_active else _with_noise_off(cfg),
-        nu_enhancement=nu_enhancement,
-    )
+    stepper = Stepper(grid, sys, noise, cfg, nu_enhancement=nu_enhancement)
     state = initial_state(grid, v0, cfg)
     state.grid_values = stepper.to_values(state.fields)
 
@@ -458,8 +435,8 @@ def run(
     n_steps = int(round(cfg.T / cfg.dt))
     for step_idx in range(n_steps):
         if cfg.track_balance:
-            builder.accumulate_balance(cfg.dt, state.t, state, stepper)
-        if noise_active:
+            builder.accumulate_balance(cfg.dt, state, stepper)
+        if stepper.noise is not None:
             if increments is not None:
                 inc = increments(step_idx)
             else:

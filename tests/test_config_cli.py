@@ -240,6 +240,18 @@ class TestCli:
         config.write_text("grid.n = 7\n")
         assert run_cli(["simulate", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("override", [
+        "solver.lq_norms=[0.0]", "solver.lq_norms=[-2.0]", "solver.balance_q=[1.0]",
+    ])
+    def test_out_of_range_norm_exponents_exit_one(self, tmp_path, capsys, override):
+        config = tmp_path / "run.cfg"
+        config.write_text("grid.n = 16\nsolver.dt = 0.005\nsolver.T = 0.01\n")
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(config), "--out", str(out),
+                        "--override", override]) == 1
+        assert "exponents must be" in capsys.readouterr().err
+        assert not (out / "diagnostics.csv").exists()
+
     def test_unsafe_reaction_gate(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(

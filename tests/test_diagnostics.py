@@ -1,5 +1,6 @@
 """Norms, balance residuals, trajectory distances, mass traces, survival statistics."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -95,6 +96,24 @@ class TestBalanceResidual:
         _, record = run(sys, None, cfg, v0)
         res = lq_balance_residual(record, 2.0, sys)
         assert np.abs(res).max() < 1e-12
+
+    def test_reaction_evaluated_once_per_step(self):
+        # the work integral and the step's drift share one f evaluation
+        grid = TorusGrid(2, 16)
+        base = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.1, 0.1])
+        times = []
+
+        def f(t, Y):
+            times.append(t)
+            return base.f(t, Y)
+
+        sys = dataclasses.replace(base, f=f)
+        cfg = SolverConfig(dt=1e-2, T=0.1, noise_on=False, balance_q=(2.0,), lq_norms=(2.0,))
+        x = grid.node_coordinates()[0]
+        v0 = [GridField(grid, 1.0 + 0.2 * np.cos(2 * np.pi * x))] * 2
+        _, record = run(sys, None, cfg, v0)
+        assert times == list(record.times[:-1])
+        assert np.all(record.work[2.0][-1] != 0.0)
 
     def test_linear_heat_refinement_halves_residual(self):
         # residual is O(dt): halving dt shrinks it by a factor in [1.5, 3]

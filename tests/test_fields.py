@@ -10,8 +10,6 @@ from torusrd.fields import (
     TorusGrid,
     dealias,
     hermitian_deviation,
-    laplacian_multiplier,
-    lp_norm,
     partial_derivative,
     read_snapshot,
     single_mode,
@@ -19,6 +17,8 @@ from torusrd.fields import (
     to_spectral,
     write_snapshot,
 )
+from torusrd.diagnostics import lq_norm_vector
+from torusrd.solver import SolverConfig
 
 
 @pytest.fixture
@@ -135,40 +135,48 @@ class TestDerivatives:
 
 
 class TestLaplacianMultiplier:
-    def test_zero_mode(self):
-        assert laplacian_multiplier((0, 0)) == 0.0
+    """TorusGrid.laplacian_multipliers at single lattice vectors."""
 
-    def test_unit_mode(self):
-        assert laplacian_multiplier((1, 0)) == pytest.approx(-4 * np.pi**2)
+    def test_zero_mode(self, grid2):
+        assert grid2.laplacian_multipliers[0, 0] == 0.0
 
-    def test_diagonal_mode(self):
-        assert laplacian_multiplier((1, 1)) == pytest.approx(-8 * np.pi**2)
+    def test_unit_mode(self, grid2):
+        assert grid2.laplacian_multipliers[1, 0] == pytest.approx(-4 * np.pi**2)
+
+    def test_diagonal_mode(self, grid2):
+        assert grid2.laplacian_multipliers[1, -1] == pytest.approx(-8 * np.pi**2)
+
+
+def species_lq_norm(f: GridField, q: float) -> float:
+    """diagnostics.lq_norm_vector of one species."""
+    return lq_norm_vector(f.values[None], q)
 
 
 class TestLpNorm:
     @pytest.mark.parametrize("q", [1.0, 2.0, 3.5, 6.0])
     def test_unit_field(self, grid2, q):
-        assert lp_norm(GridField(grid2, np.ones(grid2.shape)), q) == pytest.approx(1.0)
+        assert species_lq_norm(GridField(grid2, np.ones(grid2.shape)), q) == pytest.approx(1.0)
 
     def test_sin_l2(self, grid2):
         x = grid2.node_coordinates()[0]
         f = GridField(grid2, np.sin(2 * np.pi * x))
         # int sin^2 = 1/2 over one period
-        assert lp_norm(f, 2.0) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert species_lq_norm(f, 2.0) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_sin_l4(self, grid2):
         x = grid2.node_coordinates()[0]
         f = GridField(grid2, np.sin(2 * np.pi * x))
         # int sin^4 = 3/8 over one period
-        assert lp_norm(f, 4.0) == pytest.approx((3 / 8) ** 0.25, abs=1e-12)
+        assert species_lq_norm(f, 4.0) == pytest.approx((3 / 8) ** 0.25, abs=1e-12)
 
-    def test_q_below_one_rejected(self, grid2):
+    def test_q_below_one_rejected(self):
+        # exponents are checked where runs request them
         with pytest.raises(ValueError):
-            lp_norm(random_field(grid2), 0.5)
+            SolverConfig(dt=0.1, T=0.1, lq_norms=(0.5,))
 
     def test_monotone_in_q(self, grid2):
         f = random_field(grid2, seed=9)
-        norms = [lp_norm(f, q) for q in (1.0, 2.0, 4.0, 8.0)]
+        norms = [species_lq_norm(f, q) for q in (1.0, 2.0, 4.0, 8.0)]
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
 

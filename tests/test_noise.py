@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrd.fields import GridField, TorusGrid, hermitian_deviation, to_grid, to_spectral
+from torusrd.fields import (
+    GridField,
+    SpectralField,
+    TorusGrid,
+    hermitian_deviation,
+    to_grid,
+    to_spectral,
+)
 from torusrd.noise import (
     NoiseGridOps,
     NoiseModel,
@@ -16,9 +23,10 @@ from torusrd.noise import (
     sample_increments,
     spectrum_from_csv,
     spectrum_to_csv,
-    transport_increment,
     verify_ellipticity,
 )
+from torusrd.reactions import build_builtin
+from torusrd.solver import SolverConfig, Stepper
 
 lattice_vec = st.lists(st.integers(-9, 9), min_size=2, max_size=3).filter(lambda k: any(k))
 
@@ -185,6 +193,13 @@ class TestIncrements:
         assert not np.array_equal(a.dw_plus, c.dw_plus)
 
 
+def transport(model, v, inc):
+    """Stepper.transport of one species, as a spectral field."""
+    cfg = SolverConfig(dt=1e-3, T=1e-3)
+    stepper = Stepper(v.grid, build_builtin("zero", [0.0], d=v.grid.d), model, cfg)
+    return SpectralField(v.grid, stepper.transport(v.coeffs[None], inc)[0])
+
+
 class TestTransport:
     def setup_method(self):
         self.grid = TorusGrid(2, 32)
@@ -193,14 +208,14 @@ class TestTransport:
     def test_constant_field_gives_zero(self):
         v = to_spectral(GridField(self.grid, np.full(self.grid.shape, 2.5)))
         inc = sample_increments(self.model, 1e-3, path_rng(1, 0, 0))
-        out = transport_increment(self.model, v, inc)
+        out = transport(self.model, v, inc)
         assert np.abs(out.coeffs).max() < 1e-16
 
     def test_zero_increments_give_zero(self):
         x = self.grid.node_coordinates()[0]
         v = to_spectral(GridField(self.grid, np.sin(2 * np.pi * x)))
         inc = sample_increments(self.model, 0.0, path_rng(1, 0, 0))
-        out = transport_increment(self.model, v, inc)
+        out = transport(self.model, v, inc)
         assert np.abs(out.coeffs).max() == 0.0
 
     def test_single_mode_oracle(self):
@@ -224,14 +239,36 @@ class TestTransport:
             * 2
             * np.real(np.exp(2j * np.pi * x2) * dw)
         )
-        out = to_grid(transport_increment(model, v, inc))
+        out = to_grid(transport(model, v, inc))
+        assert np.abs(out.values - expected).max() < 1e-10
+
+    def test_single_mode_oracle_3d(self):
+        # one active pair k = (+-1, 0, 0) with hyperplane basis a_0 = e_2,
+        # a_1 = e_3; v = cos(2 pi x2) + sin(2 pi x3), so the closed form is
+        #   sqrt(c_d nu) theta sum_alpha (a_alpha . grad v) 2 Re(e^{2 pi i x1} dW_alpha)
+        # and the a_1 term rides the third-derivative transform
+        spectrum = NoiseSpectrum(
+            support=np.array([[1, 0, 0], [-1, 0, 0]]),
+            theta=np.array([2**-0.5, 2**-0.5]),
+        )
+        model = NoiseModel(spectrum, nu=0.2)
+        grid = TorusGrid(3, 8)
+        x1, x2, x3 = grid.node_coordinates()
+        v = to_spectral(GridField(grid, np.cos(2 * np.pi * x2) + np.sin(2 * np.pi * x3)))
+        inc = sample_increments(model, 1e-2, path_rng(3, 0, 0))
+        wave = np.exp(2j * np.pi * x1)
+        expected = np.sqrt(model.c_d * model.nu) * 2**-0.5 * (
+            -2 * np.pi * np.sin(2 * np.pi * x2) * 2 * np.real(wave * inc.dW((1, 0, 0), 0))
+            + 2 * np.pi * np.cos(2 * np.pi * x3) * 2 * np.real(wave * inc.dW((1, 0, 0), 1))
+        )
+        out = to_grid(transport(model, v, inc))
         assert np.abs(out.values - expected).max() < 1e-10
 
     def test_output_real_and_mean_free(self):
         rng = np.random.default_rng(11)
         v = to_spectral(GridField(self.grid, rng.standard_normal(self.grid.shape)))
         inc = sample_increments(self.model, 1e-3, path_rng(9, 0, 0))
-        out = transport_increment(self.model, v, inc)
+        out = transport(self.model, v, inc)
         assert hermitian_deviation(out) < 1e-10
         assert out.coeffs[0, 0] == 0.0
 

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from torusrd.fields import GridField, TorusGrid, to_grid
+from torusrd.fields import GridField, SpectralField, TorusGrid, to_grid
 from torusrd.reactions import (
     MassActionSpec,
     ReactionSystem,
     build_builtin,
     check_mass_control,
-    evaluate_flux_divergence,
-    evaluate_reaction,
     find_mass_weights,
     growth_certificate,
     mass_action_build,
+    zero_rates,
 )
+from torusrd.solver import SolverConfig, Stepper, run
 
 TWO_TO_ONE = MassActionSpec(q=(2, 0), p=(0, 1))  # 2 V1 <-> V2
 
@@ -119,41 +119,46 @@ class TestGrowthCertificate:
         assert cert < 4.0
 
 
+def reaction_drift(sys, grid, values):
+    """Stepper.reaction_drift: spectral div F + f and the finiteness flag."""
+    cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False)
+    return Stepper(grid, sys, None, cfg).reaction_drift(0.0, values, sys.f(0.0, values))
+
+
 class TestEvaluateReaction:
     def setup_method(self):
         self.grid = TorusGrid(2, 16)
 
     def test_zero_fields(self):
         sys = mass_action_build(TWO_TO_ONE)
-        fields = [GridField(self.grid, np.zeros(self.grid.shape))] * 2
-        out, finite = evaluate_reaction(sys, 0.0, fields)
+        values = np.zeros((2,) + self.grid.shape)
+        out = sys.f(0.0, values)
+        _, finite = reaction_drift(sys, self.grid, values)
         assert finite
-        assert all(np.abs(f.values).max() == 0.0 for f in out)
+        assert all(np.abs(f).max() == 0.0 for f in out)
 
     def test_equilibrium_fields(self):
         sys = mass_action_build(TWO_TO_ONE)
-        fields = [GridField(self.grid, np.ones(self.grid.shape))] * 2
-        out, _ = evaluate_reaction(sys, 0.0, fields)
-        assert all(np.abs(f.values).max() == 0.0 for f in out)
+        out = sys.f(0.0, np.ones((2,) + self.grid.shape))
+        assert all(np.abs(f).max() == 0.0 for f in out)
 
     def test_matches_scalar_oracle(self):
         sys = mass_action_build(MassActionSpec(q=(1, 2), p=(2, 1), r_plus=0.7, r_minus=1.3))
         rng = np.random.default_rng(3)
-        fields = [GridField(self.grid, rng.uniform(0, 2, self.grid.shape)) for _ in range(2)]
-        out, _ = evaluate_reaction(sys, 0.0, fields)
+        values = rng.uniform(0, 2, (2,) + self.grid.shape)
+        out = sys.f(0.0, values)
         for idx in [(0, 0), (3, 7), (15, 2)]:
-            y1, y2 = fields[0].values[idx], fields[1].values[idx]
+            y1, y2 = values[0][idx], values[1][idx]
             g = 1.3 * y1 * y2**2 - 0.7 * y1**2 * y2
-            assert out[0].values[idx] == pytest.approx(g, rel=1e-14)
-            assert out[1].values[idx] == pytest.approx(-g, rel=1e-14)
+            assert out[0][idx] == pytest.approx(g, rel=1e-14)
+            assert out[1][idx] == pytest.approx(-g, rel=1e-14)
 
     def test_nan_flagged(self):
         def f(t, Y):
             return np.where(Y > 0.5, np.nan, Y)
 
         sys = ReactionSystem(ell=1, nu=np.array([0.1]), h=2.0, f=f)
-        fields = [GridField(self.grid, np.ones(self.grid.shape))]
-        _, finite = evaluate_reaction(sys, 0.0, fields)
+        _, finite = reaction_drift(sys, self.grid, np.ones((1,) + self.grid.shape))
         assert not finite
 
 
@@ -162,28 +167,26 @@ class TestFluxDivergence:
         self.grid = TorusGrid(2, 32)
 
     def test_zero_flux(self):
+        # F = None and f(1, 1) = 0: the drift vanishes exactly
         sys = mass_action_build(TWO_TO_ONE)
-        fields = [GridField(self.grid, np.ones(self.grid.shape))] * 2
-        out, finite = evaluate_flux_divergence(sys, 0.0, fields)
+        out, finite = reaction_drift(sys, self.grid, np.ones((2,) + self.grid.shape))
         assert finite
-        assert all(np.abs(c.coeffs).max() == 0.0 for c in out)
+        assert all(np.abs(c).max() == 0.0 for c in out)
 
     def test_linear_flux_analytic_derivative(self):
         sys = build_builtin("linear_flux", [0.1], d=2)
         x = self.grid.node_coordinates()[0]
-        fields = [GridField(self.grid, np.sin(2 * np.pi * x))]
-        out, _ = evaluate_flux_divergence(sys, 0.0, fields)
-        got = to_grid(out[0]).values
+        out, _ = reaction_drift(sys, self.grid, np.sin(2 * np.pi * x)[None])
+        got = to_grid(SpectralField(self.grid, out[0])).values
         expected = 2 * np.pi * np.cos(2 * np.pi * x)
         assert np.abs(got - expected).max() < 1e-10
 
     def test_mode_zero_vanishes(self):
         sys = build_builtin("linear_flux", [0.1, 0.2], d=2)
         rng = np.random.default_rng(5)
-        fields = [GridField(self.grid, rng.standard_normal(self.grid.shape)) for _ in range(2)]
-        out, _ = evaluate_flux_divergence(sys, 0.0, fields)
+        out, _ = reaction_drift(sys, self.grid, rng.standard_normal((2,) + self.grid.shape))
         for c in out:
-            assert c.coeffs[0, 0] == 0.0
+            assert c[0, 0] == 0.0
 
 
 class TestBuiltins:
@@ -211,3 +214,20 @@ class TestBuiltins:
         sys = build_builtin("zero", [0.1, 0.2])
         assert sys.is_linear
         assert np.abs(sys.f(0.0, np.ones((2, 4)))).max() == 0.0
+
+    def test_linearity_follows_the_evaluators_not_the_name(self):
+        assert not build_builtin("linear_flux", [0.1]).is_linear
+        assert ReactionSystem(ell=1, nu=[0.1], h=2.0, f=zero_rates, name="custom").is_linear
+
+    def test_nonzero_reaction_named_zero_keeps_its_drift(self):
+        # f = v^2 on a constant field: the drift must run whatever the name
+        grid = TorusGrid(2, 16)
+        cfg = SolverConfig(dt=0.01, T=0.1, noise_on=False, track_balance=False)
+        v0 = [GridField(grid, np.full(grid.shape, 0.5))]
+        means = []
+        for name in ("custom", "zero"):
+            sys = ReactionSystem(ell=1, nu=[0.1], h=2.0, f=lambda t, Y: Y**2, name=name)
+            assert not sys.is_linear
+            state, _ = run(sys, None, cfg, v0)
+            means.append(state.fields[0][0, 0].real)
+        assert means[0] == means[1] > 0.52

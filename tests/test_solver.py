@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import torusrd.solver as solver_module
+from torusrd.diagnostics import lq_norm_vector
 from torusrd.fields import (
     GridField,
     SpectralField,
@@ -30,11 +32,8 @@ from torusrd.solver import (
     SolverConfig,
     Stepper,
     chebyshev_expm,
-    initial_state,
     phi_bump,
     run,
-    step_deterministic,
-    step_stochastic,
 )
 
 
@@ -93,6 +92,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="dealias"):
             SolverConfig(dt=1e-3, T=0.1, scheme="strat_substep", dealias=False)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"lq_norms": (0.0,)}, {"lq_norms": (2.0, -2.0)}, {"balance_q": (1.0,)},
+    ])
+    def test_out_of_range_norm_exponents_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="exponents"):
+            SolverConfig(dt=0.1, T=1.0, **kwargs)
+
     def test_cutoff_params(self):
         with pytest.raises(ValueError):
             CutOffParams(R=1.0, r=1.0, q=2.0)
@@ -144,16 +150,6 @@ class TestLinearDiffusion:
         expected = 0.3 * np.exp(-4 * np.pi**2 * 5 * (0.02 + 0.05) * 0.25)
         got = state.fields[0][2, 1]
         assert abs(got - expected) < 1e-12 * abs(expected)
-
-    def test_step_deterministic_matches_run(self):
-        grid = grid_32()
-        sys0 = build_builtin("zero", [0.02])
-        cfg = SolverConfig(dt=1e-2, T=1e-2, noise_on=False, track_balance=False)
-        v0 = [to_grid(single_mode(grid, (1, 0), 1.0))]
-        st = initial_state(grid, v0, cfg)
-        stepped = step_deterministic(st, sys0, 0.05, cfg, grid)
-        ran, _ = run(sys0, None, cfg, v0, nu_enhancement=0.05)
-        assert np.array_equal(stepped.fields, ran.fields)
 
 
 class TestReactionStepping:
@@ -327,6 +323,26 @@ class TestCutOffSemantics:
             lin_state = stepper_lin.step(lin_state, inc)
             assert np.array_equal(state.fields, lin_state.fields)
 
+    def test_accumulator_reuses_the_post_step_norm(self, monkeypatch):
+        # two L^q norms per step (cut-off, blow-up) after the first: the
+        # pre-step cut-off integrand is carried over from the previous step
+        grid, noise, sys, cfg, v0 = self._setup(R=1.0)
+        calls = []
+
+        def counted(stack, q):
+            calls.append(q)
+            return lq_norm_vector(stack, q)
+
+        monkeypatch.setattr(solver_module, "lq_norm_vector", counted)
+        _, record = run(sys, noise, cfg, v0, keep_snapshots=True)
+        n_steps = len(record.times) - 1
+        assert len(calls) == 2 * n_steps + 1
+        power = [lq_norm_vector(v, 2.0) ** 2.0 for v in record.snapshots]
+        acc = [0.0]
+        for pre, post in zip(power, power[1:]):
+            acc.append(acc[-1] + 0.5 * cfg.dt * (pre + post))
+        assert np.array_equal(record.cutoff_acc, acc)
+
     def test_accumulator_nondecreasing(self):
         grid, noise, sys, cfg, v0 = self._setup(R=1.0)
         _, record = run(sys, noise, cfg, v0)
@@ -373,19 +389,8 @@ class TestStratSubstep:
                            track_balance=False, seed=5, record_every=10**9)
         v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
         state, _ = run(sys0, noise, cfg, v0)
-        energy = l2_norm_spectral(state.spectral_fields(grid)[0]) ** 2
+        energy = l2_norm_spectral(SpectralField(grid, state.fields[0])) ** 2
         assert abs(energy - 0.5) < 1e-7
-
-    def test_step_stochastic_wrapper(self):
-        grid = grid_32()
-        noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.1)
-        sys0 = build_builtin("zero", [0.01])
-        cfg = SolverConfig(dt=2e-3, T=2e-3, noise_on=True, seed=9, track_balance=False)
-        v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
-        st = initial_state(grid, v0, cfg)
-        stepped = step_stochastic(st, sys0, noise, cfg, grid)
-        ran, _ = run(sys0, noise, cfg, v0)
-        assert np.array_equal(stepped.fields, ran.fields)
 
 
 def _strat_stepper(d, n, max_u=0.3):
