@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import hminus_gamma_norm, lq_norm_vector, survival_estimate
-from .fields import GridField, SpectralField, TorusGrid
-from .noise import NoiseModel, build_theta_shell, resolution_error
+from .fields import GridField, SpectralField, TorusGrid, forward
+from .noise import NoiseModel, build_theta_shell, resolution_error, step_guard_error
 from .reactions import ReactionSystem
 from .solver import SolverConfig, run
 
@@ -48,8 +48,14 @@ class ScalingLimitPlan:
             raise ValueError("shells must be strictly increasing")
         if self.paths < 1 or self.epsilon <= 0:
             raise ValueError("paths >= 1 and epsilon > 0 required")
-        if problem := resolution_error(2 * max(self.shells), self.v0[0].grid.n_per_dim):
+        n = self.v0[0].grid.n_per_dim
+        if problem := resolution_error(2 * max(self.shells), n):
             raise ValueError(f"shell {max(self.shells)}: {problem}")
+        cfg = self.solver
+        if self.nu > 0 and cfg.noise_on:
+            for s in self.shells:  # the shell-s annulus has max|k_j| = 2s
+                if problem := step_guard_error(self.nu, 2 * s, n, cfg.dt, cfg.c_cfl):
+                    raise ValueError(f"shell {s}: {problem}")
 
 
 @dataclass
@@ -121,12 +127,8 @@ class _StreamingDistance:
         self.times.append(t)
         self.max_lq = max(self.max_lq, lq_norm_vector(values, self.q))
         if self.hminus_gamma is not None:
-            acc = 0.0
-            for i in range(len(values)):
-                dspec = np.fft.fftn(diff[i]) / self.grid.n_points
-                acc += hminus_gamma_norm(
-                    SpectralField(self.grid, dspec), self.hminus_gamma
-                ) ** 2
+            acc = sum(hminus_gamma_norm(SpectralField(self.grid, dspec), self.hminus_gamma) ** 2
+                      for dspec in forward(diff, self.grid.d))
             self.hminus_sup = max(self.hminus_sup, float(np.sqrt(acc)))
         self._idx += 1
 
@@ -201,6 +203,11 @@ class SurvivalPlan:
         for f in self.v0:
             if np.min(f.values) < 0:
                 raise ValueError("survival experiments require v0 >= 0")
+        n, cfg = self.v0[0].grid.n_per_dim, self.solver
+        for nu in self.nus:
+            if cfg.noise_on and nu > 0 and (
+                    problem := step_guard_error(nu, 2 * self.shell_n, n, cfg.dt, cfg.c_cfl)):
+                raise ValueError(f"nu = {nu}: {problem}")
 
 
 @dataclass

@@ -2,8 +2,12 @@
 
 The torus has side length 1 in each of the d coordinates, so wavenumbers are
 integer vectors k and the Fourier basis is e^{2*pi*i k.x}.  Spectral
-coefficients follow the numpy fftn layout and are normalized so that
+coefficients follow the fftn layout and are normalized so that
 coeffs[0,...,0] is the spatial mean of the field.
+
+Every transform of the package goes through the three helpers below, on
+scipy.fft with one worker.  They transform the trailing d axes, so a leading
+batch axis (species, derivative components) rides along.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 TWO_PI = 2.0 * np.pi
 
@@ -21,6 +26,34 @@ HERMITIAN_RTOL = 1e-8
 
 SNAPSHOT_MAGIC = b"KRDF"
 SNAPSHOT_VERSION = 1
+
+
+def _trailing(d: int) -> tuple[int, ...]:
+    return tuple(range(-d, 0))
+
+
+def forward(values: np.ndarray, d: int) -> np.ndarray:
+    """Coefficients over the trailing d axes, normalized so that coefficient
+    0 is the mean (real or complex input)."""
+    return scipy.fft.fftn(values, axes=_trailing(d), norm="forward", workers=1)
+
+
+def inverse_real(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Real grid values of shape (..., *shape) from Hermitian halves: the
+    coefficients with k_d <= n/2 of forward's layout."""
+    return scipy.fft.irfftn(half, s=shape, axes=_trailing(len(shape)),
+                            norm="forward", workers=1)
+
+
+def inverse_packed(coeffs: np.ndarray, d: int, overwrite_x: bool = False) -> np.ndarray:
+    """Complex grid values over the trailing d axes, inverse of forward.
+
+    For Hermitian spectra a and b, the inverse of a + i b is A + i B with
+    A, B the real fields of a and b: two real fields in one transform.
+    overwrite_x lets the transform reuse coeffs as its output.
+    """
+    return scipy.fft.ifftn(coeffs, axes=_trailing(d), norm="forward",
+                           overwrite_x=overwrite_x, workers=1)
 
 
 @dataclass(frozen=True)
@@ -164,8 +197,7 @@ def hermitian_deviation(field: SpectralField) -> float:
 def to_spectral(f: GridField) -> SpectralField:
     if not np.all(np.isfinite(f.values)):
         raise ValueError("grid field contains non-finite values")
-    coeffs = np.fft.fftn(f.values) / f.grid.n_points
-    return SpectralField(f.grid, coeffs)
+    return SpectralField(f.grid, forward(f.values, f.grid.d))
 
 
 def to_grid(c: SpectralField) -> GridField:
@@ -174,8 +206,7 @@ def to_grid(c: SpectralField) -> GridField:
             "spectral field violates Hermitian symmetry beyond "
             f"{HERMITIAN_RTOL}: a real-valued inverse transform is undefined"
         )
-    values = np.fft.ifftn(c.coeffs * c.grid.n_points).real
-    return GridField(c.grid, values)
+    return GridField(c.grid, inverse_packed(c.coeffs, c.grid.d).real)
 
 
 def partial_derivative(c: SpectralField, axis: int) -> SpectralField:

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import TorusGrid
+from .fields import TorusGrid, inverse_packed, inverse_real
 
 SPECTRUM_L2_TOL = 1e-12
 
@@ -278,13 +278,25 @@ def resolution_error(max_k: int, n: int) -> str | None:
             f"resolve only for max|k_j| <= n/3 = {n / 3:.1f}, i.e. shell <= {n / 6:.1f}")
 
 
+def step_guard_error(nu: float, max_k: int, n: int, dt: float, c_cfl: float) -> str | None:
+    """Why dt breaks the explicit-noise step guard dt <= c_cfl / (nu max|k_j| n)
+    for noise of intensity nu with modes up to max_k on n points per axis,
+    or None."""
+    dt_max = c_cfl / (nu * max_k * n)
+    if dt <= dt_max:
+        return None
+    return (f"dt = {dt} violates the noise step guard "
+            f"dt <= c_cfl/(nu max|k| n) = {dt_max:.3e}")
+
+
 class NoiseGridOps:
     """Grid-resolved noise machinery shared by transport evaluations.
 
     Precomputes scatter indices of the plus/minus modes into the fftn layout
     and the per-mode basis weights.  Two real components ride one inverse
     transform as its real and imaginary parts, so assembling the sampled
-    velocity field costs one transform in d=2 and two in d=3.
+    velocity field costs one transform in d=2, and in d=3 one more, real,
+    transform of the third component.
     """
 
     def __init__(self, model: NoiseModel, grid: TorusGrid):
@@ -299,6 +311,16 @@ class NoiseGridOps:
         # |k_j| <= n/3 keeps the plus and minus indices distinct
         self._flat_plus = np.ravel_multi_index(tuple((plus.T % n)), grid.shape)
         self._flat_minus = np.ravel_multi_index(tuple(((-plus.T) % n)), grid.shape)
+        if grid.d == 3:
+            # the Hermitian half k_3 >= 0 of the real third component holds
+            # k for k_3 >= 0 and -k for k_3 <= 0: both when k_3 = 0
+            self._half_shape = grid.shape[:-1] + (n // 2 + 1,)
+            self._half_plus = plus[:, -1] >= 0
+            self._half_minus = plus[:, -1] <= 0
+            self._flat_half_plus = np.ravel_multi_index(
+                tuple(plus[self._half_plus].T % n), self._half_shape)
+            self._flat_half_minus = np.ravel_multi_index(
+                tuple(-plus[self._half_minus].T % n), self._half_shape)
         # weight[m, alpha, j] = sqrt(c_d nu) * theta_m * a_{m,alpha}^j
         self.weights = (
             np.sqrt(model.c_d * model.nu)
@@ -311,7 +333,16 @@ class NoiseGridOps:
         flat = np.zeros(self.grid.n_points, dtype=complex)
         flat[self._flat_plus] = plus_amp
         flat[self._flat_minus] = minus_amp
-        return np.fft.ifftn(flat.reshape(self.grid.shape), norm="forward")
+        return inverse_packed(flat.reshape(self.grid.shape), self.grid.d, overwrite_x=True)
+
+    def _inverse_half(self, plus_amp: np.ndarray) -> np.ndarray:
+        """Real grid values of the Hermitian spectrum with plus_amp on the
+        plus modes, from its half k_3 >= 0 (d = 3)."""
+        half = np.zeros(self._half_shape, dtype=complex)
+        flat = half.reshape(-1)
+        flat[self._flat_half_plus] = plus_amp[self._half_plus]
+        flat[self._flat_half_minus] = np.conj(plus_amp[self._half_minus])
+        return inverse_real(half, self.grid.shape)
 
     def velocity_field(self, inc: IncrementSet) -> np.ndarray:
         """Real velocity components (d, n, ..., n) for one increment set.
@@ -328,7 +359,7 @@ class NoiseGridOps:
         out[0] = z.real
         out[1] = z.imag
         if self.grid.d == 3:
-            out[2] = self._inverse(amp[:, 2], np.conj(amp[:, 2])).real
+            out[2] = self._inverse_half(amp[:, 2])
         return out
 
 

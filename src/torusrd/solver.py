@@ -28,8 +28,9 @@ import numpy as np
 from scipy.special import jv
 
 from .diagnostics import DiagnosticsRecord, RecordBuilder, lq_norm_vector
-from .fields import GridField, TorusGrid
-from .noise import IncrementSet, NoiseGridOps, NoiseModel, path_rng, sample_increments
+from .fields import GridField, TorusGrid, forward, inverse_packed, inverse_real
+from .noise import (IncrementSet, NoiseGridOps, NoiseModel, path_rng, sample_increments,
+                    step_guard_error)
 from .reactions import ReactionSystem
 
 SCHEMES = ("euler_maruyama_ito", "strat_substep")
@@ -72,6 +73,19 @@ def chebyshev_expm(apply, v: np.ndarray, rho: float) -> np.ndarray:
         out += (2.0 * c[k]) * nxt
         prev, cur = cur, nxt
     return out
+
+
+def pack_velocity(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(w, u_2) for a real velocity u of shape (d, n, ..., n).
+
+    w = u_0 - i u_1 packs the first two components so that, for z = a + i b,
+    Re(z w) = u_0 a + u_1 b.  u_2 is a copy of the third component in d = 3,
+    None in d = 2, so that u itself can be freed.
+    """
+    w = np.empty(u.shape[1:], dtype=complex)
+    w.real = u[0]
+    np.negative(u[1], out=w.imag)
+    return w, (u[2].copy() if len(u) == 3 else None)
 
 
 def phi_bump(x: float) -> float:
@@ -172,13 +186,10 @@ class Stepper:
         self.noise_ops = NoiseGridOps(self.noise, grid) if self.noise else None
 
         if self.noise is not None:
-            max_k = self.noise.spectrum.max_component()
-            dt_max = cfg.c_cfl / (self.noise.nu * max_k * grid.n_per_dim)
-            if cfg.dt > dt_max:
-                raise ValueError(
-                    f"dt = {cfg.dt} violates the noise step guard "
-                    f"dt <= c_cfl/(nu max|k| n) = {dt_max:.3e}"
-                )
+            problem = step_guard_error(self.noise.nu, self.noise.spectrum.max_component(),
+                                       grid.n_per_dim, cfg.dt, cfg.c_cfl)
+            if problem:
+                raise ValueError(problem)
 
         if cfg.scheme == "euler_maruyama_ito":
             nu_extra = self.noise.nu if self.noise is not None else nu_enhancement
@@ -188,10 +199,11 @@ class Stepper:
         self.propagator = np.stack(
             [np.exp(lam * (nu_i + nu_extra) * cfg.dt) for nu_i in sys.nu]
         )
-        self.dealias_mask = grid.dealias_mask() if cfg.dealias else None
         if cfg.scheme == "strat_substep":
             # max |2 pi k| over the mask: ||(u.grad)|| <= max|u| * k_max there
-            self.k_max = math.sqrt(-lam[self.dealias_mask].min())
+            self.k_max = math.sqrt(-lam[grid.dealias_mask()].min())
+        # complex 0/1: a product with a bool mask casts it element by element
+        self.dealias_mask = grid.dealias_mask().astype(complex) if cfg.dealias else None
         self.nyquist_mask = grid.nyquist_mask
         self.deriv_mult = grid.derivative_multipliers
         # packed multiplier: one inverse transform yields two derivative
@@ -204,16 +216,8 @@ class Stepper:
 
     # -- spectral helpers ------------------------------------------------
 
-    def _inverse_real(self, half: np.ndarray) -> np.ndarray:
-        """Real grid values (..., n, ..., n) of a batch of Hermitian halves."""
-        axes = tuple(range(half.ndim - self.grid.d, half.ndim))
-        return np.fft.irfftn(half, s=self.grid.shape, axes=axes, norm="forward")
-
     def to_values(self, fields: np.ndarray) -> np.ndarray:
-        return self._inverse_real(fields[..., : self._half])
-
-    def _forward(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(values, axes=tuple(range(1, values.ndim))) / self.grid.n_points
+        return inverse_real(fields[..., : self._half], self.grid.shape)
 
     def _clean_product(self, coeffs: np.ndarray) -> np.ndarray:
         """Post-product hygiene, in place: dealias, or real Nyquist when
@@ -230,7 +234,8 @@ class Stepper:
         species (...) in one transform."""
         half = coeffs[..., : self._half]
         axis = -self.grid.d - 1
-        return self._inverse_real(np.stack([half * m for m in self._deriv_half], axis=axis))
+        return inverse_real(np.stack([half * m for m in self._deriv_half], axis=axis),
+                            self.grid.shape)
 
     # -- physics terms ---------------------------------------------------
 
@@ -247,39 +252,44 @@ class Stepper:
         """phi-free drift (div F + f) in spectral space, plus finiteness flag;
         rates is f(t, values)."""
         finite = bool(np.all(np.isfinite(rates)))
-        drift = self._clean_product(self._forward(rates))
+        drift = self._clean_product(forward(rates, self.grid.d))
         if self.sys.F is not None:
             flux = self.sys.F(t, values)  # (ell, d, ...)
             finite = finite and bool(np.all(np.isfinite(flux)))
-            fhat = np.fft.fftn(flux, axes=tuple(range(2, flux.ndim))) / self.grid.n_points
+            fhat = forward(flux, self.grid.d)
             div = np.zeros_like(drift)
             for j in range(self.grid.d):
                 div += fhat[:, j] * self.deriv_mult[j]
             drift = drift + self._clean_product(div)
         return drift, finite
 
-    def _advection_rhs(self, coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Spectral coefficients of (u.grad)v for one species.
+    def _advection_rhs(self, coeffs: np.ndarray,
+                       vel: tuple[np.ndarray, np.ndarray | None]) -> np.ndarray:
+        """Spectral coefficients of (u.grad)v for one species; vel is
+        pack_velocity(u).
 
-        The n_points scalings of the two transforms cancel, and the first two
-        derivative components ride a single inverse transform.
+        The first two derivative components ride a single inverse transform
+        z, and Re(z w) is their product with u_0 and u_1.
         """
-        z = np.fft.ifftn(coeffs * self._deriv_pack)
-        vals = u[0] * z.real + u[1] * z.imag
-        if self.grid.d == 3:
-            d3 = coeffs[..., : self._half] * self._deriv_half[2]
-            vals += u[2] * np.fft.irfftn(d3, s=self.grid.shape, axes=(0, 1, 2))
-        out = self._clean_product(np.fft.fftn(vals))
+        w, u2 = vel
+        z = inverse_packed(coeffs * self._deriv_pack, self.grid.d, overwrite_x=True)
+        z *= w
+        vals = z.real
+        if u2 is not None:
+            d3 = inverse_real(coeffs[..., : self._half] * self._deriv_half[2], self.grid.shape)
+            d3 *= u2
+            vals += d3
+        out = self._clean_product(forward(vals, self.grid.d))
         out[self.zero_index] = 0.0  # div sigma = 0: the term is mean free
         return out
 
     def transport(self, fields: np.ndarray, inc: IncrementSet) -> np.ndarray:
         """Transport increments for all species from one sampled velocity."""
         assert self.noise_ops is not None
-        u = self.noise_ops.velocity_field(inc)  # (d, ...)
+        vel = pack_velocity(self.noise_ops.velocity_field(inc))
         out = np.empty_like(fields)
         for i in range(len(fields)):
-            out[i] = self._advection_rhs(fields[i], u)
+            out[i] = self._advection_rhs(fields[i], vel)
         return out
 
     def _advect(self, fields: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -291,9 +301,11 @@ class Stepper:
         kept to round-off and the cost is ~rho + O(rho^(1/3)) right-hand sides.
         """
         rho = math.sqrt(float(np.max(np.sum(u * u, axis=0)))) * self.k_max
+        vel = pack_velocity(u)
+        del u  # the packed copy replaces the real velocity
         out = np.empty_like(fields)
         for i in range(len(fields)):
-            out[i] = chebyshev_expm(lambda w: self._advection_rhs(w, u), fields[i], rho)
+            out[i] = chebyshev_expm(lambda w: self._advection_rhs(w, vel), fields[i], rho)
         return out
 
     # -- the step ---------------------------------------------------------
@@ -334,8 +346,7 @@ class Stepper:
                 new *= self.propagator
             else:
                 new *= self.propagator
-                u = self.noise_ops.velocity_field(inc)
-                new = self._advect(new, u)
+                new = self._advect(new, self.noise_ops.velocity_field(inc))
         else:
             new *= self.propagator
 
@@ -385,7 +396,7 @@ def initial_state(
                 raise ValueError(f"require_nonneg: species {i} has negative initial data")
     # v0 is kept verbatim (a T = 0 run returns it unchanged); dealiasing
     # applies to products during stepping, not to the data
-    fields = np.stack([np.fft.fftn(f.values) / grid.n_points for f in v0])
+    fields = forward(np.stack([f.values for f in v0]), grid.d)
     return SimState(t=0.0, fields=fields)
 
 

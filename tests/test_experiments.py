@@ -1,5 +1,7 @@
 """Monte-Carlo harnesses: scaling limit, survival sweep, decay fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,15 @@ class TestScalingLimit:
     def test_unresolved_shell_rejected(self):
         with pytest.raises(ValueError, match="resolve"):
             small_heat_plan(shells=(1, 16), n=48)
+
+    def test_step_guard_checked_for_every_shell_at_construction(self):
+        # shells 1-8 pass the guard at 96^2, dt = 2.5e-3; shell 16 does not
+        grid = TorusGrid(2, 96)
+        cfg = SolverConfig(dt=2.5e-3, T=0.25, track_balance=False)
+        with pytest.raises(ValueError, match="shell 16: dt = 0.0025 violates the noise step guard"):
+            ScalingLimitPlan(shells=(1, 2, 4, 8, 16), gamma=0.0, nu=0.1, paths=1,
+                             solver=cfg, sys=build_builtin("zero", [0.01]),
+                             v0=[to_grid(single_mode(grid, (1, 0), 1.0))], epsilon=0.1)
 
     def test_shells_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -118,6 +129,19 @@ class TestSurvival:
         row = result.rows[0]
         assert row.p_hat == 0.0
         assert abs(row.mean_tau_blowups - 0.5) < 0.1
+
+    def test_step_guard_checked_for_every_nu_at_construction(self):
+        # shell 1 on 32 points at dt = 1e-2: the guard allows nu <= 0.78
+        grid = TorusGrid(2, 32)
+        sys = build_builtin("logistic", [0.1])
+        v0 = [GridField(grid, np.full(grid.shape, 0.5))]
+        cfg = SolverConfig(dt=1e-2, T=0.1, noise_on=True, track_balance=False)
+        with pytest.raises(ValueError, match="nu = 1.0: dt = 0.01 violates the noise step guard"):
+            SurvivalPlan(nus=(0.1, 0.5, 1.0), shell_n=1, gamma=0.0, paths=2,
+                         solver=cfg, sys=sys, v0=v0)
+        # without noise no path samples it, so no guard applies
+        SurvivalPlan(nus=(0.1, 1.0), shell_n=1, gamma=0.0, paths=2,
+                     solver=dataclasses.replace(cfg, noise_on=False), sys=sys, v0=v0)
 
     def test_negative_data_rejected(self):
         grid = TorusGrid(2, 8)

@@ -9,7 +9,10 @@ from torusrd.fields import (
     SpectralField,
     TorusGrid,
     dealias,
+    forward,
     hermitian_deviation,
+    inverse_packed,
+    inverse_real,
     partial_derivative,
     read_snapshot,
     single_mode,
@@ -47,6 +50,49 @@ class TestGridValidation:
     def test_quadrature_weight(self, grid2):
         assert grid2.spacing == 1 / 32
         assert grid2.n_points == 32**2
+
+
+def rel_err(got, expected):
+    return np.abs(got - expected).max() / np.abs(expected).max()
+
+
+class TestTransformHelpers:
+    """The scipy.fft helpers against numpy.fft, over the trailing d axes of
+    a batch (leading axis of 3)."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_forward_matches_numpy(self, d, n):
+        rng = np.random.default_rng(d)
+        axes = tuple(range(1, d + 1))
+        values = rng.standard_normal((3,) + (n,) * d)
+        packed = values + 1j * rng.standard_normal(values.shape)
+        for x in (values, packed):
+            got = forward(x, d)
+            expected = np.fft.fftn(x, axes=axes) / n**d
+            assert got.shape == expected.shape
+            assert rel_err(got, expected) <= 1e-13
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_inverse_real_matches_numpy(self, d, n):
+        shape = (n,) * d
+        axes = tuple(range(1, d + 1))
+        values = np.random.default_rng(d).standard_normal((3,) + shape)
+        coeffs = np.fft.fftn(values, axes=axes) / n**d
+        got = inverse_real(coeffs[..., : n // 2 + 1], shape)
+        expected = np.fft.ifftn(coeffs, axes=axes).real * n**d
+        assert got.shape == expected.shape
+        assert rel_err(got, expected) <= 1e-13
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("overwrite_x", [False, True])
+    def test_inverse_packed_matches_numpy(self, d, n, overwrite_x):
+        rng = np.random.default_rng(d)
+        axes = tuple(range(1, d + 1))
+        coeffs = rng.standard_normal((3,) + (n,) * d) + 1j * rng.standard_normal((3,) + (n,) * d)
+        expected = np.fft.ifftn(coeffs, axes=axes) * n**d
+        got = inverse_packed(coeffs.copy() if overwrite_x else coeffs, d, overwrite_x=overwrite_x)
+        assert got.shape == expected.shape
+        assert rel_err(got, expected) <= 1e-13
 
 
 class TestToSpectral:

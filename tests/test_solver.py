@@ -8,6 +8,7 @@ import scipy.linalg
 
 import torusrd.solver as solver_module
 from torusrd.diagnostics import lq_norm_vector
+from torusrd.experiments import ScalingLimitPlan, run_scaling_limit
 from torusrd.fields import (
     GridField,
     SpectralField,
@@ -16,6 +17,7 @@ from torusrd.fields import (
     partial_derivative,
     single_mode,
     to_grid,
+    to_spectral,
 )
 from torusrd.noise import (
     IncrementSet,
@@ -28,10 +30,12 @@ from torusrd.reactions import MassActionSpec, build_builtin, mass_action_build
 from torusrd.solver import (
     CutOffParams,
     EXPM_TAIL_TOL,
+    SCHEMES,
     SimState,
     SolverConfig,
     Stepper,
     chebyshev_expm,
+    pack_velocity,
     phi_bump,
     run,
 )
@@ -418,12 +422,13 @@ class TestChebyshevExpm:
         # reference: scipy's expm of the dense grid-space matrix of the
         # advection operator, built column by column from unit vectors
         stepper, u = _strat_stepper(d, n)
+        vel = pack_velocity(u)
         grid = stepper.grid
         N = grid.n_points
 
         def advect_values(vals):
             coeffs = np.fft.fftn(vals) / N
-            return np.fft.ifftn(stepper._advection_rhs(coeffs, u)).real * N
+            return np.fft.ifftn(stepper._advection_rhs(coeffs, vel)).real * N
 
         dense = np.empty((N, N))
         for j in range(N):
@@ -436,7 +441,7 @@ class TestChebyshevExpm:
 
         rho = np.sqrt(np.max(np.sum(u * u, axis=0))) * stepper.k_max
         assert rho > 5.0  # a nontrivial degree
-        got = chebyshev_expm(lambda w: stepper._advection_rhs(w, u), np.fft.fftn(v) / N, rho)
+        got = chebyshev_expm(lambda w: stepper._advection_rhs(w, vel), np.fft.fftn(v) / N, rho)
         got_values = np.fft.ifftn(got) * N
         assert np.abs(got_values - expected).max() < 1e-12
         assert np.abs(got_values.imag).max() < 1e-12
@@ -444,12 +449,13 @@ class TestChebyshevExpm:
     @pytest.mark.parametrize("d, n", [(2, 12), (3, 8)])
     def test_advection_skew_on_dealiased_ball(self, d, n):
         stepper, u = _strat_stepper(d, n)
+        vel = pack_velocity(u)
         grid = stepper.grid
         rng = np.random.default_rng(5)
         mask = grid.dealias_mask()
         v, w = (np.fft.fftn(rng.standard_normal(grid.shape)) / grid.n_points * mask
                 for _ in range(2))
-        Av, Aw = stepper._advection_rhs(v, u), stepper._advection_rhs(w, u)
+        Av, Aw = stepper._advection_rhs(v, vel), stepper._advection_rhs(w, vel)
         scale = np.linalg.norm(Av) * np.linalg.norm(w)
         assert abs(np.vdot(w, Av) + np.vdot(Aw, v)) < 1e-13 * scale
 
@@ -536,3 +542,55 @@ class TestPureTransportMeanEnergy:
         coarse, fine_b = np.mean(biases[2]), np.mean(biases[1])
         assert coarse < 0 and fine_b < 0
         assert abs(coarse) > 1.2 * abs(fine_b)
+
+
+NUMPY_TRANSFORMS = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+    "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
+)
+
+
+class TestOneTransformBackend:
+    """With numpy.fft's transforms disabled, runs still complete: every
+    transform of the package goes through the scipy.fft helpers of fields."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_fft_raises(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy.fft transform was called")
+
+        for name in NUMPY_TRANSFORMS:
+            monkeypatch.setattr(np.fft, name, refuse)
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_noisy_runs_with_reaction_flux_balance_and_cutoff(self, d, n, scheme):
+        grid = TorusGrid(d, n)
+        noise = NoiseModel(build_theta_shell(1, 0.0, d), nu=0.05)
+        cfg = SolverConfig(dt=5e-3, T=0.02, scheme=scheme, seed=3, balance_q=(2.0, 3.0),
+                           cutoff=CutOffParams(R=1e6, r=2.0, q=2.0))
+        x = grid.node_coordinates()[0]
+        mass_action = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
+        systems = [(mass_action, 1.0 + 0.3 * np.cos(2 * np.pi * x)),
+                   (build_builtin("linear_flux", [0.05], d=d), None)]
+        for sys, values in systems:
+            v0 = ([GridField(grid, values.copy()) for _ in range(sys.ell)] if values is not None
+                  else [to_grid(single_mode(grid, (1,) + (0,) * (d - 1), 0.5))])
+            state, record = run(sys, noise, cfg, v0)
+            assert state.step_index == 4 and state.blown_up is None
+            assert np.all(np.isfinite(state.fields))
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_field_conversions(self, d, n):
+        c = single_mode(TorusGrid(d, n), (1, 2) + (0,) * (d - 2), 0.5)
+        assert np.abs(to_spectral(to_grid(c)).coeffs - c.coeffs).max() < 1e-15
+
+    def test_scaling_limit_with_hminus_distance(self):
+        grid = TorusGrid(2, 16)
+        cfg = SolverConfig(dt=5e-3, T=0.02, track_balance=False, seed=4)
+        plan = ScalingLimitPlan(shells=(1, 2), gamma=0.0, nu=0.05, paths=2, solver=cfg,
+                                sys=build_builtin("zero", [0.01]),
+                                v0=[to_grid(single_mode(grid, (1, 0), 0.5))],
+                                epsilon=0.1, hminus_gamma=0.5)
+        result = run_scaling_limit(plan)
+        assert all(np.all(s.hminus_distances > 0) for s in result.shells)
