@@ -8,6 +8,7 @@ validation errors (bad flags, bad config), 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import sys
 from pathlib import Path
@@ -50,6 +51,29 @@ from .reactions import (
     mass_action_build,
 )
 from .solver import run
+
+
+# glibc mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_malloc() -> None:
+    """Make glibc malloc keep freed memory and reuse it; a no-op where
+    mallopt is missing.
+
+    By default an array over 128 KiB (a 96^2 complex field, any 32^3 field)
+    gets a fresh mmap whose pages fault in on first touch, every step.
+    These are the thresholds perfbench/run.py pins.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
+    mallopt(_M_TRIM_THRESHOLD, 2**30)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -388,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _pin_malloc()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -20,7 +20,8 @@ from .exponents import ParamSet, admissibility
 from .fields import GridField, TorusGrid
 from .noise import NoiseModel, build_theta_shell, resolution_error
 from .reactions import MassActionSpec, ReactionSystem, build_builtin, mass_action_build
-from .solver import SCHEMES, CutOffParams, SolverConfig, horizon_steps
+from .solver import (NORM_EXPONENT_MIN, SCHEMES, CutOffParams, SolverConfig, exponents_error,
+                     horizon_steps)
 
 
 class ConfigError(ValueError):
@@ -216,6 +217,9 @@ class RunConfig:
             errors.append("solver.blowup.threshold: must be > 0")
         if v["solver.record_every"] < 1:
             errors.append("solver.record_every: must be >= 1")
+        for name in NORM_EXPONENT_MIN:
+            if problem := exponents_error(name, v[f"solver.{name}"]):
+                errors.append(f"solver.{name}: {problem}")
         if v["cutoff.enabled"]:
             if v["cutoff.R"] <= 0:
                 errors.append("cutoff.R: must be > 0")

@@ -140,6 +140,15 @@ class TorusGrid:
         idx = (-np.arange(n)) % n
         return np.ix_(*([idx] * self.d))
 
+    def band_index(self, band: int) -> tuple[np.ndarray, ...]:
+        """Open-mesh index of the modes with every |k_j| <= band < n/2.
+
+        Each axis runs 0..band, -band..-1, so the same index order holds on
+        every grid with more than 2 band points per axis.
+        """
+        idx = np.r_[0 : band + 1, self.n_per_dim - band : self.n_per_dim]
+        return np.ix_(*([idx] * self.d))
+
     def dealias_mask(self, rule: float = 2.0 / 3.0) -> np.ndarray:
         cutoff = rule * self.n_per_dim / 2.0
         mask = np.ones(self.shape, dtype=bool)

@@ -13,7 +13,10 @@ ball A is skew-adjoint, so exp(A)v has a Chebyshev (Jacobi-Anger) series
 with Bessel coefficients J_k(rho), rho >= ||A||.  Cut where the Bessel tail
 drops below 1e-16, at degree rho + O(rho^(1/3) log(1/tol)), it keeps the
 L^2 norm pathwise to round-off (~1e-14 over 500 steps at 64^2).  Its
-propagator then carries nu_i only.
+propagator then carries nu_i only.  Every iterate past the data lies in the
+dealias band |k_j| <= K = n/3 and the velocity in |k_j| <= K_u, so the
+series runs on a product grid of M > 2K + K_u points per axis, where those
+products are exact (product_grid_size).
 
 Blow-up (threshold crossing of the L^{q0} norm, or non-finite values) is a
 recorded outcome with a tau estimate, never a process failure.
@@ -23,8 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 from scipy.special import jv
 
 from .diagnostics import DiagnosticsRecord, RecordBuilder, lq_norm_vector
@@ -46,9 +51,22 @@ def horizon_steps(T: float, dt: float) -> int | None:
     return n if abs(ratio - n) <= 1e-9 * max(1.0, ratio) else None
 
 
+# smallest admissible exponent of each norm list of SolverConfig
+NORM_EXPONENT_MIN = {"lq_norms": 1.0, "balance_q": 2.0}
+
+
+def exponents_error(name: str, exponents) -> str | None:
+    """Why the exponents of the SolverConfig norm list `name` are out of
+    range, or None."""
+    low = NORM_EXPONENT_MIN[name]
+    if all(q >= low for q in exponents):
+        return None
+    return f"exponents must be >= {low:g}, got {list(exponents)}"
+
+
 def chebyshev_expm(apply, v: np.ndarray, rho: float) -> np.ndarray:
-    """exp(A) v for a skew-adjoint A with ||A|| <= rho; apply(w) returns A w
-    as a new array.
+    """exp(A) v for a skew-adjoint A with ||A|| <= rho; apply(w) returns
+    (2/rho) A w as a new array, and is not called when rho = 0.
 
     Jacobi-Anger: exp(A) v = J_0(rho) P_0 + 2 sum_k J_k(rho) P_k with
     P_k = i^k T_k(A / (i rho)) v, which obeys the real recurrence
@@ -64,11 +82,11 @@ def chebyshev_expm(apply, v: np.ndarray, rho: float) -> np.ndarray:
     out = c[0] * v
     if degree < 1:
         return out
-    prev, cur = v, apply(v) / rho
+    prev, cur = v, apply(v)
+    cur *= 0.5
     out += (2.0 * c[1]) * cur
     for k in range(2, degree + 1):
         nxt = apply(cur)
-        nxt *= 2.0 / rho
         nxt += prev
         out += (2.0 * c[k]) * nxt
         prev, cur = cur, nxt
@@ -86,6 +104,40 @@ def pack_velocity(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     w.real = u[0]
     np.negative(u[1], out=w.imag)
     return w, (u[2].copy() if len(u) == 3 else None)
+
+
+def product_grid_size(n: int, band: int, max_k: int) -> int:
+    """Points per axis on which (u.grad)v is exact in the band |k_j| <= band
+    for v in that band and u in |k_j| <= max_k: the smallest even fast
+    transform length M > 2 band + max_k, capped at n.
+
+    The product has |k_j| <= band + max_k, so its aliases on M points sit
+    at |k_j| >= M - band - max_k > band, outside the band.
+    """
+    m = scipy.fft.next_fast_len(2 * band + max_k + 1)
+    while m % 2:
+        m = scipy.fft.next_fast_len(m + 1)
+    return min(m, n)
+
+
+class ProductLayout(NamedTuple):
+    """What the advection product needs of one grid: its shape, the mask
+    applied to the product (None: dealias off), the packed derivative
+    multiplier of axes 0 and 1, and in d = 3 the multiplier of axis 2 over
+    the Hermitian half."""
+
+    shape: tuple[int, ...]
+    mask: np.ndarray | None
+    deriv_pack: np.ndarray
+    deriv_last_half: np.ndarray | None
+
+    @classmethod
+    def of(cls, grid: TorusGrid, mask: np.ndarray | None) -> "ProductLayout":
+        # one inverse transform yields two derivative components as its
+        # real and imaginary parts (both factors are Hermitian)
+        mult = grid.derivative_multipliers
+        last = mult[2][..., : grid.n_per_dim // 2 + 1] if grid.d == 3 else None
+        return cls(grid.shape, mask, mult[0] + 1j * mult[1], last)
 
 
 def phi_bump(x: float) -> float:
@@ -148,10 +200,9 @@ class SolverConfig:
             raise ValueError("blow-up threshold must be > 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if any(q < 1 for q in self.lq_norms):
-            raise ValueError(f"lq_norms exponents must be >= 1, got {self.lq_norms}")
-        if any(q < 2 for q in self.balance_q):
-            raise ValueError(f"balance_q exponents must be >= 2, got {self.balance_q}")
+        for name in NORM_EXPONENT_MIN:
+            if problem := exponents_error(name, getattr(self, name)):
+                raise ValueError(f"{name}: {problem}")
 
 
 @dataclass
@@ -199,31 +250,42 @@ class Stepper:
         self.propagator = np.stack(
             [np.exp(lam * (nu_i + nu_extra) * cfg.dt) for nu_i in sys.nu]
         )
-        if cfg.scheme == "strat_substep":
-            # max |2 pi k| over the mask: ||(u.grad)|| <= max|u| * k_max there
-            self.k_max = math.sqrt(-lam[grid.dealias_mask()].min())
         # complex 0/1: a product with a bool mask casts it element by element
         self.dealias_mask = grid.dealias_mask().astype(complex) if cfg.dealias else None
         self.nyquist_mask = grid.nyquist_mask
         self.deriv_mult = grid.derivative_multipliers
-        # packed multiplier: one inverse transform yields two derivative
-        # components as real/imaginary parts (both factors are Hermitian)
-        self._deriv_pack = self.deriv_mult[0] + 1j * self.deriv_mult[1]
+        self.layout = ProductLayout.of(grid, self.dealias_mask)
         # real inverse transforms read the Hermitian half k_d <= n/2 only
         self._half = grid.n_per_dim // 2 + 1
         self._deriv_half = [m[..., : self._half] for m in self.deriv_mult]
         self.zero_index = (0,) * grid.d
+        self.product_n = grid.n_per_dim  # points per axis of the Wong-Zakai products
+        if cfg.scheme == "strat_substep":
+            # max |2 pi k| over the mask: ||(u.grad)|| <= max|u| * k_max there
+            self.k_max = math.sqrt(-lam[grid.dealias_mask()].min())
+            if self.noise is not None:
+                band = grid.n_per_dim // 3  # the dealias mask keeps |k_j| <= n/3
+                self.product_n = product_grid_size(
+                    grid.n_per_dim, band, self.noise.spectrum.max_component())
+                if self.product_n < grid.n_per_dim:
+                    product = TorusGrid(grid.d, self.product_n)
+                    self._band = grid.band_index(band)
+                    self._product_band = product.band_index(band)
+                    mask = np.zeros(product.shape, dtype=complex)
+                    mask[self._product_band] = 1.0
+                    self.product_layout = ProductLayout.of(product, mask)
+                    self.product_noise_ops = NoiseGridOps(self.noise, product)
 
     # -- spectral helpers ------------------------------------------------
 
     def to_values(self, fields: np.ndarray) -> np.ndarray:
         return inverse_real(fields[..., : self._half], self.grid.shape)
 
-    def _clean_product(self, coeffs: np.ndarray) -> np.ndarray:
-        """Post-product hygiene, in place: dealias, or real Nyquist when
-        dealias is off."""
-        if self.dealias_mask is not None:
-            coeffs *= self.dealias_mask
+    def _clean_product(self, coeffs: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+        """Post-product hygiene, in place: apply the mask, or make the
+        Nyquist modes real when there is none (dealias off)."""
+        if mask is not None:
+            coeffs *= mask
         else:
             nymask = self.nyquist_mask
             coeffs[..., nymask] = coeffs[..., nymask].real
@@ -252,7 +314,7 @@ class Stepper:
         """phi-free drift (div F + f) in spectral space, plus finiteness flag;
         rates is f(t, values)."""
         finite = bool(np.all(np.isfinite(rates)))
-        drift = self._clean_product(forward(rates, self.grid.d))
+        drift = self._clean_product(forward(rates, self.grid.d), self.dealias_mask)
         if self.sys.F is not None:
             flux = self.sys.F(t, values)  # (ell, d, ...)
             finite = finite and bool(np.all(np.isfinite(flux)))
@@ -260,26 +322,30 @@ class Stepper:
             div = np.zeros_like(drift)
             for j in range(self.grid.d):
                 div += fhat[:, j] * self.deriv_mult[j]
-            drift = drift + self._clean_product(div)
+            drift = drift + self._clean_product(div, self.dealias_mask)
         return drift, finite
 
-    def _advection_rhs(self, coeffs: np.ndarray,
-                       vel: tuple[np.ndarray, np.ndarray | None]) -> np.ndarray:
+    def _advection_rhs(self, coeffs: np.ndarray, vel: tuple[np.ndarray, np.ndarray | None],
+                       layout: ProductLayout | None = None) -> np.ndarray:
         """Spectral coefficients of (u.grad)v for one species; vel is
-        pack_velocity(u).
+        pack_velocity(u), both on the grid of layout (default: the
+        stepper's).
 
         The first two derivative components ride a single inverse transform
         z, and Re(z w) is their product with u_0 and u_1.
         """
+        lay = self.layout if layout is None else layout
+        d = self.grid.d
         w, u2 = vel
-        z = inverse_packed(coeffs * self._deriv_pack, self.grid.d, overwrite_x=True)
+        z = inverse_packed(coeffs * lay.deriv_pack, d, overwrite_x=True)
         z *= w
         vals = z.real
         if u2 is not None:
-            d3 = inverse_real(coeffs[..., : self._half] * self._deriv_half[2], self.grid.shape)
+            half = coeffs[..., : lay.shape[-1] // 2 + 1]
+            d3 = inverse_real(half * lay.deriv_last_half, lay.shape)
             d3 *= u2
             vals += d3
-        out = self._clean_product(forward(vals, self.grid.d))
+        out = self._clean_product(forward(vals, d), lay.mask)
         out[self.zero_index] = 0.0  # div sigma = 0: the term is mean free
         return out
 
@@ -292,21 +358,65 @@ class Stepper:
             out[i] = self._advection_rhs(fields[i], vel)
         return out
 
-    def _advect(self, fields: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Wong-Zakai substep: the flow of dv/ds = (u.grad)v over s in [0,1].
+    def _advect(self, fields: np.ndarray, inc: IncrementSet) -> None:
+        """Wong-Zakai substep, in place: the flow of dv/ds = (u.grad)v over
+        s in [0,1].
 
-        u is the frozen displacement field (velocity * dt).  The operator is
-        skew-adjoint on the dealiased ball, so exp(A)v is evaluated by its
-        Chebyshev series with rho = max|u| * k_max >= ||A||; the L^2 norm is
-        kept to round-off and the cost is ~rho + O(rho^(1/3)) right-hand sides.
+        u is the frozen displacement field (velocity * dt) of inc.  The
+        operator is skew-adjoint on the dealiased ball, so exp(A)v is
+        evaluated by its Chebyshev series with rho = max|u| * k_max >= ||A||;
+        the L^2 norm is kept to round-off and the cost is ~rho + O(rho^(1/3))
+        right-hand sides.
+
+        On a product grid (product_n < n), v = v_L + v_H splits at the band
+        and A maps into the band, so the series is h v_H plus a band series
+        Q_k with h = J_0 + 2 sum_{even k} J_k and
+        Q_{k+1} = (2/rho)(A Q_k + [k even] g) + Q_{k-1}, g = A v_H.  g is
+        one product on the n-grid; the Q_k live on the product grid, with a
+        trailing scalar eta_k = [k even] that carries the g term and ends
+        as h.
         """
+        u = self.noise_ops.velocity_field(inc)
         rho = math.sqrt(float(np.max(np.sum(u * u, axis=0)))) * self.k_max
+        scale = 2.0 / rho if rho > 0 else 0.0  # apply returns (2/rho) A w
+        if self.product_n == self.grid.n_per_dim:
+            u *= scale
+            vel = pack_velocity(u)
+            del u  # the packed copy replaces the real velocity
+            for f in fields:
+                f[...] = chebyshev_expm(lambda w: self._advection_rhs(w, vel), f, rho)
+            return
+
+        band, pband, lay = self._band, self._product_band, self.product_layout
         vel = pack_velocity(u)
-        del u  # the packed copy replaces the real velocity
-        out = np.empty_like(fields)
-        for i in range(len(fields)):
-            out[i] = chebyshev_expm(lambda w: self._advection_rhs(w, vel), fields[i], rho)
-        return out
+        del u
+        gs = []
+        for f in fields:
+            high = f.copy()
+            high[band] = 0.0
+            g = np.zeros(lay.shape, dtype=complex)
+            g[pband] = self._advection_rhs(high, vel)[band]
+            g *= scale
+            gs.append(g)
+        del vel, high  # only the product grid is needed from here on
+        u = self.product_noise_ops.velocity_field(inc)
+        u *= scale
+        vel = pack_velocity(u)
+        del u
+        for f, g in zip(fields, gs):
+
+            def apply(y):
+                q = self._advection_rhs(y[:-1].reshape(lay.shape), vel, lay)
+                if y[-1]:
+                    q += y[-1] * g
+                return np.append(q, 0.0)
+
+            y = np.zeros(g.size + 1, dtype=complex)
+            y[:-1].reshape(lay.shape)[pband] = f[band]
+            y[-1] = 1.0
+            y = chebyshev_expm(apply, y, rho)
+            f *= y[-1]
+            f[band] = y[:-1].reshape(lay.shape)[pband]
 
     # -- the step ---------------------------------------------------------
 
@@ -346,7 +456,7 @@ class Stepper:
                 new *= self.propagator
             else:
                 new *= self.propagator
-                new = self._advect(new, self.noise_ops.velocity_field(inc))
+                self._advect(new, inc)
         else:
             new *= self.propagator
 

@@ -1,10 +1,12 @@
 """Config parsing/validation, manifests, and the CLI surface."""
 
 import csv
+import types
 
 import numpy as np
 import pytest
 
+import torusrd.cli as cli_module
 from torusrd.cli import main
 from torusrd.config import ConfigError, RunConfig, build_reaction, build_v0, build_grid
 
@@ -143,6 +145,23 @@ class TestCli:
         assert run_cli(["--help"]) == 0
         assert "COMMAND" in capsys.readouterr().out
 
+    def test_main_pins_malloc_thresholds(self, monkeypatch, capsys):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli_module.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert run_cli(["verify-noise", "--d", "2", "--shell", "1"]) == 0
+        # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, the values perfbench pins
+        assert calls == [(-3, 32 * 2**20), (-1, 2**30)]
+
+    def test_main_runs_without_mallopt(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module.ctypes, "CDLL", lambda name: object())
+        assert run_cli(["verify-noise", "--d", "2", "--shell", "1"]) == 0
+
     def test_verify_noise(self, capsys):
         assert run_cli(["verify-noise", "--d", "2", "--shell", "1"]) == 0
         out = capsys.readouterr().out
@@ -249,8 +268,22 @@ class TestCli:
         out = tmp_path / "out"
         assert run_cli(["simulate", "--config", str(config), "--out", str(out),
                         "--override", override]) == 1
-        assert "exponents must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "exponents must be" in err
+        # reported with its key path, among the collected errors
+        assert f"{override.split('=')[0]}: exponents must be" in err
+        assert "invalid configuration" in err
         assert not (out / "diagnostics.csv").exists()
+
+    def test_out_of_range_exponents_collected_with_other_errors(self):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(MINIMAL + "solver.lq_norms = [0.5]\nsolver.balance_q = [1.0]\n"
+                                "solver.record_every = 0\n")
+        assert info.value.errors == [
+            "solver.record_every: must be >= 1",
+            "solver.lq_norms: exponents must be >= 1, got [0.5]",
+            "solver.balance_q: exponents must be >= 2, got [1.0]",
+        ]
 
     def test_unsafe_reaction_gate(self, tmp_path):
         config = tmp_path / "run.cfg"

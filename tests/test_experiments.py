@@ -102,6 +102,18 @@ class TestScalingLimit:
         for a, b in zip(serial.shells, pooled.shells):
             assert np.array_equal(a.distances, b.distances)
 
+    def test_worker_count_does_not_change_product_grid_tables(self):
+        # strat_substep at 32^2, shells 1 and 2: the Wong-Zakai series runs
+        # on 24^2 and 28^2 product grids
+        plan = small_heat_plan(shells=(1, 2), paths=4, n=32, T=0.02)
+        plan = dataclasses.replace(
+            plan, solver=dataclasses.replace(plan.solver, scheme="strat_substep"))
+        serial = run_scaling_limit(plan, threads=1)
+        pooled = run_scaling_limit(plan, threads=2)
+        for a, b in zip(serial.shells, pooled.shells):
+            assert np.array_equal(a.distances, b.distances)
+            assert a.max_lq == b.max_lq
+
 
 class TestSurvival:
     def test_gentle_system_always_survives(self):

@@ -441,7 +441,8 @@ class TestChebyshevExpm:
 
         rho = np.sqrt(np.max(np.sum(u * u, axis=0))) * stepper.k_max
         assert rho > 5.0  # a nontrivial degree
-        got = chebyshev_expm(lambda w: stepper._advection_rhs(w, vel), np.fft.fftn(v) / N, rho)
+        got = chebyshev_expm(lambda w: (2.0 / rho) * stepper._advection_rhs(w, vel),
+                             np.fft.fftn(v) / N, rho)
         got_values = np.fft.ifftn(got) * N
         assert np.abs(got_values - expected).max() < 1e-12
         assert np.abs(got_values.imag).max() < 1e-12
@@ -469,7 +470,7 @@ class TestChebyshevExpm:
 
         def apply(w):
             calls.append(1)
-            return S @ w
+            return (2.0 / rho) * (S @ w)
 
         v = rng.standard_normal(40)
         got = chebyshev_expm(apply, v, rho)
@@ -483,6 +484,67 @@ class TestChebyshevExpm:
     def test_zero_rho_is_identity(self):
         v = np.arange(5.0)
         assert np.array_equal(chebyshev_expm(lambda w: 0.0 * w, v, 0.0), v)
+
+
+def _product_stepper(d, n, shell, ell=1):
+    grid = TorusGrid(d, n)
+    noise = NoiseModel(build_theta_shell(shell, 0.0, d), nu=0.1)
+    cfg = SolverConfig(dt=1e-4, T=1e-4, scheme="strat_substep", track_balance=False)
+    return Stepper(grid, build_builtin("zero", [0.0] * ell, d=d), noise, cfg)
+
+
+def _full_grid_series(stepper, fields, inc):
+    """The Wong-Zakai substep as one Chebyshev series of the n-grid
+    right-hand side, with the packed velocity scaled by 2/rho."""
+    u = stepper.noise_ops.velocity_field(inc)
+    rho = np.sqrt(np.max(np.sum(u * u, axis=0))) * stepper.k_max
+    u *= 2.0 / rho
+    vel = pack_velocity(u)
+    return np.stack([chebyshev_expm(lambda w: stepper._advection_rhs(w, vel), f, rho)
+                     for f in fields])
+
+
+class TestProductGrid:
+    @pytest.mark.parametrize("d, n, shell, size", [
+        (2, 64, 2, 48), (2, 96, 8, 84), (3, 32, 2, 28), (3, 24, 1, 20), (2, 48, 8, 48),
+    ])
+    def test_size_rule(self, d, n, shell, size):
+        # smallest even fast length above 2 (n // 3) + 2 shell, capped at n
+        assert _product_stepper(d, n, shell).product_n == size
+
+    def test_ito_stays_on_the_grid(self):
+        grid = TorusGrid(2, 64)
+        noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
+        cfg = SolverConfig(dt=1e-4, T=1e-4, track_balance=False)
+        assert Stepper(grid, build_builtin("zero", [0.0]), noise, cfg).product_n == 64
+
+    @pytest.mark.parametrize("d, n, shell, ell", [(2, 64, 2, 2), (3, 24, 1, 1)])
+    def test_advect_matches_full_grid_series(self, d, n, shell, ell):
+        stepper = _product_stepper(d, n, shell, ell)
+        assert stepper.product_n < n
+        grid = stepper.grid
+        # random real data: its modes fill the grid, beyond the mask
+        rng = np.random.default_rng(d)
+        fields = np.fft.fftn(rng.standard_normal((ell,) + grid.shape),
+                             axes=tuple(range(1, d + 1))) / grid.n_points
+        inc = sample_increments(stepper.noise, 1e-3, path_rng(4, 0, 0))
+        expected = _full_grid_series(stepper, fields, inc)
+        got = fields.copy()
+        stepper._advect(got, inc)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        # the data is not small outside the band, so the split is exercised
+        assert np.abs(fields[:, ~grid.dealias_mask()]).max() > 1e-3 * np.abs(fields).max()
+
+    def test_full_grid_when_product_grid_is_not_smaller(self):
+        stepper = _product_stepper(2, 48, 8)
+        assert stepper.product_n == 48
+        assert not hasattr(stepper, "product_layout")
+        rng = np.random.default_rng(9)
+        fields = np.fft.fftn(rng.standard_normal((1, 48, 48)), axes=(1, 2)) / 48**2
+        inc = sample_increments(stepper.noise, 1e-3, path_rng(4, 0, 0))
+        expected = _full_grid_series(stepper, fields, inc)
+        stepper._advect(fields, inc)
+        assert np.array_equal(fields, expected)
 
 
 class TestThreeDimensions:
