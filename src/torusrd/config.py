@@ -60,7 +60,6 @@ SCHEMA: dict[str, _Field] = {
     "solver.record_every": _Field("int", 1),
     "solver.blowup.q0": _Field("float", 4.0),
     "solver.blowup.threshold": _Field("float", 1e6),
-    "solver.dealias": _Field("bool", True),
     "solver.require_nonneg": _Field("bool", False),
     "solver.track_balance": _Field("bool", True),
     "solver.balance_q": _Field("float_list", [2.0]),
@@ -209,8 +208,6 @@ class RunConfig:
             )
         if v["solver.scheme"] not in SCHEMES:
             errors.append(f"solver.scheme: unknown scheme {v['solver.scheme']!r}")
-        elif v["solver.scheme"] == "strat_substep" and not v["solver.dealias"]:
-            errors.append("solver.dealias: strat_substep needs the 2/3 dealias mask")
         if v["solver.blowup.q0"] <= 2:
             errors.append(f"solver.blowup.q0: must be > 2, got {v['solver.blowup.q0']}")
         if v["solver.blowup.threshold"] <= 0:
@@ -358,7 +355,6 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
         blowup_threshold=cfg["solver.blowup.threshold"],
         blowup_norm_q0=cfg["solver.blowup.q0"],
         seed=cfg["solver.seed"],
-        dealias=cfg["solver.dealias"],
         record_every=cfg["solver.record_every"],
         require_nonneg=cfg["solver.require_nonneg"],
         track_balance=cfg["solver.track_balance"],

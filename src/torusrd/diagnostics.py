@@ -27,8 +27,12 @@ def lq_norm_vector(stack: np.ndarray, q: float) -> float:
     Overflow maps to inf, which the solver treats as a blow-up signal.
     """
     with np.errstate(over="ignore"):
-        sq = np.sum(stack**2, axis=0)
-        return float(np.mean(sq ** (q / 2.0)) ** (1.0 / q))
+        squares = np.square(stack)
+        sq = squares[0]
+        for s in squares[1:]:  # species in order, as np.sum over axis 0
+            sq += s
+        sq **= q / 2.0
+        return float(np.mean(sq) ** (1.0 / q))
 
 
 @dataclass

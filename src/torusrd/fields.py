@@ -5,9 +5,12 @@ integer vectors k and the Fourier basis is e^{2*pi*i k.x}.  Spectral
 coefficients follow the fftn layout and are normalized so that
 coeffs[0,...,0] is the spatial mean of the field.
 
-Every transform of the package goes through the three helpers below, on
-scipy.fft with one worker.  They transform the trailing d axes, so a leading
-batch axis (species, derivative components) rides along.
+Every transform of the package goes through the helpers below, on scipy.fft
+with one worker: forward, inverse_real and inverse_packed transform the
+trailing d axes, so a leading batch axis (species, derivative components)
+rides along; inverse_pruned is the complex inverse of a single spectrum that
+lives on the low lines |k_j| <= band of every axis but the first (the
+sampled noise velocity), transformed one axis at a time on those lines only.
 """
 
 from __future__ import annotations
@@ -54,6 +57,28 @@ def inverse_packed(coeffs: np.ndarray, d: int, overwrite_x: bool = False) -> np.
     """
     return scipy.fft.ifftn(coeffs, axes=_trailing(d), norm="forward",
                            overwrite_x=overwrite_x, workers=1)
+
+
+def inverse_pruned(lines: np.ndarray, n: int, band: int) -> np.ndarray:
+    """inverse_packed of a spectrum on the (n,)*d grid that is zero off the
+    lines with |k_j| <= band for every axis j >= 1.
+
+    lines holds those lines, shape (n,) + (2 band + 1,)*(d-1), each trailing
+    axis in the order 0..band, -band..-1 (index k_j mod 2 band + 1).  Axis j
+    is transformed before the lines of axis j+1 are zero-filled to n, in
+    pocketfft's own axis order, so the result equals inverse_packed of the
+    zero-filled spectrum bitwise: a zero line transforms to exact zeros.
+    """
+    out = lines
+    for j in range(lines.ndim):
+        out = scipy.fft.ifft(out, axis=j, norm="forward", overwrite_x=True, workers=1)
+        if j + 1 < lines.ndim:
+            full = np.zeros(out.shape[: j + 1] + (n,) + out.shape[j + 2 :], dtype=complex)
+            head = (slice(None),) * (j + 1)
+            full[head + (slice(None, band + 1),)] = out[head + (slice(None, band + 1),)]
+            full[head + (slice(-band, None),)] = out[head + (slice(-band, None),)]
+            out = full
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,15 +148,6 @@ class TorusGrid:
             TWO_PI * 1j * np.where(np.abs(ka) == ny, 0.0, ka.astype(float))
             for ka in self.k_axes
         )
-
-    @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """True where any |k_j| equals the Nyquist wavenumber n/2."""
-        ny = self.n_per_dim // 2
-        mask = np.zeros(self.shape, dtype=bool)
-        for ka in self.k_axes:
-            mask |= np.abs(ka) == ny
-        return mask
 
     @cached_property
     def conj_index(self) -> tuple[np.ndarray, ...]:

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import TorusGrid, inverse_packed, inverse_real
+from .fields import TorusGrid, inverse_pruned, inverse_real
 
 SPECTRUM_L2_TOL = 1e-12
 
@@ -255,8 +255,12 @@ def sample_increments(model: NoiseModel, dt: float, rng: np.random.Generator) ->
     if dt == 0:
         dw = np.zeros(shape, dtype=complex)
     else:
-        scale = np.sqrt(dt)
-        dw = scale * rng.standard_normal(shape) + 1j * scale * rng.standard_normal(shape)
+        # one draw of both parts: the same stream as drawing Re, then Im
+        parts = rng.standard_normal((2,) + shape)
+        parts *= np.sqrt(dt)
+        dw = np.empty(shape, dtype=complex)
+        dw.real = parts[0]
+        dw.imag = parts[1]
     return IncrementSet(dt=dt, model=model, dw_plus=dw)
 
 
@@ -292,25 +296,31 @@ def step_guard_error(nu: float, max_k: int, n: int, dt: float, c_cfl: float) -> 
 class NoiseGridOps:
     """Grid-resolved noise machinery shared by transport evaluations.
 
-    Precomputes scatter indices of the plus/minus modes into the fftn layout
-    and the per-mode basis weights.  Two real components ride one inverse
-    transform as its real and imaginary parts, so assembling the sampled
-    velocity field costs one transform in d=2, and in d=3 one more, real,
-    transform of the third component.
+    Precomputes scatter indices of the plus/minus modes and the per-mode
+    basis weights.  Two real components ride one inverse transform as its
+    real and imaginary parts, and the spectrum lives on the lines with
+    |k_j| <= max|k_j| of the trailing axes, so assembling the sampled
+    velocity field costs one pruned transform (inverse_pruned) in d=2, and
+    in d=3 one more, real, transform of the third component.
     """
 
     def __init__(self, model: NoiseModel, grid: TorusGrid):
         if grid.d != model.d:
             raise ValueError("noise and grid dimensions differ")
-        if problem := resolution_error(model.spectrum.max_component(), grid.n_per_dim):
+        max_k = model.spectrum.max_component()
+        if problem := resolution_error(max_k, grid.n_per_dim):
             raise ValueError(f"noise support {problem}")
         self.model = model
         self.grid = grid
         n = grid.n_per_dim
         plus = model.plus_modes
-        # |k_j| <= n/3 keeps the plus and minus indices distinct
-        self._flat_plus = np.ravel_multi_index(tuple((plus.T % n)), grid.shape)
-        self._flat_minus = np.ravel_multi_index(tuple(((-plus.T) % n)), grid.shape)
+        # the lines |k_j| <= max_k of axes 1..d-1, stored at k_j mod 2 max_k + 1
+        self._band = max_k
+        self._lines_shape = (n,) + (2 * max_k + 1,) * (grid.d - 1)
+        wrap = np.array([n] + [2 * max_k + 1] * (grid.d - 1))[:, None]
+        # |k_j| <= max_k, below half of each wrap, keeps plus and minus apart
+        self._flat_plus = np.ravel_multi_index(tuple(plus.T % wrap), self._lines_shape)
+        self._flat_minus = np.ravel_multi_index(tuple(-plus.T % wrap), self._lines_shape)
         if grid.d == 3:
             # the Hermitian half k_3 >= 0 of the real third component holds
             # k for k_3 >= 0 and -k for k_3 <= 0: both when k_3 = 0
@@ -328,13 +338,6 @@ class NoiseGridOps:
             * model.basis_plus
         )
 
-    def _inverse(self, plus_amp: np.ndarray, minus_amp: np.ndarray) -> np.ndarray:
-        """Grid values (unnormalized inverse transform) of a scattered spectrum."""
-        flat = np.zeros(self.grid.n_points, dtype=complex)
-        flat[self._flat_plus] = plus_amp
-        flat[self._flat_minus] = minus_amp
-        return inverse_packed(flat.reshape(self.grid.shape), self.grid.d, overwrite_x=True)
-
     def _inverse_half(self, plus_amp: np.ndarray) -> np.ndarray:
         """Real grid values of the Hermitian spectrum with plus_amp on the
         plus modes, from its half k_3 >= 0 (d = 3)."""
@@ -344,23 +347,25 @@ class NoiseGridOps:
         flat[self._flat_half_minus] = np.conj(plus_amp[self._half_minus])
         return inverse_real(half, self.grid.shape)
 
-    def velocity_field(self, inc: IncrementSet) -> np.ndarray:
-        """Real velocity components (d, n, ..., n) for one increment set.
+    def velocity_field(self, inc: IncrementSet) -> tuple[np.ndarray, np.ndarray | None]:
+        """Packed velocity (w, u_2) for one increment set.
 
-        This is sqrt(c_d nu) sum_{k,alpha} theta_k a_{k,alpha} e^{2 pi i k.x}
-        dW^{k,alpha}; it is divergence free mode by mode.  Components 0 and 1
-        are Hermitian spectra u0, u1, so the inverse transform of u0 + i u1
-        is u0 + i u1 in grid space.
+        The velocity is u = sqrt(c_d nu) sum_{k,alpha} theta_k a_{k,alpha}
+        e^{2 pi i k.x} dW^{k,alpha}; it is divergence free mode by mode.
+        w = u_0 - i u_1 packs the first two components so that, for
+        z = a + i b, Re(z w) = u_0 a + u_1 b: u_0, u_1 have Hermitian
+        spectra, so the inverse transform of u_0 + i u_1 is u_0 + i u_1 in
+        grid space, and w is its conjugate.  u_2 is the real third
+        component in d = 3, None in d = 2.
         """
         amp = np.einsum("ma,maj->mj", inc.dw_plus, self.weights)
-        out = np.empty((self.grid.d,) + self.grid.shape)
-        z = self._inverse(amp[:, 0] + 1j * amp[:, 1],
-                          np.conj(amp[:, 0]) + 1j * np.conj(amp[:, 1]))
-        out[0] = z.real
-        out[1] = z.imag
-        if self.grid.d == 3:
-            out[2] = self._inverse_half(amp[:, 2])
-        return out
+        lines = np.zeros(self._lines_shape, dtype=complex)
+        flat = lines.reshape(-1)
+        flat[self._flat_plus] = amp[:, 0] + 1j * amp[:, 1]
+        flat[self._flat_minus] = np.conj(amp[:, 0]) + 1j * np.conj(amp[:, 1])
+        w = inverse_pruned(lines, self.grid.n_per_dim, self._band)
+        np.conjugate(w, out=w)
+        return w, (self._inverse_half(amp[:, 2]) if self.grid.d == 3 else None)
 
 
 def spectrum_to_csv(spectrum: NoiseSpectrum, path) -> None:

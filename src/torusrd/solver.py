@@ -93,17 +93,13 @@ def chebyshev_expm(apply, v: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
-def pack_velocity(u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(w, u_2) for a real velocity u of shape (d, n, ..., n).
-
-    w = u_0 - i u_1 packs the first two components so that, for z = a + i b,
-    Re(z w) = u_0 a + u_1 b.  u_2 is a copy of the third component in d = 3,
-    None in d = 2, so that u itself can be freed.
-    """
-    w = np.empty(u.shape[1:], dtype=complex)
-    w.real = u[0]
-    np.negative(u[1], out=w.imag)
-    return w, (u[2].copy() if len(u) == 3 else None)
+def _scale_velocity(vel: tuple[np.ndarray, np.ndarray | None], scale: float) -> None:
+    """Multiply the packed velocity (w, u_2) by a real scale, in place, part
+    by part: the same bits as scaling u before packing it."""
+    for part in vel:
+        if part is not None:
+            flat = part.view(np.float64)
+            flat *= scale
 
 
 def product_grid_size(n: int, band: int, max_k: int) -> int:
@@ -122,17 +118,16 @@ def product_grid_size(n: int, band: int, max_k: int) -> int:
 
 class ProductLayout(NamedTuple):
     """What the advection product needs of one grid: its shape, the mask
-    applied to the product (None: dealias off), the packed derivative
-    multiplier of axes 0 and 1, and in d = 3 the multiplier of axis 2 over
-    the Hermitian half."""
+    applied to the product, the packed derivative multiplier of axes 0 and
+    1, and in d = 3 the multiplier of axis 2 over the Hermitian half."""
 
     shape: tuple[int, ...]
-    mask: np.ndarray | None
+    mask: np.ndarray
     deriv_pack: np.ndarray
     deriv_last_half: np.ndarray | None
 
     @classmethod
-    def of(cls, grid: TorusGrid, mask: np.ndarray | None) -> "ProductLayout":
+    def of(cls, grid: TorusGrid, mask: np.ndarray) -> "ProductLayout":
         # one inverse transform yields two derivative components as its
         # real and imaginary parts (both factors are Hermitian)
         mult = grid.derivative_multipliers
@@ -173,7 +168,6 @@ class SolverConfig:
     blowup_threshold: float = 1e6
     blowup_norm_q0: float = 4.0
     seed: int = 0
-    dealias: bool = True
     record_every: int = 1
     require_nonneg: bool = False
     # explicit-noise step guard: dt <= c_cfl / (nu * max|k_noise| * n)
@@ -191,9 +185,6 @@ class SolverConfig:
             raise ValueError(f"horizon T = {self.T} is not a multiple of dt = {self.dt}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.scheme == "strat_substep" and not self.dealias:
-            raise ValueError("strat_substep needs dealias: without the 2/3 mask "
-                             "the transport operator is not skew-adjoint")
         if self.blowup_norm_q0 <= 2:
             raise ValueError(f"blow-up norm exponent q0 must be > 2, got {self.blowup_norm_q0}")
         if self.blowup_threshold <= 0:
@@ -251,14 +242,13 @@ class Stepper:
             [np.exp(lam * (nu_i + nu_extra) * cfg.dt) for nu_i in sys.nu]
         )
         # complex 0/1: a product with a bool mask casts it element by element
-        self.dealias_mask = grid.dealias_mask().astype(complex) if cfg.dealias else None
-        self.nyquist_mask = grid.nyquist_mask
+        self.dealias_mask = grid.dealias_mask().astype(complex)
         self.deriv_mult = grid.derivative_multipliers
         self.layout = ProductLayout.of(grid, self.dealias_mask)
         # real inverse transforms read the Hermitian half k_d <= n/2 only
         self._half = grid.n_per_dim // 2 + 1
         self._deriv_half = [m[..., : self._half] for m in self.deriv_mult]
-        self.zero_index = (0,) * grid.d
+        self.zero_index = (Ellipsis,) + (0,) * grid.d  # mode 0 of every species
         self.product_n = grid.n_per_dim  # points per axis of the Wong-Zakai products
         if cfg.scheme == "strat_substep":
             # max |2 pi k| over the mask: ||(u.grad)|| <= max|u| * k_max there
@@ -280,16 +270,6 @@ class Stepper:
 
     def to_values(self, fields: np.ndarray) -> np.ndarray:
         return inverse_real(fields[..., : self._half], self.grid.shape)
-
-    def _clean_product(self, coeffs: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-        """Post-product hygiene, in place: apply the mask, or make the
-        Nyquist modes real when there is none (dealias off)."""
-        if mask is not None:
-            coeffs *= mask
-        else:
-            nymask = self.nyquist_mask
-            coeffs[..., nymask] = coeffs[..., nymask].real
-        return coeffs
 
     def gradients(self, coeffs: np.ndarray) -> np.ndarray:
         """Real gradient fields, shape (..., d, n, ..., n), of a batch of
@@ -314,7 +294,8 @@ class Stepper:
         """phi-free drift (div F + f) in spectral space, plus finiteness flag;
         rates is f(t, values)."""
         finite = bool(np.all(np.isfinite(rates)))
-        drift = self._clean_product(forward(rates, self.grid.d), self.dealias_mask)
+        drift = forward(rates, self.grid.d)
+        drift *= self.dealias_mask
         if self.sys.F is not None:
             flux = self.sys.F(t, values)  # (ell, d, ...)
             finite = finite and bool(np.all(np.isfinite(flux)))
@@ -322,14 +303,16 @@ class Stepper:
             div = np.zeros_like(drift)
             for j in range(self.grid.d):
                 div += fhat[:, j] * self.deriv_mult[j]
-            drift = drift + self._clean_product(div, self.dealias_mask)
+            div *= self.dealias_mask
+            drift = drift + div
         return drift, finite
 
     def _advection_rhs(self, coeffs: np.ndarray, vel: tuple[np.ndarray, np.ndarray | None],
                        layout: ProductLayout | None = None) -> np.ndarray:
-        """Spectral coefficients of (u.grad)v for one species; vel is
-        pack_velocity(u), both on the grid of layout (default: the
-        stepper's).
+        """Spectral coefficients of (u.grad)v for a species or a stack of
+        species (...); vel is the packed velocity (w, u_2) of
+        NoiseGridOps.velocity_field, both on the grid of layout (default:
+        the stepper's).
 
         The first two derivative components ride a single inverse transform
         z, and Re(z w) is their product with u_0 and u_1.
@@ -345,18 +328,15 @@ class Stepper:
             d3 = inverse_real(half * lay.deriv_last_half, lay.shape)
             d3 *= u2
             vals += d3
-        out = self._clean_product(forward(vals, d), lay.mask)
+        out = forward(vals, d)
+        out *= lay.mask
         out[self.zero_index] = 0.0  # div sigma = 0: the term is mean free
         return out
 
     def transport(self, fields: np.ndarray, inc: IncrementSet) -> np.ndarray:
         """Transport increments for all species from one sampled velocity."""
         assert self.noise_ops is not None
-        vel = pack_velocity(self.noise_ops.velocity_field(inc))
-        out = np.empty_like(fields)
-        for i in range(len(fields)):
-            out[i] = self._advection_rhs(fields[i], vel)
-        return out
+        return self._advection_rhs(fields, self.noise_ops.velocity_field(inc))
 
     def _advect(self, fields: np.ndarray, inc: IncrementSet) -> None:
         """Wong-Zakai substep, in place: the flow of dv/ds = (u.grad)v over
@@ -372,51 +352,52 @@ class Stepper:
         and A maps into the band, so the series is h v_H plus a band series
         Q_k with h = J_0 + 2 sum_{even k} J_k and
         Q_{k+1} = (2/rho)(A Q_k + [k even] g) + Q_{k-1}, g = A v_H.  g is
-        one product on the n-grid; the Q_k live on the product grid, with a
-        trailing scalar eta_k = [k even] that carries the g term and ends
-        as h.
+        one product on the n-grid per step; the Q_k live on the product
+        grid.  A scalar eta_k = [k even] carries the g term and ends as h; it
+        rides in the mode (M/2, 0, ...), outside the band, where both
+        derivative multipliers vanish and the mask zeroes the product.
         """
-        u = self.noise_ops.velocity_field(inc)
-        rho = math.sqrt(float(np.max(np.sum(u * u, axis=0)))) * self.k_max
+        w, u2 = vel = self.noise_ops.velocity_field(inc)
+        speed2 = w.real * w.real
+        speed2 += w.imag * w.imag
+        if u2 is not None:
+            speed2 += u2 * u2
+        rho = math.sqrt(float(np.max(speed2))) * self.k_max
+        del w, u2, speed2  # vel is the only reference left
         scale = 2.0 / rho if rho > 0 else 0.0  # apply returns (2/rho) A w
         if self.product_n == self.grid.n_per_dim:
-            u *= scale
-            vel = pack_velocity(u)
-            del u  # the packed copy replaces the real velocity
+            _scale_velocity(vel, scale)
             for f in fields:
-                f[...] = chebyshev_expm(lambda w: self._advection_rhs(w, vel), f, rho)
+                f[...] = chebyshev_expm(lambda y: self._advection_rhs(y, vel), f, rho)
             return
 
-        band, pband, lay = self._band, self._product_band, self.product_layout
-        vel = pack_velocity(u)
-        del u
-        gs = []
-        for f in fields:
-            high = f.copy()
-            high[band] = 0.0
-            g = np.zeros(lay.shape, dtype=complex)
-            g[pband] = self._advection_rhs(high, vel)[band]
-            g *= scale
-            gs.append(g)
+        # band indices with the species axis in front
+        band = (slice(None),) + self._band
+        pband = (slice(None),) + self._product_band
+        lay = self.product_layout
+        high = fields.copy()
+        high[band] = 0.0
+        gs = np.zeros((len(fields),) + lay.shape, dtype=complex)
+        gs[pband] = self._advection_rhs(high, vel)[band]
+        gs *= scale
         del vel, high  # only the product grid is needed from here on
-        u = self.product_noise_ops.velocity_field(inc)
-        u *= scale
-        vel = pack_velocity(u)
-        del u
+        vel = self.product_noise_ops.velocity_field(inc)
+        _scale_velocity(vel, scale)
+        eta = (lay.shape[0] // 2,) + (0,) * (len(lay.shape) - 1)
         for f, g in zip(fields, gs):
 
             def apply(y):
-                q = self._advection_rhs(y[:-1].reshape(lay.shape), vel, lay)
-                if y[-1]:
-                    q += y[-1] * g
-                return np.append(q, 0.0)
+                q = self._advection_rhs(y, vel, lay)
+                if y[eta]:  # exactly 1 or 0 on every iterate
+                    q += g
+                return q
 
-            y = np.zeros(g.size + 1, dtype=complex)
-            y[:-1].reshape(lay.shape)[pband] = f[band]
-            y[-1] = 1.0
+            y = np.zeros(lay.shape, dtype=complex)
+            y[self._product_band] = f[self._band]
+            y[eta] = 1.0
             y = chebyshev_expm(apply, y, rho)
-            f *= y[-1]
-            f[band] = y[:-1].reshape(lay.shape)[pband]
+            f *= y[eta]
+            f[self._band] = y[self._product_band]
 
     # -- the step ---------------------------------------------------------
 
@@ -438,27 +419,29 @@ class Stepper:
         phi = self.evaluate_phi(state)
         state.phi_value = phi
 
+        # the terms are summed in fresh buffers, in any order: a + b is b + a bitwise
         new = state.fields
         if not self.sys.is_linear and phi != 0.0:
-            drift, finite_drift = self.reaction_drift(state.t, pre_values,
-                                                      self.reaction_rates(state))
-            new = new + (cfg.dt * phi) * drift
+            new, finite_drift = self.reaction_drift(state.t, pre_values,
+                                                    self.reaction_rates(state))
+            new *= cfg.dt * phi
+            new += state.fields
         else:
             finite_drift = True
-            new = new.copy()
         state.rates = None  # read by the balance and the drift only: free it
 
-        if self.noise_ops is not None:
-            if inc is None:
-                raise ValueError("noise is active but no increments were given")
-            if cfg.scheme == "euler_maruyama_ito":
-                new += self.transport(state.fields, inc)
-                new *= self.propagator
-            else:
-                new *= self.propagator
-                self._advect(new, inc)
-        else:
-            new *= self.propagator
+        if self.noise_ops is not None and inc is None:
+            raise ValueError("noise is active but no increments were given")
+        ito = self.noise_ops is not None and cfg.scheme == "euler_maruyama_ito"
+        if ito:
+            tr = self.transport(state.fields, inc)
+            tr += new
+            new = tr
+        elif new is state.fields:
+            new = new.copy()
+        new *= self.propagator
+        if self.noise_ops is not None and not ito:
+            self._advect(new, inc)
 
         post_values = self.to_values(new)
 
@@ -473,10 +456,10 @@ class Stepper:
             post_n = lq_norm_vector(post_values, co.q) ** co.r
             acc = acc + 0.5 * cfg.dt * (pre_n + post_n)
 
+        # a non-finite value makes the L^{q0} norm non-finite
         t_new = (state.step_index + 1) * cfg.dt
         blown: float | None = None
-        finite = finite_drift and bool(np.all(np.isfinite(post_values)))
-        if not finite:
+        if not finite_drift:
             blown = t_new
         else:
             q0norm = lq_norm_vector(post_values, cfg.blowup_norm_q0)
@@ -553,7 +536,7 @@ def run(
             observer(st.t, st.grid_values, st)
 
     record(state)
-    n_steps = int(round(cfg.T / cfg.dt))
+    n_steps = horizon_steps(cfg.T, cfg.dt)
     for step_idx in range(n_steps):
         if cfg.track_balance:
             builder.accumulate_balance(cfg.dt, state, stepper)

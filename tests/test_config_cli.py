@@ -55,9 +55,11 @@ class TestConfigParsing:
             RunConfig.from_text("solver.dt = 0.3\nsolver.T = 0.5")
         RunConfig.from_text("solver.dt = 0.1\nsolver.T = 0.3")  # T/dt = 2.9999999999999996
 
-    def test_strat_substep_without_dealias_rejected(self):
-        with pytest.raises(ConfigError, match="solver.dealias"):
-            RunConfig.from_text(MINIMAL + "solver.scheme = strat_substep\nsolver.dealias = false")
+    def test_removed_dealias_key_rejected(self):
+        # the 2/3 mask is always on, so the key that switched it is unknown
+        for value in ("false", "true"):
+            with pytest.raises(ConfigError, match="solver.dealias: unknown configuration key"):
+                RunConfig.from_text(MINIMAL + f"solver.dealias = {value}\n")
         RunConfig.from_text(MINIMAL + "solver.scheme = strat_substep")
 
     def test_type_errors_carry_key_path(self):

@@ -192,6 +192,19 @@ class TestIncrements:
         assert np.array_equal(a.dw_plus, b.dw_plus)
         assert not np.array_equal(a.dw_plus, c.dw_plus)
 
+    @pytest.mark.parametrize("d, shell", [(2, 1), (2, 8), (3, 2)])
+    def test_matches_two_draw_formula(self, d, shell):
+        # one draw of shape (2, m+, d-1) is the stream of two draws of
+        # (m+, d-1), real parts first, scaled the same way
+        model = NoiseModel(build_theta_shell(shell, 0.0, d), nu=0.1)
+        dt = 2.5e-3
+        rng = path_rng(7, 2, 3)
+        shape = (len(model.plus_modes), d - 1)
+        scale = np.sqrt(dt)
+        expected = scale * rng.standard_normal(shape) + 1j * scale * rng.standard_normal(shape)
+        got = sample_increments(model, dt, path_rng(7, 2, 3)).dw_plus
+        assert got.tobytes() == expected.tobytes()  # bitwise, signs of zero too
+
 
 def transport(model, v, inc):
     """Stepper.transport of one species, as a spectral field."""
@@ -285,7 +298,9 @@ class TestTransport:
         model = NoiseModel(build_theta_shell(shell, 0.5, d), nu=0.1)
         inc = sample_increments(model, 1e-2, path_rng(4, 0, 0))
         table = model.spectrum.as_table()
-        got = NoiseGridOps(model, grid).velocity_field(inc)
+        w, u2 = NoiseGridOps(model, grid).velocity_field(inc)
+        assert (u2 is None) == (d == 2)
+        got = [w.real, -w.imag, u2]  # w = u_0 - i u_1
         for j in range(d):
             spec = np.zeros(grid.shape, dtype=complex)
             for k in model.spectrum.support:
@@ -306,8 +321,8 @@ class TestTransport:
         draws = np.empty((12_000, 2))
         for i in range(len(draws)):
             inc = sample_increments(model, dt, rng)
-            u = ops.velocity_field(inc)
-            draws[i] = u[:, 5, 9]
+            w, _ = ops.velocity_field(inc)
+            draws[i] = w.real[5, 9], -w.imag[5, 9]
         cov = draws.T @ draws / len(draws)
         target = 2 * model.nu * dt * np.eye(2)
         # variance of a sample second moment of a Gaussian: ~ sqrt(2/n) var

@@ -35,7 +35,6 @@ from torusrd.solver import (
     SolverConfig,
     Stepper,
     chebyshev_expm,
-    pack_velocity,
     phi_bump,
     run,
 )
@@ -92,8 +91,9 @@ class TestConfigValidation:
         assert 0.3 / 0.1 != 3  # 2.9999999999999996
         SolverConfig(dt=0.1, T=0.3)
 
-    def test_strat_substep_needs_dealias(self):
-        with pytest.raises(ValueError, match="dealias"):
+    def test_dealias_option_removed(self):
+        # the 2/3 mask is always on: both schemes' skewness needs it
+        with pytest.raises(TypeError, match="dealias"):
             SolverConfig(dt=1e-3, T=0.1, scheme="strat_substep", dealias=False)
 
     @pytest.mark.parametrize("kwargs", [
@@ -373,6 +373,20 @@ class TestBlowUpDetection:
         state, _ = run(sys, None, cfg, constant_fields(grid, [5.0]))
         assert state.blown_up is not None
 
+    @pytest.mark.parametrize("value", [np.nan, 1e200])
+    def test_non_finite_or_overflowing_post_state_flagged(self, value):
+        # a linear step has a finite drift, so the L^{q0} norm alone must
+        # flag a NaN state, or one whose squares overflow (1e200 is far
+        # below the threshold)
+        grid = TorusGrid(2, 8)
+        cfg = SolverConfig(dt=1e-3, T=1.0, noise_on=False, track_balance=False,
+                           blowup_threshold=1e300, blowup_norm_q0=4.0)
+        stepper = Stepper(grid, build_builtin("zero", [0.1]), None, cfg)
+        fields = np.zeros((1,) + grid.shape, dtype=complex)
+        fields[0, 0, 0] = value
+        state = stepper.step(SimState(t=0.0, fields=fields), None)
+        assert state.blown_up == cfg.dt
+
     def test_stepping_after_blowup_rejected(self):
         grid = TorusGrid(2, 8)
         sys = build_builtin("quadratic_unsafe", [0.1], allow_unsafe=True)
@@ -397,6 +411,20 @@ class TestStratSubstep:
         assert abs(energy - 0.5) < 1e-7
 
 
+def _unpack(vel):
+    """Real velocity components (d, n, ..., n) of a packed (w, u_2)."""
+    w, u2 = vel
+    return np.stack([w.real, -w.imag] + ([] if u2 is None else [u2]))
+
+
+def _pack(u):
+    """(w, u_2) = (u_0 - i u_1, u_2) of real velocity components."""
+    w = np.empty(u.shape[1:], dtype=complex)
+    w.real = u[0]
+    np.negative(u[1], out=w.imag)
+    return w, (u[2] if len(u) == 3 else None)
+
+
 def _strat_stepper(d, n, max_u=0.3):
     """Stepper and a frozen displacement field u with max|u_j| = max_u."""
     grid = TorusGrid(d, n)
@@ -404,7 +432,8 @@ def _strat_stepper(d, n, max_u=0.3):
     cfg = SolverConfig(dt=1e-4, T=1e-4, scheme="strat_substep", noise_on=True,
                        track_balance=False)
     stepper = Stepper(grid, build_builtin("zero", [0.0], d=d), noise, cfg)
-    u = stepper.noise_ops.velocity_field(sample_increments(noise, 1.0, path_rng(1, 0, 0)))
+    inc = sample_increments(noise, 1.0, path_rng(1, 0, 0))
+    u = _unpack(stepper.noise_ops.velocity_field(inc))
     return stepper, u * (max_u / np.abs(u).max())
 
 
@@ -422,7 +451,7 @@ class TestChebyshevExpm:
         # reference: scipy's expm of the dense grid-space matrix of the
         # advection operator, built column by column from unit vectors
         stepper, u = _strat_stepper(d, n)
-        vel = pack_velocity(u)
+        vel = _pack(u)
         grid = stepper.grid
         N = grid.n_points
 
@@ -450,7 +479,7 @@ class TestChebyshevExpm:
     @pytest.mark.parametrize("d, n", [(2, 12), (3, 8)])
     def test_advection_skew_on_dealiased_ball(self, d, n):
         stepper, u = _strat_stepper(d, n)
-        vel = pack_velocity(u)
+        vel = _pack(u)
         grid = stepper.grid
         rng = np.random.default_rng(5)
         mask = grid.dealias_mask()
@@ -496,10 +525,10 @@ def _product_stepper(d, n, shell, ell=1):
 def _full_grid_series(stepper, fields, inc):
     """The Wong-Zakai substep as one Chebyshev series of the n-grid
     right-hand side, with the packed velocity scaled by 2/rho."""
-    u = stepper.noise_ops.velocity_field(inc)
+    u = _unpack(stepper.noise_ops.velocity_field(inc))
     rho = np.sqrt(np.max(np.sum(u * u, axis=0))) * stepper.k_max
     u *= 2.0 / rho
-    vel = pack_velocity(u)
+    vel = _pack(u)
     return np.stack([chebyshev_expm(lambda w: stepper._advection_rhs(w, vel), f, rho)
                      for f in fields])
 
@@ -545,6 +574,39 @@ class TestProductGrid:
         expected = _full_grid_series(stepper, fields, inc)
         stepper._advect(fields, inc)
         assert np.array_equal(fields, expected)
+
+
+class TestBatchedTransport:
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+    def test_matches_per_species_rhs(self, d, n):
+        # one _advection_rhs on the species stack, bitwise the per-species ones
+        grid = TorusGrid(d, n)
+        noise = NoiseModel(build_theta_shell(2, 0.0, d), nu=0.1)
+        cfg = SolverConfig(dt=1e-4, T=1e-4, track_balance=False)
+        stepper = Stepper(grid, build_builtin("zero", [0.0, 0.0], d=d), noise, cfg)
+        values = np.random.default_rng(d).standard_normal((2,) + grid.shape)
+        fields = np.fft.fftn(values, axes=tuple(range(1, d + 1))) / grid.n_points
+        inc = sample_increments(noise, 1e-3, path_rng(2, 0, 0))
+        vel = stepper.noise_ops.velocity_field(inc)
+        expected = np.stack([stepper._advection_rhs(f, vel) for f in fields])
+        got = stepper.transport(fields, inc)
+        assert got.tobytes() == expected.tobytes()
+        assert np.abs(got).max() > 0 and np.all(got[(Ellipsis,) + (0,) * d] == 0)
+
+    def test_ito_step_is_propagated_sum_of_terms(self):
+        # E (v + dt phi drift + transport), bitwise, for a nonlinear system
+        grid = TorusGrid(2, 32)
+        noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
+        sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
+        cfg = SolverConfig(dt=1e-3, T=1e-3, track_balance=False)
+        stepper = Stepper(grid, sys, noise, cfg)
+        values = 1.0 + 0.3 * np.random.default_rng(4).standard_normal((2,) + grid.shape)
+        fields = np.fft.fftn(values, axes=(1, 2)) / grid.n_points
+        inc = sample_increments(noise, cfg.dt, path_rng(3, 0, 0))
+        drift, _ = stepper.reaction_drift(0.0, values, sys.f(0.0, values))
+        expected = (fields + cfg.dt * drift + stepper.transport(fields, inc)) * stepper.propagator
+        state = stepper.step(SimState(t=0.0, fields=fields, grid_values=values), inc)
+        assert state.fields.tobytes() == expected.tobytes()
 
 
 class TestThreeDimensions:
