@@ -89,12 +89,21 @@ class RecordBuilder:
             return
         values = state.grid_values
         fvals = stepper.reaction_rates(state)
-        grads_sq = np.sum(stepper.gradients(state.fields) ** 2, axis=1)
+        z, g2 = stepper.gradients(state.fields)
+        grads_sq = np.square(z.real)
+        grads_sq += np.square(z.imag)
+        if g2 is not None:
+            grads_sq += np.square(g2)
+        del z, g2
         for i, grad_sq in enumerate(grads_sq):
             for q in self.balance_q:
-                weight = np.abs(values[i]) ** (q - 2.0)
-                self._grad_running[q][i] += dt * float(np.mean(weight * grad_sq))
-                self._work_running[q][i] += dt * float(np.mean(weight * fvals[i] * values[i]))
+                if q == 2.0:  # the weight |v|^0 is 1, also at NaN and inf
+                    grad_w, work = grad_sq, fvals[i] * values[i]
+                else:
+                    weight = np.abs(values[i]) ** (q - 2.0)
+                    grad_w, work = weight * grad_sq, weight * fvals[i] * values[i]
+                self._grad_running[q][i] += dt * float(np.mean(grad_w))
+                self._work_running[q][i] += dt * float(np.mean(work))
 
     def sample(self, t: float, values: np.ndarray, phi: float, acc: float) -> None:
         self._times.append(t)

@@ -8,9 +8,10 @@ coeffs[0,...,0] is the spatial mean of the field.
 Every transform of the package goes through the helpers below, on scipy.fft
 with one worker: forward, inverse_real and inverse_packed transform the
 trailing d axes, so a leading batch axis (species, derivative components)
-rides along; inverse_pruned is the complex inverse of a single spectrum that
-lives on the low lines |k_j| <= band of every axis but the first (the
-sampled noise velocity), transformed one axis at a time on those lines only.
+rides along; inverse_pruned is the complex (or real) inverse of a single
+spectrum that lives on the low lines |k_j| <= band of every axis but the
+first (the sampled noise velocity), transformed one axis at a time on those
+lines only.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def inverse_packed(coeffs: np.ndarray, d: int, overwrite_x: bool = False) -> np.
                            overwrite_x=overwrite_x, workers=1)
 
 
-def inverse_pruned(lines: np.ndarray, n: int, band: int) -> np.ndarray:
+def inverse_pruned(lines: np.ndarray, n: int, band: int, real: bool = False) -> np.ndarray:
     """inverse_packed of a spectrum on the (n,)*d grid that is zero off the
     lines with |k_j| <= band for every axis j >= 1.
 
@@ -68,11 +69,19 @@ def inverse_pruned(lines: np.ndarray, n: int, band: int) -> np.ndarray:
     is transformed before the lines of axis j+1 are zero-filled to n, in
     pocketfft's own axis order, so the result equals inverse_packed of the
     zero-filled spectrum bitwise: a zero line transforms to exact zeros.
+
+    With real, the spectrum is Hermitian and the last axis of lines holds
+    its half k_{d-1} = 0..band only, band + 1 entries: the last pass is the
+    real one, after the complex ones as in pocketfft's c2r, so the result
+    equals inverse_real of the zero-filled half bitwise.
     """
     out = lines
+    last = lines.ndim - 1
     for j in range(lines.ndim):
+        if real and j == last:  # irfft zero-fills k_{d-1} = band+1..n/2 itself
+            return scipy.fft.irfft(out, n, axis=j, norm="forward", workers=1)
         out = scipy.fft.ifft(out, axis=j, norm="forward", overwrite_x=True, workers=1)
-        if j + 1 < lines.ndim:
+        if j < last and not (real and j + 1 == last):
             full = np.zeros(out.shape[: j + 1] + (n,) + out.shape[j + 2 :], dtype=complex)
             head = (slice(None),) * (j + 1)
             full[head + (slice(None, band + 1),)] = out[head + (slice(None, band + 1),)]

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import TorusGrid, inverse_pruned, inverse_real
+from .fields import TorusGrid, inverse_pruned
 
 SPECTRUM_L2_TOL = 1e-12
 
@@ -301,7 +301,7 @@ class NoiseGridOps:
     real and imaginary parts, and the spectrum lives on the lines with
     |k_j| <= max|k_j| of the trailing axes, so assembling the sampled
     velocity field costs one pruned transform (inverse_pruned) in d=2, and
-    in d=3 one more, real, transform of the third component.
+    in d=3 one more, pruned and real, transform of the third component.
     """
 
     def __init__(self, model: NoiseModel, grid: TorusGrid):
@@ -322,15 +322,16 @@ class NoiseGridOps:
         self._flat_plus = np.ravel_multi_index(tuple(plus.T % wrap), self._lines_shape)
         self._flat_minus = np.ravel_multi_index(tuple(-plus.T % wrap), self._lines_shape)
         if grid.d == 3:
-            # the Hermitian half k_3 >= 0 of the real third component holds
-            # k for k_3 >= 0 and -k for k_3 <= 0: both when k_3 = 0
-            self._half_shape = grid.shape[:-1] + (n // 2 + 1,)
+            # the real third component from the lines of its Hermitian half
+            # k_3 = 0..max_k, which hold k for k_3 >= 0 and -k for k_3 <= 0:
+            # both when k_3 = 0
+            self._half_shape = self._lines_shape[:-1] + (max_k + 1,)
             self._half_plus = plus[:, -1] >= 0
             self._half_minus = plus[:, -1] <= 0
             self._flat_half_plus = np.ravel_multi_index(
-                tuple(plus[self._half_plus].T % n), self._half_shape)
+                tuple(plus[self._half_plus].T % wrap), self._half_shape)
             self._flat_half_minus = np.ravel_multi_index(
-                tuple(-plus[self._half_minus].T % n), self._half_shape)
+                tuple(-plus[self._half_minus].T % wrap), self._half_shape)
         # weight[m, alpha, j] = sqrt(c_d nu) * theta_m * a_{m,alpha}^j
         self.weights = (
             np.sqrt(model.c_d * model.nu)
@@ -340,12 +341,12 @@ class NoiseGridOps:
 
     def _inverse_half(self, plus_amp: np.ndarray) -> np.ndarray:
         """Real grid values of the Hermitian spectrum with plus_amp on the
-        plus modes, from its half k_3 >= 0 (d = 3)."""
+        plus modes, from the lines of its half k_3 >= 0 (d = 3)."""
         half = np.zeros(self._half_shape, dtype=complex)
         flat = half.reshape(-1)
         flat[self._flat_half_plus] = plus_amp[self._half_plus]
         flat[self._flat_half_minus] = np.conj(plus_amp[self._half_minus])
-        return inverse_real(half, self.grid.shape)
+        return inverse_pruned(half, self.grid.n_per_dim, self._band, real=True)
 
     def velocity_field(self, inc: IncrementSet) -> tuple[np.ndarray, np.ndarray | None]:
         """Packed velocity (w, u_2) for one increment set.

@@ -247,8 +247,8 @@ class Stepper:
         self.layout = ProductLayout.of(grid, self.dealias_mask)
         # real inverse transforms read the Hermitian half k_d <= n/2 only
         self._half = grid.n_per_dim // 2 + 1
-        self._deriv_half = [m[..., : self._half] for m in self.deriv_mult]
         self.zero_index = (Ellipsis,) + (0,) * grid.d  # mode 0 of every species
+        self.grid_axes = tuple(range(-grid.d, 0))  # the grid axes of a species stack
         self.product_n = grid.n_per_dim  # points per axis of the Wong-Zakai products
         if cfg.scheme == "strat_substep":
             # max |2 pi k| over the mask: ||(u.grad)|| <= max|u| * k_max there
@@ -271,13 +271,22 @@ class Stepper:
     def to_values(self, fields: np.ndarray) -> np.ndarray:
         return inverse_real(fields[..., : self._half], self.grid.shape)
 
-    def gradients(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real gradient fields, shape (..., d, n, ..., n), of a batch of
-        species (...) in one transform."""
-        half = coeffs[..., : self._half]
-        axis = -self.grid.d - 1
-        return inverse_real(np.stack([half * m for m in self._deriv_half], axis=axis),
-                            self.grid.shape)
+    def _derivatives(self, coeffs: np.ndarray, lay: ProductLayout
+                     ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Grid values of the derivatives of a species stack (...) on the
+        grid of lay: z = d_0 v + i d_1 v, both components in one packed
+        inverse transform, and in d = 3 the real d_2 v (None in d = 2)."""
+        z = inverse_packed(coeffs * lay.deriv_pack, self.grid.d, overwrite_x=True)
+        if lay.deriv_last_half is None:
+            return z, None
+        half = coeffs[..., : lay.shape[-1] // 2 + 1]
+        return z, inverse_real(half * lay.deriv_last_half, lay.shape)
+
+    def gradients(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Packed gradient (z, g_2) of a species stack (...): z = d_0 v + i d_1 v
+        and g_2 = d_2 v in d = 3, None in d = 2, so that
+        |grad v|^2 = z.real^2 + z.imag^2 (+ g_2^2)."""
+        return self._derivatives(coeffs, self.layout)
 
     # -- physics terms ---------------------------------------------------
 
@@ -290,53 +299,59 @@ class Stepper:
 
     def reaction_drift(
         self, t: float, values: np.ndarray, rates: np.ndarray
-    ) -> tuple[np.ndarray, bool]:
-        """phi-free drift (div F + f) in spectral space, plus finiteness flag;
-        rates is f(t, values)."""
-        finite = bool(np.all(np.isfinite(rates)))
-        drift = forward(rates, self.grid.d)
-        drift *= self.dealias_mask
-        if self.sys.F is not None:
-            flux = self.sys.F(t, values)  # (ell, d, ...)
-            finite = finite and bool(np.all(np.isfinite(flux)))
-            fhat = forward(flux, self.grid.d)
-            div = np.zeros_like(drift)
-            for j in range(self.grid.d):
-                div += fhat[:, j] * self.deriv_mult[j]
-            div *= self.dealias_mask
-            drift = drift + div
-        return drift, finite
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """phi-free drift f + div F: the grid part f = rates (f(t, values))
+        and the dealiased spectral div F, None when there is no flux.
+
+        A non-finite rate or flux needs no flag: the step's forward
+        transform spreads it to every mode, so the post-step values are
+        non-finite and the L^{q0} norm flags the blow-up."""
+        if self.sys.F is None:
+            return rates, None
+        fhat = forward(self.sys.F(t, values), self.grid.d)  # (ell, d, ...)
+        div = np.zeros(fhat.shape[:1] + fhat.shape[2:], dtype=complex)
+        for j in range(self.grid.d):
+            div += fhat[:, j] * self.deriv_mult[j]
+        div *= self.dealias_mask
+        return rates, div
 
     def _advection_rhs(self, coeffs: np.ndarray, vel: tuple[np.ndarray, np.ndarray | None],
-                       layout: ProductLayout | None = None) -> np.ndarray:
+                       layout: ProductLayout | None = None,
+                       source: np.ndarray | None = None) -> np.ndarray:
         """Spectral coefficients of (u.grad)v for a species or a stack of
         species (...); vel is the packed velocity (w, u_2) of
         NoiseGridOps.velocity_field, both on the grid of layout (default:
         the stepper's).
 
         The first two derivative components ride a single inverse transform
-        z, and Re(z w) is their product with u_0 and u_1.
+        z, and Re(z w) is their product with u_0 and u_1.  A real grid term
+        source is added before the forward transform, which then takes the
+        sum: mode 0 of the result is the source's mean, and 0 without one.
         """
         lay = self.layout if layout is None else layout
-        d = self.grid.d
         w, u2 = vel
-        z = inverse_packed(coeffs * lay.deriv_pack, d, overwrite_x=True)
+        z, d3 = self._derivatives(coeffs, lay)
         z *= w
         vals = z.real
-        if u2 is not None:
-            half = coeffs[..., : lay.shape[-1] // 2 + 1]
-            d3 = inverse_real(half * lay.deriv_last_half, lay.shape)
+        if d3 is not None:
             d3 *= u2
             vals += d3
-        out = forward(vals, d)
+        if source is not None:
+            vals += source
+        out = forward(vals, self.grid.d)
         out *= lay.mask
-        out[self.zero_index] = 0.0  # div sigma = 0: the term is mean free
+        # div sigma = 0: the transport term is mean free
+        out[self.zero_index] = 0.0 if source is None else source.mean(axis=self.grid_axes)
         return out
 
-    def transport(self, fields: np.ndarray, inc: IncrementSet) -> np.ndarray:
-        """Transport increments for all species from one sampled velocity."""
+    def transport(self, fields: np.ndarray, inc: IncrementSet,
+                  source: np.ndarray | None = None) -> np.ndarray:
+        """Transport increments for all species from one sampled velocity,
+        plus the spectral coefficients of the dealiased real grid term
+        source (ell, n, ..., n) when one is given, in the same forward
+        transform."""
         assert self.noise_ops is not None
-        return self._advection_rhs(fields, self.noise_ops.velocity_field(inc))
+        return self._advection_rhs(fields, self.noise_ops.velocity_field(inc), source=source)
 
     def _advect(self, fields: np.ndarray, inc: IncrementSet) -> None:
         """Wong-Zakai substep, in place: the flow of dv/ds = (u.grad)v over
@@ -419,22 +434,32 @@ class Stepper:
         phi = self.evaluate_phi(state)
         state.phi_value = phi
 
-        # the terms are summed in fresh buffers, in any order: a + b is b + a bitwise
-        new = state.fields
-        if not self.sys.is_linear and phi != 0.0:
-            new, finite_drift = self.reaction_drift(state.t, pre_values,
-                                                    self.reaction_rates(state))
-            new *= cfg.dt * phi
-            new += state.fields
-        else:
-            finite_drift = True
-        state.rates = None  # read by the balance and the drift only: free it
-
         if self.noise_ops is not None and inc is None:
             raise ValueError("noise is active but no increments were given")
         ito = self.noise_ops is not None and cfg.scheme == "euler_maruyama_ito"
+
+        # the terms are summed in fresh buffers, in any order: a + b is b + a bitwise
+        new, source = state.fields, None
+        if not self.sys.is_linear and phi != 0.0:
+            rates, div = self.reaction_drift(state.t, pre_values, self.reaction_rates(state))
+            drift = div
+            if ito:  # f rides the forward transform of the advection product
+                source = rates * (cfg.dt * phi)
+            else:
+                drift = forward(rates, self.grid.d)
+                drift *= self.dealias_mask
+                if div is not None:
+                    drift = drift + div
+            del rates
+            if drift is not None:
+                drift *= cfg.dt * phi
+                drift += state.fields
+                new = drift
+        state.rates = None  # read by the balance and the drift only: free it
+
         if ito:
-            tr = self.transport(state.fields, inc)
+            tr = self.transport(state.fields, inc, source)
+            del source
             tr += new
             new = tr
         elif new is state.fields:
@@ -447,24 +472,26 @@ class Stepper:
 
         # trapezoid advance of the cut-off accumulator A(t) = int |v|_{Lq}^r;
         # the pre-step integrand is carried over from the previous step
-        acc, post_n = state.cutoff_acc, None
+        acc, post_n, q0norm = state.cutoff_acc, None, None
         if cfg.cutoff is not None:
             co = cfg.cutoff
             pre_n = state.cutoff_integrand
             if pre_n is None:
                 pre_n = lq_norm_vector(pre_values, co.q) ** co.r
-            post_n = lq_norm_vector(post_values, co.q) ** co.r
+            post_norm = lq_norm_vector(post_values, co.q)
+            post_n = post_norm ** co.r
             acc = acc + 0.5 * cfg.dt * (pre_n + post_n)
+            if co.q == cfg.blowup_norm_q0:  # one norm serves both
+                q0norm = post_norm
 
-        # a non-finite value makes the L^{q0} norm non-finite
+        # a non-finite value makes the L^{q0} norm non-finite; a non-finite
+        # rate or flux spreads to every mode through the step's transforms
+        if q0norm is None:
+            q0norm = lq_norm_vector(post_values, cfg.blowup_norm_q0)
         t_new = (state.step_index + 1) * cfg.dt
         blown: float | None = None
-        if not finite_drift:
+        if not math.isfinite(q0norm) or q0norm >= cfg.blowup_threshold:
             blown = t_new
-        else:
-            q0norm = lq_norm_vector(post_values, cfg.blowup_norm_q0)
-            if not math.isfinite(q0norm) or q0norm >= cfg.blowup_threshold:
-                blown = t_new
 
         return SimState(
             t=t_new,

@@ -17,10 +17,18 @@ from torusrd.diagnostics import (
     mass_trace,
     survival_estimate,
 )
-from torusrd.fields import GridField, TorusGrid, single_mode, to_grid
+from torusrd.fields import (
+    GridField,
+    SpectralField,
+    TorusGrid,
+    forward,
+    partial_derivative,
+    single_mode,
+    to_grid,
+)
 from torusrd.noise import NoiseModel, build_theta_shell
 from torusrd.reactions import MassActionSpec, build_builtin, mass_action_build
-from torusrd.solver import SolverConfig, run
+from torusrd.solver import SimState, SolverConfig, Stepper, run
 
 
 def heat_run(dt, T=0.2, q=(2.0,), record_every=1):
@@ -144,6 +152,46 @@ class TestBalanceResidual:
         # pathwise conservation: |v(t)|_2^2 stays at its initial value
         drift = record.lq[2.0][:, 0] ** 2 - record.lq[2.0][0, 0] ** 2
         assert np.abs(drift).max() < 1e-7
+
+
+class TestBalanceGradientEnergy:
+    """One accumulate_balance step (dt = 1) against closed forms of
+    mean(|v|^(q-2) |grad v|^2) and of the work mean(|v|^(q-2) f v)."""
+
+    @staticmethod
+    def balance(d, n, q):
+        grid = TorusGrid(d, n)
+        sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.1, 0.2])
+        values = 1.0 + 0.3 * np.random.default_rng(d).standard_normal((2,) + grid.shape)
+        fields = forward(values, d)
+        stepper = Stepper(grid, sys, None, SolverConfig(dt=1.0, T=1.0, noise_on=False))
+        builder = RecordBuilder(grid, sys, lq_list=(q,), balance_q=(q,))
+        builder.accumulate_balance(1.0, SimState(t=0.0, fields=fields, grid_values=values),
+                                   stepper)
+        builder.sample(1.0, values, 1.0, 0.0)
+        record = builder.finalize(None)
+        work = [np.mean(np.abs(v) ** (q - 2.0) * f * v)
+                for v, f in zip(values, sys.f(0.0, values))]
+        assert np.abs(record.work[q][-1] - work).max() <= 1e-13 * np.abs(work).max()
+        return grid, values, fields, record.grad_energy[q][-1]
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_q2_is_parseval_sum(self, d, n):
+        # sum_k sum_j |m_j(k)|^2 |v_k|^2 with the Nyquist-zeroed multipliers
+        grid, _, fields, got = self.balance(d, n, 2.0)
+        weight = sum(np.abs(m) ** 2 for m in grid.derivative_multipliers)
+        expected = np.sum(weight * np.abs(fields) ** 2, axis=tuple(range(1, d + 1)))
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_q3_matches_grid_weighted_formula(self, d, n):
+        grid, values, fields, got = self.balance(d, n, 3.0)
+        expected = []
+        for v, c in zip(values, fields):
+            grad_sq = sum(to_grid(partial_derivative(SpectralField(grid, c), j)).values ** 2
+                          for j in range(d))
+            expected.append(np.mean(np.abs(v) * grad_sq))
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestLrLqDistance:

@@ -108,6 +108,21 @@ class TestTransformHelpers:
         got = inverse_pruned(lines, n, band)
         assert got.tobytes() == expected.tobytes()  # bitwise
 
+    # the third velocity component's half lines at 16^3 and 32^3, shells 1 and 2
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("band", [2, 4])
+    def test_real_inverse_pruned_is_inverse_real_of_zero_filled_half(self, n, band):
+        rng = np.random.default_rng(n + band)
+        shape = (n, 2 * band + 1, band + 1)
+        lines = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        idx = np.r_[0 : band + 1, n - band : n]
+        half = np.zeros((n, n, n // 2 + 1), dtype=complex)
+        half[:, idx[:, None], np.arange(band + 1)] = lines
+        expected = inverse_real(half, (n, n, n))
+        got = inverse_pruned(lines.copy(), n, band, real=True)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()  # bitwise
+
 
 class TestToSpectral:
     def test_constant_field(self, grid2):

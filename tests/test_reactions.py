@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torusrd.fields import GridField, SpectralField, TorusGrid, to_grid
+from torusrd.fields import GridField, SpectralField, TorusGrid, forward, to_grid
 from torusrd.reactions import (
     MassActionSpec,
     ReactionSystem,
@@ -14,7 +14,7 @@ from torusrd.reactions import (
     mass_action_build,
     zero_rates,
 )
-from torusrd.solver import SolverConfig, Stepper, run
+from torusrd.solver import SimState, SolverConfig, Stepper, run
 
 TWO_TO_ONE = MassActionSpec(q=(2, 0), p=(0, 1))  # 2 V1 <-> V2
 
@@ -120,9 +120,13 @@ class TestGrowthCertificate:
 
 
 def reaction_drift(sys, grid, values):
-    """Stepper.reaction_drift: spectral div F + f and the finiteness flag."""
+    """Spectral drift f + div F, dealiased, from Stepper.reaction_drift's grid
+    part f and spectral div F."""
     cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False)
-    return Stepper(grid, sys, None, cfg).reaction_drift(0.0, values, sys.f(0.0, values))
+    stepper = Stepper(grid, sys, None, cfg)
+    rates, div = stepper.reaction_drift(0.0, values, sys.f(0.0, values))
+    drift = forward(rates, grid.d) * stepper.dealias_mask
+    return drift if div is None else drift + div
 
 
 class TestEvaluateReaction:
@@ -133,8 +137,7 @@ class TestEvaluateReaction:
         sys = mass_action_build(TWO_TO_ONE)
         values = np.zeros((2,) + self.grid.shape)
         out = sys.f(0.0, values)
-        _, finite = reaction_drift(sys, self.grid, values)
-        assert finite
+        assert np.abs(reaction_drift(sys, self.grid, values)).max() == 0.0
         assert all(np.abs(f).max() == 0.0 for f in out)
 
     def test_equilibrium_fields(self):
@@ -157,9 +160,12 @@ class TestEvaluateReaction:
         def f(t, Y):
             return np.where(Y > 0.5, np.nan, Y)
 
+        # a NaN rate flags blow-up at the step that reads it
         sys = ReactionSystem(ell=1, nu=np.array([0.1]), h=2.0, f=f)
-        _, finite = reaction_drift(sys, self.grid, np.ones((1,) + self.grid.shape))
-        assert not finite
+        cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False, track_balance=False)
+        fields = forward(np.ones((1,) + self.grid.shape), self.grid.d)
+        state = Stepper(self.grid, sys, None, cfg).step(SimState(t=0.0, fields=fields), None)
+        assert state.blown_up == cfg.dt
 
 
 class TestFluxDivergence:
@@ -169,14 +175,13 @@ class TestFluxDivergence:
     def test_zero_flux(self):
         # F = None and f(1, 1) = 0: the drift vanishes exactly
         sys = mass_action_build(TWO_TO_ONE)
-        out, finite = reaction_drift(sys, self.grid, np.ones((2,) + self.grid.shape))
-        assert finite
+        out = reaction_drift(sys, self.grid, np.ones((2,) + self.grid.shape))
         assert all(np.abs(c).max() == 0.0 for c in out)
 
     def test_linear_flux_analytic_derivative(self):
         sys = build_builtin("linear_flux", [0.1], d=2)
         x = self.grid.node_coordinates()[0]
-        out, _ = reaction_drift(sys, self.grid, np.sin(2 * np.pi * x)[None])
+        out = reaction_drift(sys, self.grid, np.sin(2 * np.pi * x)[None])
         got = to_grid(SpectralField(self.grid, out[0])).values
         expected = 2 * np.pi * np.cos(2 * np.pi * x)
         assert np.abs(got - expected).max() < 1e-10
@@ -184,7 +189,7 @@ class TestFluxDivergence:
     def test_mode_zero_vanishes(self):
         sys = build_builtin("linear_flux", [0.1, 0.2], d=2)
         rng = np.random.default_rng(5)
-        out, _ = reaction_drift(sys, self.grid, rng.standard_normal((2,) + self.grid.shape))
+        out = reaction_drift(sys, self.grid, rng.standard_normal((2,) + self.grid.shape))
         for c in out:
             assert c[0, 0] == 0.0
 

@@ -13,6 +13,7 @@ from torusrd.fields import (
     GridField,
     SpectralField,
     TorusGrid,
+    forward,
     l2_norm_spectral,
     partial_derivative,
     single_mode,
@@ -26,7 +27,7 @@ from torusrd.noise import (
     path_rng,
     sample_increments,
 )
-from torusrd.reactions import MassActionSpec, build_builtin, mass_action_build
+from torusrd.reactions import MassActionSpec, ReactionSystem, build_builtin, mass_action_build
 from torusrd.solver import (
     CutOffParams,
     EXPM_TAIL_TOL,
@@ -137,7 +138,9 @@ class TestRealInverseTransforms:
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         for c in fields:
-            grads = stepper.gradients(c)
+            z, g2 = stepper.gradients(c)
+            assert (g2 is None) == (d == 2)
+            grads = np.stack([z.real, z.imag] + ([g2] if d == 3 else []))
             spec = SpectralField(grid, c)
             expected = np.stack([inverse(partial_derivative(spec, j).coeffs) for j in range(d)])
             assert grads.shape == expected.shape
@@ -387,6 +390,44 @@ class TestBlowUpDetection:
         state = stepper.step(SimState(t=0.0, fields=fields), None)
         assert state.blown_up == cfg.dt
 
+    @pytest.mark.parametrize("scheme, noisy", [("euler_maruyama_ito", True),
+                                               ("euler_maruyama_ito", False),
+                                               ("strat_substep", True)])
+    @pytest.mark.parametrize("poison", ["nan_rate", "overflowing_rate", "nan_flux"])
+    def test_non_finite_drift_flags_blowup_at_its_step(self, scheme, noisy, poison):
+        # a NaN or inf rate or flux spreads through the step's transforms,
+        # so the L^{q0} norm flags the step that reads it: tau is that
+        # step's end time
+        grid = TorusGrid(2, 16)
+        dt, bad_step = 5e-3, 3
+
+        def rates(t, Y):
+            out = -0.5 * Y
+            if round(t / dt) >= bad_step:
+                if poison == "nan_rate":
+                    out[0, 1, 2] = np.nan
+                elif poison == "overflowing_rate":
+                    with np.errstate(over="ignore"):
+                        out[0] = np.exp(1000.0 * Y[0])
+            return out
+
+        def flux(t, Y):
+            out = np.zeros((Y.shape[0], grid.d) + Y.shape[1:])
+            out[:, 0] = Y
+            if round(t / dt) >= bad_step:
+                out[0, 0, 1, 2] = np.nan
+            return out
+
+        sys = ReactionSystem(ell=1, nu=np.array([0.05]), h=2.0, f=rates,
+                             F=flux if poison == "nan_flux" else None)
+        noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.05) if noisy else None
+        cfg = SolverConfig(dt=dt, T=10 * dt, scheme=scheme, noise_on=noisy, seed=1,
+                           blowup_threshold=1e300)
+        x = grid.node_coordinates()[0]
+        state, record = run(sys, noise, cfg, [GridField(grid, 1.0 + 0.3 * np.cos(2 * np.pi * x))])
+        assert state.blown_up == (bad_step + 1) * dt
+        assert record.blowup_tau == state.blown_up
+
     def test_stepping_after_blowup_rejected(self):
         grid = TorusGrid(2, 8)
         sys = build_builtin("quadratic_unsafe", [0.1], allow_unsafe=True)
@@ -593,20 +634,86 @@ class TestBatchedTransport:
         assert got.tobytes() == expected.tobytes()
         assert np.abs(got).max() > 0 and np.all(got[(Ellipsis,) + (0,) * d] == 0)
 
-    def test_ito_step_is_propagated_sum_of_terms(self):
-        # E (v + dt phi drift + transport), bitwise, for a nonlinear system
-        grid = TorusGrid(2, 32)
-        noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
-        sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
-        cfg = SolverConfig(dt=1e-3, T=1e-3, track_balance=False)
+    @staticmethod
+    def _unfused_step(d, n, sys):
+        """A stepper's Ito step from random data at phi = 1/2, and
+        E (v + dt phi f_hat + transport) with f transformed on its own."""
+        grid = TorusGrid(d, n)
+        noise = NoiseModel(build_theta_shell(2, 0.0, d), nu=0.1)
+        # A = 2.25 puts the cut-off argument A^(1/r)/R at 1.5, where phi = 1/2
+        cfg = SolverConfig(dt=1e-3, T=1e-3, track_balance=False,
+                           cutoff=CutOffParams(R=1.0, r=2.0, q=4.0))
         stepper = Stepper(grid, sys, noise, cfg)
         values = 1.0 + 0.3 * np.random.default_rng(4).standard_normal((2,) + grid.shape)
-        fields = np.fft.fftn(values, axes=(1, 2)) / grid.n_points
+        fields = forward(values, d)
         inc = sample_increments(noise, cfg.dt, path_rng(3, 0, 0))
-        drift, _ = stepper.reaction_drift(0.0, values, sys.f(0.0, values))
-        expected = (fields + cfg.dt * drift + stepper.transport(fields, inc)) * stepper.propagator
-        state = stepper.step(SimState(t=0.0, fields=fields, grid_values=values), inc)
-        assert state.fields.tobytes() == expected.tobytes()
+        expected = fields + stepper.transport(fields, inc)
+        if not sys.is_linear:
+            rates, div = stepper.reaction_drift(0.0, values, sys.f(0.0, values))
+            assert div is None
+            expected += cfg.dt * 0.5 * (forward(rates, d) * stepper.dealias_mask)
+        expected *= stepper.propagator
+        state = stepper.step(SimState(t=0.0, fields=fields, grid_values=values,
+                                      cutoff_acc=2.25), inc)
+        assert state.phi_value == 0.5
+        return state.fields, expected
+
+    def test_ito_step_is_propagated_sum_of_terms(self):
+        # f rides the transport's forward transform, and the transform of a
+        # sum differs from the sum of the transforms in the last bit
+        mass_action = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
+        got, expected = self._unfused_step(2, 32, mass_action)
+        assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    def test_zero_reaction_ito_step_is_bitwise_propagated_sum(self):
+        got, expected = self._unfused_step(2, 32, build_builtin("zero", [0.05, 0.08]))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_mass_action_ito_step_matches_unfused_sum_in_3d(self):
+        mass_action = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
+        got, expected = self._unfused_step(3, 16, mass_action)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_transport_source_mode_zero_is_its_mean(self):
+        # mode 0 of transport + source is the source's mean, so the weighted
+        # mass moves only by dt phi mean(alpha . f)
+        grid = TorusGrid(2, 32)
+        noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
+        stepper = Stepper(grid, build_builtin("zero", [0.0, 0.0]), noise,
+                          SolverConfig(dt=1e-3, T=1e-3, track_balance=False))
+        rng = np.random.default_rng(6)
+        fields = forward(rng.standard_normal((2,) + grid.shape), 2)
+        source = rng.standard_normal((2,) + grid.shape)
+        inc = sample_increments(noise, 1e-3, path_rng(5, 0, 0))
+        got = stepper.transport(fields, inc, source)
+        assert np.array_equal(got[:, 0, 0], source.mean(axis=(1, 2)))
+        plain = stepper.transport(fields, inc)
+        assert np.all(plain[:, 0, 0] == 0)
+        expected = plain + forward(source, 2) * stepper.dealias_mask
+        expected[:, 0, 0] = source.mean(axis=(1, 2))
+        assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    def test_noisy_balance_step_calls_each_layer_once(self, monkeypatch):
+        # transport, reaction_drift and gradients are the benchmark's layer
+        # boundaries: one call each per nonlinear noisy step with balance
+        calls = {name: 0 for name in ("transport", "reaction_drift", "gradients")}
+        for name in calls:
+            original = getattr(Stepper, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Stepper, name, counted)
+        grid = TorusGrid(2, 16)
+        noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.05)
+        sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
+        cfg = SolverConfig(dt=5e-3, T=1.5e-2, seed=2, cutoff=CutOffParams(R=1e6, r=2.0, q=4.0))
+        x = grid.node_coordinates()[0]
+        v0 = [GridField(grid, 1.0 + 0.3 * np.cos(2 * np.pi * x)) for _ in range(2)]
+        state, _ = run(sys, noise, cfg, v0)
+        assert state.step_index == 3 and state.blown_up is None
+        assert calls == {"transport": 3, "reaction_drift": 3, "gradients": 3}
 
 
 class TestThreeDimensions:
