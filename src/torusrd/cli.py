@@ -16,15 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    ConfigError,
-    RunConfig,
-    build_grid,
-    build_noise,
-    build_reaction,
-    build_solver_config,
-    build_v0,
-)
+from .config import ConfigError, RunConfig, build_noise, build_v0
 from .diagnostics import DiagnosticsRecord, lq_balance_residual
 from .experiments import (
     DecayPlan,
@@ -141,13 +133,14 @@ def _load_config(args) -> RunConfig:
         overrides.append(f"solver.seed = {args.seed}")
     if getattr(args, "paths", None) is not None:
         overrides.append(f"experiment.paths = {args.paths}")
-    return RunConfig.from_text(text, overrides)
+    return RunConfig.from_text(text, overrides, allow_unsafe=args.unsafe_reaction)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or "out")
+def _write_manifest(out: Path, cfg: RunConfig, command: str) -> None:
+    """Make the output directory, once every input of the run is built, and
+    record the config there."""
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    (out / "manifest.txt").write_text(cfg.manifest_text(command))
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -166,11 +159,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def _prepare(args):
     """Config, output directory, grid, reaction, solver config and v0 of a run."""
     cfg = _load_config(args)
-    out = _out_dir(args)
-    grid = build_grid(cfg)
-    sys_ = build_reaction(cfg, allow_unsafe=args.unsafe_reaction)
-    scfg = build_solver_config(cfg)
-    return cfg, out, grid, sys_, scfg, build_v0(cfg, grid, sys_.ell)
+    v0 = build_v0(cfg, cfg.grid, cfg.reaction.ell)
+    return cfg, Path(args.out or "out"), cfg.grid, cfg.reaction, cfg.solver, v0
 
 
 def _simulate(args, deterministic: bool) -> int:
@@ -189,8 +179,7 @@ def _simulate(args, deterministic: bool) -> int:
             )
         snap_count[0] += 1
 
-    command = "simulate-det" if deterministic else "simulate"
-    (out / "manifest.txt").write_text(cfg.manifest_text(command))
+    _write_manifest(out, cfg, "simulate-det" if deterministic else "simulate")
     state, record = run(
         sys_, noise, scfg, v0, nu_enhancement=nu_enh,
         observer=observer if snapshots_every > 0 else None,
@@ -218,7 +207,7 @@ def _scaling_limit(args) -> int:
         q=cfg["experiment.q"],
         hminus_gamma=hm if hm > 0 else None,
     )
-    (out / "manifest.txt").write_text(cfg.manifest_text("scaling-limit"))
+    _write_manifest(out, cfg, "scaling-limit")
     result = run_scaling_limit(plan, threads=args.threads)
     _write_csv(
         out / "scaling_table.csv",
@@ -253,7 +242,7 @@ def _survival(args) -> int:
         sys=sys_,
         v0=v0,
     )
-    (out / "manifest.txt").write_text(cfg.manifest_text("survival"))
+    _write_manifest(out, cfg, "survival")
     result = run_survival(plan, threads=args.threads)
     _write_csv(
         out / "survival_table.csv",
@@ -292,7 +281,7 @@ def _decay(args) -> int:
         tracked_mode=tracked,
         tail_fraction=cfg["experiment.tail_fraction"],
     )
-    (out / "manifest.txt").write_text(cfg.manifest_text("decay"))
+    _write_manifest(out, cfg, "decay")
     report = run_decay(plan, threads=args.threads)
     _write_csv(
         out / "decay_report.csv",
@@ -433,10 +422,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return handlers[args.command](args)
-    except (ConfigError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            code = exc.code if isinstance(exc.code, int) else 1
-            return code
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 1
+    except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -3,25 +3,26 @@
 The format is one `section.key = value` binding per line; `#` starts a
 comment.  Values are JSON scalars/lists or bare strings.  Unknown keys are
 rejected, every error carries its key path, and the canonical serialization
-round-trips so a manifest re-runs bitwise.
+round-trips so a manifest re-runs bitwise.  Validation builds the grid,
+solver config and reaction once, so each rule lives in its constructor.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .exponents import ParamSet, admissibility
-from .fields import GridField, TorusGrid
+from .experiments import scaling_plan_errors
+from .fields import ArgumentErrors, GridField, TorusGrid
 from .noise import NoiseModel, build_theta_shell, resolution_error
 from .reactions import MassActionSpec, ReactionSystem, build_builtin, mass_action_build
-from .solver import (NORM_EXPONENT_MIN, SCHEMES, CutOffParams, SolverConfig, exponents_error,
-                     horizon_steps)
+from .solver import CutOffParams, SolverConfig
 
 
 class ConfigError(ValueError):
@@ -133,11 +134,97 @@ def _parse_value(key: str, raw: str, ftype: str, errors: list[str]):
     raise AssertionError(f"unknown field type {ftype}")
 
 
-@dataclass
+# config key of each constructor argument whose key is not `section.argument`
+RENAMED_KEYS = {
+    "n_per_dim": "grid.n",
+    "blowup_norm_q0": "solver.blowup.q0",
+    "blowup_threshold": "solver.blowup.threshold",
+    "noise_on": "noise.enabled",
+    "name": "reaction.kind",
+}
+
+
+def _key(section: str, arg: str) -> str:
+    return RENAMED_KEYS.get(arg, f"{section}.{arg}")
+
+
+# the arguments each section passes to its constructor (reaction: MassActionSpec),
+# each mapped to its key
+KEYS = {section: {arg: _key(section, arg) for arg in args} for section, args in {
+    "grid": ("d", "n_per_dim"),
+    "cutoff": ("R", "r", "q"),
+    "solver": ("dt", "T", "scheme", "noise_on", "blowup_threshold", "blowup_norm_q0", "seed",
+               "record_every", "require_nonneg", "track_balance", "balance_q", "lq_norms"),
+    "reaction": ("q", "p", "r_plus", "r_minus"),
+}.items()}
+
+
+def _arguments(values: dict[str, object], section: str) -> dict[str, object]:
+    """The section's constructor arguments, lists as tuples."""
+    out = {arg: values[key] for arg, key in KEYS[section].items()}
+    return {arg: tuple(v) if isinstance(v, list) else v for arg, v in out.items()}
+
+
+def _collect(errors: list[str], section: str, make, *args, **kwargs):
+    """make(*args, **kwargs), or None once each of its ArgumentErrors is
+    appended to errors under its key path."""
+    try:
+        return make(*args, **kwargs)
+    except ArgumentErrors as exc:
+        errors.extend(f"{_key(section, arg)}: {msg}" for arg, msg in exc.problems.items())
+        return None
+
+
+def _reaction(values: dict[str, object], allow_unsafe: bool) -> ReactionSystem:
+    kind = values["reaction.kind"]
+    nu = np.asarray(values["reaction.nu"], dtype=float)
+    if kind == "mass_action":
+        sys = mass_action_build(MassActionSpec(**_arguments(values, "reaction")), nu=nu)
+        if sys.mass_alpha is None:
+            return sys
+        # the declared constants are the user's to choose; checked, not inferred
+        return replace(sys, mass_consts=(values["reaction.mass.a0"], values["reaction.mass.a1"]))
+    if not kind.startswith("builtin:"):
+        raise ArgumentErrors({"name": f"expected 'mass_action' or 'builtin:<name>', got {kind!r}"})
+    return build_builtin(kind.removeprefix("builtin:"), nu, d=values["grid.d"],
+                         allow_unsafe=allow_unsafe)
+
+
+def _noise_errors(v: dict[str, object]) -> list[str]:
+    # noise.nu is also the enhancement of simulate-det and of the scaling-limit
+    # reference, so it is checked whatever noise.enabled says
+    errors = [f"noise.nu: must be > 0, got {v['noise.nu']}"] if v["noise.nu"] <= 0 else []
+    if v["noise.enabled"]:
+        shell = v["noise.shell_n"]
+        if shell < 1:
+            errors.append(f"noise.shell_n: must be >= 1, got {shell}")
+        elif problem := resolution_error(2 * shell, v["grid.n"]):
+            errors.append(f"noise.shell_n: shell {shell}: {problem}")
+        if v["noise.gamma"] < 0:
+            errors.append("noise.gamma: must be >= 0")
+    return errors
+
+
+def _admissibility_errors(v: dict[str, object], sys: ReactionSystem) -> list[str]:
+    d, q0 = v["grid.d"], v["solver.blowup.q0"]
+    params = ParamSet(d=d, h=sys.h, q=q0, p=max(q0, 4.0), delta=1.1)
+    if admissibility(params).q_meets_delayed_blowup:
+        return []
+    return [
+        f"validate.admissibility: solver.blowup.q0 = {q0} does not satisfy "
+        f"q > max(d(h-1)/2, 2) = {max(d * (sys.h - 1) / 2, 2.0)} for growth h = {sys.h}"
+    ]
+
+
+@dataclass(eq=False)
 class RunConfig:
-    """Fully validated configuration; values stores every schema key."""
+    """Fully validated configuration: values stores every schema key, and
+    grid, solver and reaction are the objects its validation built."""
 
     values: dict[str, object]
+    grid: TorusGrid
+    solver: SolverConfig
+    reaction: ReactionSystem
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -145,7 +232,10 @@ class RunConfig:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_text(cls, text: str, overrides: list[str] | None = None) -> "RunConfig":
+    def from_text(cls, text: str, overrides: list[str] | None = None,
+                  allow_unsafe: bool = False) -> "RunConfig":
+        """Parse and validate; allow_unsafe admits the builtins that violate
+        the mass-control assumption."""
         errors: list[str] = []
         raw: dict[str, str] = {}
         for ln, line in enumerate(text.splitlines(), start=1):
@@ -164,112 +254,31 @@ class RunConfig:
             key, _, value = item.partition("=")
             raw[key.strip()] = value.strip()
 
-        values: dict[str, object] = {k: f.default for k, f in SCHEMA.items()}
+        v: dict[str, object] = {k: f.default for k, f in SCHEMA.items()}
         for key, rawval in raw.items():
             if key not in SCHEMA:
                 errors.append(f"{key}: unknown configuration key")
                 continue
             val = _parse_value(key, rawval, SCHEMA[key].type, errors)
             if val is not None:
-                values[key] = val
-        cfg = cls(values=values)
-        errors.extend(cfg._validate())
+                v[key] = val
+
+        # validate by building: each rule lives in its constructor
+        grid = _collect(errors, "grid", TorusGrid, **_arguments(v, "grid"))
+        errors.extend(_noise_errors(v))
+        cutoff = None
+        if v["cutoff.enabled"]:
+            cutoff = _collect(errors, "cutoff", CutOffParams, **_arguments(v, "cutoff"))
+        solver = _collect(errors, "solver", SolverConfig, cutoff=cutoff, **_arguments(v, "solver"))
+        reaction = _collect(errors, "reaction", _reaction, v, allow_unsafe)
+        problems = scaling_plan_errors(v["experiment.shells"], v["experiment.paths"],
+                                       v["experiment.epsilon"])
+        errors.extend(f"experiment.{arg}: {msg}" for arg, msg in problems.items())
+        if v["validate.admissibility"] and not errors:
+            errors.extend(_admissibility_errors(v, reaction))
         if errors:
             raise ConfigError(errors)
-        return cfg
-
-    # -- validation --------------------------------------------------------
-
-    def _validate(self) -> list[str]:
-        errors: list[str] = []
-        v = self.values
-        if v["grid.d"] not in (2, 3):
-            errors.append(f"grid.d: must be 2 or 3, got {v['grid.d']}")
-        n = v["grid.n"]
-        if n < 8 or n % 2 != 0:
-            errors.append(f"grid.n: must be even and >= 8, got {n}")
-        if v["noise.enabled"]:
-            if v["noise.nu"] <= 0:
-                errors.append(f"noise.nu: must be > 0, got {v['noise.nu']}")
-            shell = v["noise.shell_n"]
-            if shell < 1:
-                errors.append(f"noise.shell_n: must be >= 1, got {shell}")
-            elif problem := resolution_error(2 * shell, n):
-                errors.append(f"noise.shell_n: shell {shell}: {problem}")
-            if v["noise.gamma"] < 0:
-                errors.append("noise.gamma: must be >= 0")
-        if v["solver.dt"] <= 0:
-            errors.append(f"solver.dt: must be > 0, got {v['solver.dt']}")
-        if v["solver.T"] < 0:
-            errors.append(f"solver.T: must be >= 0, got {v['solver.T']}")
-        elif v["solver.dt"] > 0 and horizon_steps(v["solver.T"], v["solver.dt"]) is None:
-            errors.append(
-                f"solver.T: {v['solver.T']} is not a multiple of solver.dt = {v['solver.dt']}"
-            )
-        if v["solver.scheme"] not in SCHEMES:
-            errors.append(f"solver.scheme: unknown scheme {v['solver.scheme']!r}")
-        if v["solver.blowup.q0"] <= 2:
-            errors.append(f"solver.blowup.q0: must be > 2, got {v['solver.blowup.q0']}")
-        if v["solver.blowup.threshold"] <= 0:
-            errors.append("solver.blowup.threshold: must be > 0")
-        if v["solver.record_every"] < 1:
-            errors.append("solver.record_every: must be >= 1")
-        for name in NORM_EXPONENT_MIN:
-            if problem := exponents_error(name, v[f"solver.{name}"]):
-                errors.append(f"solver.{name}: {problem}")
-        if v["cutoff.enabled"]:
-            if v["cutoff.R"] <= 0:
-                errors.append("cutoff.R: must be > 0")
-            if v["cutoff.r"] <= 1:
-                errors.append("cutoff.r: must be > 1")
-            if v["cutoff.q"] < 1:
-                errors.append("cutoff.q: must be >= 1")
-        kind = v["reaction.kind"]
-        if kind == "mass_action":
-            q, p = v["reaction.q"], v["reaction.p"]
-            if not q or len(q) != len(p):
-                errors.append("reaction.q/reaction.p: mass_action needs equal nonempty lists")
-            elif len(v["reaction.nu"]) != len(q):
-                errors.append(
-                    f"reaction.nu: expected {len(q)} diffusivities, got {len(v['reaction.nu'])}"
-                )
-            if any(x < 0 for x in q + p):
-                errors.append("reaction.q/reaction.p: coefficients must be nonnegative")
-            if v["reaction.r_plus"] <= 0 or v["reaction.r_minus"] <= 0:
-                errors.append("reaction.r_plus/r_minus: rates must be positive")
-        elif not kind.startswith("builtin:"):
-            errors.append(
-                f"reaction.kind: expected 'mass_action' or 'builtin:<name>', got {kind!r}"
-            )
-        if any(x < 0 for x in v["reaction.nu"]):
-            errors.append("reaction.nu: diffusivities must be nonnegative")
-        shells = v["experiment.shells"]
-        if shells and (list(shells) != sorted(set(shells)) or shells[0] < 1):
-            errors.append("experiment.shells: must be strictly increasing positive integers")
-        if v["experiment.paths"] < 1:
-            errors.append("experiment.paths: must be >= 1")
-        if v["validate.admissibility"] and not errors:
-            errors.extend(self._check_admissibility())
-        return errors
-
-    def _check_admissibility(self) -> list[str]:
-        v = self.values
-        try:
-            sys = build_reaction(self, allow_unsafe=True)
-        except ValueError as exc:
-            return [f"reaction: {exc}"]
-        params = ParamSet(
-            d=v["grid.d"], h=sys.h, q=v["solver.blowup.q0"],
-            p=max(v["solver.blowup.q0"], 4.0), delta=1.1,
-        )
-        rep = admissibility(params)
-        if not rep.q_meets_delayed_blowup:
-            return [
-                "validate.admissibility: solver.blowup.q0 = "
-                f"{v['solver.blowup.q0']} does not satisfy q > max(d(h-1)/2, 2) = "
-                f"{max(v['grid.d'] * (sys.h - 1) / 2, 2.0)} for growth h = {sys.h}"
-            ]
-        return []
+        return cls(v, grid, solver, reaction)
 
     # -- serialization -----------------------------------------------------
 
@@ -309,7 +318,7 @@ def _format_value(val: object) -> str:
 
 
 def build_grid(cfg: RunConfig) -> TorusGrid:
-    return TorusGrid(cfg["grid.d"], cfg["grid.n"])
+    return cfg.grid
 
 
 def build_noise(cfg: RunConfig) -> NoiseModel | None:
@@ -319,48 +328,12 @@ def build_noise(cfg: RunConfig) -> NoiseModel | None:
     return NoiseModel(spectrum, nu=cfg["noise.nu"])
 
 
-def build_reaction(cfg: RunConfig, allow_unsafe: bool = False) -> ReactionSystem:
-    kind = cfg["reaction.kind"]
-    nu = np.asarray(cfg["reaction.nu"], dtype=float)
-    if kind == "mass_action":
-        spec = MassActionSpec(
-            q=tuple(cfg["reaction.q"]),
-            p=tuple(cfg["reaction.p"]),
-            r_plus=cfg["reaction.r_plus"],
-            r_minus=cfg["reaction.r_minus"],
-        )
-        sys = mass_action_build(spec, nu=nu)
-        if sys.mass_alpha is not None:
-            # the declared constants are user's to choose; checked, not inferred
-            import dataclasses
-
-            sys = dataclasses.replace(
-                sys, mass_consts=(cfg["reaction.mass.a0"], cfg["reaction.mass.a1"])
-            )
-        return sys
-    name = kind.removeprefix("builtin:")
-    return build_builtin(name, nu, d=cfg["grid.d"], allow_unsafe=allow_unsafe)
+def build_reaction(cfg: RunConfig) -> ReactionSystem:
+    return cfg.reaction
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
-    cutoff = None
-    if cfg["cutoff.enabled"]:
-        cutoff = CutOffParams(R=cfg["cutoff.R"], r=cfg["cutoff.r"], q=cfg["cutoff.q"])
-    return SolverConfig(
-        dt=cfg["solver.dt"],
-        T=cfg["solver.T"],
-        scheme=cfg["solver.scheme"],
-        noise_on=cfg["noise.enabled"],
-        cutoff=cutoff,
-        blowup_threshold=cfg["solver.blowup.threshold"],
-        blowup_norm_q0=cfg["solver.blowup.q0"],
-        seed=cfg["solver.seed"],
-        record_every=cfg["solver.record_every"],
-        require_nonneg=cfg["solver.require_nonneg"],
-        track_balance=cfg["solver.track_balance"],
-        balance_q=tuple(cfg["solver.balance_q"]),
-        lq_norms=tuple(cfg["solver.lq_norms"]),
-    )
+    return cfg.solver
 
 
 def build_v0(cfg: RunConfig, grid: TorusGrid, ell: int) -> list[GridField]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import hminus_gamma_norm, lq_norm_vector, survival_estimate
-from .fields import GridField, SpectralField, TorusGrid, forward
+from .fields import ArgumentErrors, GridField, SpectralField, TorusGrid, forward
 from .noise import NoiseModel, build_theta_shell, resolution_error, step_guard_error
 from .reactions import ReactionSystem
 from .solver import SolverConfig, run
@@ -27,6 +27,19 @@ def _map_paths(worker, n_paths: int, threads: int):
         return [worker(p) for p in range(n_paths)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(n_paths)))
+
+
+def scaling_plan_errors(shells, paths: int, epsilon: float) -> dict[str, str]:
+    """The rules of a ScalingLimitPlan's shells, paths and epsilon: each
+    failing argument mapped to its message."""
+    problems = {}
+    if not shells or shells[0] < 1 or list(shells) != sorted(set(shells)):
+        problems["shells"] = f"must be nonempty, positive, strictly increasing, got {list(shells)}"
+    if paths < 1:
+        problems["paths"] = f"must be >= 1, got {paths}"
+    if epsilon <= 0:
+        problems["epsilon"] = f"must be > 0, got {epsilon}"
+    return problems
 
 
 @dataclass(frozen=True)
@@ -44,10 +57,8 @@ class ScalingLimitPlan:
     hminus_gamma: float | None = None  # also track sup_t H^{-gamma} distance
 
     def __post_init__(self) -> None:
-        if list(self.shells) != sorted(set(self.shells)):
-            raise ValueError("shells must be strictly increasing")
-        if self.paths < 1 or self.epsilon <= 0:
-            raise ValueError("paths >= 1 and epsilon > 0 required")
+        if problems := scaling_plan_errors(self.shells, self.paths, self.epsilon):
+            raise ArgumentErrors(problems)
         n = self.v0[0].grid.n_per_dim
         if problem := resolution_error(2 * max(self.shells), n):
             raise ValueError(f"shell {max(self.shells)}: {problem}")

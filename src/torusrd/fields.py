@@ -32,6 +32,15 @@ SNAPSHOT_MAGIC = b"KRDF"
 SNAPSHOT_VERSION = 1
 
 
+class ArgumentErrors(ValueError):
+    """Every invalid argument of one constructor: problems maps each argument
+    name to its message, and the error reads `name: message; ...`."""
+
+    def __init__(self, problems: dict[str, str]):
+        self.problems = problems
+        super().__init__("; ".join(f"{name}: {msg}" for name, msg in problems.items()))
+
+
 def _trailing(d: int) -> tuple[int, ...]:
     return tuple(range(-d, 0))
 
@@ -98,12 +107,13 @@ class TorusGrid:
     n_per_dim: int
 
     def __post_init__(self) -> None:
+        problems = {}
         if self.d not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.d}")
+            problems["d"] = f"dimension must be 2 or 3, got {self.d}"
         if self.n_per_dim < 8 or self.n_per_dim % 2 != 0:
-            raise ValueError(
-                f"n_per_dim must be even and >= 8, got {self.n_per_dim}"
-            )
+            problems["n_per_dim"] = f"must be even and >= 8, got {self.n_per_dim}"
+        if problems:
+            raise ArgumentErrors(problems)
 
     @property
     def spacing(self) -> float:

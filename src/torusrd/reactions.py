@@ -19,6 +19,8 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
+from .fields import ArgumentErrors
+
 # guard so that declared growth stays > 1 even for (sub)linear systems
 EPS_H = 1e-6
 
@@ -44,20 +46,23 @@ class ReactionSystem:
     name: str = "custom"
 
     def __post_init__(self) -> None:
+        problems = {}
         nu = np.asarray(self.nu, dtype=float)
         object.__setattr__(self, "nu", nu)
         if nu.shape != (self.ell,):
-            raise ValueError(f"nu must have shape ({self.ell},), got {nu.shape}")
+            problems["nu"] = f"expected {self.ell} diffusivities, got shape {nu.shape}"
         # nu_i = 0 is admitted for the pure-transport diagnostics
-        if np.any(nu < 0):
-            raise ValueError("diffusivities must be nonnegative")
+        elif np.any(nu < 0):
+            problems["nu"] = f"diffusivities must be nonnegative, got {nu.tolist()}"
         if self.h <= 1:
-            raise ValueError(f"growth exponent h must be > 1, got {self.h}")
+            problems["h"] = f"growth exponent must be > 1, got {self.h}"
         if self.mass_alpha is not None:
             alpha = np.asarray(self.mass_alpha, dtype=float)
             object.__setattr__(self, "mass_alpha", alpha)
             if alpha.shape != (self.ell,) or np.any(alpha <= 0):
-                raise ValueError("mass weights must be positive, one per species")
+                problems["mass_alpha"] = "mass weights must be positive, one per species"
+        if problems:
+            raise ArgumentErrors(problems)
 
     @property
     def is_linear(self) -> bool:
@@ -76,14 +81,18 @@ class MassActionSpec:
     r_minus: float = 1.0
 
     def __post_init__(self) -> None:
+        problems = {}  # stoichiometry problems are reported under q
         if len(self.q) != len(self.p) or not self.q:
-            raise ValueError("q and p must be equal-length, nonempty")
-        if any(x < 0 for x in self.q + self.p):
-            raise ValueError("stoichiometric coefficients are nonnegative")
-        if not any(self.q) and not any(self.p):
-            raise ValueError("at least one coefficient must be positive")
-        if self.r_plus <= 0 or self.r_minus <= 0:
-            raise ValueError("reaction rates must be positive")
+            problems["q"] = f"q and p must be equal-length, nonempty, got {self.q} and {self.p}"
+        elif any(x < 0 for x in self.q + self.p):
+            problems["q"] = f"coefficients must be nonnegative, got {self.q} and {self.p}"
+        elif not any(self.q + self.p):
+            problems["q"] = "at least one coefficient of q or p must be positive"
+        for name in ("r_plus", "r_minus"):
+            if getattr(self, name) <= 0:
+                problems[name] = f"reaction rate must be positive, got {getattr(self, name)}"
+        if problems:
+            raise ArgumentErrors(problems)
 
     @property
     def ell(self) -> int:
@@ -195,7 +204,7 @@ def _builtin_logistic(nu: np.ndarray) -> ReactionSystem:
         return Y - Y**2
 
     return ReactionSystem(
-        ell=1, nu=nu[:1], h=2.0, f=f,
+        ell=1, nu=nu, h=2.0, f=f,
         mass_alpha=np.ones(1), mass_consts=(0.0, 1.0), name="logistic",
     )
 
@@ -215,12 +224,12 @@ def _builtin_quadratic_unsafe(nu: np.ndarray) -> ReactionSystem:
     def f(t, Y):
         return Y**2
 
-    return ReactionSystem(ell=1, nu=nu[:1], h=2.0, f=f, name="quadratic_unsafe")
+    return ReactionSystem(ell=1, nu=nu, h=2.0, f=f, name="quadratic_unsafe")
 
 
 def _builtin_cubic_nontriangular(nu: np.ndarray, d: int) -> ReactionSystem:
     # the problematic two-species cubic system: q1=p2=1, q2=p1=2
-    sys = mass_action_build(MassActionSpec(q=(1, 2), p=(2, 1)), nu=nu[:2])
+    sys = mass_action_build(MassActionSpec(q=(1, 2), p=(2, 1)), nu=nu)
     return dataclasses.replace(sys, name="cubic_nontriangular")
 
 
@@ -253,12 +262,10 @@ def build_builtin(
     name: str, nu: np.ndarray, d: int = 2, allow_unsafe: bool = False
 ) -> ReactionSystem:
     if name not in BUILTIN_REACTIONS:
-        raise ValueError(
-            f"unknown builtin reaction {name!r}; known: {sorted(BUILTIN_REACTIONS)}"
+        raise ArgumentErrors(
+            {"name": f"unknown builtin reaction {name!r}; known: {sorted(BUILTIN_REACTIONS)}"}
         )
     if name in UNSAFE_BUILTINS and not allow_unsafe:
-        raise ValueError(
-            f"builtin {name!r} violates the mass-control assumption and is "
-            "gated behind --unsafe-reaction"
-        )
+        raise ArgumentErrors({"name": f"builtin {name!r} violates the mass-control assumption "
+                                      "and is gated behind --unsafe-reaction"})
     return BUILTIN_REACTIONS[name](np.asarray(nu, dtype=float), d)

@@ -33,7 +33,7 @@ import scipy.fft
 from scipy.special import jv
 
 from .diagnostics import DiagnosticsRecord, RecordBuilder, lq_norm_vector
-from .fields import GridField, TorusGrid, forward, inverse_packed, inverse_real
+from .fields import ArgumentErrors, GridField, TorusGrid, forward, inverse_packed, inverse_real
 from .noise import (IncrementSet, NoiseGridOps, NoiseModel, path_rng, sample_increments,
                     step_guard_error)
 from .reactions import ReactionSystem
@@ -49,19 +49,6 @@ def horizon_steps(T: float, dt: float) -> int | None:
     ratio = T / dt
     n = round(ratio)
     return n if abs(ratio - n) <= 1e-9 * max(1.0, ratio) else None
-
-
-# smallest admissible exponent of each norm list of SolverConfig
-NORM_EXPONENT_MIN = {"lq_norms": 1.0, "balance_q": 2.0}
-
-
-def exponents_error(name: str, exponents) -> str | None:
-    """Why the exponents of the SolverConfig norm list `name` are out of
-    range, or None."""
-    low = NORM_EXPONENT_MIN[name]
-    if all(q >= low for q in exponents):
-        return None
-    return f"exponents must be >= {low:g}, got {list(exponents)}"
 
 
 def chebyshev_expm(apply, v: np.ndarray, rho: float) -> np.ndarray:
@@ -154,8 +141,15 @@ class CutOffParams:
     q: float
 
     def __post_init__(self) -> None:
-        if self.R <= 0 or self.r <= 1 or self.q < 1:
-            raise ValueError("cut-off requires R > 0, r > 1, q >= 1")
+        problems = {}
+        if self.R <= 0:
+            problems["R"] = f"must be > 0, got {self.R}"
+        if self.r <= 1:
+            problems["r"] = f"must be > 1, got {self.r}"
+        if self.q < 1:
+            problems["q"] = f"must be >= 1, got {self.q}"
+        if problems:
+            raise ArgumentErrors(problems)
 
 
 @dataclass(frozen=True)
@@ -177,23 +171,26 @@ class SolverConfig:
     lq_norms: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
+        problems = {}
         if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+            problems["dt"] = f"must be > 0, got {self.dt}"
         if self.T < 0:
-            raise ValueError(f"horizon T must be >= 0, got {self.T}")
-        if horizon_steps(self.T, self.dt) is None:
-            raise ValueError(f"horizon T = {self.T} is not a multiple of dt = {self.dt}")
+            problems["T"] = f"must be >= 0, got {self.T}"
+        elif self.dt > 0 and horizon_steps(self.T, self.dt) is None:
+            problems["T"] = f"{self.T} is not a multiple of dt = {self.dt}"
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            problems["scheme"] = f"must be one of {SCHEMES}, got {self.scheme!r}"
         if self.blowup_norm_q0 <= 2:
-            raise ValueError(f"blow-up norm exponent q0 must be > 2, got {self.blowup_norm_q0}")
+            problems["blowup_norm_q0"] = f"must be > 2, got {self.blowup_norm_q0}"
         if self.blowup_threshold <= 0:
-            raise ValueError("blow-up threshold must be > 0")
+            problems["blowup_threshold"] = f"must be > 0, got {self.blowup_threshold}"
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        for name in NORM_EXPONENT_MIN:
-            if problem := exponents_error(name, getattr(self, name)):
-                raise ValueError(f"{name}: {problem}")
+            problems["record_every"] = "must be >= 1"
+        for name, low in (("lq_norms", 1.0), ("balance_q", 2.0)):  # L^q balance: q >= 2
+            if min(getattr(self, name), default=low) < low:
+                problems[name] = f"exponents must be >= {low:g}, got {list(getattr(self, name))}"
+        if problems:
+            raise ArgumentErrors(problems)
 
 
 @dataclass
@@ -221,6 +218,8 @@ class Stepper:
         cfg: SolverConfig,
         nu_enhancement: float = 0.0,
     ):
+        if nu_enhancement < 0:
+            raise ValueError(f"nu_enhancement must be >= 0, got {nu_enhancement}")
         self.grid = grid
         self.sys = sys
         self.cfg = cfg

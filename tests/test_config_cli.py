@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import torusrd.cli as cli_module
+import torusrd.config as config_module
 from torusrd.cli import main
-from torusrd.config import ConfigError, RunConfig, build_reaction, build_v0, build_grid
+from torusrd.config import (ConfigError, RunConfig, build_grid, build_reaction,
+                            build_solver_config, build_v0)
 
 MINIMAL = """
 grid.d = 2
@@ -51,8 +53,9 @@ class TestConfigParsing:
             RunConfig.from_text(MINIMAL + "solver.strat_cfl = 0.12\n")
 
     def test_horizon_not_multiple_of_dt_rejected(self):
-        with pytest.raises(ConfigError, match="solver.T: .* not a multiple of solver.dt"):
+        with pytest.raises(ConfigError) as info:
             RunConfig.from_text("solver.dt = 0.3\nsolver.T = 0.5")
+        assert info.value.errors == ["solver.T: 0.5 is not a multiple of dt = 0.3"]
         RunConfig.from_text("solver.dt = 0.1\nsolver.T = 0.3")  # T/dt = 2.9999999999999996
 
     def test_removed_dealias_key_rejected(self):
@@ -96,8 +99,64 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="reaction"):
             RunConfig.from_text("reaction.kind = mass_action\nreaction.q = [2]\nreaction.p = [0, 1]")
 
+    @pytest.mark.parametrize("reaction, error", [
+        ("reaction.kind = mass_action\nreaction.q = [0, 0]\nreaction.p = [0, 0]\n"
+         "reaction.nu = [0.1, 0.1]",
+         "reaction.q: at least one coefficient of q or p must be positive"),
+        ("reaction.kind = builtin:nope", "reaction.kind: unknown builtin reaction 'nope'"),
+        ("reaction.kind = builtin:cubic_nontriangular\nreaction.nu = [0.1]",
+         "reaction.nu: expected 2 diffusivities, got shape (1,)"),
+        ("reaction.kind = builtin:logistic\nreaction.nu = [0.1, 0.2]",
+         "reaction.nu: expected 1 diffusivities, got shape (2,)"),
+        ("reaction.kind = builtin:quadratic_unsafe",
+         "reaction.kind: builtin 'quadratic_unsafe' violates the mass-control assumption"),
+    ])
+    def test_cutoff_solver_and_reaction_errors_collected(self, reaction, error):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(MINIMAL + "cutoff.enabled = true\ncutoff.R = 0\n"
+                                "solver.record_every = 0\n" + reaction)
+        errors = info.value.errors
+        assert errors[:2] == ["cutoff.R: must be > 0, got 0.0", "solver.record_every: must be >= 1"]
+        assert len(errors) == 3 and errors[2].startswith(error)
+
+    def test_unsafe_gate_reported_at_parse(self):
+        text = MINIMAL + "reaction.kind = builtin:quadratic_unsafe\nnoise.enabled = false\n"
+        with pytest.raises(ConfigError, match="reaction.kind: builtin 'quadratic_unsafe'"):
+            RunConfig.from_text(text)
+        cfg = RunConfig.from_text(text, allow_unsafe=True)
+        assert build_reaction(cfg).name == "quadratic_unsafe"
+
+    def test_noise_nu_checked_with_noise_off(self):
+        # simulate-det reads noise.nu as its enhancement whatever noise.enabled says
+        with pytest.raises(ConfigError, match="noise.nu: must be > 0, got -5.0"):
+            RunConfig.from_text(MINIMAL + "noise.enabled = false\nnoise.nu = -5.0\n")
+
+    def test_experiment_rules_carry_key_paths(self):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(MINIMAL + "experiment.shells = []\nexperiment.paths = 0\n"
+                                "experiment.epsilon = 0\n")
+        assert [e.split(":")[0] for e in info.value.errors] == [
+            "experiment.shells", "experiment.paths", "experiment.epsilon"]
+
 
 class TestBuilders:
+    def test_builders_return_the_validated_objects(self, monkeypatch):
+        calls, build = [], config_module.mass_action_build
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(config_module, "mass_action_build", counting_build)
+        cfg = RunConfig.from_text(
+            "reaction.kind = mass_action\nreaction.q = [2, 0]\nreaction.p = [0, 1]\n"
+            "reaction.nu = [0.1, 0.2]"
+        )
+        assert build_reaction(cfg) is cfg.reaction
+        assert build_grid(cfg) is cfg.grid
+        assert build_solver_config(cfg) is cfg.solver
+        assert len(calls) == 1
+
     def test_build_mass_action(self):
         cfg = RunConfig.from_text(
             "reaction.kind = mass_action\nreaction.q = [2, 0]\nreaction.p = [0, 1]\n"
@@ -255,6 +314,23 @@ class TestCli:
         assert run_cli(["simulate-det", "--config", str(config), "--out", str(out)]) == 0
         manifest = (out / "manifest.txt").read_text()
         assert "simulate-det" in manifest
+
+    @pytest.mark.parametrize("command, override, key", [
+        ("simulate", "v0.kind=bogus", "v0.kind"),
+        ("scaling-limit", "experiment.shells=[]", "experiment.shells"),
+        ("scaling-limit", "experiment.epsilon=0", "experiment.epsilon"),
+        ("simulate-det", "noise.nu=-5.0", "noise.nu"),
+    ])
+    def test_config_errors_exit_one_without_output_dir(self, tmp_path, capsys, command,
+                                                        override, key):
+        config = tmp_path / "run.cfg"
+        config.write_text("grid.n = 16\nsolver.dt = 0.005\nsolver.T = 0.05\n"
+                          "noise.enabled = false\n")
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", str(config), "--out", str(out),
+                        "--override", override]) == 1
+        assert f"{key}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exits_one(self, tmp_path):
         config = tmp_path / "bad.cfg"

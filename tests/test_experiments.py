@@ -13,7 +13,7 @@ from torusrd.experiments import (
     run_scaling_limit,
     run_survival,
 )
-from torusrd.fields import GridField, TorusGrid, single_mode, to_grid
+from torusrd.fields import ArgumentErrors, GridField, TorusGrid, single_mode, to_grid
 from torusrd.reactions import build_builtin
 from torusrd.solver import SolverConfig
 
@@ -64,6 +64,12 @@ class TestScalingLimit:
     def test_shells_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             small_heat_plan(shells=(2, 1))
+
+    @pytest.mark.parametrize("shells", [(), (0, 1)])
+    def test_shells_must_be_nonempty_and_positive(self, shells):
+        with pytest.raises(ArgumentErrors, match="increasing") as info:
+            small_heat_plan(shells=shells)
+        assert list(info.value.problems) == ["shells"]
 
     def test_hminus_tracking(self):
         plan = small_heat_plan(paths=2, T=0.05)

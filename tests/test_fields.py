@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusrd.fields import (
+    ArgumentErrors,
     GridField,
     SpectralField,
     TorusGrid,
@@ -47,6 +48,13 @@ class TestGridValidation:
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             TorusGrid(4, 16)
+
+    def test_every_bad_argument_reported_at_once(self):
+        with pytest.raises(ArgumentErrors) as info:
+            TorusGrid(4, 7)
+        assert list(info.value.problems) == ["d", "n_per_dim"]
+        assert str(info.value) == ("d: dimension must be 2 or 3, got 4; "
+                                   "n_per_dim: must be even and >= 8, got 7")
 
     def test_quadrature_weight(self, grid2):
         assert grid2.spacing == 1 / 32

@@ -205,6 +205,14 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="unknown builtin"):
             build_builtin("nope", [0.1])
 
+    @pytest.mark.parametrize("name, nu", [
+        ("logistic", [0.1, 0.2]), ("quadratic_unsafe", [0.1, 0.2]),
+        ("cubic_nontriangular", [0.1]), ("cubic_nontriangular", [0.1, 0.1, 0.1]),
+    ])
+    def test_diffusivity_count_is_exact(self, name, nu):
+        with pytest.raises(ValueError, match="nu: expected"):
+            build_builtin(name, nu, allow_unsafe=True)
+
     def test_cubic_nontriangular_is_conservative(self):
         sys = build_builtin("cubic_nontriangular", [0.1, 0.1])
         assert sys.h == 3.0

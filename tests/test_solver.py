@@ -10,6 +10,7 @@ import torusrd.solver as solver_module
 from torusrd.diagnostics import lq_norm_vector
 from torusrd.experiments import ScalingLimitPlan, run_scaling_limit
 from torusrd.fields import (
+    ArgumentErrors,
     GridField,
     SpectralField,
     TorusGrid,
@@ -107,6 +108,25 @@ class TestConfigValidation:
     def test_cutoff_params(self):
         with pytest.raises(ValueError):
             CutOffParams(R=1.0, r=1.0, q=2.0)
+
+    def test_every_bad_argument_reported_at_once(self):
+        with pytest.raises(ArgumentErrors) as info:
+            SolverConfig(dt=0, T=0.5, record_every=0, lq_norms=(0.5,))
+        assert info.value.problems == {
+            "dt": "must be > 0, got 0",
+            "record_every": "must be >= 1",
+            "lq_norms": "exponents must be >= 1, got [0.5]",
+        }
+        with pytest.raises(ArgumentErrors) as info:
+            CutOffParams(0, 1, 0)
+        assert list(info.value.problems) == ["R", "r", "q"]
+
+    def test_negative_enhancement_rejected(self):
+        grid = grid_32()
+        cfg = SolverConfig(dt=1e-3, T=0.01, noise_on=False, track_balance=False)
+        v0 = [to_grid(single_mode(grid, (1, 0), 0.3))]
+        with pytest.raises(ValueError, match="nu_enhancement must be >= 0"):
+            run(build_builtin("zero", [0.02]), None, cfg, v0, nu_enhancement=-0.1)
 
     def test_cfl_guard(self):
         grid = grid_32()
