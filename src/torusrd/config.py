@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .exponents import ParamSet, admissibility
-from .experiments import scaling_plan_errors
+from .experiments import decay_plan_errors, scaling_plan_errors, survival_plan_errors
 from .fields import ArgumentErrors, GridField, TorusGrid
 from .noise import NoiseModel, build_theta_shell, resolution_error
 from .reactions import MassActionSpec, ReactionSystem, build_builtin, mass_action_build
@@ -271,8 +271,11 @@ class RunConfig:
             cutoff = _collect(errors, "cutoff", CutOffParams, **_arguments(v, "cutoff"))
         solver = _collect(errors, "solver", SolverConfig, cutoff=cutoff, **_arguments(v, "solver"))
         reaction = _collect(errors, "reaction", _reaction, v, allow_unsafe)
-        problems = scaling_plan_errors(v["experiment.shells"], v["experiment.paths"],
-                                       v["experiment.epsilon"])
+        # one message per key: the plans share the paths rule
+        problems = (scaling_plan_errors(v["experiment.shells"], v["experiment.paths"],
+                                        v["experiment.epsilon"])
+                    | survival_plan_errors(v["experiment.nus"], v["experiment.paths"])
+                    | decay_plan_errors(v["experiment.paths"], v["experiment.tail_fraction"]))
         errors.extend(f"experiment.{arg}: {msg}" for arg, msg in problems.items())
         if v["validate.admissibility"] and not errors:
             errors.extend(_admissibility_errors(v, reaction))

@@ -1,5 +1,5 @@
-"""Observables along trajectories: norms, mass traces, balance residuals,
-inter-trajectory distances and blow-up statistics.
+"""Observables along trajectories: norms, mass traces, balance residuals
+and blow-up statistics.
 
 Running time-integrals (gradient energy, reaction work) are accumulated
 inside the stepping loop with the left-endpoint rule, so the linear-case
@@ -48,7 +48,6 @@ class DiagnosticsRecord:
     phi: np.ndarray  # (n,)
     cutoff_acc: np.ndarray  # (n,)
     blowup_tau: float | None
-    snapshots: np.ndarray | None  # (n, ell, grid...) grid values if kept
 
     @property
     def survived(self) -> bool:
@@ -64,19 +63,16 @@ class RecordBuilder:
         sys: ReactionSystem,
         lq_list: tuple[float, ...],
         balance_q: tuple[float, ...],
-        keep_snapshots: bool = False,
     ):
         self.grid = grid
         self.lq_list = tuple(lq_list)
         self.balance_q = tuple(balance_q)
-        self.keep_snapshots = keep_snapshots
         self._times: list[float] = []
         self._lq: dict[float, list[np.ndarray]] = {q: [] for q in self.lq_list}
         self._mass: list[np.ndarray] = []
         self._min: list[np.ndarray] = []
         self._phi: list[float] = []
         self._acc: list[float] = []
-        self._snaps: list[np.ndarray] = []
         self._grad_running = {q: np.zeros(sys.ell) for q in self.balance_q}
         self._work_running = {q: np.zeros(sys.ell) for q in self.balance_q}
         self._grad_series: dict[float, list[np.ndarray]] = {q: [] for q in self.balance_q}
@@ -84,26 +80,27 @@ class RecordBuilder:
 
     def accumulate_balance(self, dt: float, state, stepper) -> None:
         """Left-rule advance of the running balance integrals (pre-step
-        values); the reaction rates are the ones the step's drift reuses."""
+        values), all species at once; the reaction rates and the packed
+        gradient are the ones the step's drift and transport reuse."""
         if not self.balance_q:
             return
         values = state.grid_values
         fvals = stepper.reaction_rates(state)
-        z, g2 = stepper.gradients(state.fields)
+        z, g2 = stepper.state_gradients(state)
         grads_sq = np.square(z.real)
         grads_sq += np.square(z.imag)
         if g2 is not None:
             grads_sq += np.square(g2)
         del z, g2
-        for i, grad_sq in enumerate(grads_sq):
-            for q in self.balance_q:
-                if q == 2.0:  # the weight |v|^0 is 1, also at NaN and inf
-                    grad_w, work = grad_sq, fvals[i] * values[i]
-                else:
-                    weight = np.abs(values[i]) ** (q - 2.0)
-                    grad_w, work = weight * grad_sq, weight * fvals[i] * values[i]
-                self._grad_running[q][i] += dt * float(np.mean(grad_w))
-                self._work_running[q][i] += dt * float(np.mean(work))
+        axes = tuple(range(1, values.ndim))  # the grid axes
+        for q in self.balance_q:
+            if q == 2.0:  # the weight |v|^0 is 1, also at NaN and inf
+                grad_w, work = grads_sq, fvals * values
+            else:
+                weight = np.abs(values) ** (q - 2.0)
+                grad_w, work = weight * grads_sq, weight * fvals * values
+            self._grad_running[q] += dt * np.mean(grad_w, axis=axes)
+            self._work_running[q] += dt * np.mean(work, axis=axes)
 
     def sample(self, t: float, values: np.ndarray, phi: float, acc: float) -> None:
         self._times.append(t)
@@ -119,8 +116,6 @@ class RecordBuilder:
         for q in self.balance_q:
             self._grad_series[q].append(self._grad_running[q].copy())
             self._work_series[q].append(self._work_running[q].copy())
-        if self.keep_snapshots:
-            self._snaps.append(values.copy())
 
     def finalize(self, blowup_tau: float | None) -> DiagnosticsRecord:
         return DiagnosticsRecord(
@@ -133,7 +128,6 @@ class RecordBuilder:
             phi=np.array(self._phi),
             cutoff_acc=np.array(self._acc),
             blowup_tau=blowup_tau,
-            snapshots=np.stack(self._snaps) if self._snaps else None,
         )
 
 
@@ -159,17 +153,6 @@ def lq_balance_residual(record: DiagnosticsRecord, q: float, sys: ReactionSystem
         - q * record.work[q]
     )
     return res
-
-
-def lrlq_distance(u, w, r: float, q: float) -> float:
-    """Trapezoid L^r(0,T; L^q) distance of two snapshot trajectories."""
-    tu, tw = np.asarray(u.times), np.asarray(w.times)
-    if tu.shape != tw.shape or not np.allclose(tu, tw):
-        raise ValueError("trajectories have mismatched sample times")
-    if u.snapshots is None or w.snapshots is None:
-        raise ValueError("both trajectories must carry snapshots")
-    norms = np.array([lq_norm_vector(a - b, q) for a, b in zip(u.snapshots, w.snapshots)])
-    return float(np.trapezoid(norms**r, tu) ** (1.0 / r))
 
 
 def mass_trace(

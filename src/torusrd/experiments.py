@@ -29,14 +29,17 @@ def _map_paths(worker, n_paths: int, threads: int):
         return list(pool.map(worker, range(n_paths)))
 
 
+def _paths_errors(paths: int) -> dict[str, str]:
+    return {"paths": f"must be >= 1, got {paths}"} if paths < 1 else {}
+
+
 def scaling_plan_errors(shells, paths: int, epsilon: float) -> dict[str, str]:
     """The rules of a ScalingLimitPlan's shells, paths and epsilon: each
     failing argument mapped to its message."""
     problems = {}
     if not shells or shells[0] < 1 or list(shells) != sorted(set(shells)):
         problems["shells"] = f"must be nonempty, positive, strictly increasing, got {list(shells)}"
-    if paths < 1:
-        problems["paths"] = f"must be >= 1, got {paths}"
+    problems |= _paths_errors(paths)
     if epsilon <= 0:
         problems["epsilon"] = f"must be > 0, got {epsilon}"
     return problems
@@ -198,6 +201,14 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
     return ScalingLimitResult(plan=plan, reference_times=rtimes, shells=shell_results)
 
 
+def survival_plan_errors(nus, paths: int) -> dict[str, str]:
+    """The rules of a SurvivalPlan's nus and paths, as scaling_plan_errors."""
+    problems = {}
+    if not nus or min(nus) < 0:
+        problems["nus"] = f"must be nonempty and >= 0, got {list(nus)}"
+    return problems | _paths_errors(paths)
+
+
 @dataclass(frozen=True)
 class SurvivalPlan:
     nus: tuple[float, ...]
@@ -209,8 +220,8 @@ class SurvivalPlan:
     v0: list[GridField]
 
     def __post_init__(self) -> None:
-        if self.paths < 1 or not self.nus:
-            raise ValueError("need at least one path and one nu value")
+        if problems := survival_plan_errors(self.nus, self.paths):
+            raise ArgumentErrors(problems)
         for f in self.v0:
             if np.min(f.values) < 0:
                 raise ValueError("survival experiments require v0 >= 0")
@@ -280,6 +291,16 @@ def run_survival(plan: SurvivalPlan, threads: int = DEFAULT_THREADS) -> Survival
     return SurvivalResult(plan=plan, rows=rows)
 
 
+def decay_plan_errors(paths: int, tail_fraction: float) -> dict[str, str]:
+    """The rules of a DecayPlan's paths and tail_fraction, as
+    scaling_plan_errors: the fit window is the last tail_fraction of the
+    samples."""
+    problems = _paths_errors(paths)
+    if not 0.0 < tail_fraction <= 1.0:
+        problems["tail_fraction"] = f"must lie in (0, 1], got {tail_fraction}"
+    return problems
+
+
 @dataclass(frozen=True)
 class DecayPlan:
     solver: SolverConfig
@@ -294,6 +315,8 @@ class DecayPlan:
     tail_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        if problems := decay_plan_errors(self.paths, self.tail_fraction):
+            raise ArgumentErrors(problems)
         if self.sys.mass_consts is None:
             raise ValueError("decay experiments need declared mass constants")
         a0, a1 = self.sys.mass_consts

@@ -264,11 +264,26 @@ def sample_increments(model: NoiseModel, dt: float, rng: np.random.Generator) ->
     return IncrementSet(dt=dt, model=model, dw_plus=dw)
 
 
-def path_rng(seed: int, path_index: int, step_index: int) -> np.random.Generator:
-    """Counter-based generator for one (path, step): order-independent."""
-    return np.random.Generator(
-        np.random.Philox(key=[seed, path_index], counter=[0, 0, 0, step_index])
-    )
+def path_rng(seed: int, path_index: int, step_index: int,
+             rng: np.random.Generator | None = None) -> np.random.Generator:
+    """Counter-based generator for one (path, step): order-independent.
+
+    rng, a generator that path_rng made for the same (seed, path_index), is
+    re-keyed to the step in place and returned: the same stream as a fresh
+    generator, without the OS-entropy draw that every new Philox makes
+    before its key replaces it.  The key is kept from rng's own state, where
+    Philox has wrapped a negative seed mod 2^64.
+    """
+    if rng is None:
+        return np.random.Generator(
+            np.random.Philox(key=[seed, path_index], counter=[0, 0, 0, step_index])
+        )
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    state["state"]["counter"] = np.array([0, 0, 0, step_index], dtype=np.uint64)
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)  # no buffered output
+    bitgen.state = state
+    return rng
 
 
 def resolution_error(max_k: int, n: int) -> str | None:

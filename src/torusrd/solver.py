@@ -204,6 +204,9 @@ class SimState:
     # derived from fields, filled by the Stepper when first needed
     grid_values: np.ndarray | None = dc_field(default=None, repr=False)
     rates: np.ndarray | None = dc_field(default=None, repr=False)  # f(t, v)
+    # packed gradient (z, g_2) of fields; the step takes it, and its Ito
+    # transport multiplies it in place
+    gradients: tuple[np.ndarray, np.ndarray | None] | None = dc_field(default=None, repr=False)
     cutoff_integrand: float | None = None  # |v|_{L^q}^r of the cut-off
 
 
@@ -287,6 +290,13 @@ class Stepper:
         |grad v|^2 = z.real^2 + z.imag^2 (+ g_2^2)."""
         return self._derivatives(coeffs, self.layout)
 
+    def state_gradients(self, state: SimState) -> tuple[np.ndarray, np.ndarray | None]:
+        """Packed gradient of the state's fields; the balance accumulator and
+        the step's Ito transport share this one evaluation."""
+        if state.gradients is None:
+            state.gradients = self.gradients(state.fields)
+        return state.gradients
+
     # -- physics terms ---------------------------------------------------
 
     def reaction_rates(self, state: SimState) -> np.ndarray:
@@ -316,7 +326,8 @@ class Stepper:
 
     def _advection_rhs(self, coeffs: np.ndarray, vel: tuple[np.ndarray, np.ndarray | None],
                        layout: ProductLayout | None = None,
-                       source: np.ndarray | None = None) -> np.ndarray:
+                       source: np.ndarray | None = None,
+                       grad: tuple[np.ndarray, np.ndarray | None] | None = None) -> np.ndarray:
         """Spectral coefficients of (u.grad)v for a species or a stack of
         species (...); vel is the packed velocity (w, u_2) of
         NoiseGridOps.velocity_field, both on the grid of layout (default:
@@ -326,10 +337,12 @@ class Stepper:
         z, and Re(z w) is their product with u_0 and u_1.  A real grid term
         source is added before the forward transform, which then takes the
         sum: mode 0 of the result is the source's mean, and 0 without one.
+        grad, the packed gradient of coeffs on that grid when the caller has
+        it, saves the derivative transform and is multiplied in place.
         """
         lay = self.layout if layout is None else layout
         w, u2 = vel
-        z, d3 = self._derivatives(coeffs, lay)
+        z, d3 = self._derivatives(coeffs, lay) if grad is None else grad
         z *= w
         vals = z.real
         if d3 is not None:
@@ -344,13 +357,16 @@ class Stepper:
         return out
 
     def transport(self, fields: np.ndarray, inc: IncrementSet,
-                  source: np.ndarray | None = None) -> np.ndarray:
+                  source: np.ndarray | None = None,
+                  grad: tuple[np.ndarray, np.ndarray | None] | None = None) -> np.ndarray:
         """Transport increments for all species from one sampled velocity,
         plus the spectral coefficients of the dealiased real grid term
         source (ell, n, ..., n) when one is given, in the same forward
-        transform."""
+        transform.  grad is the packed gradient of fields (gradients), if
+        already taken; it is multiplied in place."""
         assert self.noise_ops is not None
-        return self._advection_rhs(fields, self.noise_ops.velocity_field(inc), source=source)
+        return self._advection_rhs(fields, self.noise_ops.velocity_field(inc), source=source,
+                                   grad=grad)
 
     def _advect(self, fields: np.ndarray, inc: IncrementSet) -> None:
         """Wong-Zakai substep, in place: the flow of dv/ds = (u.grad)v over
@@ -436,6 +452,9 @@ class Stepper:
         if self.noise_ops is not None and inc is None:
             raise ValueError("noise is active but no increments were given")
         ito = self.noise_ops is not None and cfg.scheme == "euler_maruyama_ito"
+        # the Ito transport multiplies the cached gradient in place, so every
+        # step drops it from the state: no later step may read it
+        grad, state.gradients = state.gradients if ito else None, None
 
         # the terms are summed in fresh buffers, in any order: a + b is b + a bitwise
         new, source = state.fields, None
@@ -457,8 +476,8 @@ class Stepper:
         state.rates = None  # read by the balance and the drift only: free it
 
         if ito:
-            tr = self.transport(state.fields, inc, source)
-            del source
+            tr = self.transport(state.fields, inc, source, grad)
+            del source, grad
             tr += new
             new = tr
         elif new is state.fields:
@@ -528,12 +547,12 @@ def run(
     path_index: int = 0,
     observer=None,
     increments=None,
-    keep_snapshots: bool = False,
 ) -> tuple[SimState, DiagnosticsRecord]:
     """Integrate to T (or blow-up), recording diagnostics every record_every steps.
 
     increments: optional callable step_index -> IncrementSet overriding the
-    counter-based default (used by coupled-refinement tests).
+    counter-based default (used by coupled-refinement tests); otherwise one
+    generator per path is re-keyed to each step (path_rng).
     """
     grid = v0[0].grid
     if any(f.grid != grid for f in v0):
@@ -553,7 +572,6 @@ def run(
         sys=sys,
         lq_list=cfg.lq_norms,
         balance_q=cfg.balance_q if cfg.track_balance else (),
-        keep_snapshots=keep_snapshots,
     )
 
     def record(st: SimState) -> None:
@@ -563,6 +581,7 @@ def run(
 
     record(state)
     n_steps = horizon_steps(cfg.T, cfg.dt)
+    rng = None
     for step_idx in range(n_steps):
         if cfg.track_balance:
             builder.accumulate_balance(cfg.dt, state, stepper)
@@ -570,7 +589,7 @@ def run(
             if increments is not None:
                 inc = increments(step_idx)
             else:
-                rng = path_rng(cfg.seed, path_index, step_idx)
+                rng = path_rng(cfg.seed, path_index, step_idx, rng)
                 inc = sample_increments(noise, cfg.dt, rng)
         else:
             inc = None

@@ -139,6 +139,22 @@ class TestConfigParsing:
             "experiment.shells", "experiment.paths", "experiment.epsilon"]
 
 
+    @pytest.mark.parametrize("binding, error", [
+        ("experiment.nus = []", "experiment.nus: must be nonempty and >= 0, got []"),
+        ("experiment.nus = [0.1, -0.2]",
+         "experiment.nus: must be nonempty and >= 0, got [0.1, -0.2]"),
+        ("experiment.tail_fraction = 1.5",
+         "experiment.tail_fraction: must lie in (0, 1], got 1.5"),
+        ("experiment.tail_fraction = 0", "experiment.tail_fraction: must lie in (0, 1], got 0.0"),
+        # every plan has the paths rule; it is reported once
+        ("experiment.paths = 0", "experiment.paths: must be >= 1, got 0"),
+    ])
+    def test_survival_and_decay_rules_carry_key_paths(self, binding, error):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(MINIMAL + binding + "\n")
+        assert info.value.errors == [error]
+
+
 class TestBuilders:
     def test_builders_return_the_validated_objects(self, monkeypatch):
         calls, build = [], config_module.mass_action_build
@@ -320,6 +336,8 @@ class TestCli:
         ("scaling-limit", "experiment.shells=[]", "experiment.shells"),
         ("scaling-limit", "experiment.epsilon=0", "experiment.epsilon"),
         ("simulate-det", "noise.nu=-5.0", "noise.nu"),
+        ("survival", "experiment.nus=[]", "experiment.nus"),
+        ("decay", "experiment.tail_fraction=1.5", "experiment.tail_fraction"),
     ])
     def test_config_errors_exit_one_without_output_dir(self, tmp_path, capsys, command,
                                                         override, key):

@@ -1,21 +1,26 @@
 """Monte-Carlo harnesses: scaling limit, survival sweep, decay fits."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torusrd.diagnostics import lq_norm_vector
 from torusrd.experiments import (
     DecayPlan,
     ScalingLimitPlan,
     SurvivalPlan,
+    _StreamingDistance,
     run_decay,
     run_scaling_limit,
     run_survival,
 )
 from torusrd.fields import ArgumentErrors, GridField, TorusGrid, single_mode, to_grid
+from torusrd.noise import NoiseModel, build_theta_shell
 from torusrd.reactions import build_builtin
-from torusrd.solver import SolverConfig
+from torusrd.solver import SolverConfig, run
 
 
 def small_heat_plan(nu=0.1, shells=(1, 2), paths=6, n=48, T=0.15):
@@ -121,6 +126,70 @@ class TestScalingLimit:
             assert a.max_lq == b.max_lq
 
 
+
+def _streamed(ref, path, times, r=2.0, q=2.0):
+    """The _StreamingDistance of trajectory path to ref, both sampled at times."""
+    dist = _StreamingDistance(times, ref, r, q, TorusGrid(2, ref[0].shape[-1]), None)
+    alive = types.SimpleNamespace(blown_up=None)
+    for t, values in zip(times, path):
+        dist(t, values, alive)
+    return dist.distance()
+
+
+class TestStreamingDistance:
+    """The L^r(0,T; L^q) distance that run_scaling_limit streams."""
+
+    def test_scaling_limit_distance_is_the_recorded_trajectories_distance(self):
+        plan = dataclasses.replace(small_heat_plan(shells=(1,), paths=2, n=16, T=0.05),
+                                   q=3.0)
+        result = run_scaling_limit(plan)
+
+        def trajectory(noise, **kwargs):
+            out = []
+            run(plan.sys, noise, plan.solver, plan.v0,
+                observer=lambda t, values, st: out.append(values.copy()), **kwargs)
+            return out
+
+        ref = trajectory(None, nu_enhancement=plan.nu)
+        noise = NoiseModel(build_theta_shell(1, plan.gamma, 2), nu=plan.nu)
+        for p, got in enumerate(result.shells[0].distances):
+            norms = np.array([lq_norm_vector(a - b, plan.q)
+                              for a, b in zip(trajectory(noise, path_index=p), ref)])
+            expected = np.trapezoid(norms**plan.r, result.reference_times) ** (1.0 / plan.r)
+            assert got > 0 and got == expected
+
+    def test_constant_offset_closed_form(self):
+        times = np.linspace(0.0, 1.0, 21)
+        ell = 3
+        ref = [np.zeros((ell, 16, 16))] * len(times)
+        path = [np.full((ell, 16, 16), 0.7)] * len(times)
+        # |u - w|_{L^q} = c sqrt(ell) at every time; L^r over [0,1] keeps it
+        assert _streamed(ref, path, times) == pytest.approx(0.7 * np.sqrt(ell), rel=1e-12)
+
+    def test_off_cadence_sample_rejected(self):
+        times = np.linspace(0.0, 1.0, 5)
+        ref = [np.zeros((1, 8, 8))] * len(times)
+        dist = _StreamingDistance(times, ref, 2.0, 2.0, TorusGrid(2, 8), None)
+        alive = types.SimpleNamespace(blown_up=None)
+        dist(0.0, ref[0], alive)
+        with pytest.raises(ValueError, match="off the reference cadence"):
+            dist(0.5, ref[1], alive)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 1000))
+    def test_triangle_inequality(self, seed):
+        rng = np.random.default_rng(seed)
+        times = np.linspace(0.0, 1.0, 6)
+        a, b, c = (list(rng.standard_normal((6, 2, 8, 8))) for _ in range(3))
+
+        def d(u, w):
+            return _streamed(w, u, times, q=3.0)
+
+        assert d(a, c) <= d(a, b) + d(b, c) + 1e-12
+        assert d(a, b) == pytest.approx(d(b, a))
+        assert d(a, a) == 0.0
+
+
 class TestSurvival:
     def test_gentle_system_always_survives(self):
         grid = TorusGrid(2, 16)
@@ -161,6 +230,18 @@ class TestSurvival:
         SurvivalPlan(nus=(0.1, 1.0), shell_n=1, gamma=0.0, paths=2,
                      solver=dataclasses.replace(cfg, noise_on=False), sys=sys, v0=v0)
 
+    @pytest.mark.parametrize("nus, paths, bad", [
+        ((), 2, ["nus"]), ((0.1, -0.2), 2, ["nus"]), ((0.1,), 0, ["paths"]), ((), 0, ["nus", "paths"]),
+    ])
+    def test_nus_and_paths_rules_name_their_arguments(self, nus, paths, bad):
+        grid = TorusGrid(2, 8)
+        cfg = SolverConfig(dt=5e-3, T=0.1, noise_on=False, track_balance=False)
+        with pytest.raises(ArgumentErrors) as info:
+            SurvivalPlan(nus=nus, shell_n=1, gamma=0.0, paths=paths, solver=cfg,
+                         sys=build_builtin("logistic", [0.1]),
+                         v0=[GridField(grid, np.ones(grid.shape))])
+        assert list(info.value.problems) == bad
+
     def test_negative_data_rejected(self):
         grid = TorusGrid(2, 8)
         sys = build_builtin("logistic", [0.1])
@@ -200,6 +281,15 @@ class TestDecay:
         report = run_decay(plan)
         assert report.mode_expected == pytest.approx(1.0 + 4 * np.pi**2 * 0.11)
         assert report.mode_rate == pytest.approx(report.mode_expected, rel=0.1)
+
+    @pytest.mark.parametrize("tail_fraction", [0.0, -0.5, 1.5])
+    def test_tail_fraction_outside_unit_interval_rejected(self, tail_fraction):
+        with pytest.raises(ArgumentErrors, match=r"tail_fraction: must lie in \(0, 1\]"):
+            dataclasses.replace(self._plan(), tail_fraction=tail_fraction)
+
+    def test_whole_record_tail_fits(self):
+        plan = dataclasses.replace(self._plan(), tail_fraction=1.0)
+        assert run_decay(plan).fitted_rate == pytest.approx(1.0, abs=0.02)
 
     def test_decay_regime_enforced(self):
         grid = TorusGrid(2, 16)

@@ -192,6 +192,23 @@ class TestIncrements:
         assert np.array_equal(a.dw_plus, b.dw_plus)
         assert not np.array_equal(a.dw_plus, c.dw_plus)
 
+    @pytest.mark.parametrize("seed", [5, -3])
+    def test_rekeyed_generator_is_bitwise_a_fresh_one(self, seed):
+        # one generator per path, re-keyed to each step out of order, after
+        # draws of different lengths (an odd count of 32-bit draws leaves half
+        # a word buffered); Philox wraps a negative seed mod 2^64
+        model = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
+        rng = path_rng(seed, 3, 0)
+        for step, draws in [(4, 3), (1, 8), (9, 1), (1, 0), (0, 5)]:
+            assert path_rng(seed, 3, step, rng) is rng
+            fresh = path_rng(seed, 3, step)
+            assert (rng.bit_generator.state["state"]["key"].tobytes()
+                    == fresh.bit_generator.state["state"]["key"].tobytes())
+            got = sample_increments(model, 0.01, rng).dw_plus
+            assert got.tobytes() == sample_increments(model, 0.01, fresh).dw_plus.tobytes()
+            rng.integers(0, 2**32, size=draws, dtype=np.uint32)
+            rng.standard_normal(draws)
+
     @pytest.mark.parametrize("d, shell", [(2, 1), (2, 8), (3, 2)])
     def test_matches_two_draw_formula(self, d, shell):
         # one draw of shape (2, m+, d-1) is the stream of two draws of

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import torusrd.solver as solver_module
-from torusrd.diagnostics import lq_norm_vector
+from torusrd.diagnostics import RecordBuilder, lq_norm_vector
 from torusrd.experiments import ScalingLimitPlan, run_scaling_limit
 from torusrd.fields import (
     ArgumentErrors,
@@ -361,10 +361,12 @@ class TestCutOffSemantics:
             return lq_norm_vector(stack, q)
 
         monkeypatch.setattr(solver_module, "lq_norm_vector", counted)
-        _, record = run(sys, noise, cfg, v0, keep_snapshots=True)
+        snapshots = []
+        _, record = run(sys, noise, cfg, v0,
+                        observer=lambda t, values, st: snapshots.append(values.copy()))
         n_steps = len(record.times) - 1
         assert len(calls) == 2 * n_steps + 1
-        power = [lq_norm_vector(v, 2.0) ** 2.0 for v in record.snapshots]
+        power = [lq_norm_vector(v, 2.0) ** 2.0 for v in snapshots]
         acc = [0.0]
         for pre, post in zip(power, power[1:]):
             acc.append(acc[-1] + 0.5 * cfg.dt * (pre + post))
@@ -793,6 +795,87 @@ class TestPureTransportMeanEnergy:
         coarse, fine_b = np.mean(biases[2]), np.mean(biases[1])
         assert coarse < 0 and fine_b < 0
         assert abs(coarse) > 1.2 * abs(fine_b)
+
+
+
+def _balanced_mass_action(d, n, scheme="euler_maruyama_ito", track_balance=True):
+    """A noisy mass-action stepper with cut-off and balance tracking, and
+    its initial state at random smooth data."""
+    grid = TorusGrid(d, n)
+    noise = NoiseModel(build_theta_shell(1, 0.0, d), nu=0.05)
+    sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
+    cfg = SolverConfig(dt=5e-3, T=1.5e-2, scheme=scheme, seed=2, balance_q=(2.0, 3.0),
+                       track_balance=track_balance, cutoff=CutOffParams(R=1e6, r=2.0, q=4.0))
+    values = 1.0 + 0.3 * np.random.default_rng(d).standard_normal((2,) + grid.shape)
+    v0 = [GridField(grid, v) for v in values]
+    return Stepper(grid, sys, noise, cfg), sys, noise, cfg, v0
+
+
+class TestSharedGradient:
+    """The balance's packed gradient of the pre-step fields is the one the
+    Ito transport multiplies: one derivative transform per step."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_noisy_balanced_ito_step_takes_one_derivative_transform(self, d, n, monkeypatch):
+        calls = []
+        original = Stepper._derivatives
+
+        def counted(self, coeffs, lay):
+            calls.append(coeffs.shape)
+            return original(self, coeffs, lay)
+
+        monkeypatch.setattr(Stepper, "_derivatives", counted)
+        _, sys, noise, cfg, v0 = _balanced_mass_action(d, n)
+        state, record = run(sys, noise, cfg, v0)
+        assert state.step_index == 3 and state.blown_up is None
+        assert np.all(record.grad_energy[2.0][-1] > 0)
+        assert calls == [(2,) + (n,) * d] * 3
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_shared_gradient_step_is_bitwise_the_recomputing_step(self, d, n):
+        stepper, *_, v0 = _balanced_mass_action(d, n)
+        fields = forward(np.stack([f.values for f in v0]), d)
+        inc = sample_increments(stepper.noise, stepper.cfg.dt, path_rng(8, 0, 0))
+        fresh = SimState(t=0.0, fields=fields.copy())
+        shared = SimState(t=0.0, fields=fields.copy())
+        z, g2 = stepper.state_gradients(shared)
+        assert shared.gradients is not None and (g2 is None) == (d == 2)
+        expected = stepper.step(fresh, inc)
+        got = stepper.step(shared, inc)
+        assert shared.gradients is None
+        assert got.fields.tobytes() == expected.fields.tobytes()
+        assert got.grid_values.tobytes() == expected.grid_values.tobytes()
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_balance_leaves_the_trajectory_bitwise(self, d, n):
+        *_, sys, noise, cfg, v0 = _balanced_mass_action(d, n)
+        with_balance, _ = run(sys, noise, cfg, v0)
+        without, _ = run(sys, noise, dataclasses.replace(cfg, track_balance=False), v0)
+        assert with_balance.fields.tobytes() == without.fields.tobytes()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_two_steps_from_one_balanced_state_see_an_untouched_gradient(self, scheme):
+        stepper, *_, v0 = _balanced_mass_action(2, 16, scheme)
+        state = SimState(t=0.0, fields=forward(np.stack([f.values for f in v0]), 2))
+        state.grid_values = stepper.to_values(state.fields)
+        builder = RecordBuilder(stepper.grid, stepper.sys, lq_list=(2.0,), balance_q=(2.0,))
+        builder.accumulate_balance(stepper.cfg.dt, state, stepper)
+        z = state.gradients[0].copy()
+        inc = sample_increments(stepper.noise, stepper.cfg.dt, path_rng(9, 0, 0))
+        first = stepper.step(state, inc)
+        assert state.gradients is None and first.gradients is None
+        assert stepper.gradients(state.fields)[0].tobytes() == z.tobytes()
+        second = stepper.step(state, inc)
+        assert second.fields.tobytes() == first.fields.tobytes()
+
+    def test_deterministic_step_drops_the_gradient(self):
+        stepper, *_, v0 = _balanced_mass_action(2, 16)
+        stepper = Stepper(stepper.grid, stepper.sys, None,
+                          dataclasses.replace(stepper.cfg, noise_on=False))
+        state = SimState(t=0.0, fields=forward(np.stack([f.values for f in v0]), 2))
+        stepper.state_gradients(state)
+        stepper.step(state, None)
+        assert state.gradients is None
 
 
 NUMPY_TRANSFORMS = (
