@@ -273,9 +273,11 @@ class RunConfig:
         reaction = _collect(errors, "reaction", _reaction, v, allow_unsafe)
         # one message per key: the plans share the paths rule
         problems = (scaling_plan_errors(v["experiment.shells"], v["experiment.paths"],
-                                        v["experiment.epsilon"])
+                                        v["experiment.epsilon"], v["experiment.r"],
+                                        v["experiment.q"], v["experiment.hminus_gamma"])
                     | survival_plan_errors(v["experiment.nus"], v["experiment.paths"])
-                    | decay_plan_errors(v["experiment.paths"], v["experiment.tail_fraction"]))
+                    | decay_plan_errors(v["experiment.paths"], v["experiment.tail_fraction"],
+                                        v["experiment.q0"]))
         errors.extend(f"experiment.{arg}: {msg}" for arg, msg in problems.items())
         if v["validate.admissibility"] and not errors:
             errors.extend(_admissibility_errors(v, reaction))

@@ -33,8 +33,15 @@ def _paths_errors(paths: int) -> dict[str, str]:
     return {"paths": f"must be >= 1, got {paths}"} if paths < 1 else {}
 
 
-def scaling_plan_errors(shells, paths: int, epsilon: float) -> dict[str, str]:
-    """The rules of a ScalingLimitPlan's shells, paths and epsilon: each
+def _exponent_errors(**exponents: float) -> dict[str, str]:
+    """The L^p exponents below 1, each mapped to its message."""
+    return {name: f"must be >= 1, got {value}" for name, value in exponents.items() if value < 1}
+
+
+def scaling_plan_errors(shells, paths: int, epsilon: float, r: float, q: float,
+                        hminus_gamma: float | None) -> dict[str, str]:
+    """The rules of a ScalingLimitPlan's shells, paths, epsilon, distance
+    exponents r and q, and H^{-gamma} order (None: not tracked): each
     failing argument mapped to its message."""
     problems = {}
     if not shells or shells[0] < 1 or list(shells) != sorted(set(shells)):
@@ -42,6 +49,9 @@ def scaling_plan_errors(shells, paths: int, epsilon: float) -> dict[str, str]:
     problems |= _paths_errors(paths)
     if epsilon <= 0:
         problems["epsilon"] = f"must be > 0, got {epsilon}"
+    problems |= _exponent_errors(r=r, q=q)
+    if hminus_gamma is not None and hminus_gamma < 0:
+        problems["hminus_gamma"] = f"must be >= 0, got {hminus_gamma}"
     return problems
 
 
@@ -60,7 +70,8 @@ class ScalingLimitPlan:
     hminus_gamma: float | None = None  # also track sup_t H^{-gamma} distance
 
     def __post_init__(self) -> None:
-        if problems := scaling_plan_errors(self.shells, self.paths, self.epsilon):
+        if problems := scaling_plan_errors(self.shells, self.paths, self.epsilon, self.r,
+                                           self.q, self.hminus_gamma):
             raise ArgumentErrors(problems)
         n = self.v0[0].grid.n_per_dim
         if problem := resolution_error(2 * max(self.shells), n):
@@ -291,14 +302,14 @@ def run_survival(plan: SurvivalPlan, threads: int = DEFAULT_THREADS) -> Survival
     return SurvivalResult(plan=plan, rows=rows)
 
 
-def decay_plan_errors(paths: int, tail_fraction: float) -> dict[str, str]:
-    """The rules of a DecayPlan's paths and tail_fraction, as
-    scaling_plan_errors: the fit window is the last tail_fraction of the
+def decay_plan_errors(paths: int, tail_fraction: float, q0: float) -> dict[str, str]:
+    """The rules of a DecayPlan's paths, tail_fraction and norm exponent q0,
+    as scaling_plan_errors: the fit window is the last tail_fraction of the
     samples."""
     problems = _paths_errors(paths)
     if not 0.0 < tail_fraction <= 1.0:
         problems["tail_fraction"] = f"must lie in (0, 1], got {tail_fraction}"
-    return problems
+    return problems | _exponent_errors(q0=q0)
 
 
 @dataclass(frozen=True)
@@ -315,7 +326,7 @@ class DecayPlan:
     tail_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if problems := decay_plan_errors(self.paths, self.tail_fraction):
+        if problems := decay_plan_errors(self.paths, self.tail_fraction, self.q0):
             raise ArgumentErrors(problems)
         if self.sys.mass_consts is None:
             raise ValueError("decay experiments need declared mass constants")
@@ -351,8 +362,9 @@ def run_decay(plan: DecayPlan, threads: int = DEFAULT_THREADS) -> DecayReport:
     """Fit the exponential-decay regime and compare with the |a1| rate.
 
     Without noise the L^{q0} norm of the single deterministic path is
-    fitted; with noise the mean of the tracked mode amplitude over paths
-    decays at |a1| + 4 pi^2 |k|^2 (nu_i + nu).
+    fitted, and only that one path is run whatever plan.paths says; with
+    noise the mean of the tracked mode amplitude over paths decays at
+    |a1| + 4 pi^2 |k|^2 (nu_i + nu).
     """
     grid = plan.v0[0].grid
     a1 = plan.sys.mass_consts[1]
@@ -384,7 +396,9 @@ def run_decay(plan: DecayPlan, threads: int = DEFAULT_THREADS) -> DecayReport:
             path_index=p, observer=obs)
         return np.array(times), np.array(norms), np.array(amps)
 
-    results = _map_paths(worker, plan.paths, threads)
+    # without noise every path is the same deterministic path
+    paths = plan.paths if noise is not None and plan.solver.noise_on else 1
+    results = _map_paths(worker, paths, threads)
     times = results[0][0]
     mode_rate = mode_expected = None
     if mode is not None:

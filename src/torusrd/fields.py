@@ -99,6 +99,21 @@ def inverse_pruned(lines: np.ndarray, n: int, band: int, real: bool = False) -> 
     return out
 
 
+def dealias_in_place(coeffs: np.ndarray, d: int, band: int) -> np.ndarray:
+    """Zero, in place, every coefficient with some |k_j| > band over the
+    trailing d axes of coeffs (fftn layout, n > 2 band points per axis), and
+    return coeffs.
+
+    Each axis zeroes the slab k_j = band+1..n-band-1 by assignment: no mask
+    is stored or multiplied, so no temporary is made, and the kept entries
+    keep their bits (a product with 1+0j can flip the sign of a zero).
+    """
+    n = coeffs.shape[-1]
+    for j in range(d):
+        coeffs[(Ellipsis, slice(band + 1, n - band)) + (slice(None),) * (d - 1 - j)] = 0.0
+    return coeffs
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform grid on the d-torus, n_per_dim points per axis."""
@@ -142,16 +157,19 @@ class TorusGrid:
             for j in range(self.d)
         )
 
-    @cached_property
+    @property
     def k_squared(self) -> np.ndarray:
+        """|k|^2 in fftn layout, built on each access: a full-grid array is
+        kept by whoever needs it, not by the grid."""
         out = np.zeros(self.shape)
         for ka in self.k_axes:
             out = out + ka.astype(float) ** 2
         return out
 
-    @cached_property
+    @property
     def laplacian_multipliers(self) -> np.ndarray:
-        """Eigenvalues of the Laplacian, -4 pi^2 |k|^2, in fftn layout."""
+        """Eigenvalues of the Laplacian, -4 pi^2 |k|^2, in fftn layout,
+        built on each access like k_squared."""
         return -4.0 * np.pi**2 * self.k_squared
 
     @cached_property
@@ -184,11 +202,16 @@ class TorusGrid:
         idx = np.r_[0 : band + 1, self.n_per_dim - band : self.n_per_dim]
         return np.ix_(*([idx] * self.d))
 
-    def dealias_mask(self, rule: float = 2.0 / 3.0) -> np.ndarray:
-        cutoff = rule * self.n_per_dim / 2.0
+    @property
+    def dealias_band(self) -> int:
+        """The 2/3 rule keeps the modes with every |k_j| <= n/3."""
+        return self.n_per_dim // 3
+
+    def dealias_mask(self) -> np.ndarray:
+        """Boolean mask of the modes dealias_in_place keeps on this grid."""
         mask = np.ones(self.shape, dtype=bool)
         for ka in self.k_axes:
-            mask &= np.abs(ka) <= cutoff
+            mask &= np.abs(ka) <= self.dealias_band
         return mask
 
     def node_coordinates(self) -> tuple[np.ndarray, ...]:
@@ -258,16 +281,6 @@ def partial_derivative(c: SpectralField, axis: int) -> SpectralField:
     if not 0 <= axis < c.grid.d:
         raise ValueError(f"axis {axis} out of range for d={c.grid.d}")
     return SpectralField(c.grid, c.coeffs * c.grid.derivative_multipliers[axis])
-
-
-def dealias(c: SpectralField, rule: float = 2.0 / 3.0) -> SpectralField:
-    """Zero every coefficient with any |k_j| > rule * n_per_dim / 2."""
-    return SpectralField(c.grid, c.coeffs * c.grid.dealias_mask(rule))
-
-
-def l2_norm_spectral(c: SpectralField) -> float:
-    """L^2 norm from coefficients (Parseval)."""
-    return float(np.sqrt(np.sum(np.abs(c.coeffs) ** 2)))
 
 
 def single_mode(grid: TorusGrid, k: tuple[int, ...], amplitude: complex) -> SpectralField:

@@ -33,7 +33,8 @@ import scipy.fft
 from scipy.special import jv
 
 from .diagnostics import DiagnosticsRecord, RecordBuilder, lq_norm_vector
-from .fields import ArgumentErrors, GridField, TorusGrid, forward, inverse_packed, inverse_real
+from .fields import (ArgumentErrors, GridField, TorusGrid, dealias_in_place, forward,
+                     inverse_packed, inverse_real)
 from .noise import (IncrementSet, NoiseGridOps, NoiseModel, path_rng, sample_increments,
                     step_guard_error)
 from .reactions import ReactionSystem
@@ -89,6 +90,14 @@ def _scale_velocity(vel: tuple[np.ndarray, np.ndarray | None], scale: float) -> 
             flat *= scale
 
 
+def _multiply_species(stack: np.ndarray, factor: np.ndarray) -> None:
+    """stack *= factor for one species or a stack of them, one species at a
+    time: an in-place product with a broadcast operand makes numpy allocate
+    a temporary the size of the stack.  Bitwise the broadcast product."""
+    for part in stack if stack.ndim > factor.ndim else (stack,):
+        part *= factor
+
+
 def product_grid_size(n: int, band: int, max_k: int) -> int:
     """Points per axis on which (u.grad)v is exact in the band |k_j| <= band
     for v in that band and u in |k_j| <= max_k: the smallest even fast
@@ -104,22 +113,29 @@ def product_grid_size(n: int, band: int, max_k: int) -> int:
 
 
 class ProductLayout(NamedTuple):
-    """What the advection product needs of one grid: its shape, the mask
-    applied to the product, the packed derivative multiplier of axes 0 and
-    1, and in d = 3 the multiplier of axis 2 over the Hermitian half."""
+    """What the advection product needs of one grid: its shape, the packed
+    derivative multiplier of axes 0 and 1, and in d = 3 the multiplier of
+    axis 2 over the Hermitian half."""
 
     shape: tuple[int, ...]
-    mask: np.ndarray
     deriv_pack: np.ndarray
     deriv_last_half: np.ndarray | None
 
     @classmethod
-    def of(cls, grid: TorusGrid, mask: np.ndarray) -> "ProductLayout":
+    def of(cls, grid: TorusGrid, band: int | None = None) -> "ProductLayout":
+        """The layout of grid; with band, both multipliers are zero outside
+        |k_j| <= band, so a derivative reads the band of its data only."""
         # one inverse transform yields two derivative components as its
         # real and imaginary parts (both factors are Hermitian)
         mult = grid.derivative_multipliers
-        last = mult[2][..., : grid.n_per_dim // 2 + 1] if grid.d == 3 else None
-        return cls(grid.shape, mask, mult[0] + 1j * mult[1], last)
+        pack, last = mult[0] + 1j * mult[1], mult[2] if grid.d == 3 else None
+        if band is not None:
+            pack = dealias_in_place(np.broadcast_to(pack, grid.shape).copy(), grid.d, band)
+            if last is not None:
+                last = dealias_in_place(np.broadcast_to(last, grid.shape).copy(), grid.d, band)
+        if last is not None:
+            last = np.ascontiguousarray(last[..., : grid.n_per_dim // 2 + 1])
+        return cls(grid.shape, pack, last)
 
 
 def phi_bump(x: float) -> float:
@@ -239,33 +255,29 @@ class Stepper:
             nu_extra = self.noise.nu if self.noise is not None else nu_enhancement
         else:  # strat_substep: the Wong-Zakai substep supplies the nu-diffusion
             nu_extra = 0.0 if self.noise is not None else nu_enhancement
-        lam = grid.laplacian_multipliers  # -4 pi^2 |k|^2
+        lam = grid.laplacian_multipliers  # -4 pi^2 |k|^2, dropped after __init__
         self.propagator = np.stack(
             [np.exp(lam * (nu_i + nu_extra) * cfg.dt) for nu_i in sys.nu]
         )
-        # complex 0/1: a product with a bool mask casts it element by element
-        self.dealias_mask = grid.dealias_mask().astype(complex)
+        self.band = grid.dealias_band  # products keep |k_j| <= n/3 (dealias_in_place)
         self.deriv_mult = grid.derivative_multipliers
-        self.layout = ProductLayout.of(grid, self.dealias_mask)
+        self.layout = ProductLayout.of(grid)
         # real inverse transforms read the Hermitian half k_d <= n/2 only
         self._half = grid.n_per_dim // 2 + 1
         self.zero_index = (Ellipsis,) + (0,) * grid.d  # mode 0 of every species
         self.grid_axes = tuple(range(-grid.d, 0))  # the grid axes of a species stack
         self.product_n = grid.n_per_dim  # points per axis of the Wong-Zakai products
         if cfg.scheme == "strat_substep":
-            # max |2 pi k| over the mask: ||(u.grad)|| <= max|u| * k_max there
-            self.k_max = math.sqrt(-lam[grid.dealias_mask()].min())
+            # max |2 pi k| over the band: ||(u.grad)|| <= max|u| * k_max there
+            self.k_max = math.sqrt(-lam[grid.band_index(self.band)].min())
             if self.noise is not None:
-                band = grid.n_per_dim // 3  # the dealias mask keeps |k_j| <= n/3
                 self.product_n = product_grid_size(
-                    grid.n_per_dim, band, self.noise.spectrum.max_component())
+                    grid.n_per_dim, self.band, self.noise.spectrum.max_component())
                 if self.product_n < grid.n_per_dim:
                     product = TorusGrid(grid.d, self.product_n)
-                    self._band = grid.band_index(band)
-                    self._product_band = product.band_index(band)
-                    mask = np.zeros(product.shape, dtype=complex)
-                    mask[self._product_band] = 1.0
-                    self.product_layout = ProductLayout.of(product, mask)
+                    self._band = grid.band_index(self.band)
+                    self._product_band = product.band_index(self.band)
+                    self.product_layout = ProductLayout.of(product, self.band)
                     self.product_noise_ops = NoiseGridOps(self.noise, product)
 
     # -- spectral helpers ------------------------------------------------
@@ -321,8 +333,7 @@ class Stepper:
         div = np.zeros(fhat.shape[:1] + fhat.shape[2:], dtype=complex)
         for j in range(self.grid.d):
             div += fhat[:, j] * self.deriv_mult[j]
-        div *= self.dealias_mask
-        return rates, div
+        return rates, dealias_in_place(div, self.grid.d, self.band)
 
     def _advection_rhs(self, coeffs: np.ndarray, vel: tuple[np.ndarray, np.ndarray | None],
                        layout: ProductLayout | None = None,
@@ -339,19 +350,24 @@ class Stepper:
         sum: mode 0 of the result is the source's mean, and 0 without one.
         grad, the packed gradient of coeffs on that grid when the caller has
         it, saves the derivative transform and is multiplied in place.
+
+        On the stepper's grid the result is dealiased.  A product layout
+        leaves its entries outside the band as they come: its derivative
+        multipliers are zero there, so no later product reads them.
         """
         lay = self.layout if layout is None else layout
         w, u2 = vel
         z, d3 = self._derivatives(coeffs, lay) if grad is None else grad
-        z *= w
+        _multiply_species(z, w)
         vals = z.real
         if d3 is not None:
-            d3 *= u2
+            _multiply_species(d3, u2)
             vals += d3
         if source is not None:
             vals += source
         out = forward(vals, self.grid.d)
-        out *= lay.mask
+        if layout is None:
+            dealias_in_place(out, self.grid.d, self.band)
         # div sigma = 0: the transport term is mean free
         out[self.zero_index] = 0.0 if source is None else source.mean(axis=self.grid_axes)
         return out
@@ -384,8 +400,10 @@ class Stepper:
         Q_{k+1} = (2/rho)(A Q_k + [k even] g) + Q_{k-1}, g = A v_H.  g is
         one product on the n-grid per step; the Q_k live on the product
         grid.  A scalar eta_k = [k even] carries the g term and ends as h; it
-        rides in the mode (M/2, 0, ...), outside the band, where both
-        derivative multipliers vanish and the mask zeroes the product.
+        rides in the mode (M/2, 0, ...), outside the band, where the
+        derivative multipliers vanish and apply sets the product to 0.  The
+        other entries outside the band are never read: the multipliers are
+        zero there, and only the band and eta are copied back.
         """
         w, u2 = vel = self.noise_ops.velocity_field(inc)
         speed2 = w.real * w.real
@@ -418,6 +436,7 @@ class Stepper:
 
             def apply(y):
                 q = self._advection_rhs(y, vel, lay)
+                q[eta] = 0.0
                 if y[eta]:  # exactly 1 or 0 on every iterate
                     q += g
                 return q
@@ -464,8 +483,7 @@ class Stepper:
             if ito:  # f rides the forward transform of the advection product
                 source = rates * (cfg.dt * phi)
             else:
-                drift = forward(rates, self.grid.d)
-                drift *= self.dealias_mask
+                drift = dealias_in_place(forward(rates, self.grid.d), self.grid.d, self.band)
                 if div is not None:
                     drift = drift + div
             del rates

@@ -146,6 +146,7 @@ class TestConfigParsing:
         ("experiment.tail_fraction = 1.5",
          "experiment.tail_fraction: must lie in (0, 1], got 1.5"),
         ("experiment.tail_fraction = 0", "experiment.tail_fraction: must lie in (0, 1], got 0.0"),
+        ("experiment.q0 = 0", "experiment.q0: must be >= 1, got 0.0"),
         # every plan has the paths rule; it is reported once
         ("experiment.paths = 0", "experiment.paths: must be >= 1, got 0"),
     ])
@@ -348,6 +349,27 @@ class TestCli:
         assert run_cli([command, "--config", str(config), "--out", str(out),
                         "--override", override]) == 1
         assert f"{key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, override, error", [
+        # each of these once crashed mid-run or ran with a silently wrong meaning
+        ("scaling-limit", "experiment.q=0", "experiment.q: must be >= 1, got 0.0"),
+        ("scaling-limit", "experiment.r=0", "experiment.r: must be >= 1, got 0.0"),
+        ("scaling-limit", "experiment.hminus_gamma=-1",
+         "experiment.hminus_gamma: must be >= 0, got -1.0"),
+        ("decay", "experiment.q0=-2", "experiment.q0: must be >= 1, got -2.0"),
+    ])
+    def test_out_of_range_experiment_exponents_exit_one_before_output(
+            self, tmp_path, capsys, command, override, error):
+        config = tmp_path / "run.cfg"
+        config.write_text("grid.n = 16\nsolver.dt = 0.005\nsolver.T = 0.05\n"
+                          "noise.enabled = false\n")
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", str(config), "--out", str(out),
+                        "--override", override]) == 1
+        captured = capsys.readouterr()
+        assert error in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_bad_config_exits_one(self, tmp_path):

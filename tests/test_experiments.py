@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torusrd.experiments as experiments_module
 from torusrd.diagnostics import lq_norm_vector
 from torusrd.experiments import (
     DecayPlan,
@@ -75,6 +76,16 @@ class TestScalingLimit:
         with pytest.raises(ArgumentErrors, match="increasing") as info:
             small_heat_plan(shells=shells)
         assert list(info.value.problems) == ["shells"]
+
+    @pytest.mark.parametrize("change, error", [
+        ({"r": 0.5}, "r: must be >= 1, got 0.5"),
+        ({"q": 0.0}, "q: must be >= 1, got 0.0"),
+        ({"hminus_gamma": -1.0}, "hminus_gamma: must be >= 0, got -1.0"),
+    ])
+    def test_distance_exponents_checked(self, change, error):
+        with pytest.raises(ArgumentErrors) as info:
+            dataclasses.replace(small_heat_plan(), **change)
+        assert str(info.value) == error
 
     def test_hminus_tracking(self):
         plan = small_heat_plan(paths=2, T=0.05)
@@ -286,6 +297,24 @@ class TestDecay:
     def test_tail_fraction_outside_unit_interval_rejected(self, tail_fraction):
         with pytest.raises(ArgumentErrors, match=r"tail_fraction: must lie in \(0, 1\]"):
             dataclasses.replace(self._plan(), tail_fraction=tail_fraction)
+
+    def test_noise_free_plan_runs_one_path(self, monkeypatch):
+        # every noise-free path is the same deterministic path
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["path_index"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_module, "run", counted)
+        report = run_decay(self._plan(paths=16, tracked=(1, 0), T=0.4))
+        assert calls == [0]
+        assert report == run_decay(self._plan(paths=1, tracked=(1, 0), T=0.4))
+
+    @pytest.mark.parametrize("q0", [0.0, -2.0])
+    def test_norm_exponent_below_one_rejected(self, q0):
+        with pytest.raises(ArgumentErrors, match="q0: must be >= 1"):
+            dataclasses.replace(self._plan(), q0=q0)
 
     def test_whole_record_tail_fits(self):
         plan = dataclasses.replace(self._plan(), tail_fraction=1.0)

@@ -9,7 +9,7 @@ from torusrd.fields import (
     GridField,
     SpectralField,
     TorusGrid,
-    dealias,
+    dealias_in_place,
     forward,
     hermitian_deviation,
     inverse_packed,
@@ -263,6 +263,11 @@ class TestLpNorm:
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
+def dealias(c: SpectralField) -> SpectralField:
+    """c with the 2/3 rule applied, by the in-place helper on a copy."""
+    return SpectralField(c.grid, dealias_in_place(c.coeffs.copy(), c.grid.d, c.grid.dealias_band))
+
+
 class TestDealias:
     def test_resolved_field_unchanged(self, grid2):
         c = single_mode(grid2, (3, 2), 1.0 + 0.5j)
@@ -273,6 +278,30 @@ class TestDealias:
         coeffs[16, 0] = 1.0  # Nyquist plane on a 32 grid
         out = dealias(SpectralField(grid2, coeffs))
         assert np.abs(out.coeffs).max() == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("n, band", [(24, None), (48, 21)])
+    def test_matches_mask_product(self, d, ell, n, band):
+        # on the n-grid (band n/3) against dealias_mask(), and on a 48-point
+        # product grid with the 64-grid's band 21 against its band_index
+        grid = TorusGrid(d, n)
+        if band is None:
+            band, mask = grid.dealias_band, grid.dealias_mask()
+        else:
+            mask = np.zeros(grid.shape, dtype=bool)
+            mask[grid.band_index(band)] = True
+        rng = np.random.default_rng(d + 10 * ell)
+        coeffs = forward(rng.standard_normal((ell,) + grid.shape), d)
+        coeffs = coeffs if ell > 1 else coeffs[0]
+        expected = coeffs * mask.astype(complex)
+        got = coeffs.copy()
+        assert dealias_in_place(got, d, band) is got
+        assert np.array_equal(got, expected)
+        # kept entries keep their bits, the others are +0
+        assert got[..., mask].tobytes() == coeffs[..., mask].tobytes()
+        zeroed = got[..., ~mask]
+        assert not np.any(np.signbit(zeroed.real) | np.signbit(zeroed.imag))
 
     def test_product_matches_convolution_oracle(self):
         # supports |k_j| <= 3 on n = 12: the grid product has degree <= 6,

@@ -1,6 +1,7 @@
 """Stepping schemes: exact diffusion, cut-off semantics, conservation, blow-up."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from torusrd.fields import (
     SpectralField,
     TorusGrid,
     forward,
-    l2_norm_spectral,
     partial_derivative,
     single_mode,
     to_grid,
@@ -470,7 +470,7 @@ class TestStratSubstep:
                            track_balance=False, seed=5, record_every=10**9)
         v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
         state, _ = run(sys0, noise, cfg, v0)
-        energy = l2_norm_spectral(SpectralField(grid, state.fields[0])) ** 2
+        energy = np.sum(np.abs(state.fields[0]) ** 2)  # Parseval
         assert abs(energy - 0.5) < 1e-7
 
 
@@ -673,7 +673,9 @@ class TestBatchedTransport:
         if not sys.is_linear:
             rates, div = stepper.reaction_drift(0.0, values, sys.f(0.0, values))
             assert div is None
-            expected += cfg.dt * 0.5 * (forward(rates, d) * stepper.dealias_mask)
+            drift = forward(rates, d)
+            drift[..., ~grid.dealias_mask()] = 0.0
+            expected += cfg.dt * 0.5 * drift
         expected *= stepper.propagator
         state = stepper.step(SimState(t=0.0, fields=fields, grid_values=values,
                                       cutoff_acc=2.25), inc)
@@ -711,9 +713,32 @@ class TestBatchedTransport:
         assert np.array_equal(got[:, 0, 0], source.mean(axis=(1, 2)))
         plain = stepper.transport(fields, inc)
         assert np.all(plain[:, 0, 0] == 0)
-        expected = plain + forward(source, 2) * stepper.dealias_mask
+        expected = forward(source, 2)
+        expected[..., ~grid.dealias_mask()] = 0.0
+        expected += plain
         expected[:, 0, 0] = source.mean(axis=(1, 2))
         assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    def test_stack_transport_peak_is_result_plus_velocity(self):
+        # given the gradient, a transport holds its result and the velocity
+        # only: a broadcast product or a mask product on the stack would add
+        # a temporary the size of the stack (128 KiB here)
+        grid = TorusGrid(2, 64)
+        noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
+        stepper = Stepper(grid, build_builtin("zero", [0.0, 0.0]), noise,
+                          SolverConfig(dt=1e-3, T=1e-3, track_balance=False))
+        fields = forward(np.random.default_rng(8).standard_normal((2,) + grid.shape), 2)
+        inc = sample_increments(noise, 1e-3, path_rng(6, 0, 0))
+        stepper.transport(fields, inc, grad=stepper.gradients(fields))  # warm caches
+        grad = stepper.gradients(fields)
+        velocity_bytes = stepper.noise_ops.velocity_field(inc)[0].nbytes
+        tracemalloc.start()
+        try:
+            out = stepper.transport(fields, inc, grad=grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + velocity_bytes + 16 * 1024
 
     def test_noisy_balance_step_calls_each_layer_once(self, monkeypatch):
         # transport, reaction_drift and gradients are the benchmark's layer
