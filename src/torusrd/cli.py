@@ -216,12 +216,13 @@ def _scaling_limit(args) -> int:
          for r in result.table()],
     )
     for s in result.shells:
-        taus = s.taus or [None] * len(s.distances)
+        # with the H^{-gamma} distance on, its sup is a last column
+        hm = [] if s.hminus_distances is None else [s.hminus_distances]
         _write_csv(
             out / f"aggregate_shell{s.shell}.csv",
-            ["path", "tau", "survived", "dist_LrLq"],
-            [[p, tau, int(tau is None or tau >= plan.solver.T), d]
-             for p, (tau, d) in enumerate(zip(taus, s.distances))],
+            ["path", "tau", "survived", "dist_LrLq"] + ["sup_hminus"] * len(hm),
+            [[p, tau, int(tau is None or tau >= plan.solver.T), *dists]
+             for p, (tau, *dists) in enumerate(zip(s.taus, s.distances, *hm))],
         )
     for r in result.table():
         print(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField, TorusGrid
+from .fields import TorusGrid
 from .reactions import ReactionSystem
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -59,12 +59,10 @@ class RecordBuilder:
 
     def __init__(
         self,
-        grid: TorusGrid,
         sys: ReactionSystem,
         lq_list: tuple[float, ...],
         balance_q: tuple[float, ...],
     ):
-        self.grid = grid
         self.lq_list = tuple(lq_list)
         self.balance_q = tuple(balance_q)
         self._times: list[float] = []
@@ -78,27 +76,24 @@ class RecordBuilder:
         self._grad_series: dict[float, list[np.ndarray]] = {q: [] for q in self.balance_q}
         self._work_series: dict[float, list[np.ndarray]] = {q: [] for q in self.balance_q}
 
-    def accumulate_balance(self, dt: float, state, stepper) -> None:
-        """Left-rule advance of the running balance integrals (pre-step
-        values), all species at once; the reaction rates and the packed
-        gradient are the ones the step's drift and transport reuse."""
-        if not self.balance_q:
-            return
-        values = state.grid_values
-        fvals = stepper.reaction_rates(state)
-        z, g2 = stepper.state_gradients(state)
+    def accumulate_balance(self, dt: float, values: np.ndarray, rates: np.ndarray,
+                           grad: tuple[np.ndarray, np.ndarray | None]) -> None:
+        """Left-rule advance of the running balance integrals, all species at
+        once, from the pre-step grid values, their rates f(t, v) and their
+        packed gradient (z, g_2) (Stepper.gradients).  Reads all three: the
+        step reuses them."""
+        z, g2 = grad
         grads_sq = np.square(z.real)
         grads_sq += np.square(z.imag)
         if g2 is not None:
             grads_sq += np.square(g2)
-        del z, g2
         axes = tuple(range(1, values.ndim))  # the grid axes
         for q in self.balance_q:
             if q == 2.0:  # the weight |v|^0 is 1, also at NaN and inf
-                grad_w, work = grads_sq, fvals * values
+                grad_w, work = grads_sq, rates * values
             else:
                 weight = np.abs(values) ** (q - 2.0)
-                grad_w, work = weight * grads_sq, weight * fvals * values
+                grad_w, work = weight * grads_sq, weight * rates * values
             self._grad_running[q] += dt * np.mean(grad_w, axis=axes)
             self._work_running[q] += dt * np.mean(work, axis=axes)
 
@@ -155,35 +150,6 @@ def lq_balance_residual(record: DiagnosticsRecord, q: float, sys: ReactionSystem
     return res
 
 
-def mass_trace(
-    record: DiagnosticsRecord,
-    alpha: np.ndarray,
-    a0: float | None = None,
-    a1: float | None = None,
-    growth_const: float = 1.0,
-    tol: float = 1e-9,
-) -> tuple[np.ndarray, bool, float]:
-    """Weighted mass M(t) = sum alpha_i mode0(v_i) and the Gronwall bound check.
-
-    Returns (series, bound_ok, worst_excess); the bound is
-    M(t) <= C (e^{a1 t} M(0) + a0 (e^{a1 t} - 1)/a1), checked when (a0, a1)
-    are given.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0):
-        raise ValueError("mass weights must be positive")
-    series = record.mass @ alpha
-    if a0 is None or a1 is None:
-        return series, True, 0.0
-    t = record.times
-    if a1 != 0.0:
-        bound = growth_const * (np.exp(a1 * t) * series[0] + a0 * (np.exp(a1 * t) - 1.0) / a1)
-    else:
-        bound = growth_const * (series[0] + a0 * t)
-    excess = float(np.max(series - bound))
-    return series, excess <= tol * (1.0 + abs(series[0])), excess
-
-
 def survival_estimate(
     taus: list[float | None], T: float
 ) -> tuple[float, tuple[float, float]]:
@@ -200,9 +166,15 @@ def survival_estimate(
     return p_hat, (max(0.0, center - half), min(1.0, center + half))
 
 
-def hminus_gamma_norm(field: SpectralField, gamma: float) -> float:
-    """Spectral negative-order norm: (sum (1+|k|^2)^{-gamma} |c_k|^2)^{1/2}."""
+def hminus_weight(grid: TorusGrid, gamma: float) -> np.ndarray:
+    """The H^{-gamma} weight (1+|k|^2)^{-gamma} in fftn layout: built once
+    and passed to every hminus_gamma_norm on that grid."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    weight = (1.0 + field.grid.k_squared) ** (-gamma)
-    return float(np.sqrt(np.sum(weight * np.abs(field.coeffs) ** 2)))
+    return (1.0 + grid.k_squared) ** (-gamma)
+
+
+def hminus_gamma_norm(coeffs: np.ndarray, weight: np.ndarray) -> float:
+    """Spectral negative-order norm (sum w_k |c_k|^2)^{1/2} of one field or
+    of a species stack, summed over all species, for w = hminus_weight."""
+    return float(np.sqrt(np.sum(weight * np.abs(coeffs) ** 2)))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import hminus_gamma_norm, lq_norm_vector, survival_estimate
-from .fields import ArgumentErrors, GridField, SpectralField, TorusGrid, forward
+from .diagnostics import hminus_gamma_norm, hminus_weight, lq_norm_vector, survival_estimate
+from .fields import ArgumentErrors, GridField, forward
 from .noise import NoiseModel, build_theta_shell, resolution_error, step_guard_error
 from .reactions import ReactionSystem
 from .solver import SolverConfig, run
@@ -89,7 +89,7 @@ class ShellResult:
     distances: np.ndarray  # per path
     hminus_distances: np.ndarray | None
     max_lq: float  # sup over paths and times of the vector L^q norm
-    taus: list[float | None] | None = None  # per-path blow-up times
+    taus: list[float | None]  # per-path blow-up times
 
     @property
     def mean(self) -> float:
@@ -128,13 +128,12 @@ class _StreamingDistance:
     """Accumulates the L^r(0,T;L^q) distance to a reference trajectory."""
 
     def __init__(self, ref_times, ref_snaps, r: float, q: float,
-                 grid: TorusGrid, hminus_gamma: float | None):
+                 hminus_weight: np.ndarray | None):
         self.ref_times = ref_times
         self.ref_snaps = ref_snaps
         self.r = r
         self.q = q
-        self.grid = grid
-        self.hminus_gamma = hminus_gamma
+        self.hminus_weight = hminus_weight  # None: no H^{-gamma} distance
         self.norms: list[float] = []
         self.times: list[float] = []
         self.hminus_sup = 0.0
@@ -151,10 +150,9 @@ class _StreamingDistance:
         self.norms.append(lq_norm_vector(diff, self.q))
         self.times.append(t)
         self.max_lq = max(self.max_lq, lq_norm_vector(values, self.q))
-        if self.hminus_gamma is not None:
-            acc = sum(hminus_gamma_norm(SpectralField(self.grid, dspec), self.hminus_gamma) ** 2
-                      for dspec in forward(diff, self.grid.d))
-            self.hminus_sup = max(self.hminus_sup, float(np.sqrt(acc)))
+        if self.hminus_weight is not None:
+            dspec = forward(diff, self.hminus_weight.ndim)
+            self.hminus_sup = max(self.hminus_sup, hminus_gamma_norm(dspec, self.hminus_weight))
         self._idx += 1
 
     def distance(self) -> float:
@@ -180,6 +178,7 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
     run(plan.sys, None, plan.solver, plan.v0,
         nu_enhancement=plan.nu, observer=ref_observer)
     rtimes = np.array(ref_times)
+    weight = None if plan.hminus_gamma is None else hminus_weight(grid, plan.hminus_gamma)
 
     shell_results = []
     for si, n in enumerate(plan.shells):
@@ -191,8 +190,7 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
         )
 
         def worker(p: int, noise=noise, si=si):
-            obs = _StreamingDistance(rtimes, ref_snaps, plan.r, plan.q,
-                                     grid, plan.hminus_gamma)
+            obs = _StreamingDistance(rtimes, ref_snaps, plan.r, plan.q, weight)
             state, _ = run(plan.sys, noise, plan.solver, plan.v0,
                            path_index=si * plan.paths + p, observer=obs)
             return obs.distance(), obs.hminus_sup, obs.max_lq, state.blown_up

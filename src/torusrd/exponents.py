@@ -47,9 +47,6 @@ class AdmissibilityReport:
     a_p_delta: float
     q_meets_delayed_blowup: bool  # q > d(h-1)/2 v 2
 
-    def all_ok(self) -> bool:
-        return self.q_in_window and self.p_ok and self.q_meets_delayed_blowup
-
 
 def admissibility(params: ParamSet) -> AdmissibilityReport:
     d, h, q, p, delta = params.d, params.h, params.q, params.p, params.delta

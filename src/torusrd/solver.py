@@ -219,10 +219,6 @@ class SimState:
     blown_up: float | None = None  # tau estimate once set
     # derived from fields, filled by the Stepper when first needed
     grid_values: np.ndarray | None = dc_field(default=None, repr=False)
-    rates: np.ndarray | None = dc_field(default=None, repr=False)  # f(t, v)
-    # packed gradient (z, g_2) of fields; the step takes it, and its Ito
-    # transport multiplies it in place
-    gradients: tuple[np.ndarray, np.ndarray | None] | None = dc_field(default=None, repr=False)
     cutoff_integrand: float | None = None  # |v|_{L^q}^r of the cut-off
 
 
@@ -302,21 +298,7 @@ class Stepper:
         |grad v|^2 = z.real^2 + z.imag^2 (+ g_2^2)."""
         return self._derivatives(coeffs, self.layout)
 
-    def state_gradients(self, state: SimState) -> tuple[np.ndarray, np.ndarray | None]:
-        """Packed gradient of the state's fields; the balance accumulator and
-        the step's Ito transport share this one evaluation."""
-        if state.gradients is None:
-            state.gradients = self.gradients(state.fields)
-        return state.gradients
-
     # -- physics terms ---------------------------------------------------
-
-    def reaction_rates(self, state: SimState) -> np.ndarray:
-        """f(t, v) at the state's grid values; the balance accumulator and
-        the step's drift share this one evaluation."""
-        if state.rates is None:
-            state.rates = self.sys.f(state.t, state.grid_values)
-        return state.rates
 
     def reaction_drift(
         self, t: float, values: np.ndarray, rates: np.ndarray
@@ -456,29 +438,39 @@ class Stepper:
         co = self.cfg.cutoff
         return phi_bump(state.cutoff_acc ** (1.0 / co.r) / co.R)
 
-    def step(self, state: SimState, inc: IncrementSet | None) -> SimState:
-        """Advance one dt.  inc must be provided iff noise is active."""
+    def step(self, state: SimState, inc: IncrementSet | None,
+             balance: RecordBuilder | None = None) -> SimState:
+        """Advance one dt.  inc must be provided iff noise is active.  With
+        balance, the pre-step rates f(t, v) and packed gradient advance its
+        running balance integrals first; the drift and the Ito transport
+        then reuse them, so each is evaluated once per step."""
         if state.blown_up is not None:
             raise ValueError("state already blew up; stepping is undefined")
         cfg = self.cfg
         if state.grid_values is None:
             state.grid_values = self.to_values(state.fields)
         pre_values = state.grid_values
-
         phi = self.evaluate_phi(state)
-        state.phi_value = phi
 
         if self.noise_ops is not None and inc is None:
             raise ValueError("noise is active but no increments were given")
         ito = self.noise_ops is not None and cfg.scheme == "euler_maruyama_ito"
-        # the Ito transport multiplies the cached gradient in place, so every
-        # step drops it from the state: no later step may read it
-        grad, state.gradients = state.gradients if ito else None, None
+        drift_on = not self.sys.is_linear and phi != 0.0
+
+        rates = grad = None
+        if balance is not None:
+            rates = self.sys.f(state.t, pre_values)
+            grad = self.gradients(state.fields)
+            balance.accumulate_balance(cfg.dt, pre_values, rates, grad)
+            if not ito:
+                grad = None  # only the Ito transport reuses it
+        elif drift_on:
+            rates = self.sys.f(state.t, pre_values)
 
         # the terms are summed in fresh buffers, in any order: a + b is b + a bitwise
         new, source = state.fields, None
-        if not self.sys.is_linear and phi != 0.0:
-            rates, div = self.reaction_drift(state.t, pre_values, self.reaction_rates(state))
+        if drift_on:
+            rates, div = self.reaction_drift(state.t, pre_values, rates)
             drift = div
             if ito:  # f rides the forward transform of the advection product
                 source = rates * (cfg.dt * phi)
@@ -486,14 +478,13 @@ class Stepper:
                 drift = dealias_in_place(forward(rates, self.grid.d), self.grid.d, self.band)
                 if div is not None:
                     drift = drift + div
-            del rates
             if drift is not None:
                 drift *= cfg.dt * phi
                 drift += state.fields
                 new = drift
-        state.rates = None  # read by the balance and the drift only: free it
+        del rates  # read by the balance and the drift only: free it
 
-        if ito:
+        if ito:  # the transport multiplies grad in place: its last reader
             tr = self.transport(state.fields, inc, source, grad)
             del source, grad
             tr += new
@@ -586,11 +577,11 @@ def run(
     state.grid_values = stepper.to_values(state.fields)
 
     builder = RecordBuilder(
-        grid=grid,
         sys=sys,
         lq_list=cfg.lq_norms,
         balance_q=cfg.balance_q if cfg.track_balance else (),
     )
+    balance = builder if builder.balance_q else None
 
     def record(st: SimState) -> None:
         builder.sample(st.t, st.grid_values, st.phi_value, st.cutoff_acc)
@@ -601,8 +592,6 @@ def run(
     n_steps = horizon_steps(cfg.T, cfg.dt)
     rng = None
     for step_idx in range(n_steps):
-        if cfg.track_balance:
-            builder.accumulate_balance(cfg.dt, state, stepper)
         if stepper.noise is not None:
             if increments is not None:
                 inc = increments(step_idx)
@@ -611,7 +600,7 @@ def run(
                 inc = sample_increments(noise, cfg.dt, rng)
         else:
             inc = None
-        state = stepper.step(state, inc)
+        state = stepper.step(state, inc, balance)
         if state.blown_up is not None:
             record(state)
             break

@@ -443,7 +443,25 @@ class TestCli:
         table = (out / "scaling_table.csv").read_text().splitlines()
         assert table[0] == "shell_n,mean_distance,stderr,p_exceed_eps,max_lq"
         assert len(table) == 3
-        assert (out / "aggregate_shell1.csv").exists()
+        agg = (out / "aggregate_shell1.csv").read_text().splitlines()
+        assert agg[0] == "path,tau,survived,dist_LrLq"
+        assert len(agg) == 3
+
+    def test_scaling_limit_cli_writes_the_hminus_distance_last(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "grid.n = 24\nsolver.dt = 0.002\nsolver.T = 0.01\n"
+            "solver.track_balance = false\n"
+            "experiment.shells = [1, 2]\nexperiment.paths = 2\n"
+            "experiment.hminus_gamma = 0.5\n"
+        )
+        out = tmp_path / "out"
+        assert run_cli(["scaling-limit", "--config", str(config), "--out", str(out)]) == 0
+        for shell in (1, 2):
+            agg = (out / f"aggregate_shell{shell}.csv").read_text().splitlines()
+            assert agg[0] == "path,tau,survived,dist_LrLq,sup_hminus"
+            rows = [line.split(",") for line in agg[1:]]
+            assert len(rows) == 2 and all(float(row[-1]) > 0 for row in rows)
 
     def test_decay_cli(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

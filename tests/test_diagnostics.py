@@ -1,4 +1,4 @@
-"""Norms, balance residuals, mass traces, survival statistics."""
+"""Norms, balance residuals, survival statistics, H^{-gamma} norms."""
 
 import dataclasses
 import warnings
@@ -9,9 +9,9 @@ import pytest
 from torusrd.diagnostics import (
     RecordBuilder,
     hminus_gamma_norm,
+    hminus_weight,
     lq_balance_residual,
     lq_norm_vector,
-    mass_trace,
     survival_estimate,
 )
 from torusrd.fields import (
@@ -25,7 +25,7 @@ from torusrd.fields import (
 )
 from torusrd.noise import NoiseModel, build_theta_shell
 from torusrd.reactions import MassActionSpec, build_builtin, mass_action_build
-from torusrd.solver import SimState, SolverConfig, Stepper, run
+from torusrd.solver import SolverConfig, Stepper, run
 
 
 def heat_run(dt, T=0.2, q=(2.0,), record_every=1):
@@ -38,9 +38,8 @@ def heat_run(dt, T=0.2, q=(2.0,), record_every=1):
 
 
 def _sampled_lq(values, q):
-    grid = TorusGrid(2, values.shape[-1])
-    builder = RecordBuilder(grid, build_builtin("zero", [0.1] * len(values)),
-                            lq_list=(q,), balance_q=())
+    builder = RecordBuilder(build_builtin("zero", [0.1] * len(values)), lq_list=(q,),
+                            balance_q=())
     builder.sample(0.0, values, 1.0, 0.0)
     return builder.finalize(None).lq[q][0]
 
@@ -137,9 +136,8 @@ class TestBalanceGradientEnergy:
         values = 1.0 + 0.3 * np.random.default_rng(d).standard_normal((2,) + grid.shape)
         fields = forward(values, d)
         stepper = Stepper(grid, sys, None, SolverConfig(dt=1.0, T=1.0, noise_on=False))
-        builder = RecordBuilder(grid, sys, lq_list=(q,), balance_q=(q,))
-        builder.accumulate_balance(1.0, SimState(t=0.0, fields=fields, grid_values=values),
-                                   stepper)
+        builder = RecordBuilder(sys, lq_list=(q,), balance_q=(q,))
+        builder.accumulate_balance(1.0, values, sys.f(0.0, values), stepper.gradients(fields))
         builder.sample(1.0, values, 1.0, 0.0)
         record = builder.finalize(None)
         work = [np.mean(np.abs(v) ** (q - 2.0) * f * v)
@@ -174,15 +172,14 @@ class TestBalanceGradientEnergy:
         fields = forward(values, d)
         stepper = Stepper(grid, sys, None, SolverConfig(dt=1.0, T=1.0, noise_on=False))
         qs, dt = (2.0, 3.0, 4.5), 2.5e-3
-        builder = RecordBuilder(grid, sys, lq_list=(2.0,), balance_q=qs)
+        builder = RecordBuilder(sys, lq_list=(2.0,), balance_q=qs)
         grad_ref = {q: np.zeros(2) for q in qs}
         work_ref = {q: np.zeros(2) for q in qs}
         for step in range(2):
-            state = SimState(t=0.0, fields=fields, grid_values=values)
-            builder.accumulate_balance(dt, state, stepper)
-            z, g2 = stepper.gradients(fields)
-            grads_sq = z.real**2 + z.imag**2 + (0.0 if g2 is None else g2**2)
+            z, g2 = grad = stepper.gradients(fields)
             fvals = sys.f(0.0, values)
+            builder.accumulate_balance(dt, values, fvals, grad)
+            grads_sq = z.real**2 + z.imag**2 + (0.0 if g2 is None else g2**2)
             for i, grad_sq in enumerate(grads_sq):
                 for q in qs:
                     weight = 1.0 if q == 2.0 else np.abs(values[i]) ** (q - 2.0)
@@ -194,47 +191,6 @@ class TestBalanceGradientEnergy:
         for q in qs:
             assert record.grad_energy[q][0].tobytes() == grad_ref[q].tobytes()
             assert record.work[q][0].tobytes() == work_ref[q].tobytes()
-
-
-class TestMassTrace:
-    def test_conservative_path(self):
-        grid = TorusGrid(2, 16)
-        sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.1, 0.1])
-        cfg = SolverConfig(dt=1e-2, T=0.5, noise_on=False, track_balance=False)
-        x = grid.node_coordinates()[0]
-        v0 = [GridField(grid, 1.0 + 0.2 * np.cos(2 * np.pi * x))] * 2
-        _, record = run(sys, None, cfg, v0)
-        series, ok, excess = mass_trace(record, sys.mass_alpha, a0=0.0, a1=0.0)
-        assert ok
-        assert np.abs(series - series[0]).max() < 1e-10 * series[0]
-
-    def test_exponential_decay_bound(self):
-        grid = TorusGrid(2, 16)
-        sys = build_builtin("decay", [0.1])
-        cfg = SolverConfig(dt=1e-3, T=1.0, noise_on=False, track_balance=False)
-        v0 = [GridField(grid, np.full(grid.shape, 2.0))]
-        _, record = run(sys, None, cfg, v0)
-        series, ok, excess = mass_trace(record, np.ones(1), a0=0.0, a1=-1.0,
-                                        tol=1e-6)
-        assert ok  # Euler under-shoots e^{-t}, so the bound holds
-        assert np.abs(series - 2.0 * np.exp(-record.times)).max() < 2e-3
-
-    def test_zero_data(self):
-        grid = TorusGrid(2, 16)
-        sys = build_builtin("decay", [0.1])
-        cfg = SolverConfig(dt=1e-2, T=0.2, noise_on=False, track_balance=False)
-        v0 = [GridField(grid, np.zeros(grid.shape))]
-        _, record = run(sys, None, cfg, v0)
-        series, ok, _ = mass_trace(record, np.ones(1), a0=0.0, a1=-1.0)
-        assert ok and np.all(series == 0.0)
-
-    def test_bad_weights(self):
-        grid = TorusGrid(2, 16)
-        sys = build_builtin("decay", [0.1])
-        cfg = SolverConfig(dt=1e-2, T=0.05, noise_on=False, track_balance=False)
-        _, record = run(sys, None, cfg, [GridField(grid, np.ones(grid.shape))])
-        with pytest.raises(ValueError):
-            mass_trace(record, np.array([-1.0]))
 
 
 class TestSurvivalEstimate:
@@ -293,14 +249,22 @@ class TestHminusNorm:
         c = single_mode(grid, (3, 0), 0.5)
         # two conjugate modes at |k|^2 = 9
         expected = np.sqrt(2 * 0.25 * (1 + 9.0) ** -0.5)
-        assert hminus_gamma_norm(c, 0.5) == pytest.approx(expected, rel=1e-12)
+        got = hminus_gamma_norm(c.coeffs, hminus_weight(grid, 0.5))
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_gamma_zero_is_l2(self):
         grid = TorusGrid(2, 16)
         c = single_mode(grid, (2, 1), 1.0)
-        assert hminus_gamma_norm(c, 0.0) == pytest.approx(np.sqrt(2.0))
+        assert hminus_gamma_norm(c.coeffs, hminus_weight(grid, 0.0)) == pytest.approx(np.sqrt(2.0))
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_stack_norm_is_root_sum_of_squared_species_norms(self, d, n):
+        grid = TorusGrid(d, n)
+        weight = hminus_weight(grid, 0.75)
+        stack = forward(np.random.default_rng(d).standard_normal((3,) + grid.shape), d)
+        per_species = np.sqrt(sum(hminus_gamma_norm(c, weight) ** 2 for c in stack))
+        assert hminus_gamma_norm(stack, weight) == pytest.approx(per_species, rel=1e-14)
 
     def test_negative_gamma_rejected(self):
-        grid = TorusGrid(2, 16)
         with pytest.raises(ValueError):
-            hminus_gamma_norm(single_mode(grid, (1, 0), 1.0), -0.5)
+            hminus_weight(TorusGrid(2, 16), -0.5)

@@ -140,7 +140,7 @@ class TestScalingLimit:
 
 def _streamed(ref, path, times, r=2.0, q=2.0):
     """The _StreamingDistance of trajectory path to ref, both sampled at times."""
-    dist = _StreamingDistance(times, ref, r, q, TorusGrid(2, ref[0].shape[-1]), None)
+    dist = _StreamingDistance(times, ref, r, q, None)
     alive = types.SimpleNamespace(blown_up=None)
     for t, values in zip(times, path):
         dist(t, values, alive)
@@ -180,7 +180,7 @@ class TestStreamingDistance:
     def test_off_cadence_sample_rejected(self):
         times = np.linspace(0.0, 1.0, 5)
         ref = [np.zeros((1, 8, 8))] * len(times)
-        dist = _StreamingDistance(times, ref, 2.0, 2.0, TorusGrid(2, 8), None)
+        dist = _StreamingDistance(times, ref, 2.0, 2.0, None)
         alive = types.SimpleNamespace(blown_up=None)
         dist(0.0, ref[0], alive)
         with pytest.raises(ValueError, match="off the reference cadence"):

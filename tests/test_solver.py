@@ -741,10 +741,10 @@ class TestBatchedTransport:
         assert peak <= out.nbytes + velocity_bytes + 16 * 1024
 
     def test_noisy_balance_step_calls_each_layer_once(self, monkeypatch):
-        # transport, reaction_drift and gradients are the benchmark's layer
-        # boundaries: one call each per nonlinear noisy step with balance
-        calls = {name: 0 for name in ("transport", "reaction_drift", "gradients")}
-        for name in calls:
+        # transport, reaction_drift, gradients and f are the benchmark's
+        # layer boundaries: one call each per nonlinear noisy step with balance
+        calls = {name: 0 for name in ("transport", "reaction_drift", "gradients", "f")}
+        for name in ("transport", "reaction_drift", "gradients"):
             original = getattr(Stepper, name)
 
             def counted(self, *args, _name=name, _original=original, **kwargs):
@@ -754,13 +754,19 @@ class TestBatchedTransport:
             monkeypatch.setattr(Stepper, name, counted)
         grid = TorusGrid(2, 16)
         noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.05)
-        sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
+        base = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
+
+        def f(t, values):
+            calls["f"] += 1
+            return base.f(t, values)
+
+        sys = dataclasses.replace(base, f=f)
         cfg = SolverConfig(dt=5e-3, T=1.5e-2, seed=2, cutoff=CutOffParams(R=1e6, r=2.0, q=4.0))
         x = grid.node_coordinates()[0]
         v0 = [GridField(grid, 1.0 + 0.3 * np.cos(2 * np.pi * x)) for _ in range(2)]
         state, _ = run(sys, noise, cfg, v0)
         assert state.step_index == 3 and state.blown_up is None
-        assert calls == {"transport": 3, "reaction_drift": 3, "gradients": 3}
+        assert calls == {"transport": 3, "reaction_drift": 3, "gradients": 3, "f": 3}
 
 
 class TestThreeDimensions:
@@ -823,84 +829,83 @@ class TestPureTransportMeanEnergy:
 
 
 
-def _balanced_mass_action(d, n, scheme="euler_maruyama_ito", track_balance=True):
-    """A noisy mass-action stepper with cut-off and balance tracking, and
-    its initial state at random smooth data."""
+def _balanced_mass_action(d, n, scheme="euler_maruyama_ito", track_balance=True,
+                          noise_on=True):
+    """A mass-action stepper with cut-off and balance tracking, noisy unless
+    noise_on is False, and its initial data: random, smooth."""
     grid = TorusGrid(d, n)
     noise = NoiseModel(build_theta_shell(1, 0.0, d), nu=0.05)
     sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
-    cfg = SolverConfig(dt=5e-3, T=1.5e-2, scheme=scheme, seed=2, balance_q=(2.0, 3.0),
-                       track_balance=track_balance, cutoff=CutOffParams(R=1e6, r=2.0, q=4.0))
+    cfg = SolverConfig(dt=5e-3, T=1.5e-2, scheme=scheme, noise_on=noise_on, seed=2,
+                       balance_q=(2.0, 3.0), track_balance=track_balance,
+                       cutoff=CutOffParams(R=1e6, r=2.0, q=4.0))
     values = 1.0 + 0.3 * np.random.default_rng(d).standard_normal((2,) + grid.shape)
     v0 = [GridField(grid, v) for v in values]
     return Stepper(grid, sys, noise, cfg), sys, noise, cfg, v0
 
 
+# (scheme, noise_on) of the Ito step, the Wong-Zakai step and the noise-free step
+STEP_KINDS = [("euler_maruyama_ito", True), ("strat_substep", True), ("euler_maruyama_ito", False)]
+
+
 class TestSharedGradient:
-    """The balance's packed gradient of the pre-step fields is the one the
-    Ito transport multiplies: one derivative transform per step."""
+    """The step takes the pre-step rates and packed gradient once, hands
+    them to the balance, and reuses them in the drift and the Ito transport."""
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
-    def test_noisy_balanced_ito_step_takes_one_derivative_transform(self, d, n, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("scheme, noise_on", STEP_KINDS)
+    @pytest.mark.parametrize("balance", [True, False])
+    def test_step_takes_at_most_one_derivative_transform_of_its_input(
+            self, d, n, scheme, noise_on, balance, monkeypatch):
+        # the balance and the Ito transport read one gradient of the
+        # pre-step fields; a Wong-Zakai step differentiates other arrays only
+        inputs, calls = [], []
         original = Stepper._derivatives
 
         def counted(self, coeffs, lay):
-            calls.append(coeffs.shape)
+            calls.append(sum(coeffs is f for f in inputs))
             return original(self, coeffs, lay)
 
         monkeypatch.setattr(Stepper, "_derivatives", counted)
-        _, sys, noise, cfg, v0 = _balanced_mass_action(d, n)
-        state, record = run(sys, noise, cfg, v0)
-        assert state.step_index == 3 and state.blown_up is None
-        assert np.all(record.grad_energy[2.0][-1] > 0)
-        assert calls == [(2,) + (n,) * d] * 3
+        stepper, sys, noise, cfg, v0 = _balanced_mass_action(d, n, scheme, noise_on=noise_on)
+        builder = RecordBuilder(sys, lq_list=(2.0,), balance_q=cfg.balance_q) if balance else None
+        state = SimState(t=0.0, fields=forward(np.stack([f.values for f in v0]), d))
+        for k in range(3):
+            inc = sample_increments(noise, cfg.dt, path_rng(8, 0, k)) if noise_on else None
+            inputs.append(state.fields)
+            state = stepper.step(state, inc, builder)
+        expected = 1 if balance or (noise_on and scheme == "euler_maruyama_ito") else 0
+        assert sum(calls) == 3 * expected
+        if balance:
+            builder.sample(state.t, state.grid_values, state.phi_value, state.cutoff_acc)
+            assert np.all(builder.finalize(None).grad_energy[2.0][-1] > 0)
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
-    def test_shared_gradient_step_is_bitwise_the_recomputing_step(self, d, n):
-        stepper, *_, v0 = _balanced_mass_action(d, n)
-        fields = forward(np.stack([f.values for f in v0]), d)
-        inc = sample_increments(stepper.noise, stepper.cfg.dt, path_rng(8, 0, 0))
-        fresh = SimState(t=0.0, fields=fields.copy())
-        shared = SimState(t=0.0, fields=fields.copy())
-        z, g2 = stepper.state_gradients(shared)
-        assert shared.gradients is not None and (g2 is None) == (d == 2)
-        expected = stepper.step(fresh, inc)
-        got = stepper.step(shared, inc)
-        assert shared.gradients is None
-        assert got.fields.tobytes() == expected.fields.tobytes()
-        assert got.grid_values.tobytes() == expected.grid_values.tobytes()
-
-    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
-    def test_balance_leaves_the_trajectory_bitwise(self, d, n):
-        *_, sys, noise, cfg, v0 = _balanced_mass_action(d, n)
-        with_balance, _ = run(sys, noise, cfg, v0)
-        without, _ = run(sys, noise, dataclasses.replace(cfg, track_balance=False), v0)
+    @pytest.mark.parametrize("scheme, noise_on", STEP_KINDS)
+    def test_balance_leaves_the_trajectory_bitwise(self, d, n, scheme, noise_on):
+        *_, sys, noise, cfg, v0 = _balanced_mass_action(d, n, scheme, noise_on=noise_on)
+        with_balance, rec = run(sys, noise, cfg, v0)
+        without, rec_off = run(sys, noise, dataclasses.replace(cfg, track_balance=False), v0)
         assert with_balance.fields.tobytes() == without.fields.tobytes()
+        for a, b in ((rec.lq[2.0], rec_off.lq[2.0]), (rec.mass, rec_off.mass),
+                     (rec.phi, rec_off.phi), (rec.cutoff_acc, rec_off.cutoff_acc)):
+            assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_two_steps_from_one_balanced_state_see_an_untouched_gradient(self, scheme):
-        stepper, *_, v0 = _balanced_mass_action(2, 16, scheme)
-        state = SimState(t=0.0, fields=forward(np.stack([f.values for f in v0]), 2))
-        state.grid_values = stepper.to_values(state.fields)
-        builder = RecordBuilder(stepper.grid, stepper.sys, lq_list=(2.0,), balance_q=(2.0,))
-        builder.accumulate_balance(stepper.cfg.dt, state, stepper)
-        z = state.gradients[0].copy()
-        inc = sample_increments(stepper.noise, stepper.cfg.dt, path_rng(9, 0, 0))
-        first = stepper.step(state, inc)
-        assert state.gradients is None and first.gradients is None
-        assert stepper.gradients(state.fields)[0].tobytes() == z.tobytes()
-        second = stepper.step(state, inc)
-        assert second.fields.tobytes() == first.fields.tobytes()
-
-    def test_deterministic_step_drops_the_gradient(self):
-        stepper, *_, v0 = _balanced_mass_action(2, 16)
-        stepper = Stepper(stepper.grid, stepper.sys, None,
-                          dataclasses.replace(stepper.cfg, noise_on=False))
-        state = SimState(t=0.0, fields=forward(np.stack([f.values for f in v0]), 2))
-        stepper.state_gradients(state)
-        stepper.step(state, None)
-        assert state.gradients is None
+    @pytest.mark.parametrize("scheme, noise_on", STEP_KINDS)
+    @pytest.mark.parametrize("balance", [True, False])
+    def test_step_leaves_its_input_state_unchanged(self, scheme, noise_on, balance):
+        stepper, sys, noise, cfg, v0 = _balanced_mass_action(2, 16, scheme, noise_on=noise_on)
+        builder = RecordBuilder(sys, lq_list=(2.0,), balance_q=cfg.balance_q) if balance else None
+        fields = forward(np.stack([f.values for f in v0]), 2)
+        # A = 2.25e12 puts the cut-off argument A^(1/r)/R at 1.5, where phi = 1/2
+        state = SimState(t=0.0, fields=fields, cutoff_acc=2.25e12)
+        state.grid_values = stepper.to_values(fields)
+        before = (fields.tobytes(), state.grid_values.tobytes())
+        inc = sample_increments(noise, cfg.dt, path_rng(9, 0, 0)) if noise_on else None
+        new = stepper.step(state, inc, builder)
+        assert new.phi_value == 0.5 and state.phi_value == 1.0
+        assert (state.fields.tobytes(), state.grid_values.tobytes()) == before
+        assert stepper.step(state, inc, builder).fields.tobytes() == new.fields.tobytes()
 
 
 NUMPY_TRANSFORMS = (
