@@ -33,6 +33,7 @@ from .noise import (
     build_theta_shell,
     spectrum_from_csv,
     spectrum_to_csv,
+    step_guard_error,
     verify_ellipticity,
 )
 from .reactions import (
@@ -42,7 +43,7 @@ from .reactions import (
     growth_certificate,
     mass_action_build,
 )
-from .solver import run
+from .solver import initial_state, run
 
 
 # glibc mallopt parameter numbers (malloc.h)
@@ -160,6 +161,7 @@ def _prepare(args):
     """Config, output directory, grid, reaction, solver config and v0 of a run."""
     cfg = _load_config(args)
     v0 = build_v0(cfg, cfg.grid, cfg.reaction.ell)
+    initial_state(cfg.grid, v0, cfg.solver)  # the engine's checks of v0 (require_nonneg)
     return cfg, Path(args.out or "out"), cfg.grid, cfg.reaction, cfg.solver, v0
 
 
@@ -167,6 +169,9 @@ def _simulate(args, deterministic: bool) -> int:
     cfg, out, grid, sys_, scfg, v0 = _prepare(args)
     noise = None if deterministic else build_noise(cfg)
     nu_enh = cfg["noise.nu"] if deterministic else 0.0
+    if noise is not None and (problem := step_guard_error(
+            noise.nu, noise.spectrum.max_component(), grid.n_per_dim, scfg.dt)):
+        raise ValueError(problem)
 
     snapshots_every = cfg["io.snapshots_every"]
     snap_count = [0]

@@ -154,7 +154,7 @@ KEYS = {section: {arg: _key(section, arg) for arg in args} for section, args in 
     "grid": ("d", "n_per_dim"),
     "cutoff": ("R", "r", "q"),
     "solver": ("dt", "T", "scheme", "noise_on", "blowup_threshold", "blowup_norm_q0", "seed",
-               "record_every", "require_nonneg", "track_balance", "balance_q", "lq_norms"),
+               "record_every", "require_nonneg", "balance_q", "lq_norms"),
     "reaction": ("q", "p", "r_plus", "r_minus"),
 }.items()}
 
@@ -270,6 +270,8 @@ class RunConfig:
         if v["cutoff.enabled"]:
             cutoff = _collect(errors, "cutoff", CutOffParams, **_arguments(v, "cutoff"))
         solver = _collect(errors, "solver", SolverConfig, cutoff=cutoff, **_arguments(v, "solver"))
+        if solver is not None and not v["solver.track_balance"]:
+            solver = replace(solver, balance_q=())  # no balance: balance_q is still checked
         reaction = _collect(errors, "reaction", _reaction, v, allow_unsafe)
         # one message per key: the plans share the paths rule
         problems = (scaling_plan_errors(v["experiment.shells"], v["experiment.paths"],
@@ -277,7 +279,8 @@ class RunConfig:
                                         v["experiment.q"], v["experiment.hminus_gamma"])
                     | survival_plan_errors(v["experiment.nus"], v["experiment.paths"])
                     | decay_plan_errors(v["experiment.paths"], v["experiment.tail_fraction"],
-                                        v["experiment.q0"]))
+                                        v["experiment.q0"], v["experiment.tracked_mode"],
+                                        v["grid.d"]))
         errors.extend(f"experiment.{arg}: {msg}" for arg, msg in problems.items())
         if v["validate.admissibility"] and not errors:
             errors.extend(_admissibility_errors(v, reaction))

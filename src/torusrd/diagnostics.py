@@ -47,11 +47,6 @@ class DiagnosticsRecord:
     work: dict[float, np.ndarray]  # q -> (n, ell) running reaction work
     phi: np.ndarray  # (n,)
     cutoff_acc: np.ndarray  # (n,)
-    blowup_tau: float | None
-
-    @property
-    def survived(self) -> bool:
-        return self.blowup_tau is None
 
 
 class RecordBuilder:
@@ -112,7 +107,7 @@ class RecordBuilder:
             self._grad_series[q].append(self._grad_running[q].copy())
             self._work_series[q].append(self._work_running[q].copy())
 
-    def finalize(self, blowup_tau: float | None) -> DiagnosticsRecord:
+    def finalize(self) -> DiagnosticsRecord:
         return DiagnosticsRecord(
             times=np.array(self._times),
             lq={q: np.stack(v) for q, v in self._lq.items()},
@@ -122,7 +117,6 @@ class RecordBuilder:
             work={q: np.stack(v) for q, v in self._work_series.items()},
             phi=np.array(self._phi),
             cutoff_acc=np.array(self._acc),
-            blowup_tau=blowup_tau,
         )
 
 
@@ -138,7 +132,7 @@ def lq_balance_residual(record: DiagnosticsRecord, q: float, sys: ReactionSystem
     if q not in record.lq or q not in record.grad_energy or len(record.times) < 2:
         raise ValueError(
             f"trajectory stores no balance data for q={q}: "
-            "rerun with track_balance and this q in balance_q/lq_norms"
+            "rerun with this q in balance_q and lq_norms"
         )
     norms_q = record.lq[q] ** q
     res = (

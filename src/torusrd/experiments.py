@@ -79,7 +79,7 @@ class ScalingLimitPlan:
         cfg = self.solver
         if self.nu > 0 and cfg.noise_on:
             for s in self.shells:  # the shell-s annulus has max|k_j| = 2s
-                if problem := step_guard_error(self.nu, 2 * s, n, cfg.dt, cfg.c_cfl):
+                if problem := step_guard_error(self.nu, 2 * s, n, cfg.dt):
                     raise ValueError(f"shell {s}: {problem}")
 
 
@@ -182,12 +182,10 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
 
     shell_results = []
     for si, n in enumerate(plan.shells):
-        # nu = 0 means no stochastic forcing: paths reproduce the reference
-        noise = (
-            NoiseModel(build_theta_shell(n, plan.gamma, grid.d), nu=plan.nu)
-            if plan.nu > 0
-            else None
-        )
+        # nu = 0 or noise off means no stochastic forcing: paths reproduce the reference
+        noise = NoiseModel(
+            build_theta_shell(n, plan.gamma, grid.d), nu=plan.nu
+        ) if plan.solver.noise_on and plan.nu > 0 else None
 
         def worker(p: int, noise=noise, si=si):
             obs = _StreamingDistance(rtimes, ref_snaps, plan.r, plan.q, weight)
@@ -237,7 +235,7 @@ class SurvivalPlan:
         n, cfg = self.v0[0].grid.n_per_dim, self.solver
         for nu in self.nus:
             if cfg.noise_on and nu > 0 and (
-                    problem := step_guard_error(nu, 2 * self.shell_n, n, cfg.dt, cfg.c_cfl)):
+                    problem := step_guard_error(nu, 2 * self.shell_n, n, cfg.dt)):
                 raise ValueError(f"nu = {nu}: {problem}")
 
 
@@ -300,13 +298,17 @@ def run_survival(plan: SurvivalPlan, threads: int = DEFAULT_THREADS) -> Survival
     return SurvivalResult(plan=plan, rows=rows)
 
 
-def decay_plan_errors(paths: int, tail_fraction: float, q0: float) -> dict[str, str]:
-    """The rules of a DecayPlan's paths, tail_fraction and norm exponent q0,
-    as scaling_plan_errors: the fit window is the last tail_fraction of the
+def decay_plan_errors(paths: int, tail_fraction: float, q0: float, tracked_mode,
+                      d: int) -> dict[str, str]:
+    """The rules of a DecayPlan's paths, tail_fraction, norm exponent q0 and
+    tracked_mode (empty or None: none) on a d-dimensional grid, as
+    scaling_plan_errors: the fit window is the last tail_fraction of the
     samples."""
     problems = _paths_errors(paths)
     if not 0.0 < tail_fraction <= 1.0:
         problems["tail_fraction"] = f"must lie in (0, 1], got {tail_fraction}"
+    if tracked_mode and len(tracked_mode) != d:
+        problems["tracked_mode"] = f"expected empty or {d} components, got {list(tracked_mode)}"
     return problems | _exponent_errors(q0=q0)
 
 
@@ -324,13 +326,18 @@ class DecayPlan:
     tail_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if problems := decay_plan_errors(self.paths, self.tail_fraction, self.q0):
+        grid, cfg = self.v0[0].grid, self.solver
+        if problems := decay_plan_errors(self.paths, self.tail_fraction, self.q0,
+                                         self.tracked_mode, grid.d):
             raise ArgumentErrors(problems)
         if self.sys.mass_consts is None:
             raise ValueError("decay experiments need declared mass constants")
         a0, a1 = self.sys.mass_consts
         if a0 != 0.0 or a1 >= 0.0:
             raise ValueError(f"decay regime requires a0 = 0 and a1 < 0, got ({a0}, {a1})")
+        if cfg.noise_on and self.nu > 0 and (
+                problem := step_guard_error(self.nu, 2 * self.shell_n, grid.n_per_dim, cfg.dt)):
+            raise ValueError(problem)
 
 
 @dataclass
@@ -344,9 +351,6 @@ class DecayReport:
 
 def _tail_fit(times: np.ndarray, values: np.ndarray, tail_fraction: float) -> float | None:
     """Least-squares slope of log(values) on the trailing window."""
-    mask = values > 0
-    if mask.sum() < 3:
-        return None
     start = int(len(times) * (1.0 - tail_fraction))
     t, v = times[start:], values[start:]
     keep = v > 0

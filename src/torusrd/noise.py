@@ -23,6 +23,7 @@ import numpy as np
 from .fields import TorusGrid, inverse_pruned
 
 SPECTRUM_L2_TOL = 1e-12
+C_CFL = 0.5  # explicit-noise step guard: dt <= C_CFL / (nu max|k_j| n)
 
 
 def lattice_partition(k) -> int:
@@ -204,10 +205,6 @@ class NoiseModel:
         """(m+, d-1, d) orthonormal hyperplane bases for the plus modes."""
         return hyperplane_bases(self.plus_modes)
 
-    def basis(self, k) -> np.ndarray:
-        """Basis a_{k,.} for any supported mode (shared between k and -k)."""
-        return hyperplane_basis(k, self.d)
-
 
 def verify_ellipticity(model: NoiseModel) -> float:
     """Max deviation of sum theta^2 a^n a^m from delta_{nm}/c_d."""
@@ -297,11 +294,11 @@ def resolution_error(max_k: int, n: int) -> str | None:
             f"resolve only for max|k_j| <= n/3 = {n / 3:.1f}, i.e. shell <= {n / 6:.1f}")
 
 
-def step_guard_error(nu: float, max_k: int, n: int, dt: float, c_cfl: float) -> str | None:
-    """Why dt breaks the explicit-noise step guard dt <= c_cfl / (nu max|k_j| n)
+def step_guard_error(nu: float, max_k: int, n: int, dt: float) -> str | None:
+    """Why dt breaks the explicit-noise step guard dt <= C_CFL / (nu max|k_j| n)
     for noise of intensity nu with modes up to max_k on n points per axis,
     or None."""
-    dt_max = c_cfl / (nu * max_k * n)
+    dt_max = C_CFL / (nu * max_k * n)
     if dt <= dt_max:
         return None
     return (f"dt = {dt} violates the noise step guard "

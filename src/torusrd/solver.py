@@ -180,10 +180,7 @@ class SolverConfig:
     seed: int = 0
     record_every: int = 1
     require_nonneg: bool = False
-    # explicit-noise step guard: dt <= c_cfl / (nu * max|k_noise| * n)
-    c_cfl: float = 0.5
-    track_balance: bool = True
-    balance_q: tuple[float, ...] = (2.0,)
+    balance_q: tuple[float, ...] = (2.0,)  # empty: no balance tracking
     lq_norms: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
@@ -243,7 +240,7 @@ class Stepper:
 
         if self.noise is not None:
             problem = step_guard_error(self.noise.nu, self.noise.spectrum.max_component(),
-                                       grid.n_per_dim, cfg.dt, cfg.c_cfl)
+                                       grid.n_per_dim, cfg.dt)
             if problem:
                 raise ValueError(problem)
 
@@ -256,7 +253,6 @@ class Stepper:
             [np.exp(lam * (nu_i + nu_extra) * cfg.dt) for nu_i in sys.nu]
         )
         self.band = grid.dealias_band  # products keep |k_j| <= n/3 (dealias_in_place)
-        self.deriv_mult = grid.derivative_multipliers
         self.layout = ProductLayout.of(grid)
         # real inverse transforms read the Hermitian half k_d <= n/2 only
         self._half = grid.n_per_dim // 2 + 1
@@ -300,22 +296,20 @@ class Stepper:
 
     # -- physics terms ---------------------------------------------------
 
-    def reaction_drift(
-        self, t: float, values: np.ndarray, rates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """phi-free drift f + div F: the grid part f = rates (f(t, values))
-        and the dealiased spectral div F, None when there is no flux.
+    def reaction_drift(self, t: float, values: np.ndarray) -> np.ndarray | None:
+        """The flux part of the phi-free drift f + div F: the dealiased
+        spectral div F, None when there is no flux.
 
         A non-finite rate or flux needs no flag: the step's forward
         transform spreads it to every mode, so the post-step values are
         non-finite and the L^{q0} norm flags the blow-up."""
         if self.sys.F is None:
-            return rates, None
+            return None
         fhat = forward(self.sys.F(t, values), self.grid.d)  # (ell, d, ...)
         div = np.zeros(fhat.shape[:1] + fhat.shape[2:], dtype=complex)
         for j in range(self.grid.d):
-            div += fhat[:, j] * self.deriv_mult[j]
-        return rates, dealias_in_place(div, self.grid.d, self.band)
+            div += fhat[:, j] * self.grid.derivative_multipliers[j]
+        return dealias_in_place(div, self.grid.d, self.band)
 
     def _advection_rhs(self, coeffs: np.ndarray, vel: tuple[np.ndarray, np.ndarray | None],
                        layout: ProductLayout | None = None,
@@ -447,9 +441,9 @@ class Stepper:
         if state.blown_up is not None:
             raise ValueError("state already blew up; stepping is undefined")
         cfg = self.cfg
-        if state.grid_values is None:
-            state.grid_values = self.to_values(state.fields)
         pre_values = state.grid_values
+        if pre_values is None:
+            pre_values = self.to_values(state.fields)
         phi = self.evaluate_phi(state)
 
         if self.noise_ops is not None and inc is None:
@@ -470,8 +464,7 @@ class Stepper:
         # the terms are summed in fresh buffers, in any order: a + b is b + a bitwise
         new, source = state.fields, None
         if drift_on:
-            rates, div = self.reaction_drift(state.t, pre_values, rates)
-            drift = div
+            drift = div = self.reaction_drift(state.t, pre_values)
             if ito:  # f rides the forward transform of the advection product
                 source = rates * (cfg.dt * phi)
             else:
@@ -576,11 +569,7 @@ def run(
     state = initial_state(grid, v0, cfg)
     state.grid_values = stepper.to_values(state.fields)
 
-    builder = RecordBuilder(
-        sys=sys,
-        lq_list=cfg.lq_norms,
-        balance_q=cfg.balance_q if cfg.track_balance else (),
-    )
+    builder = RecordBuilder(sys=sys, lq_list=cfg.lq_norms, balance_q=cfg.balance_q)
     balance = builder if builder.balance_q else None
 
     def record(st: SimState) -> None:
@@ -607,4 +596,4 @@ def run(
         if (step_idx + 1) % cfg.record_every == 0 or step_idx + 1 == n_steps:
             record(state)
 
-    return state, builder.finalize(state.blown_up)
+    return state, builder.finalize()

@@ -92,7 +92,7 @@ def test_criterion_03_exact_linear_diffusion():
     grid = TorusGrid(2, 32)
     nu_i, nu, T = 0.01, 0.1, 0.5
     sys0 = build_builtin("zero", [nu_i])
-    cfg = SolverConfig(dt=1e-3, T=T, noise_on=False, track_balance=False,
+    cfg = SolverConfig(dt=1e-3, T=T, noise_on=False, balance_q=(),
                        record_every=10**9)
     state, _ = run(sys0, None, cfg, [to_grid(single_mode(grid, (1, 0), 0.5))],
                    nu_enhancement=nu)
@@ -125,7 +125,7 @@ def test_criterion_04_mean_l2_pure_transport():
         ]
         for dt, incs, sink in ((1e-3, coarse, bias_c), (5e-4, fine, bias_f)):
             cfg = SolverConfig(dt=dt, T=T, noise_on=True, seed=seed,
-                               track_balance=False, record_every=10**9)
+                               balance_q=(), record_every=10**9)
             st, _ = run(sys0, noise, cfg, v0, path_index=p,
                         increments=lambda s, a=incs: a[s])
             sink.append(float(np.sum(np.abs(st.fields[0]) ** 2)) - E0)
@@ -151,7 +151,7 @@ def test_criterion_05_pathwise_l2_strat_substep():
     noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
     sys0 = build_builtin("zero", [0.0])
     cfg = SolverConfig(dt=1e-3, T=0.5, scheme="strat_substep", noise_on=True,
-                       track_balance=False, seed=3, record_every=10**9)
+                       balance_q=(), seed=3, record_every=10**9)
     v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
     state, _ = run(sys0, noise, cfg, v0, path_index=0)
     drift = abs(float(np.sum(np.abs(state.fields[0]) ** 2)) - 0.5)
@@ -166,7 +166,7 @@ def test_criterion_06_enhanced_diffusion_scaling_limit():
     t0 = time.perf_counter()
     grid = TorusGrid(2, 96)
     sys0 = build_builtin("zero", [0.01])
-    cfg = SolverConfig(dt=2.5e-3, T=0.5, noise_on=True, track_balance=False,
+    cfg = SolverConfig(dt=2.5e-3, T=0.5, noise_on=True, balance_q=(),
                        record_every=5, seed=606)
     v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
     plan = ScalingLimitPlan(
@@ -190,7 +190,7 @@ def test_criterion_07_pathwise_weighted_mass():
     grid = TorusGrid(2, 32)
     noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.1)
     sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
-    cfg = SolverConfig(dt=2.5e-3, T=1.0, noise_on=True, track_balance=False, seed=17)
+    cfg = SolverConfig(dt=2.5e-3, T=1.0, noise_on=True, balance_q=(), seed=17)
     x, y = grid.node_coordinates()
     v0 = [
         GridField(grid, 1.0 + 0.3 * np.cos(2 * np.pi * x)),
@@ -213,7 +213,7 @@ def test_criterion_08_mass_decay_rate():
     t0 = time.perf_counter()
     grid = TorusGrid(2, 16)
     sys = build_builtin("decay", [0.02])
-    cfg = SolverConfig(dt=1e-3, T=2.0, noise_on=False, track_balance=False,
+    cfg = SolverConfig(dt=1e-3, T=2.0, noise_on=False, balance_q=(),
                        record_every=10)
     _, record = run(sys, None, cfg, [GridField(grid, np.full(grid.shape, 1.5))])
     M = record.mass[:, 0]
@@ -234,7 +234,7 @@ def test_criterion_09_cutoff_semantics():
 
     def cfg_with(cutoff):
         return SolverConfig(dt=2e-3, T=0.1, noise_on=True, seed=21,
-                            cutoff=cutoff, track_balance=False)
+                            cutoff=cutoff, balance_q=())
 
     # huge R: bitwise identical to the cut-off-free run
     s_on, _ = run(sys, noise, cfg_with(CutOffParams(R=1e6, r=2.0, q=2.0)), v0)
@@ -299,7 +299,7 @@ def test_criterion_11_blowup_detector():
     t0 = time.perf_counter()
     grid = TorusGrid(2, 8)
     sys = build_builtin("quadratic_unsafe", [0.1], allow_unsafe=True)
-    cfg = SolverConfig(dt=5e-4, T=1.0, noise_on=False, track_balance=False,
+    cfg = SolverConfig(dt=5e-4, T=1.0, noise_on=False, balance_q=(),
                        blowup_threshold=1e3, blowup_norm_q0=4.0)
     state, _ = run(sys, None, cfg, [GridField(grid, np.full(grid.shape, 2.0))])
     tau = state.blown_up

@@ -20,6 +20,11 @@ solver.T = 0.02
 """
 
 
+NOISY_DT = "noise.shell_n = 4\nnoise.nu = 1.0\n"
+DECAY = "reaction.kind = builtin:decay\n"
+NEGATIVE_V0 = "require_nonneg: species 0 has negative initial data"
+
+
 class TestConfigParsing:
     def test_minimal_fills_defaults(self):
         cfg = RunConfig.from_text(MINIMAL)
@@ -147,6 +152,8 @@ class TestConfigParsing:
          "experiment.tail_fraction: must lie in (0, 1], got 1.5"),
         ("experiment.tail_fraction = 0", "experiment.tail_fraction: must lie in (0, 1], got 0.0"),
         ("experiment.q0 = 0", "experiment.q0: must be >= 1, got 0.0"),
+        ("experiment.tracked_mode = [1]",
+         "experiment.tracked_mode: expected empty or 2 components, got [1]"),
         # every plan has the paths rule; it is reported once
         ("experiment.paths = 0", "experiment.paths: must be >= 1, got 0"),
     ])
@@ -154,6 +161,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             RunConfig.from_text(MINIMAL + binding + "\n")
         assert info.value.errors == [error]
+
+
+    def test_track_balance_false_empties_balance_q(self):
+        cfg = RunConfig.from_text(MINIMAL + "solver.track_balance = false\n")
+        assert cfg.solver.balance_q == ()
+        assert cfg["solver.balance_q"] == [2.0]  # the key keeps its value
+        assert RunConfig.from_text(MINIMAL).solver.balance_q == (2.0,)
+        # the exponents are checked whether or not the balance is tracked
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(MINIMAL + "solver.track_balance = false\n"
+                                "solver.balance_q = [1.0]\n")
+        assert info.value.errors == ["solver.balance_q: exponents must be >= 2, got [1.0]"]
 
 
 class TestBuilders:
@@ -339,6 +358,8 @@ class TestCli:
         ("simulate-det", "noise.nu=-5.0", "noise.nu"),
         ("survival", "experiment.nus=[]", "experiment.nus"),
         ("decay", "experiment.tail_fraction=1.5", "experiment.tail_fraction"),
+        ("decay", "experiment.tracked_mode=[1]", "experiment.tracked_mode"),
+        ("decay", "experiment.tracked_mode=[1, 0, 0]", "experiment.tracked_mode"),
     ])
     def test_config_errors_exit_one_without_output_dir(self, tmp_path, capsys, command,
                                                         override, key):
@@ -371,6 +392,36 @@ class TestCli:
         assert error in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, bindings, error", [
+        # noisy dt = 0.01 against the guard bound 0.5 / (1 * 8 * 32) at shell 4
+        ("simulate", NOISY_DT, "violates the noise step guard"),
+        ("decay", NOISY_DT + DECAY, "violates the noise step guard"),
+        # the default single_mode data is negative somewhere
+        ("simulate", "solver.require_nonneg = true\n", NEGATIVE_V0),
+        ("scaling-limit", "solver.require_nonneg = true\nexperiment.shells = [1, 2]\n",
+         NEGATIVE_V0),
+        ("decay", "solver.require_nonneg = true\n" + DECAY, NEGATIVE_V0),
+    ])
+    def test_run_start_checks_exit_one_before_output(self, tmp_path, capsys, command,
+                                                      bindings, error):
+        config = tmp_path / "run.cfg"
+        config.write_text("grid.n = 32\nsolver.dt = 0.01\nsolver.T = 0.05\n" + bindings)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", str(config), "--out", str(out)]) == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scaling_limit_with_noise_off_builds_no_shell_noise(self, tmp_path):
+        # noise.gamma is checked only with noise on, and a noise-off sweep
+        # has no shell noise to build from it
+        config = tmp_path / "run.cfg"
+        config.write_text("grid.n = 16\nsolver.dt = 0.005\nsolver.T = 0.02\n"
+                          "noise.enabled = false\nnoise.gamma = -1\n"
+                          "experiment.shells = [1, 2]\nexperiment.paths = 2\n")
+        out = tmp_path / "out"
+        assert run_cli(["scaling-limit", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "scaling_table.csv").exists()
 
     def test_bad_config_exits_one(self, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -41,7 +41,7 @@ def _sampled_lq(values, q):
     builder = RecordBuilder(build_builtin("zero", [0.1] * len(values)), lq_list=(q,),
                             balance_q=())
     builder.sample(0.0, values, 1.0, 0.0)
-    return builder.finalize(None).lq[q][0]
+    return builder.finalize().lq[q][0]
 
 
 class TestLqNorms:
@@ -139,7 +139,7 @@ class TestBalanceGradientEnergy:
         builder = RecordBuilder(sys, lq_list=(q,), balance_q=(q,))
         builder.accumulate_balance(1.0, values, sys.f(0.0, values), stepper.gradients(fields))
         builder.sample(1.0, values, 1.0, 0.0)
-        record = builder.finalize(None)
+        record = builder.finalize()
         work = [np.mean(np.abs(v) ** (q - 2.0) * f * v)
                 for v, f in zip(values, sys.f(0.0, values))]
         assert np.abs(record.work[q][-1] - work).max() <= 1e-13 * np.abs(work).max()
@@ -187,7 +187,7 @@ class TestBalanceGradientEnergy:
                     work_ref[q][i] += dt * float(np.mean(weight * fvals[i] * values[i]))
             fields, values = 1.5 * fields, 1.5 * values
         builder.sample(1.0, values, 1.0, 0.0)
-        record = builder.finalize(None)
+        record = builder.finalize()
         for q in qs:
             assert record.grad_energy[q][0].tobytes() == grad_ref[q].tobytes()
             assert record.work[q][0].tobytes() == work_ref[q].tobytes()

@@ -27,7 +27,7 @@ from torusrd.solver import SolverConfig, run
 def small_heat_plan(nu=0.1, shells=(1, 2), paths=6, n=48, T=0.15):
     grid = TorusGrid(2, n)
     sys0 = build_builtin("zero", [0.01])
-    cfg = SolverConfig(dt=2e-3, T=T, noise_on=nu > 0, track_balance=False,
+    cfg = SolverConfig(dt=2e-3, T=T, noise_on=nu > 0, balance_q=(),
                        record_every=5, seed=31)
     v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
     return ScalingLimitPlan(
@@ -61,7 +61,7 @@ class TestScalingLimit:
     def test_step_guard_checked_for_every_shell_at_construction(self):
         # shells 1-8 pass the guard at 96^2, dt = 2.5e-3; shell 16 does not
         grid = TorusGrid(2, 96)
-        cfg = SolverConfig(dt=2.5e-3, T=0.25, track_balance=False)
+        cfg = SolverConfig(dt=2.5e-3, T=0.25, balance_q=())
         with pytest.raises(ValueError, match="shell 16: dt = 0.0025 violates the noise step guard"):
             ScalingLimitPlan(shells=(1, 2, 4, 8, 16), gamma=0.0, nu=0.1, paths=1,
                              solver=cfg, sys=build_builtin("zero", [0.01]),
@@ -107,7 +107,7 @@ class TestScalingLimit:
     def test_blown_up_paths_are_tolerated_and_reported(self):
         grid = TorusGrid(2, 16)
         sys = build_builtin("quadratic_unsafe", [0.1], allow_unsafe=True)
-        cfg = SolverConfig(dt=2e-3, T=0.2, noise_on=True, track_balance=False,
+        cfg = SolverConfig(dt=2e-3, T=0.2, noise_on=True, balance_q=(),
                            record_every=4, seed=5, blowup_threshold=5.0,
                            blowup_norm_q0=4.0)
         v0 = [GridField(grid, np.full(grid.shape, 4.0))]
@@ -205,7 +205,7 @@ class TestSurvival:
     def test_gentle_system_always_survives(self):
         grid = TorusGrid(2, 16)
         sys = build_builtin("logistic", [0.1])
-        cfg = SolverConfig(dt=5e-3, T=0.5, noise_on=True, track_balance=False, seed=3)
+        cfg = SolverConfig(dt=5e-3, T=0.5, noise_on=True, balance_q=(), seed=3)
         v0 = [GridField(grid, np.full(grid.shape, 0.5))]
         plan = SurvivalPlan(nus=(0.05, 0.1), shell_n=1, gamma=0.0, paths=8,
                             solver=cfg, sys=sys, v0=v0)
@@ -218,7 +218,7 @@ class TestSurvival:
         # near the 1/v0 = 0.5 mark
         grid = TorusGrid(2, 8)
         sys = build_builtin("quadratic_unsafe", [0.1], allow_unsafe=True)
-        cfg = SolverConfig(dt=5e-4, T=1.0, noise_on=False, track_balance=False,
+        cfg = SolverConfig(dt=5e-4, T=1.0, noise_on=False, balance_q=(),
                            blowup_threshold=1e3, blowup_norm_q0=4.0)
         v0 = [GridField(grid, np.full(grid.shape, 2.0))]
         plan = SurvivalPlan(nus=(0.0,), shell_n=1, gamma=0.0, paths=4,
@@ -233,7 +233,7 @@ class TestSurvival:
         grid = TorusGrid(2, 32)
         sys = build_builtin("logistic", [0.1])
         v0 = [GridField(grid, np.full(grid.shape, 0.5))]
-        cfg = SolverConfig(dt=1e-2, T=0.1, noise_on=True, track_balance=False)
+        cfg = SolverConfig(dt=1e-2, T=0.1, noise_on=True, balance_q=())
         with pytest.raises(ValueError, match="nu = 1.0: dt = 0.01 violates the noise step guard"):
             SurvivalPlan(nus=(0.1, 0.5, 1.0), shell_n=1, gamma=0.0, paths=2,
                          solver=cfg, sys=sys, v0=v0)
@@ -246,7 +246,7 @@ class TestSurvival:
     ])
     def test_nus_and_paths_rules_name_their_arguments(self, nus, paths, bad):
         grid = TorusGrid(2, 8)
-        cfg = SolverConfig(dt=5e-3, T=0.1, noise_on=False, track_balance=False)
+        cfg = SolverConfig(dt=5e-3, T=0.1, noise_on=False, balance_q=())
         with pytest.raises(ArgumentErrors) as info:
             SurvivalPlan(nus=nus, shell_n=1, gamma=0.0, paths=paths, solver=cfg,
                          sys=build_builtin("logistic", [0.1]),
@@ -256,7 +256,7 @@ class TestSurvival:
     def test_negative_data_rejected(self):
         grid = TorusGrid(2, 8)
         sys = build_builtin("logistic", [0.1])
-        cfg = SolverConfig(dt=5e-3, T=0.1, noise_on=True, track_balance=False)
+        cfg = SolverConfig(dt=5e-3, T=0.1, noise_on=True, balance_q=())
         v0 = [GridField(grid, np.full(grid.shape, -1.0))]
         with pytest.raises(ValueError, match="v0 >= 0"):
             SurvivalPlan(nus=(0.1,), shell_n=1, gamma=0.0, paths=2,
@@ -267,7 +267,7 @@ class TestDecay:
     def _plan(self, v0_value=1.5, nu=0.0, paths=1, tracked=None, T=2.0, n=16):
         grid = TorusGrid(2, n)
         sys = build_builtin("decay", [0.01])
-        cfg = SolverConfig(dt=2e-3, T=T, noise_on=nu > 0, track_balance=False,
+        cfg = SolverConfig(dt=2e-3, T=T, noise_on=nu > 0, balance_q=(),
                            record_every=20, seed=13)
         x = grid.node_coordinates()[0]
         vals = np.full(grid.shape, v0_value)
@@ -323,6 +323,6 @@ class TestDecay:
     def test_decay_regime_enforced(self):
         grid = TorusGrid(2, 16)
         sys = build_builtin("logistic", [0.1])  # a1 = +1: not a decay system
-        cfg = SolverConfig(dt=1e-2, T=0.5, noise_on=False, track_balance=False)
+        cfg = SolverConfig(dt=1e-2, T=0.5, noise_on=False, balance_q=())
         with pytest.raises(ValueError, match="a1 < 0"):
             DecayPlan(solver=cfg, sys=sys, v0=[GridField(grid, np.ones(grid.shape))])

@@ -77,7 +77,7 @@ class TestHyperplaneBasis:
             assert lattice_partition(k) == 1
             assert theta == table[tuple(int(x) for x in k)]
             np.testing.assert_allclose(basis, hyperplane_basis(k, d), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(basis, model.basis(-k), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(basis, hyperplane_basis(-k, d), rtol=0, atol=1e-15)
 
 
 class TestThetaShell:
@@ -321,7 +321,7 @@ class TestTransport:
         for j in range(d):
             spec = np.zeros(grid.shape, dtype=complex)
             for k in model.spectrum.support:
-                a = model.basis(k)
+                a = hyperplane_basis(k, d)
                 spec[tuple(k % n)] += np.sqrt(model.c_d * model.nu) * table[tuple(k)] * sum(
                     a[alpha, j] * inc.dW(k, alpha) for alpha in range(d - 1)
                 )

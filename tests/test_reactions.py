@@ -121,12 +121,12 @@ class TestGrowthCertificate:
 
 
 def reaction_drift(sys, grid, values):
-    """Spectral drift f + div F, dealiased, from Stepper.reaction_drift's grid
-    part f and spectral div F."""
+    """Spectral drift f + div F, dealiased, from the rates f(t, v) and
+    Stepper.reaction_drift's spectral div F."""
     cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False)
     stepper = Stepper(grid, sys, None, cfg)
-    rates, div = stepper.reaction_drift(0.0, values, sys.f(0.0, values))
-    drift = forward(rates, grid.d)
+    div = stepper.reaction_drift(0.0, values)
+    drift = forward(sys.f(0.0, values), grid.d)
     drift[..., ~grid.dealias_mask()] = 0.0
     return drift if div is None else drift + div
 
@@ -164,7 +164,7 @@ class TestEvaluateReaction:
 
         # a NaN rate flags blow-up at the step that reads it
         sys = ReactionSystem(ell=1, nu=np.array([0.1]), h=2.0, f=f)
-        cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False, track_balance=False)
+        cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False, balance_q=())
         fields = forward(np.ones((1,) + self.grid.shape), self.grid.d)
         state = Stepper(self.grid, sys, None, cfg).step(SimState(t=0.0, fields=fields), None)
         assert state.blown_up == cfg.dt
@@ -195,7 +195,7 @@ class TestFluxDivergence:
         sys = build_builtin("linear_flux", [0.1, 0.2], d=d)
         values = np.random.default_rng(7).standard_normal((2,) + grid.shape)
         stepper = Stepper(grid, sys, None, SolverConfig(dt=0.1, T=0.1, noise_on=False))
-        _, div = stepper.reaction_drift(0.0, values, sys.f(0.0, values))
+        div = stepper.reaction_drift(0.0, values)
         for v, got in zip(values, div):
             expected = partial_derivative(to_spectral(GridField(grid, v)), 0).coeffs
             expected[~grid.dealias_mask()] = 0.0
@@ -250,7 +250,7 @@ class TestBuiltins:
     def test_nonzero_reaction_named_zero_keeps_its_drift(self):
         # f = v^2 on a constant field: the drift must run whatever the name
         grid = TorusGrid(2, 16)
-        cfg = SolverConfig(dt=0.01, T=0.1, noise_on=False, track_balance=False)
+        cfg = SolverConfig(dt=0.01, T=0.1, noise_on=False, balance_q=())
         v0 = [GridField(grid, np.full(grid.shape, 0.5))]
         means = []
         for name in ("custom", "zero"):
