@@ -366,13 +366,15 @@ def run_decay(plan: DecayPlan, threads: int = DEFAULT_THREADS) -> DecayReport:
     Without noise the L^{q0} norm of the single deterministic path is
     fitted, and only that one path is run whatever plan.paths says; with
     noise the mean of the tracked mode amplitude over paths decays at
-    |a1| + 4 pi^2 |k|^2 (nu_i + nu).
+    |a1| + 4 pi^2 |k|^2 (nu_i + nu).  With the noise off (solver.noise_on
+    false) and nu > 0, nu enhances the diffusion of that one path instead,
+    and its tracked mode decays at the same rate.
     """
     grid = plan.v0[0].grid
     a1 = plan.sys.mass_consts[1]
     noise = (
         NoiseModel(build_theta_shell(plan.shell_n, plan.gamma, grid.d), nu=plan.nu)
-        if plan.nu > 0
+        if plan.solver.noise_on and plan.nu > 0
         else None
     )
 
@@ -399,7 +401,7 @@ def run_decay(plan: DecayPlan, threads: int = DEFAULT_THREADS) -> DecayReport:
         return np.array(times), np.array(norms), np.array(amps)
 
     # without noise every path is the same deterministic path
-    paths = plan.paths if noise is not None and plan.solver.noise_on else 1
+    paths = plan.paths if noise is not None else 1
     results = _map_paths(worker, paths, threads)
     times = results[0][0]
     mode_rate = mode_expected = None

@@ -261,6 +261,13 @@ def sample_increments(model: NoiseModel, dt: float, rng: np.random.Generator) ->
     return IncrementSet(dt=dt, model=model, dw_plus=dw)
 
 
+class _PathGenerator(np.random.Generator):
+    """A path's generator, with the Philox state dict that path_rng re-keys
+    (None until the first re-key)."""
+
+    rekey_state: dict | None = None
+
+
 def path_rng(seed: int, path_index: int, step_index: int,
              rng: np.random.Generator | None = None) -> np.random.Generator:
     """Counter-based generator for one (path, step): order-independent.
@@ -268,18 +275,22 @@ def path_rng(seed: int, path_index: int, step_index: int,
     rng, a generator that path_rng made for the same (seed, path_index), is
     re-keyed to the step in place and returned: the same stream as a fresh
     generator, without the OS-entropy draw that every new Philox makes
-    before its key replaces it.  The key is kept from rng's own state, where
-    Philox has wrapped a negative seed mod 2^64.
+    before its key replaces it.  The first re-key reads rng's state once,
+    with the key where Philox has wrapped a negative seed mod 2^64, and
+    keeps it with rng; each re-key then sets that dict with only its
+    counter changed.
     """
     if rng is None:
-        return np.random.Generator(
+        return _PathGenerator(
             np.random.Philox(key=[seed, path_index], counter=[0, 0, 0, step_index])
         )
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    state["state"]["counter"] = np.array([0, 0, 0, step_index], dtype=np.uint64)
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)  # no buffered output
-    bitgen.state = state
+    state = rng.rekey_state
+    if state is None:
+        state = rng.rekey_state = rng.bit_generator.state
+        state["state"]["counter"][:] = 0
+        state.update(buffer_pos=4, has_uint32=0, uinteger=0)  # no buffered output
+    state["state"]["counter"][3] = step_index
+    rng.bit_generator.state = state
     return rng
 
 

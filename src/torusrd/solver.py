@@ -19,7 +19,20 @@ series runs on a product grid of M > 2K + K_u points per axis, where those
 products are exact (product_grid_size).
 
 Blow-up (threshold crossing of the L^{q0} norm, or non-finite values) is a
-recorded outcome with a tau estimate, never a process failure.
+recorded outcome with a tau estimate, never a process failure.  A step
+transforms back to the grid only when its values are read (a record step,
+the last step, every step of a cut-off run).  Any other step certifies "no
+blow-up" from the spectral L^2 norm: for a species stack of N coefficients
+c_ik in d = 2 or 3 and any q0,
+
+    |v|_{L^{q0}} <= max_x |v(x)| <= sqrt(sum_i (sum_k |c_ik|)^2)
+                 <= sqrt(N sum_ik |c_ik|^2) = sup_bound(c),
+
+and where that bound does not clear the threshold (or is not finite) the
+step takes the exact norm instead, so tau is the same either way.  A step
+certifies only where n^d sup_bound^{q0} is also below the largest float, so
+that the exact norm, which reads an overflow as a blow-up, could not have
+overflowed either.
 """
 
 from __future__ import annotations
@@ -43,6 +56,8 @@ SCHEMES = ("euler_maruyama_ito", "strat_substep")
 
 # Bessel-tail bound at which the Chebyshev series of exp(A) is truncated
 EXPM_TAIL_TOL = 1e-16
+# relative round-off margin by which sup_bound must clear the blow-up threshold
+SUP_BOUND_MARGIN = 1e-9
 
 
 def horizon_steps(T: float, dt: float) -> int | None:
@@ -79,6 +94,13 @@ def chebyshev_expm(apply, v: np.ndarray, rho: float) -> np.ndarray:
         out += (2.0 * c[k]) * nxt
         prev, cur = cur, nxt
     return out
+
+
+def sup_bound(coeffs: np.ndarray) -> float:
+    """sqrt(N sum |c|^2) for the N spectral coefficients c of a species
+    stack: an upper bound of max_x |v(x)|, hence of every L^q norm of v,
+    with one pass over the coefficients.  inf on overflow, NaN on NaN."""
+    return math.sqrt(coeffs.size * np.vdot(coeffs, coeffs).real)
 
 
 def _scale_velocity(vel: tuple[np.ndarray, np.ndarray | None], scale: float) -> None:
@@ -214,7 +236,8 @@ class SimState:
     phi_value: float = 1.0
     step_index: int = 0
     blown_up: float | None = None  # tau estimate once set
-    # derived from fields, filled by the Stepper when first needed
+    # derived from fields, filled by the Stepper when first needed; None
+    # after a step whose caller did not read its values
     grid_values: np.ndarray | None = dc_field(default=None, repr=False)
     cutoff_integrand: float | None = None  # |v|_{L^q}^r of the cut-off
 
@@ -252,6 +275,11 @@ class Stepper:
         self.propagator = np.stack(
             [np.exp(lam * (nu_i + nu_extra) * cfg.dt) for nu_i in sys.nu]
         )
+        # sup_bound below this cap certifies that the exact L^{q0} norm, a
+        # mean of N grid values |v|^{q0} <= sup_bound^{q0}, neither reaches
+        # the threshold nor overflows
+        overflow = (np.finfo(float).max / math.prod(grid.shape)) ** (1.0 / cfg.blowup_norm_q0)
+        self.bound_cap = (1.0 - SUP_BOUND_MARGIN) * min(cfg.blowup_threshold, overflow)
         self.band = grid.dealias_band  # products keep |k_j| <= n/3 (dealias_in_place)
         self.layout = ProductLayout.of(grid)
         # real inverse transforms read the Hermitian half k_d <= n/2 only
@@ -433,23 +461,31 @@ class Stepper:
         return phi_bump(state.cutoff_acc ** (1.0 / co.r) / co.R)
 
     def step(self, state: SimState, inc: IncrementSet | None,
-             balance: RecordBuilder | None = None) -> SimState:
+             balance: RecordBuilder | None = None, values: bool = True) -> SimState:
         """Advance one dt.  inc must be provided iff noise is active.  With
         balance, the pre-step rates f(t, v) and packed gradient advance its
         running balance integrals first; the drift and the Ito transport
-        then reuse them, so each is evaluated once per step."""
+        then reuse them, so each is evaluated once per step.
+
+        values says whether the caller reads the post-step grid values.
+        Without a cut-off, a step with values False checks for blow-up by
+        sup_bound and returns grid_values None where the bound clears the
+        threshold; the fields and tau are those of values True."""
         if state.blown_up is not None:
             raise ValueError("state already blew up; stepping is undefined")
         cfg = self.cfg
-        pre_values = state.grid_values
-        if pre_values is None:
-            pre_values = self.to_values(state.fields)
         phi = self.evaluate_phi(state)
 
         if self.noise_ops is not None and inc is None:
             raise ValueError("noise is active but no increments were given")
         ito = self.noise_ops is not None and cfg.scheme == "euler_maruyama_ito"
         drift_on = not self.sys.is_linear and phi != 0.0
+        # the pre-step values are read by the balance, the drift and a
+        # cut-off that has no carried-over integrand only
+        pre_values = state.grid_values
+        if pre_values is None and (balance is not None or drift_on or (
+                cfg.cutoff is not None and state.cutoff_integrand is None)):
+            pre_values = self.to_values(state.fields)
 
         rates = grad = None
         if balance is not None:
@@ -488,30 +524,31 @@ class Stepper:
         if self.noise_ops is not None and not ito:
             self._advect(new, inc)
 
-        post_values = self.to_values(new)
-
         # trapezoid advance of the cut-off accumulator A(t) = int |v|_{Lq}^r;
         # the pre-step integrand is carried over from the previous step
-        acc, post_n, q0norm = state.cutoff_acc, None, None
-        if cfg.cutoff is not None:
-            co = cfg.cutoff
-            pre_n = state.cutoff_integrand
-            if pre_n is None:
-                pre_n = lq_norm_vector(pre_values, co.q) ** co.r
-            post_norm = lq_norm_vector(post_values, co.q)
-            post_n = post_norm ** co.r
-            acc = acc + 0.5 * cfg.dt * (pre_n + post_n)
-            if co.q == cfg.blowup_norm_q0:  # one norm serves both
-                q0norm = post_norm
-
-        # a non-finite value makes the L^{q0} norm non-finite; a non-finite
-        # rate or flux spreads to every mode through the step's transforms
-        if q0norm is None:
-            q0norm = lq_norm_vector(post_values, cfg.blowup_norm_q0)
+        acc, post_values, post_n, q0norm = state.cutoff_acc, None, None, None
         t_new = (state.step_index + 1) * cfg.dt
         blown: float | None = None
-        if not math.isfinite(q0norm) or q0norm >= cfg.blowup_threshold:
-            blown = t_new
+        # a NaN or inf bound fails the comparison and takes the exact norm
+        if values or cfg.cutoff is not None or not sup_bound(new) < self.bound_cap:
+            post_values = self.to_values(new)
+            if cfg.cutoff is not None:
+                co = cfg.cutoff
+                pre_n = state.cutoff_integrand
+                if pre_n is None:
+                    pre_n = lq_norm_vector(pre_values, co.q) ** co.r
+                post_norm = lq_norm_vector(post_values, co.q)
+                post_n = post_norm ** co.r
+                acc = acc + 0.5 * cfg.dt * (pre_n + post_n)
+                if co.q == cfg.blowup_norm_q0:  # one norm serves both
+                    q0norm = post_norm
+
+            # a non-finite value makes the L^{q0} norm non-finite; a non-finite
+            # rate or flux spreads to every mode through the step's transforms
+            if q0norm is None:
+                q0norm = lq_norm_vector(post_values, cfg.blowup_norm_q0)
+            if not math.isfinite(q0norm) or q0norm >= cfg.blowup_threshold:
+                blown = t_new
 
         return SimState(
             t=t_new,
@@ -550,7 +587,9 @@ def run(
     observer=None,
     increments=None,
 ) -> tuple[SimState, DiagnosticsRecord]:
-    """Integrate to T (or blow-up), recording diagnostics every record_every steps.
+    """Integrate to T (or blow-up), recording diagnostics every record_every
+    steps; only the recorded steps read their grid values (Stepper.step with
+    values True).
 
     increments: optional callable step_index -> IncrementSet overriding the
     counter-based default (used by coupled-refinement tests); otherwise one
@@ -589,11 +628,11 @@ def run(
                 inc = sample_increments(noise, cfg.dt, rng)
         else:
             inc = None
-        state = stepper.step(state, inc, balance)
+        read = (step_idx + 1) % cfg.record_every == 0 or step_idx + 1 == n_steps
+        state = stepper.step(state, inc, balance, values=read)
+        if read or state.blown_up is not None:
+            record(state)
         if state.blown_up is not None:
-            record(state)
             break
-        if (step_idx + 1) % cfg.record_every == 0 or step_idx + 1 == n_steps:
-            record(state)
 
     return state, builder.finalize()

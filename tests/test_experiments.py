@@ -293,6 +293,15 @@ class TestDecay:
         assert report.mode_expected == pytest.approx(1.0 + 4 * np.pi**2 * 0.11)
         assert report.mode_rate == pytest.approx(report.mode_expected, rel=0.1)
 
+    def test_noise_off_runs_the_enhanced_diffusion(self):
+        # with the noise off, nu enhances the diffusion of the one path, so
+        # the tracked mode decays at the reported |a1| + 4 pi^2 |k|^2 (nu_i + nu)
+        plan = self._plan(nu=0.1, tracked=(1, 0), T=0.8)
+        plan = dataclasses.replace(plan, solver=dataclasses.replace(plan.solver, noise_on=False))
+        report = run_decay(plan)
+        assert report.mode_expected == pytest.approx(1.0 + 4 * np.pi**2 * 0.11)
+        assert report.mode_rate == pytest.approx(report.mode_expected, rel=1e-3)
+
     @pytest.mark.parametrize("tail_fraction", [0.0, -0.5, 1.5])
     def test_tail_fraction_outside_unit_interval_rejected(self, tail_fraction):
         with pytest.raises(ArgumentErrors, match=r"tail_fraction: must lie in \(0, 1\]"):

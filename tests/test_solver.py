@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import torusrd.solver as solver_module
 from torusrd.diagnostics import RecordBuilder, lq_norm_vector
@@ -39,6 +40,7 @@ from torusrd.solver import (
     chebyshev_expm,
     phi_bump,
     run,
+    sup_bound,
 )
 
 
@@ -378,6 +380,44 @@ class TestCutOffSemantics:
         assert np.all(np.diff(record.cutoff_acc) >= 0)
 
 
+DRIFT_KINDS = [("euler_maruyama_ito", True), ("euler_maruyama_ito", False),
+               ("strat_substep", True)]
+POISONS = ["nan_rate", "overflowing_rate", "nan_flux"]
+POISON_DT = 5e-3
+
+
+def _poisoned_run(scheme, noisy, poison, bad_step, record_every):
+    """A 16^2 run to 10 dt whose rate or flux turns NaN or inf from step
+    bad_step on."""
+    grid = TorusGrid(2, 16)
+    dt = POISON_DT
+
+    def rates(t, Y):
+        out = -0.5 * Y
+        if round(t / dt) >= bad_step:
+            if poison == "nan_rate":
+                out[0, 1, 2] = np.nan
+            elif poison == "overflowing_rate":
+                with np.errstate(over="ignore"):
+                    out[0] = np.exp(1000.0 * Y[0])
+        return out
+
+    def flux(t, Y):
+        out = np.zeros((Y.shape[0], grid.d) + Y.shape[1:])
+        out[:, 0] = Y
+        if round(t / dt) >= bad_step:
+            out[0, 0, 1, 2] = np.nan
+        return out
+
+    sys = ReactionSystem(ell=1, nu=np.array([0.05]), h=2.0, f=rates,
+                         F=flux if poison == "nan_flux" else None)
+    noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.05) if noisy else None
+    cfg = SolverConfig(dt=dt, T=10 * dt, scheme=scheme, noise_on=noisy, seed=1,
+                       blowup_threshold=1e300, record_every=record_every)
+    x = grid.node_coordinates()[0]
+    return run(sys, noise, cfg, [GridField(grid, 1.0 + 0.3 * np.cos(2 * np.pi * x))])
+
+
 class TestBlowUpDetection:
     def test_quadratic_ode_blowup_time(self):
         grid = TorusGrid(2, 8)
@@ -411,42 +451,24 @@ class TestBlowUpDetection:
         state = stepper.step(SimState(t=0.0, fields=fields), None)
         assert state.blown_up == cfg.dt
 
-    @pytest.mark.parametrize("scheme, noisy", [("euler_maruyama_ito", True),
-                                               ("euler_maruyama_ito", False),
-                                               ("strat_substep", True)])
-    @pytest.mark.parametrize("poison", ["nan_rate", "overflowing_rate", "nan_flux"])
+    @pytest.mark.parametrize("scheme, noisy", DRIFT_KINDS)
+    @pytest.mark.parametrize("poison", POISONS)
     def test_non_finite_drift_flags_blowup_at_its_step(self, scheme, noisy, poison):
         # a NaN or inf rate or flux spreads through the step's transforms,
         # so the L^{q0} norm flags the step that reads it: tau is that
         # step's end time
-        grid = TorusGrid(2, 16)
-        dt, bad_step = 5e-3, 3
+        state, _ = _poisoned_run(scheme, noisy, poison, bad_step=3, record_every=1)
+        assert state.blown_up == 4 * POISON_DT
 
-        def rates(t, Y):
-            out = -0.5 * Y
-            if round(t / dt) >= bad_step:
-                if poison == "nan_rate":
-                    out[0, 1, 2] = np.nan
-                elif poison == "overflowing_rate":
-                    with np.errstate(over="ignore"):
-                        out[0] = np.exp(1000.0 * Y[0])
-            return out
-
-        def flux(t, Y):
-            out = np.zeros((Y.shape[0], grid.d) + Y.shape[1:])
-            out[:, 0] = Y
-            if round(t / dt) >= bad_step:
-                out[0, 0, 1, 2] = np.nan
-            return out
-
-        sys = ReactionSystem(ell=1, nu=np.array([0.05]), h=2.0, f=rates,
-                             F=flux if poison == "nan_flux" else None)
-        noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.05) if noisy else None
-        cfg = SolverConfig(dt=dt, T=10 * dt, scheme=scheme, noise_on=noisy, seed=1,
-                           blowup_threshold=1e300)
-        x = grid.node_coordinates()[0]
-        state, _ = run(sys, noise, cfg, [GridField(grid, 1.0 + 0.3 * np.cos(2 * np.pi * x))])
-        assert state.blown_up == (bad_step + 1) * dt
+    @pytest.mark.parametrize("scheme, noisy", DRIFT_KINDS)
+    @pytest.mark.parametrize("poison", POISONS)
+    def test_non_finite_drift_flags_blowup_between_records(self, scheme, noisy, poison):
+        # record_every = 4: the poisoned step 5 reads no values, and its
+        # non-finite spectrum fails the sup_bound check, so tau is still
+        # its end time
+        state, record = _poisoned_run(scheme, noisy, poison, bad_step=5, record_every=4)
+        assert state.blown_up == 6 * POISON_DT
+        assert np.array_equal(record.times, [0.0, 4 * POISON_DT, state.blown_up])
 
     def test_stepping_after_blowup_rejected(self):
         grid = TorusGrid(2, 8)
@@ -962,3 +984,107 @@ class TestOneTransformBackend:
                                 epsilon=0.1, hminus_gamma=0.5)
         result = run_scaling_limit(plan)
         assert all(np.all(s.hminus_distances > 0) for s in result.shells)
+
+
+class TestValuesOnlyWhenRead:
+    """A step whose grid values nobody reads rules out a blow-up by
+    sup_bound and transforms nothing back; the exact norm decides wherever
+    the bound does not clear the threshold."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), d=st.sampled_from([2, 3]), ell=st.sampled_from([1, 2]),
+           roughness=st.floats(0.0, 2.0), spike=st.floats(0.0, 100.0))
+    def test_bound_exceeds_the_sup_and_every_lq_norm(self, seed, d, ell, roughness, spike):
+        grid = TorusGrid(d, 16 if d == 2 else 8)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((ell,) + grid.shape)
+        values.flat[rng.integers(values.size)] += spike
+        # an even weight growing with |k| keeps the spectrum Hermitian and rough
+        coeffs = forward(values, d) * (1.0 + grid.k_squared) ** roughness
+        cfg = SolverConfig(dt=1e-3, T=0.0, noise_on=False)
+        stepper = Stepper(grid, build_builtin("zero", [0.1] * ell), None, cfg)
+        grid_values = stepper.to_values(coeffs)
+        bound = sup_bound(coeffs)
+        assert np.sqrt(np.square(grid_values).sum(axis=0)).max() <= bound
+        for q0 in (3.0, 4.0, 8.0):
+            assert lq_norm_vector(grid_values, q0) <= bound
+
+    def test_bound_of_non_finite_coefficients_fails_every_threshold(self):
+        coeffs = np.zeros((1, 8, 8), dtype=complex)
+        for value in (np.nan, np.inf, 1e200):
+            coeffs[0, 1, 2] = value
+            assert not sup_bound(coeffs) < 1e300
+
+    def test_cap_keeps_the_exact_norm_from_overflowing(self):
+        # 8^2 points of |v|^4 <= cap^4 sum below the largest float
+        grid = TorusGrid(2, 8)
+        cfg = SolverConfig(dt=1e-3, T=0.0, noise_on=False, blowup_threshold=1e300)
+        cap = Stepper(grid, build_builtin("zero", [0.1]), None, cfg).bound_cap
+        assert cap < 1e300 and np.isfinite(grid.n_points * cap**4)
+        values = np.full((1,) + grid.shape, cap)
+        assert np.isfinite(lq_norm_vector(values, 4.0))
+
+    @staticmethod
+    def _cases():
+        grid = TorusGrid(2, 32)
+        x = grid.node_coordinates()[0]
+        sweep = (build_builtin("zero", [0.01]),
+                 NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1),
+                 SolverConfig(dt=2.5e-3, T=0.05, seed=7, record_every=5, balance_q=()),
+                 [to_grid(single_mode(grid, (1, 0), 0.5))])
+        substep = (build_builtin("zero", [0.01]),
+                   NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.05),
+                   SolverConfig(dt=2e-3, T=0.02, scheme="strat_substep", seed=3,
+                                record_every=3, balance_q=()),
+                   [GridField(grid, 0.5 + 0.1 * np.cos(2 * np.pi * x))])
+        small = TorusGrid(2, 8)
+        blowup = (build_builtin("quadratic_unsafe", [0.1], allow_unsafe=True), None,
+                  SolverConfig(dt=5e-4, T=1.0, noise_on=False, balance_q=(), record_every=7,
+                               blowup_threshold=1e3, blowup_norm_q0=4.0),
+                  [GridField(small, 2.0 + 0.1 * np.cos(2 * np.pi * small.node_coordinates()[1]))])
+        return {"ito_sweep": sweep, "strat_substep": substep, "quadratic_blowup": blowup}
+
+    @pytest.mark.parametrize("case", ["ito_sweep", "strat_substep", "quadratic_blowup"])
+    def test_run_is_bitwise_a_run_that_reads_every_step(self, case, monkeypatch):
+        sys, noise, cfg, v0 = self._cases()[case]
+        norms = []
+
+        def counted(stack, q):
+            norms.append(q)
+            return lq_norm_vector(stack, q)
+
+        monkeypatch.setattr(solver_module, "lq_norm_vector", counted)
+        state, record = run(sys, noise, cfg, v0)
+        lazy_norms = len(norms)
+
+        step = Stepper.step
+        monkeypatch.setattr(Stepper, "step", lambda self, state, inc, balance=None, values=True:
+                            step(self, state, inc, balance, values=True))
+        norms.clear()
+        exact_state, exact_record = run(sys, noise, cfg, v0)
+        assert len(norms) == exact_state.step_index > lazy_norms  # some steps took no norm
+
+        assert state.fields.tobytes() == exact_state.fields.tobytes()
+        assert state.blown_up == exact_state.blown_up and state.t == exact_state.t
+        assert (state.blown_up is not None) == (case == "quadratic_blowup")
+        for f in dataclasses.fields(record):
+            got, want = getattr(record, f.name), getattr(exact_record, f.name)
+            if isinstance(got, dict):
+                assert got.keys() == want.keys()
+                got, want = list(got.values()), list(want.values())
+            assert np.array(got).tobytes() == np.array(want).tobytes(), f.name
+
+    def test_unread_step_keeps_no_values(self):
+        sys, noise, cfg, v0 = self._cases()["ito_sweep"]
+        grid = v0[0].grid
+        stepper = Stepper(grid, sys, noise, cfg)
+        state = SimState(t=0.0, fields=forward(np.stack([f.values for f in v0]), grid.d))
+        inc = sample_increments(noise, cfg.dt, path_rng(cfg.seed, 0, 0))
+        lazy = stepper.step(state, inc, values=False)
+        exact = stepper.step(state, inc)
+        assert lazy.grid_values is None and exact.grid_values is not None
+        assert lazy.fields.tobytes() == exact.fields.tobytes()
+        # a state without values steps on to the same next state
+        inc = sample_increments(noise, cfg.dt, path_rng(cfg.seed, 0, 1))
+        assert (stepper.step(lazy, inc).grid_values.tobytes()
+                == stepper.step(exact, inc).grid_values.tobytes())
