@@ -280,7 +280,7 @@ class RunConfig:
                     | survival_plan_errors(v["experiment.nus"], v["experiment.paths"])
                     | decay_plan_errors(v["experiment.paths"], v["experiment.tail_fraction"],
                                         v["experiment.q0"], v["experiment.tracked_mode"],
-                                        v["grid.d"]))
+                                        v["grid.d"], v["grid.n"]))
         errors.extend(f"experiment.{arg}: {msg}" for arg, msg in problems.items())
         if v["validate.admissibility"] and not errors:
             errors.extend(_admissibility_errors(v, reaction))
@@ -357,6 +357,9 @@ def build_v0(cfg: RunConfig, grid: TorusGrid, ell: int) -> list[GridField]:
             mode = cfg["v0.mode"]
             if len(mode) != grid.d:
                 raise ConfigError([f"v0.mode: expected {grid.d} components, got {len(mode)}"])
+            if max(map(abs, mode)) > grid.n_per_dim // 2:
+                raise ConfigError([f"v0.mode: {mode} aliases on grid n = {grid.n_per_dim}: "
+                                   f"every |k_j| must be <= n/2 = {grid.n_per_dim // 2}"])
             phase = sum(2.0 * np.pi * m * x for m, x in zip(mode, coords))
             vals = offset + amp * np.cos(phase)
         elif kind == "random_smooth":

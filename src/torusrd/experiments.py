@@ -38,6 +38,15 @@ def _exponent_errors(**exponents: float) -> dict[str, str]:
     return {name: f"must be >= 1, got {value}" for name, value in exponents.items() if value < 1}
 
 
+def _shell_noise(solver: SolverConfig, shell: int, gamma: float, d: int,
+                 nu: float) -> NoiseModel | None:
+    """The shell-noise model of a plan's paths: None with the noise off or
+    nu = 0, where the paths have no stochastic forcing."""
+    if not (solver.noise_on and nu > 0):
+        return None
+    return NoiseModel(build_theta_shell(shell, gamma, d), nu=nu)
+
+
 def scaling_plan_errors(shells, paths: int, epsilon: float, r: float, q: float,
                         hminus_gamma: float | None) -> dict[str, str]:
     """The rules of a ScalingLimitPlan's shells, paths, epsilon, distance
@@ -182,10 +191,8 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
 
     shell_results = []
     for si, n in enumerate(plan.shells):
-        # nu = 0 or noise off means no stochastic forcing: paths reproduce the reference
-        noise = NoiseModel(
-            build_theta_shell(n, plan.gamma, grid.d), nu=plan.nu
-        ) if plan.solver.noise_on and plan.nu > 0 else None
+        # without noise the paths reproduce the reference
+        noise = _shell_noise(plan.solver, n, plan.gamma, grid.d, plan.nu)
 
         def worker(p: int, noise=noise, si=si):
             obs = _StreamingDistance(rtimes, ref_snaps, plan.r, plan.q, weight)
@@ -274,9 +281,7 @@ def run_survival(plan: SurvivalPlan, threads: int = DEFAULT_THREADS) -> Survival
     grid = plan.v0[0].grid
     rows = []
     for vi, nu in enumerate(plan.nus):
-        noise = NoiseModel(
-            build_theta_shell(plan.shell_n, plan.gamma, grid.d), nu=nu
-        ) if plan.solver.noise_on and nu > 0 else None
+        noise = _shell_noise(plan.solver, plan.shell_n, plan.gamma, grid.d, nu)
 
         def worker(p: int, noise=noise, vi=vi):
             state, _ = run(plan.sys, noise, plan.solver, plan.v0,
@@ -299,16 +304,19 @@ def run_survival(plan: SurvivalPlan, threads: int = DEFAULT_THREADS) -> Survival
 
 
 def decay_plan_errors(paths: int, tail_fraction: float, q0: float, tracked_mode,
-                      d: int) -> dict[str, str]:
+                      d: int, n: int) -> dict[str, str]:
     """The rules of a DecayPlan's paths, tail_fraction, norm exponent q0 and
-    tracked_mode (empty or None: none) on a d-dimensional grid, as
-    scaling_plan_errors: the fit window is the last tail_fraction of the
-    samples."""
+    tracked_mode (empty or None: none) on a d-dimensional grid of n points
+    per axis, as scaling_plan_errors: the fit window is the last
+    tail_fraction of the samples, and the tracked mode must not alias."""
     problems = _paths_errors(paths)
     if not 0.0 < tail_fraction <= 1.0:
         problems["tail_fraction"] = f"must lie in (0, 1], got {tail_fraction}"
     if tracked_mode and len(tracked_mode) != d:
         problems["tracked_mode"] = f"expected empty or {d} components, got {list(tracked_mode)}"
+    elif tracked_mode and max(map(abs, tracked_mode)) > n // 2:
+        problems["tracked_mode"] = (f"{list(tracked_mode)} aliases on grid n = {n}: "
+                                    f"every |k_j| must be <= n/2 = {n // 2}")
     return problems | _exponent_errors(q0=q0)
 
 
@@ -328,7 +336,7 @@ class DecayPlan:
     def __post_init__(self) -> None:
         grid, cfg = self.v0[0].grid, self.solver
         if problems := decay_plan_errors(self.paths, self.tail_fraction, self.q0,
-                                         self.tracked_mode, grid.d):
+                                         self.tracked_mode, grid.d, grid.n_per_dim):
             raise ArgumentErrors(problems)
         if self.sys.mass_consts is None:
             raise ValueError("decay experiments need declared mass constants")
@@ -372,11 +380,7 @@ def run_decay(plan: DecayPlan, threads: int = DEFAULT_THREADS) -> DecayReport:
     """
     grid = plan.v0[0].grid
     a1 = plan.sys.mass_consts[1]
-    noise = (
-        NoiseModel(build_theta_shell(plan.shell_n, plan.gamma, grid.d), nu=plan.nu)
-        if plan.solver.noise_on and plan.nu > 0
-        else None
-    )
+    noise = _shell_noise(plan.solver, plan.shell_n, plan.gamma, grid.d, plan.nu)
 
     if all(np.all(f.values == 0.0) for f in plan.v0):
         return DecayReport(True, None, None, None, None)

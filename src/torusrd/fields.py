@@ -1,4 +1,4 @@
-"""Real scalar fields on the unit torus in dual grid/spectral representations.
+"""Real scalar fields on the unit torus: grid samples and spectral coefficients.
 
 The torus has side length 1 in each of the d coordinates, so wavenumbers are
 integer vectors k and the Fourier basis is e^{2*pi*i k.x}.  Spectral
@@ -24,9 +24,6 @@ import numpy as np
 import scipy.fft
 
 TWO_PI = 2.0 * np.pi
-
-# to_grid rejects inputs whose Hermitian-symmetry defect exceeds this
-HERMITIAN_RTOL = 1e-8
 
 SNAPSHOT_MAGIC = b"KRDF"
 SNAPSHOT_VERSION = 1
@@ -186,13 +183,6 @@ class TorusGrid:
             for ka in self.k_axes
         )
 
-    @cached_property
-    def conj_index(self) -> tuple[np.ndarray, ...]:
-        """Index arrays mapping coefficient k to coefficient -k."""
-        n = self.n_per_dim
-        idx = (-np.arange(n)) % n
-        return np.ix_(*([idx] * self.d))
-
     def band_index(self, band: int) -> tuple[np.ndarray, ...]:
         """Open-mesh index of the modes with every |k_j| <= band < n/2.
 
@@ -232,64 +222,6 @@ class GridField:
             raise ValueError(
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}"
             )
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex Fourier coefficients of a real scalar field (fftn layout)."""
-
-    grid: TorusGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.coeffs.shape != self.grid.shape:
-            raise ValueError(
-                f"coeffs shape {self.coeffs.shape} != grid shape {self.grid.shape}"
-            )
-
-    def coeff(self, k: tuple[int, ...]) -> complex:
-        """Coefficient at lattice vector k (k_j in [-n/2, n/2])."""
-        n = self.grid.n_per_dim
-        return complex(self.coeffs[tuple(kj % n for kj in k)])
-
-
-def hermitian_deviation(field: SpectralField) -> float:
-    """Max |c(-k) - conj(c(k))| relative to the largest coefficient."""
-    c = field.coeffs
-    defect = np.abs(c[field.grid.conj_index] - np.conj(c)).max()
-    scale = np.abs(c).max()
-    return float(defect / scale) if scale > 0 else float(defect)
-
-
-def to_spectral(f: GridField) -> SpectralField:
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("grid field contains non-finite values")
-    return SpectralField(f.grid, forward(f.values, f.grid.d))
-
-
-def to_grid(c: SpectralField) -> GridField:
-    if hermitian_deviation(c) > HERMITIAN_RTOL:
-        raise ValueError(
-            "spectral field violates Hermitian symmetry beyond "
-            f"{HERMITIAN_RTOL}: a real-valued inverse transform is undefined"
-        )
-    return GridField(c.grid, inverse_packed(c.coeffs, c.grid.d).real)
-
-
-def partial_derivative(c: SpectralField, axis: int) -> SpectralField:
-    """Spectral derivative along an axis (TorusGrid.derivative_multipliers)."""
-    if not 0 <= axis < c.grid.d:
-        raise ValueError(f"axis {axis} out of range for d={c.grid.d}")
-    return SpectralField(c.grid, c.coeffs * c.grid.derivative_multipliers[axis])
-
-
-def single_mode(grid: TorusGrid, k: tuple[int, ...], amplitude: complex) -> SpectralField:
-    """Real field amplitude*e^{2 pi i k.x} + c.c., as a spectral field."""
-    coeffs = np.zeros(grid.shape, dtype=complex)
-    n = grid.n_per_dim
-    coeffs[tuple(kj % n for kj in k)] = amplitude
-    coeffs[tuple((-kj) % n for kj in k)] += np.conj(amplitude)
-    return SpectralField(grid, coeffs)
 
 
 def write_snapshot(path, fields: list[GridField]) -> None:

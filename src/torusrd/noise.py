@@ -44,20 +44,6 @@ def _partition_signs(vectors: np.ndarray) -> np.ndarray:
     return np.sign(vectors[np.arange(len(vectors)), first]).astype(np.int64)
 
 
-def hyperplane_basis(k, d: int) -> np.ndarray:
-    """Orthonormal basis of k-perp, shape (d-1, d).
-
-    Deterministic construction on the plus representative of {k, -k}; the
-    result is shared by k and -k.  See hyperplane_bases.
-    """
-    kv = np.asarray(k).ravel()
-    if kv.shape != (d,):
-        raise ValueError(f"k has dimension {kv.shape}, expected ({d},)")
-    if not np.any(kv):
-        raise ValueError("k = 0 spans no hyperplane")
-    return hyperplane_bases(lattice_partition(kv) * kv[None, :])[0]
-
-
 def hyperplane_bases(plus: np.ndarray) -> np.ndarray:
     """Orthonormal bases of k-perp for every row k of plus, shape (m, d-1, d).
 
@@ -127,12 +113,6 @@ class NoiseSpectrum:
         if not np.all(found):
             k = tuple(int(x) for x in self.support[np.argmin(found)])
             raise ValueError(f"support is not symmetric: missing -k for k={k}")
-
-    def as_table(self) -> dict[tuple[int, ...], float]:
-        return {
-            tuple(int(x) for x in kvec): float(th)
-            for kvec, th in zip(self.support, self.theta)
-        }
 
     @property
     def d(self) -> int:

@@ -367,6 +367,9 @@ class Stepper:
         if d3 is not None:
             _multiply_species(d3, u2)
             vals += d3
+        # free the velocity, if this frame holds its last reference, before
+        # the forward transform allocates its output
+        del vel, w, u2
         if source is not None:
             vals += source
         out = forward(vals, self.grid.d)

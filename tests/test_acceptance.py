@@ -22,7 +22,7 @@ import pytest
 
 from torusrd.experiments import ScalingLimitPlan, run_scaling_limit
 from torusrd.exponents import barrier_mu0, barrier_value, cutoff_r0
-from torusrd.fields import GridField, TorusGrid, single_mode, to_grid
+from torusrd.fields import GridField, TorusGrid
 from torusrd.noise import (
     IncrementSet,
     NoiseModel,
@@ -39,6 +39,8 @@ from torusrd.solver import (
     Stepper,
     run,
 )
+
+from spectral_helpers import mode_field
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -94,7 +96,7 @@ def test_criterion_03_exact_linear_diffusion():
     sys0 = build_builtin("zero", [nu_i])
     cfg = SolverConfig(dt=1e-3, T=T, noise_on=False, balance_q=(),
                        record_every=10**9)
-    state, _ = run(sys0, None, cfg, [to_grid(single_mode(grid, (1, 0), 0.5))],
+    state, _ = run(sys0, None, cfg, [mode_field(grid, (1, 0), 0.5)],
                    nu_enhancement=nu)
     expected = 0.5 * np.exp(-4 * np.pi**2 * (nu_i + nu) * T)
     rel = abs(state.fields[0][1, 0] - expected) / expected
@@ -112,7 +114,7 @@ def test_criterion_04_mean_l2_pure_transport():
     grid = TorusGrid(2, 64)
     noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
     sys0 = build_builtin("zero", [0.0])
-    v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
+    v0 = [mode_field(grid, (1, 0), 0.5)]
     E0, T, paths, seed = 0.5, 0.5, 64, 2024
     dt_f = 5e-4
     n_f = int(round(T / dt_f))
@@ -152,7 +154,7 @@ def test_criterion_05_pathwise_l2_strat_substep():
     sys0 = build_builtin("zero", [0.0])
     cfg = SolverConfig(dt=1e-3, T=0.5, scheme="strat_substep", noise_on=True,
                        balance_q=(), seed=3, record_every=10**9)
-    v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
+    v0 = [mode_field(grid, (1, 0), 0.5)]
     state, _ = run(sys0, noise, cfg, v0, path_index=0)
     drift = abs(float(np.sum(np.abs(state.fields[0]) ** 2)) - 0.5)
     elapsed = time.perf_counter() - t0
@@ -168,7 +170,7 @@ def test_criterion_06_enhanced_diffusion_scaling_limit():
     sys0 = build_builtin("zero", [0.01])
     cfg = SolverConfig(dt=2.5e-3, T=0.5, noise_on=True, balance_q=(),
                        record_every=5, seed=606)
-    v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
+    v0 = [mode_field(grid, (1, 0), 0.5)]
     plan = ScalingLimitPlan(
         shells=(1, 2, 4, 8), gamma=0.0, nu=0.1, paths=64,
         solver=cfg, sys=sys0, v0=v0, epsilon=0.05, r=2.0, q=2.0,

@@ -154,6 +154,9 @@ class TestConfigParsing:
         ("experiment.q0 = 0", "experiment.q0: must be >= 1, got 0.0"),
         ("experiment.tracked_mode = [1]",
          "experiment.tracked_mode: expected empty or 2 components, got [1]"),
+        # mode 17 would read the coefficient of mode -15 on 32 points
+        ("experiment.tracked_mode = [17, 0]",
+         "experiment.tracked_mode: [17, 0] aliases on grid n = 32: every |k_j| must be <= n/2 = 16"),
         # every plan has the paths rule; it is reported once
         ("experiment.paths = 0", "experiment.paths: must be >= 1, got 0"),
     ])
@@ -360,6 +363,9 @@ class TestCli:
         ("decay", "experiment.tail_fraction=1.5", "experiment.tail_fraction"),
         ("decay", "experiment.tracked_mode=[1]", "experiment.tracked_mode"),
         ("decay", "experiment.tracked_mode=[1, 0, 0]", "experiment.tracked_mode"),
+        ("decay", "experiment.tracked_mode=[0, -9]", "experiment.tracked_mode"),
+        # mode 9 would sample mode -7 on 16 points
+        ("decay", "v0.mode=[9, 0]", "v0.mode"),
     ])
     def test_config_errors_exit_one_without_output_dir(self, tmp_path, capsys, command,
                                                         override, key):

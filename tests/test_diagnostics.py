@@ -14,18 +14,12 @@ from torusrd.diagnostics import (
     lq_norm_vector,
     survival_estimate,
 )
-from torusrd.fields import (
-    GridField,
-    SpectralField,
-    TorusGrid,
-    forward,
-    partial_derivative,
-    single_mode,
-    to_grid,
-)
+from torusrd.fields import GridField, TorusGrid, forward, inverse_packed
 from torusrd.noise import NoiseModel, build_theta_shell
 from torusrd.reactions import MassActionSpec, build_builtin, mass_action_build
 from torusrd.solver import SolverConfig, Stepper, run
+
+from spectral_helpers import mode_coeffs, mode_field
 
 
 def heat_run(dt, T=0.2, q=(2.0,), record_every=1):
@@ -33,7 +27,7 @@ def heat_run(dt, T=0.2, q=(2.0,), record_every=1):
     sys0 = build_builtin("zero", [0.05])
     cfg = SolverConfig(dt=dt, T=T, noise_on=False, balance_q=q, lq_norms=q,
                        record_every=record_every)
-    v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
+    v0 = [mode_field(grid, (1, 0), 0.5)]
     return sys0, run(sys0, None, cfg, v0)
 
 
@@ -118,7 +112,7 @@ class TestBalanceResidual:
         sys0 = build_builtin("zero", [0.0])
         cfg = SolverConfig(dt=2e-3, T=0.1, scheme="strat_substep", noise_on=True,
                            seed=3, balance_q=(2.0,), lq_norms=(2.0,))
-        v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
+        v0 = [mode_field(grid, (1, 0), 0.5)]
         _, record = run(sys0, noise, cfg, v0)
         # pathwise conservation: |v(t)|_2^2 stays at its initial value
         drift = record.lq[2.0][:, 0] ** 2 - record.lq[2.0][0, 0] ** 2
@@ -158,8 +152,8 @@ class TestBalanceGradientEnergy:
         grid, values, fields, got = self.balance(d, n, 3.0)
         expected = []
         for v, c in zip(values, fields):
-            grad_sq = sum(to_grid(partial_derivative(SpectralField(grid, c), j)).values ** 2
-                          for j in range(d))
+            grad_sq = sum(inverse_packed(m * c, d).real ** 2
+                          for m in grid.derivative_multipliers)
             expected.append(np.mean(np.abs(v) * grad_sq))
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -246,16 +240,16 @@ class TestSurvivalEstimate:
 class TestHminusNorm:
     def test_single_mode_value(self):
         grid = TorusGrid(2, 16)
-        c = single_mode(grid, (3, 0), 0.5)
+        c = mode_coeffs(grid, (3, 0), 0.5)
         # two conjugate modes at |k|^2 = 9
         expected = np.sqrt(2 * 0.25 * (1 + 9.0) ** -0.5)
-        got = hminus_gamma_norm(c.coeffs, hminus_weight(grid, 0.5))
+        got = hminus_gamma_norm(c, hminus_weight(grid, 0.5))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_gamma_zero_is_l2(self):
         grid = TorusGrid(2, 16)
-        c = single_mode(grid, (2, 1), 1.0)
-        assert hminus_gamma_norm(c.coeffs, hminus_weight(grid, 0.0)) == pytest.approx(np.sqrt(2.0))
+        c = mode_coeffs(grid, (2, 1), 1.0)
+        assert hminus_gamma_norm(c, hminus_weight(grid, 0.0)) == pytest.approx(np.sqrt(2.0))
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     def test_stack_norm_is_root_sum_of_squared_species_norms(self, d, n):

@@ -18,10 +18,12 @@ from torusrd.experiments import (
     run_scaling_limit,
     run_survival,
 )
-from torusrd.fields import ArgumentErrors, GridField, TorusGrid, single_mode, to_grid
+from torusrd.fields import ArgumentErrors, GridField, TorusGrid
 from torusrd.noise import NoiseModel, build_theta_shell
 from torusrd.reactions import build_builtin
 from torusrd.solver import SolverConfig, run
+
+from spectral_helpers import mode_field
 
 
 def small_heat_plan(nu=0.1, shells=(1, 2), paths=6, n=48, T=0.15):
@@ -29,7 +31,7 @@ def small_heat_plan(nu=0.1, shells=(1, 2), paths=6, n=48, T=0.15):
     sys0 = build_builtin("zero", [0.01])
     cfg = SolverConfig(dt=2e-3, T=T, noise_on=nu > 0, balance_q=(),
                        record_every=5, seed=31)
-    v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
+    v0 = [mode_field(grid, (1, 0), 0.5)]
     return ScalingLimitPlan(
         shells=tuple(shells), gamma=0.0, nu=nu, paths=paths,
         solver=cfg, sys=sys0, v0=v0, epsilon=0.02,
@@ -65,7 +67,7 @@ class TestScalingLimit:
         with pytest.raises(ValueError, match="shell 16: dt = 0.0025 violates the noise step guard"):
             ScalingLimitPlan(shells=(1, 2, 4, 8, 16), gamma=0.0, nu=0.1, paths=1,
                              solver=cfg, sys=build_builtin("zero", [0.01]),
-                             v0=[to_grid(single_mode(grid, (1, 0), 1.0))], epsilon=0.1)
+                             v0=[mode_field(grid, (1, 0), 1.0)], epsilon=0.1)
 
     def test_shells_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -7,23 +7,19 @@ from hypothesis import given, settings, strategies as st
 from torusrd.fields import (
     ArgumentErrors,
     GridField,
-    SpectralField,
     TorusGrid,
     dealias_in_place,
     forward,
-    hermitian_deviation,
     inverse_packed,
     inverse_pruned,
     inverse_real,
-    partial_derivative,
     read_snapshot,
-    single_mode,
-    to_grid,
-    to_spectral,
     write_snapshot,
 )
 from torusrd.diagnostics import lq_norm_vector
 from torusrd.solver import SolverConfig
+
+from spectral_helpers import hermitian_defect, mode_coeffs, mode_field
 
 
 @pytest.fixture
@@ -132,89 +128,77 @@ class TestTransformHelpers:
         assert got.tobytes() == expected.tobytes()  # bitwise
 
 
-class TestToSpectral:
+def to_values(grid, coeffs):
+    """Real grid values of a Hermitian spectrum, by the engine's real inverse."""
+    return inverse_real(coeffs[..., : grid.n_per_dim // 2 + 1], grid.shape)
+
+
+class TestForward:
     def test_constant_field(self, grid2):
-        c = to_spectral(GridField(grid2, np.ones(grid2.shape)))
-        assert c.coeff((0, 0)) == pytest.approx(1.0, abs=1e-14)
-        rest = c.coeffs.copy()
+        c = forward(np.ones(grid2.shape), 2)
+        assert c[0, 0] == pytest.approx(1.0, abs=1e-14)
+        rest = c.copy()
         rest[0, 0] = 0.0
         assert np.abs(rest).max() < 1e-14
 
     def test_cosine_single_mode(self, grid2):
         x = grid2.node_coordinates()[0]
-        c = to_spectral(GridField(grid2, np.cos(2 * np.pi * x)))
-        assert c.coeff((1, 0)) == pytest.approx(0.5, abs=1e-13)
-        assert c.coeff((-1, 0)) == pytest.approx(0.5, abs=1e-13)
-        others = c.coeffs.copy()
+        c = forward(np.cos(2 * np.pi * x), 2)
+        assert c[1, 0] == pytest.approx(0.5, abs=1e-13)
+        assert c[-1, 0] == pytest.approx(0.5, abs=1e-13)
+        others = c.copy()
         others[1, 0] = others[-1, 0] = 0.0
         assert np.abs(others).max() < 1e-13
 
     def test_round_trip_identity(self, grid2):
         f = random_field(grid2)
-        back = to_grid(to_spectral(f))
-        assert np.abs(back.values - f.values).max() < 1e-12 * np.abs(f.values).max()
-
-    def test_non_finite_rejected(self, grid2):
-        vals = np.ones(grid2.shape)
-        vals[3, 3] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            to_spectral(GridField(grid2, vals))
+        back = to_values(grid2, forward(f.values, 2))
+        assert np.abs(back - f.values).max() < 1e-12 * np.abs(f.values).max()
 
     def test_parseval(self, grid2):
         f = random_field(grid2, seed=5)
-        c = to_spectral(f)
-        lhs = np.sum(np.abs(c.coeffs) ** 2)
+        lhs = np.sum(np.abs(forward(f.values, 2)) ** 2)
         rhs = np.mean(f.values**2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-class TestToGrid:
+class TestInverse:
     def test_constant_coefficient(self, grid2):
         coeffs = np.zeros(grid2.shape, dtype=complex)
         coeffs[0, 0] = 3.0
-        f = to_grid(SpectralField(grid2, coeffs))
-        assert np.abs(f.values - 3.0).max() < 1e-13
+        assert np.abs(to_values(grid2, coeffs) - 3.0).max() < 1e-13
 
     def test_cosine_in_second_axis(self, grid2):
-        f = to_grid(single_mode(grid2, (0, 1), 0.5))
+        f = mode_field(grid2, (0, 1), 0.5)
         y = grid2.node_coordinates()[1]
         assert np.abs(f.values - np.cos(2 * np.pi * y)).max() < 1e-13
 
-    def test_broken_symmetry_rejected(self, grid2):
-        coeffs = np.zeros(grid2.shape, dtype=complex)
-        coeffs[1, 0] = 1.0  # missing conjugate partner
-        with pytest.raises(ValueError, match="Hermitian"):
-            to_grid(SpectralField(grid2, coeffs))
-
 
 class TestDerivatives:
+    """grid.derivative_multipliers[j] * c, the engine's spectral derivative."""
+
     def test_cosine_derivative(self, grid2):
-        c = to_spectral(GridField(grid2, np.cos(2 * np.pi * grid2.node_coordinates()[0])))
-        d = to_grid(partial_derivative(c, 0))
+        c = forward(np.cos(2 * np.pi * grid2.node_coordinates()[0]), 2)
+        d = to_values(grid2, grid2.derivative_multipliers[0] * c)
         expected = -2 * np.pi * np.sin(2 * np.pi * grid2.node_coordinates()[0])
-        assert np.abs(d.values - expected).max() < 1e-10
+        assert np.abs(d - expected).max() < 1e-10
 
     def test_constant_axis_derivative_zero(self, grid2):
         x = grid2.node_coordinates()[0]
-        c = to_spectral(GridField(grid2, np.sin(2 * np.pi * x)))
-        d = partial_derivative(c, 1)
-        assert np.abs(d.coeffs).max() == 0.0
+        d = grid2.derivative_multipliers[1] * forward(np.sin(2 * np.pi * x), 2)
+        assert np.abs(d).max() == 0.0
 
     def test_mixed_derivatives_commute(self, grid2):
-        c = to_spectral(random_field(grid2, seed=2))
-        d12 = partial_derivative(partial_derivative(c, 0), 1)
-        d21 = partial_derivative(partial_derivative(c, 1), 0)
-        scale = np.abs(d12.coeffs).max()
-        assert np.abs(d12.coeffs - d21.coeffs).max() < 1e-12 * scale
+        c = forward(random_field(grid2, seed=2).values, 2)
+        m0, m1 = grid2.derivative_multipliers
+        d12 = m1 * (m0 * c)
+        d21 = m0 * (m1 * c)
+        scale = np.abs(d12).max()
+        assert np.abs(d12 - d21).max() < 1e-12 * scale
 
     def test_hermitian_preserved(self, grid2):
-        c = to_spectral(random_field(grid2, seed=3))
-        assert hermitian_deviation(partial_derivative(c, 0)) < 1e-12
-
-    def test_bad_axis(self, grid2):
-        c = to_spectral(random_field(grid2))
-        with pytest.raises(ValueError, match="axis"):
-            partial_derivative(c, 2)
+        c = forward(random_field(grid2, seed=3).values, 2)
+        assert hermitian_defect(grid2.derivative_multipliers[0] * c, 2) < 1e-12
 
 
 class TestLaplacianMultiplier:
@@ -263,21 +247,20 @@ class TestLpNorm:
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
-def dealias(c: SpectralField) -> SpectralField:
+def dealias(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
     """c with the 2/3 rule applied, by the in-place helper on a copy."""
-    return SpectralField(c.grid, dealias_in_place(c.coeffs.copy(), c.grid.d, c.grid.dealias_band))
+    return dealias_in_place(c.copy(), grid.d, grid.dealias_band)
 
 
 class TestDealias:
     def test_resolved_field_unchanged(self, grid2):
-        c = single_mode(grid2, (3, 2), 1.0 + 0.5j)
-        assert np.array_equal(dealias(c).coeffs, c.coeffs)
+        c = mode_coeffs(grid2, (3, 2), 1.0 + 0.5j)
+        assert np.array_equal(dealias(grid2, c), c)
 
     def test_nyquist_only_field_zeroed(self, grid2):
         coeffs = np.zeros(grid2.shape, dtype=complex)
         coeffs[16, 0] = 1.0  # Nyquist plane on a 32 grid
-        out = dealias(SpectralField(grid2, coeffs))
-        assert np.abs(out.coeffs).max() == 0.0
+        assert np.abs(dealias(grid2, coeffs)).max() == 0.0
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("ell", [1, 2])
@@ -320,10 +303,10 @@ class TestDealias:
             c = np.zeros(grid.shape, dtype=complex)
             for (k1, k2), z in tab.items():
                 c[k1 % 12, k2 % 12] += z
-            return SpectralField(grid, c)
+            return c
 
-        f, g = to_grid(assemble(table_f)), to_grid(assemble(table_g))
-        product = dealias(to_spectral(GridField(grid, f.values * g.values)))
+        f, g = to_values(grid, assemble(table_f)), to_values(grid, assemble(table_g))
+        product = dealias(grid, forward(f * g, 2))
 
         # direct convolution oracle
         exact = np.zeros(grid.shape, dtype=complex)
@@ -335,7 +318,7 @@ class TestDealias:
                 s2 = ((a2 + 6) % 12 - 6) + ((b2 + 6) % 12 - 6)
                 if abs(s1) <= 4 and abs(s2) <= 4:
                     exact[s1 % 12, s2 % 12] += za * zb
-        assert np.abs(product.coeffs - exact).max() < 1e-12
+        assert np.abs(product - exact).max() < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -343,8 +326,8 @@ class TestDealias:
 def test_parseval_property(seed):
     grid = TorusGrid(2, 16)
     f = GridField(grid, np.random.default_rng(seed).standard_normal(grid.shape))
-    c = to_spectral(f)
-    assert np.sum(np.abs(c.coeffs) ** 2) == pytest.approx(np.mean(f.values**2), rel=1e-12)
+    c = forward(f.values, 2)
+    assert np.sum(np.abs(c) ** 2) == pytest.approx(np.mean(f.values**2), rel=1e-12)
 
 
 class TestSnapshotFormat:

@@ -4,20 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusrd.fields import (
-    GridField,
-    SpectralField,
-    TorusGrid,
-    hermitian_deviation,
-    to_grid,
-    to_spectral,
-)
+from torusrd.fields import TorusGrid, forward, inverse_packed
 from torusrd.noise import (
     NoiseGridOps,
     NoiseModel,
     NoiseSpectrum,
     build_theta_shell,
-    hyperplane_basis,
+    hyperplane_bases,
     lattice_partition,
     path_rng,
     sample_increments,
@@ -27,6 +20,8 @@ from torusrd.noise import (
 )
 from torusrd.reactions import build_builtin
 from torusrd.solver import SolverConfig, Stepper
+
+from spectral_helpers import hermitian_defect
 
 lattice_vec = st.lists(st.integers(-9, 9), min_size=2, max_size=3).filter(lambda k: any(k))
 
@@ -46,38 +41,53 @@ class TestLatticePartition:
         assert lattice_partition(k) == -lattice_partition([-x for x in k])
 
 
+def basis(k) -> np.ndarray:
+    """hyperplane_bases of the single mode k, shape (d-1, d)."""
+    return hyperplane_bases(np.array([k]))[0]
+
+
+def theta_at(spectrum: NoiseSpectrum, k) -> float:
+    """The weight of mode k in spectrum."""
+    (row,) = np.flatnonzero(np.all(spectrum.support == k, axis=1))
+    return float(spectrum.theta[row])
+
+
 class TestHyperplaneBasis:
     def test_d2_rotation(self):
-        a = hyperplane_basis((3, 4), 2)
+        a = basis((3, 4))
         assert a.shape == (1, 2)
         assert np.allclose(a[0], (-0.8, 0.6), atol=1e-15)
 
     def test_d3_axis_mode(self):
-        a = hyperplane_basis((0, 0, 1), 3)
+        a = basis((0, 0, 1))
         assert np.allclose(a, [(1, 0, 0), (0, 1, 0)], atol=1e-15)
 
     def test_shared_between_k_and_minus_k(self):
-        assert np.array_equal(hyperplane_basis((2, -3), 2), hyperplane_basis((-2, 3), 2))
+        # the model keeps one basis per pair {k, -k}, on its plus mode: both
+        # span the same hyperplane, so their projectors agree
+        for k in ((2, -3), (1, 2, -2)):
+            a, b = basis(k), basis([-x for x in k])
+            assert np.abs(a.T @ a - b.T @ b).max() < 1e-15
 
     @settings(max_examples=100, deadline=None)
     @given(k=lattice_vec)
     def test_orthonormal_and_orthogonal_to_k(self, k):
         d = len(k)
-        a = hyperplane_basis(k, d)
+        a = basis(k)
         gram = a @ a.T
         assert np.abs(gram - np.eye(d - 1)).max() < 1e-14
         assert np.abs(a @ np.asarray(k, dtype=float)).max() < 1e-14 * max(abs(x) for x in k)
 
     @pytest.mark.parametrize("d, n", [(2, 4), (3, 2)])
     def test_model_bases_match_per_mode_basis(self, d, n):
+        # the batched construction over all plus modes is row by row the
+        # single-mode one
         model = NoiseModel(build_theta_shell(n, 0.5, d), nu=0.1)
-        table = model.spectrum.as_table()
         assert len(model.plus_modes) == len(model.spectrum.support) // 2
-        for k, theta, basis in zip(model.plus_modes, model.theta_plus, model.basis_plus):
+        for k, theta, a in zip(model.plus_modes, model.theta_plus, model.basis_plus):
             assert lattice_partition(k) == 1
-            assert theta == table[tuple(int(x) for x in k)]
-            np.testing.assert_allclose(basis, hyperplane_basis(k, d), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(basis, hyperplane_basis(-k, d), rtol=0, atol=1e-15)
+            assert theta == theta_at(model.spectrum, k) == theta_at(model.spectrum, -k)
+            assert np.array_equal(a, basis(k))
 
 
 class TestThetaShell:
@@ -105,8 +115,7 @@ class TestThetaShell:
 
     def test_gamma_weights_decay_with_radius(self):
         sp = build_theta_shell(2, 1.0, 2)
-        table = sp.as_table()
-        assert table[(2, 0)] > table[(4, 0)]
+        assert theta_at(sp, (2, 0)) > theta_at(sp, (4, 0))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -223,11 +232,11 @@ class TestIncrements:
         assert got.tobytes() == expected.tobytes()  # bitwise, signs of zero too
 
 
-def transport(model, v, inc):
-    """Stepper.transport of one species, as a spectral field."""
+def transport(model, grid, values, inc):
+    """Stepper.transport of one species with grid values, as coefficients."""
     cfg = SolverConfig(dt=1e-3, T=1e-3)
-    stepper = Stepper(v.grid, build_builtin("zero", [0.0], d=v.grid.d), model, cfg)
-    return SpectralField(v.grid, stepper.transport(v.coeffs[None], inc)[0])
+    stepper = Stepper(grid, build_builtin("zero", [0.0], d=grid.d), model, cfg)
+    return stepper.transport(forward(values, grid.d)[None], inc)[0]
 
 
 class TestTransport:
@@ -236,17 +245,15 @@ class TestTransport:
         self.model = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.1)
 
     def test_constant_field_gives_zero(self):
-        v = to_spectral(GridField(self.grid, np.full(self.grid.shape, 2.5)))
         inc = sample_increments(self.model, 1e-3, path_rng(1, 0, 0))
-        out = transport(self.model, v, inc)
-        assert np.abs(out.coeffs).max() < 1e-16
+        out = transport(self.model, self.grid, np.full(self.grid.shape, 2.5), inc)
+        assert np.abs(out).max() < 1e-16
 
     def test_zero_increments_give_zero(self):
         x = self.grid.node_coordinates()[0]
-        v = to_spectral(GridField(self.grid, np.sin(2 * np.pi * x)))
         inc = sample_increments(self.model, 0.0, path_rng(1, 0, 0))
-        out = transport(self.model, v, inc)
-        assert np.abs(out.coeffs).max() == 0.0
+        out = transport(self.model, self.grid, np.sin(2 * np.pi * x), inc)
+        assert np.abs(out).max() == 0.0
 
     def test_single_mode_oracle(self):
         # one active pair k = (0, +-1); v = sin(2 pi x1); the closed form is
@@ -258,7 +265,6 @@ class TestTransport:
         )
         model = NoiseModel(spectrum, nu=0.2)
         x1, x2 = self.grid.node_coordinates()
-        v = to_spectral(GridField(self.grid, np.sin(2 * np.pi * x1)))
         inc = sample_increments(model, 1e-2, path_rng(3, 0, 0))
         dw = inc.dW((0, 1), 0)
         expected = (
@@ -269,8 +275,8 @@ class TestTransport:
             * 2
             * np.real(np.exp(2j * np.pi * x2) * dw)
         )
-        out = to_grid(transport(model, v, inc))
-        assert np.abs(out.values - expected).max() < 1e-10
+        out = transport(model, self.grid, np.sin(2 * np.pi * x1), inc)
+        assert np.abs(inverse_packed(out, 2).real - expected).max() < 1e-10
 
     def test_single_mode_oracle_3d(self):
         # one active pair k = (+-1, 0, 0) with hyperplane basis a_0 = e_2,
@@ -284,23 +290,21 @@ class TestTransport:
         model = NoiseModel(spectrum, nu=0.2)
         grid = TorusGrid(3, 8)
         x1, x2, x3 = grid.node_coordinates()
-        v = to_spectral(GridField(grid, np.cos(2 * np.pi * x2) + np.sin(2 * np.pi * x3)))
         inc = sample_increments(model, 1e-2, path_rng(3, 0, 0))
         wave = np.exp(2j * np.pi * x1)
         expected = np.sqrt(model.c_d * model.nu) * 2**-0.5 * (
             -2 * np.pi * np.sin(2 * np.pi * x2) * 2 * np.real(wave * inc.dW((1, 0, 0), 0))
             + 2 * np.pi * np.cos(2 * np.pi * x3) * 2 * np.real(wave * inc.dW((1, 0, 0), 1))
         )
-        out = to_grid(transport(model, v, inc))
-        assert np.abs(out.values - expected).max() < 1e-10
+        out = transport(model, grid, np.cos(2 * np.pi * x2) + np.sin(2 * np.pi * x3), inc)
+        assert np.abs(inverse_packed(out, 3).real - expected).max() < 1e-10
 
     def test_output_real_and_mean_free(self):
         rng = np.random.default_rng(11)
-        v = to_spectral(GridField(self.grid, rng.standard_normal(self.grid.shape)))
         inc = sample_increments(self.model, 1e-3, path_rng(9, 0, 0))
-        out = transport(self.model, v, inc)
-        assert hermitian_deviation(out) < 1e-10
-        assert out.coeffs[0, 0] == 0.0
+        out = transport(self.model, self.grid, rng.standard_normal(self.grid.shape), inc)
+        assert hermitian_defect(out, 2) < 1e-10
+        assert out[0, 0] == 0.0
 
     def test_under_resolved_support_rejected(self):
         model = NoiseModel(build_theta_shell(16, 0.0, 2), nu=0.1)
@@ -314,17 +318,17 @@ class TestTransport:
         grid = TorusGrid(d, n)
         model = NoiseModel(build_theta_shell(shell, 0.5, d), nu=0.1)
         inc = sample_increments(model, 1e-2, path_rng(4, 0, 0))
-        table = model.spectrum.as_table()
         w, u2 = NoiseGridOps(model, grid).velocity_field(inc)
         assert (u2 is None) == (d == 2)
         got = [w.real, -w.imag, u2]  # w = u_0 - i u_1
         for j in range(d):
             spec = np.zeros(grid.shape, dtype=complex)
-            for k in model.spectrum.support:
-                a = hyperplane_basis(k, d)
-                spec[tuple(k % n)] += np.sqrt(model.c_d * model.nu) * table[tuple(k)] * sum(
-                    a[alpha, j] * inc.dW(k, alpha) for alpha in range(d - 1)
-                )
+            # k and -k share theta and the basis of the plus mode k
+            for k, theta, a in zip(model.plus_modes, model.theta_plus, model.basis_plus):
+                for mode in (k, -k):
+                    spec[tuple(mode % n)] += np.sqrt(model.c_d * model.nu) * theta * sum(
+                        a[alpha, j] * inc.dW(mode, alpha) for alpha in range(d - 1)
+                    )
             expected = np.fft.ifftn(spec).real * grid.n_points
             assert np.abs(got[j] - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -353,7 +357,8 @@ class TestSpectrumCsv:
         path = tmp_path / "spectrum.csv"
         spectrum_to_csv(sp, path)
         back = spectrum_from_csv(path)
-        assert back.as_table() == sp.as_table()
+        assert np.array_equal(back.support, sp.support)
+        assert back.theta.tobytes() == sp.theta.tobytes()
 
     def test_header(self, tmp_path):
         sp = build_theta_shell(1, 0.0, 3)

@@ -11,17 +11,7 @@ from hypothesis import given, settings, strategies as st
 import torusrd.solver as solver_module
 from torusrd.diagnostics import RecordBuilder, lq_norm_vector
 from torusrd.experiments import ScalingLimitPlan, run_scaling_limit
-from torusrd.fields import (
-    ArgumentErrors,
-    GridField,
-    SpectralField,
-    TorusGrid,
-    forward,
-    partial_derivative,
-    single_mode,
-    to_grid,
-    to_spectral,
-)
+from torusrd.fields import ArgumentErrors, GridField, TorusGrid, forward
 from torusrd.noise import (
     IncrementSet,
     NoiseModel,
@@ -42,6 +32,8 @@ from torusrd.solver import (
     run,
     sup_bound,
 )
+
+from spectral_helpers import mode_coeffs, mode_field
 
 
 def grid_32():
@@ -126,7 +118,7 @@ class TestConfigValidation:
     def test_negative_enhancement_rejected(self):
         grid = grid_32()
         cfg = SolverConfig(dt=1e-3, T=0.01, noise_on=False, balance_q=())
-        v0 = [to_grid(single_mode(grid, (1, 0), 0.3))]
+        v0 = [mode_field(grid, (1, 0), 0.3)]
         with pytest.raises(ValueError, match="nu_enhancement must be >= 0"):
             run(build_builtin("zero", [0.02]), None, cfg, v0, nu_enhancement=-0.1)
 
@@ -163,8 +155,7 @@ class TestRealInverseTransforms:
             z, g2 = stepper.gradients(c)
             assert (g2 is None) == (d == 2)
             grads = np.stack([z.real, z.imag] + ([g2] if d == 3 else []))
-            spec = SpectralField(grid, c)
-            expected = np.stack([inverse(partial_derivative(spec, j).coeffs) for j in range(d)])
+            expected = np.stack([inverse(m * c) for m in grid.derivative_multipliers])
             assert grads.shape == expected.shape
             assert np.abs(grads - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -174,7 +165,7 @@ class TestLinearDiffusion:
         grid = grid_32()
         sys0 = build_builtin("zero", [0.02])
         cfg = SolverConfig(dt=1e-3, T=0.25, noise_on=False, balance_q=())
-        v0 = [to_grid(single_mode(grid, (2, 1), 0.3))]
+        v0 = [mode_field(grid, (2, 1), 0.3)]
         state, _ = run(sys0, None, cfg, v0, nu_enhancement=0.05)
         expected = 0.3 * np.exp(-4 * np.pi**2 * 5 * (0.02 + 0.05) * 0.25)
         got = state.fields[0][2, 1]
@@ -251,7 +242,7 @@ class TestMeanModeDecayWithNoise:
         T = 0.2
         cfg = SolverConfig(dt=2e-3, T=T, noise_on=True, balance_q=(),
                            record_every=10**9, seed=7)
-        v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
+        v0 = [mode_field(grid, (1, 0), 0.5)]
         amps = []
         for p in range(24):
             st, _ = run(sys0, noise, cfg, v0, path_index=p)
@@ -488,7 +479,7 @@ class TestStratSubstep:
         sys0 = build_builtin("zero", [0.0])
         cfg = SolverConfig(dt=1e-3, T=0.05, scheme="strat_substep", noise_on=True,
                            balance_q=(), seed=5, record_every=10**9)
-        v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
+        v0 = [mode_field(grid, (1, 0), 0.5)]
         state, _ = run(sys0, noise, cfg, v0)
         energy = np.sum(np.abs(state.fields[0]) ** 2)  # Parseval
         assert abs(energy - 0.5) < 1e-7
@@ -809,7 +800,7 @@ class TestThreeDimensions:
         sys0 = build_builtin("zero", [0.0])
         cfg = SolverConfig(dt=5e-3, T=0.03, scheme="strat_substep", noise_on=True,
                            seed=8, balance_q=())
-        v0 = [to_grid(single_mode(grid, (1, 0, 0), 0.4))]
+        v0 = [mode_field(grid, (1, 0, 0), 0.4)]
         state, _ = run(sys0, noise, cfg, v0)
         energy = float(np.sum(np.abs(state.fields[0]) ** 2))
         assert abs(energy - 2 * 0.4**2) < 1e-7
@@ -824,7 +815,7 @@ class TestPureTransportMeanEnergy:
         nu = 0.01
         noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=nu)
         sys0 = build_builtin("zero", [0.0])
-        v0 = [to_grid(single_mode(grid, (1, 0), 0.5))]
+        v0 = [mode_field(grid, (1, 0), 0.5)]
         T, paths, seed = 0.248, 16, 7  # 124 fine and 62 coarse steps
         dt_f = 2e-3
         n_f = int(round(T / dt_f))
@@ -965,22 +956,23 @@ class TestOneTransformBackend:
                    (build_builtin("linear_flux", [0.05], d=d), None)]
         for sys, values in systems:
             v0 = ([GridField(grid, values.copy()) for _ in range(sys.ell)] if values is not None
-                  else [to_grid(single_mode(grid, (1,) + (0,) * (d - 1), 0.5))])
+                  else [mode_field(grid, (1,) + (0,) * (d - 1), 0.5)])
             state, record = run(sys, noise, cfg, v0)
             assert state.step_index == 4 and state.blown_up is None
             assert np.all(np.isfinite(state.fields))
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     def test_field_conversions(self, d, n):
-        c = single_mode(TorusGrid(d, n), (1, 2) + (0,) * (d - 2), 0.5)
-        assert np.abs(to_spectral(to_grid(c)).coeffs - c.coeffs).max() < 1e-15
+        grid, k = TorusGrid(d, n), (1, 2) + (0,) * (d - 2)
+        c = mode_coeffs(grid, k, 0.5)
+        assert np.abs(forward(mode_field(grid, k, 0.5).values, d) - c).max() < 1e-15
 
     def test_scaling_limit_with_hminus_distance(self):
         grid = TorusGrid(2, 16)
         cfg = SolverConfig(dt=5e-3, T=0.02, balance_q=(), seed=4)
         plan = ScalingLimitPlan(shells=(1, 2), gamma=0.0, nu=0.05, paths=2, solver=cfg,
                                 sys=build_builtin("zero", [0.01]),
-                                v0=[to_grid(single_mode(grid, (1, 0), 0.5))],
+                                v0=[mode_field(grid, (1, 0), 0.5)],
                                 epsilon=0.1, hminus_gamma=0.5)
         result = run_scaling_limit(plan)
         assert all(np.all(s.hminus_distances > 0) for s in result.shells)
@@ -1031,7 +1023,7 @@ class TestValuesOnlyWhenRead:
         sweep = (build_builtin("zero", [0.01]),
                  NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1),
                  SolverConfig(dt=2.5e-3, T=0.05, seed=7, record_every=5, balance_q=()),
-                 [to_grid(single_mode(grid, (1, 0), 0.5))])
+                 [mode_field(grid, (1, 0), 0.5)])
         substep = (build_builtin("zero", [0.01]),
                    NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.05),
                    SolverConfig(dt=2e-3, T=0.02, scheme="strat_substep", seed=3,
