@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from .noise import (
     build_theta_shell,
     spectrum_from_csv,
     spectrum_to_csv,
-    step_guard_error,
     verify_ellipticity,
 )
 from .reactions import (
@@ -43,7 +43,7 @@ from .reactions import (
     growth_certificate,
     mass_action_build,
 )
-from .solver import initial_state, run
+from .solver import Stepper, initial_state, run
 
 
 # glibc mallopt parameter numbers (malloc.h)
@@ -86,17 +86,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """Write dict rows under the first row's keys as the header."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerow(rows[0])
+        writer.writerows([_fmt(x) for x in row.values()] for row in rows)
+
+
+def _lq_columns(qs) -> dict[str, float]:
+    """The L^q columns of diagnostics.csv, lq_<q:g>, in increasing q."""
+    return {f"lq_{q:g}": q for q in sorted(qs)}
 
 
 def write_diagnostics_csv(path: Path, record: DiagnosticsRecord, sys_) -> None:
     """One row per (sample time, species)."""
-    qs = sorted(record.lq)
+    lq = _lq_columns(record.lq)
     bq = sorted(record.grad_energy)
     residual = None
     if bq:
@@ -104,27 +109,22 @@ def write_diagnostics_csv(path: Path, record: DiagnosticsRecord, sys_) -> None:
             residual = lq_balance_residual(record, bq[0], sys_)
         except ValueError:
             residual = None
-    header = (
-        ["t", "species"]
-        + [f"lq_{q:g}" for q in qs]
-        + ["mass", "min_val", "grad_energy", "phi", "residual"]
-    )
-    rows = []
-    ell = record.mass.shape[1]
-    for j, t in enumerate(record.times):
-        for i in range(ell):
-            rows.append(
-                [t, i]
-                + [record.lq[q][j, i] for q in qs]
-                + [
-                    record.mass[j, i],
-                    record.min_value[j, i],
-                    record.grad_energy[bq[0]][j, i] if bq else None,
-                    record.phi[j],
-                    residual[j, i] if residual is not None else None,
-                ]
-            )
-    _write_csv(path, header, rows)
+    rows = [{"t": t, "species": i, **{name: record.lq[q][j, i] for name, q in lq.items()},
+             "mass": record.mass[j, i], "min_val": record.min_value[j, i],
+             "grad_energy": record.grad_energy[bq[0]][j, i] if bq else None,
+             "phi": record.phi[j], "residual": None if residual is None else residual[j, i]}
+            for j, t in enumerate(record.times) for i in range(record.mass.shape[1])]
+    _write_csv(path, rows)
+
+
+def _path_rows(taus, T: float, dists=None, hminus=None) -> list[dict]:
+    """One aggregate row per path: its blow-up time, whether it survived to
+    T, its L^r(0,T;L^q) distance (None: not measured) and, when given, its
+    sup-in-time H^{-gamma} distance as a last column."""
+    return [{"path": p, "tau": tau, "survived": int(tau is None or tau >= T),
+             "dist_LrLq": None if dists is None else dists[p],
+             **({} if hminus is None else {"sup_hminus": hminus[p]})}
+            for p, tau in enumerate(taus)]
 
 
 def _load_config(args) -> RunConfig:
@@ -158,20 +158,21 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _prepare(args):
-    """Config, output directory, grid, reaction, solver config and v0 of a run."""
+    """Config, output directory and v0 of a run."""
     cfg = _load_config(args)
     v0 = build_v0(cfg, cfg.grid, cfg.reaction.ell)
     initial_state(cfg.grid, v0, cfg.solver)  # the engine's checks of v0 (require_nonneg)
-    return cfg, Path(args.out or "out"), cfg.grid, cfg.reaction, cfg.solver, v0
+    return cfg, Path(args.out or "out"), v0
 
 
 def _simulate(args, deterministic: bool) -> int:
-    cfg, out, grid, sys_, scfg, v0 = _prepare(args)
+    cfg, out, v0 = _prepare(args)
     noise = None if deterministic else build_noise(cfg)
     nu_enh = cfg["noise.nu"] if deterministic else 0.0
-    if noise is not None and (problem := step_guard_error(
-            noise.nu, noise.spectrum.max_component(), grid.n_per_dim, scfg.dt)):
-        raise ValueError(problem)
+    qs = cfg.solver.lq_norms
+    if len(_lq_columns(qs)) < len(set(qs)):
+        raise ValueError(f"solver.lq_norms = {list(qs)} name one diagnostics.csv column twice")
+    Stepper(cfg.grid, cfg.reaction, noise, cfg.solver, nu_enh)  # the engine's step guard
 
     snapshots_every = cfg["io.snapshots_every"]
     snap_count = [0]
@@ -180,16 +181,16 @@ def _simulate(args, deterministic: bool) -> int:
         if snapshots_every > 0 and snap_count[0] % snapshots_every == 0:
             write_snapshot(
                 out / f"snapshot_{snap_count[0]:06d}.krdf",
-                [GridField(grid, values[i]) for i in range(len(values))],
+                [GridField(cfg.grid, values[i]) for i in range(len(values))],
             )
         snap_count[0] += 1
 
     _write_manifest(out, cfg, "simulate-det" if deterministic else "simulate")
     state, record = run(
-        sys_, noise, scfg, v0, nu_enhancement=nu_enh,
+        cfg.reaction, noise, cfg.solver, v0, nu_enhancement=nu_enh,
         observer=observer if snapshots_every > 0 else None,
     )
-    write_diagnostics_csv(out / "diagnostics.csv", record, sys_)
+    write_diagnostics_csv(out / "diagnostics.csv", record, cfg.reaction)
     tau = state.blown_up
     print(f"final t = {state.t:g}  blown_up = {tau if tau is not None else 'no'}")
     print(f"wrote {out / 'diagnostics.csv'}")
@@ -197,15 +198,15 @@ def _simulate(args, deterministic: bool) -> int:
 
 
 def _scaling_limit(args) -> int:
-    cfg, out, _, sys_, scfg, v0 = _prepare(args)
+    cfg, out, v0 = _prepare(args)
     hm = cfg["experiment.hminus_gamma"]
     plan = ScalingLimitPlan(
         shells=tuple(cfg["experiment.shells"]),
         gamma=cfg["noise.gamma"],
         nu=cfg["noise.nu"],
         paths=cfg["experiment.paths"],
-        solver=scfg,
-        sys=sys_,
+        solver=cfg.solver,
+        sys=cfg.reaction,
         v0=v0,
         epsilon=cfg["experiment.epsilon"],
         r=cfg["experiment.r"],
@@ -214,21 +215,10 @@ def _scaling_limit(args) -> int:
     )
     _write_manifest(out, cfg, "scaling-limit")
     result = run_scaling_limit(plan, threads=args.threads)
-    _write_csv(
-        out / "scaling_table.csv",
-        ["shell_n", "mean_distance", "stderr", "p_exceed_eps", "max_lq"],
-        [[r["shell_n"], r["mean_distance"], r["stderr"], r["p_exceed_eps"], r["max_lq"]]
-         for r in result.table()],
-    )
+    _write_csv(out / "scaling_table.csv", result.table())
     for s in result.shells:
-        # with the H^{-gamma} distance on, its sup is a last column
-        hm = [] if s.hminus_distances is None else [s.hminus_distances]
-        _write_csv(
-            out / f"aggregate_shell{s.shell}.csv",
-            ["path", "tau", "survived", "dist_LrLq"] + ["sup_hminus"] * len(hm),
-            [[p, tau, int(tau is None or tau >= plan.solver.T), *dists]
-             for p, (tau, *dists) in enumerate(zip(s.taus, s.distances, *hm))],
-        )
+        _write_csv(out / f"aggregate_shell{s.shell}.csv",
+                   _path_rows(s.taus, plan.solver.T, s.distances, s.hminus_distances))
     for r in result.table():
         print(
             f"shell n={r['shell_n']:>3}: mean distance {r['mean_distance']:.6g} "
@@ -238,31 +228,21 @@ def _scaling_limit(args) -> int:
 
 
 def _survival(args) -> int:
-    cfg, out, _, sys_, scfg, v0 = _prepare(args)
+    cfg, out, v0 = _prepare(args)
     plan = SurvivalPlan(
         nus=tuple(cfg["experiment.nus"]),
         shell_n=cfg["noise.shell_n"],
         gamma=cfg["noise.gamma"],
         paths=cfg["experiment.paths"],
-        solver=scfg,
-        sys=sys_,
+        solver=cfg.solver,
+        sys=cfg.reaction,
         v0=v0,
     )
     _write_manifest(out, cfg, "survival")
     result = run_survival(plan, threads=args.threads)
-    _write_csv(
-        out / "survival_table.csv",
-        ["nu", "p_hat", "wilson_lo", "wilson_hi", "mean_tau_blowups"],
-        [[r["nu"], r["p_hat"], r["wilson_lo"], r["wilson_hi"], r["mean_tau_blowups"]]
-         for r in result.table()],
-    )
+    _write_csv(out / "survival_table.csv", result.table())
     for vi, row in enumerate(result.rows):
-        _write_csv(
-            out / f"aggregate_nu{vi}.csv",
-            ["path", "tau", "survived", "dist_LrLq"],
-            [[p, tau, int(tau is None or tau >= plan.solver.T), None]
-             for p, tau in enumerate(row.taus)],
-        )
+        _write_csv(out / f"aggregate_nu{vi}.csv", _path_rows(row.taus, plan.solver.T))
     for r in result.table():
         print(
             f"nu={r['nu']:g}: p_hat = {r['p_hat']:.3f} "
@@ -273,11 +253,11 @@ def _survival(args) -> int:
 
 
 def _decay(args) -> int:
-    cfg, out, _, sys_, scfg, v0 = _prepare(args)
+    cfg, out, v0 = _prepare(args)
     tracked = tuple(cfg["experiment.tracked_mode"]) or None
     plan = DecayPlan(
-        solver=scfg,
-        sys=sys_,
+        solver=cfg.solver,
+        sys=cfg.reaction,
         v0=v0,
         q0=cfg["experiment.q0"],
         paths=cfg["experiment.paths"],
@@ -289,12 +269,8 @@ def _decay(args) -> int:
     )
     _write_manifest(out, cfg, "decay")
     report = run_decay(plan, threads=args.threads)
-    _write_csv(
-        out / "decay_report.csv",
-        ["degenerate", "fitted_rate", "expected_rate", "mode_rate", "mode_expected"],
-        [[int(report.degenerate), report.fitted_rate, report.expected_rate,
-          report.mode_rate, report.mode_expected]],
-    )
+    _write_csv(out / "decay_report.csv",
+               [{**dataclasses.asdict(report), "degenerate": int(report.degenerate)}])
     if report.degenerate:
         print("decay: degenerate (zero data or non-positive norms)")
     else:
@@ -314,14 +290,14 @@ def _exponents(args) -> int:
             for key, val in obj.items():
                 emit(f"{prefix}{key}." if isinstance(val, dict) else f"{prefix}{key}", val)
         else:
-            rows.append([prefix, obj])
+            rows.append({"quantity": prefix, "value": obj})
             print(f"{prefix} = {obj}")
 
     emit("", rep)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "exponents.csv", ["quantity", "value"], rows)
+        _write_csv(out / "exponents.csv", rows)
         print(f"wrote {out / 'exponents.csv'}")
     return 0
 

@@ -47,6 +47,15 @@ def _shell_noise(solver: SolverConfig, shell: int, gamma: float, d: int,
     return NoiseModel(build_theta_shell(shell, gamma, d), nu=nu)
 
 
+def _shell_guard_error(solver: SolverConfig, shell: int, nu: float, n: int) -> str | None:
+    """Why dt breaks the step guard of _shell_noise's model on n points per
+    axis, or None; the shell annulus has max|k_j| = 2 shell, so this builds
+    no spectrum."""
+    if not (solver.noise_on and nu > 0):
+        return None
+    return step_guard_error(nu, 2 * shell, n, solver.dt)
+
+
 def scaling_plan_errors(shells, paths: int, epsilon: float, r: float, q: float,
                         hminus_gamma: float | None) -> dict[str, str]:
     """The rules of a ScalingLimitPlan's shells, paths, epsilon, distance
@@ -85,11 +94,9 @@ class ScalingLimitPlan:
         n = self.v0[0].grid.n_per_dim
         if problem := resolution_error(2 * max(self.shells), n):
             raise ValueError(f"shell {max(self.shells)}: {problem}")
-        cfg = self.solver
-        if self.nu > 0 and cfg.noise_on:
-            for s in self.shells:  # the shell-s annulus has max|k_j| = 2s
-                if problem := step_guard_error(self.nu, 2 * s, n, cfg.dt):
-                    raise ValueError(f"shell {s}: {problem}")
+        for s in self.shells:
+            if problem := _shell_guard_error(self.solver, s, self.nu, n):
+                raise ValueError(f"shell {s}: {problem}")
 
 
 @dataclass
@@ -191,7 +198,9 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
 
     shell_results = []
     for si, n in enumerate(plan.shells):
-        # without noise the paths reproduce the reference
+        # noise off or nu = 0: deterministic paths, which reproduce the
+        # reference at nu = 0; at nu > 0 they run nu_i unenhanced against the
+        # nu_i + nu reference, so every shell reads the same nonzero gap
         noise = _shell_noise(plan.solver, n, plan.gamma, grid.d, plan.nu)
 
         def worker(p: int, noise=noise, si=si):
@@ -239,10 +248,9 @@ class SurvivalPlan:
         for f in self.v0:
             if np.min(f.values) < 0:
                 raise ValueError("survival experiments require v0 >= 0")
-        n, cfg = self.v0[0].grid.n_per_dim, self.solver
+        n = self.v0[0].grid.n_per_dim
         for nu in self.nus:
-            if cfg.noise_on and nu > 0 and (
-                    problem := step_guard_error(nu, 2 * self.shell_n, n, cfg.dt)):
+            if problem := _shell_guard_error(self.solver, self.shell_n, nu, n):
                 raise ValueError(f"nu = {nu}: {problem}")
 
 
@@ -334,7 +342,7 @@ class DecayPlan:
     tail_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        grid, cfg = self.v0[0].grid, self.solver
+        grid = self.v0[0].grid
         if problems := decay_plan_errors(self.paths, self.tail_fraction, self.q0,
                                          self.tracked_mode, grid.d, grid.n_per_dim):
             raise ArgumentErrors(problems)
@@ -343,8 +351,7 @@ class DecayPlan:
         a0, a1 = self.sys.mass_consts
         if a0 != 0.0 or a1 >= 0.0:
             raise ValueError(f"decay regime requires a0 = 0 and a1 < 0, got ({a0}, {a1})")
-        if cfg.noise_on and self.nu > 0 and (
-                problem := step_guard_error(self.nu, 2 * self.shell_n, grid.n_per_dim, cfg.dt)):
+        if problem := _shell_guard_error(self.solver, self.shell_n, self.nu, grid.n_per_dim):
             raise ValueError(problem)
 
 

@@ -283,7 +283,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "r0 = 48" in out
         rows = list(csv.reader((tmp_path / "exponents.csv").open()))
+        assert rows[0] == ["quantity", "value"]
         table = {r[0]: r[1] for r in rows[1:]}
+        assert table["admissibility.q_in_window"] == "True"  # bools as written by str
         assert float(table["r0"]) == pytest.approx(48.0, abs=1e-9)
         assert float(table["phi"]) == pytest.approx(0.2)
 
@@ -408,6 +410,9 @@ class TestCli:
         ("scaling-limit", "solver.require_nonneg = true\nexperiment.shells = [1, 2]\n",
          NEGATIVE_V0),
         ("decay", "solver.require_nonneg = true\n" + DECAY, NEGATIVE_V0),
+        # both exponents print as lq_2: one column would overwrite the other
+        ("simulate", "solver.lq_norms = [2, 2.0000001]\n",
+         "solver.lq_norms = [2.0, 2.0000001] name one diagnostics.csv column twice"),
     ])
     def test_run_start_checks_exit_one_before_output(self, tmp_path, capsys, command,
                                                       bindings, error):
@@ -483,7 +488,9 @@ class TestCli:
         )
         out = tmp_path / "out"
         assert run_cli(["survival", "--config", str(config), "--out", str(out)]) == 0
-        assert (out / "survival_table.csv").exists()
+        table = (out / "survival_table.csv").read_text().splitlines()
+        assert table[0] == "nu,p_hat,wilson_lo,wilson_hi,mean_tau_blowups"
+        assert len(table) == 3
         agg = (out / "aggregate_nu0.csv").read_text().splitlines()
         assert agg[0] == "path,tau,survived,dist_LrLq"
         assert len(agg) == 4
@@ -532,4 +539,7 @@ class TestCli:
         assert run_cli(["decay", "--config", str(config), "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "fitted rate" in text
-        assert (out / "decay_report.csv").exists()
+        rows = list(csv.reader((out / "decay_report.csv").open()))
+        assert rows[0] == ["degenerate", "fitted_rate", "expected_rate", "mode_rate",
+                           "mode_expected"]
+        assert rows[1][0] == "0"

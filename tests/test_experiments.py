@@ -44,6 +44,14 @@ class TestScalingLimit:
         result = run_scaling_limit(plan)
         assert np.abs(result.shells[0].distances).max() == 0.0
 
+    def test_noise_off_paths_read_one_deterministic_gap(self):
+        # with the noise off at nu > 0 the paths run nu_i unenhanced against
+        # the nu_i + nu reference: the same nonzero distance on every shell
+        plan = small_heat_plan(shells=(1, 2), paths=2, n=16, T=0.05)
+        plan = dataclasses.replace(plan, solver=dataclasses.replace(plan.solver, noise_on=False))
+        dists = np.concatenate([s.distances for s in run_scaling_limit(plan).shells])
+        assert dists[0] > 0 and np.all(dists == dists[0])
+
     def test_distance_decreases_with_shell(self):
         result = run_scaling_limit(small_heat_plan())
         means = [s.mean for s in result.shells]
