@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .exponents import ParamSet, admissibility
 from .experiments import decay_plan_errors, scaling_plan_errors, survival_plan_errors
-from .fields import ArgumentErrors, GridField, TorusGrid
+from .fields import ArgumentErrors, GridField, TorusGrid, mode_error
 from .noise import NoiseModel, build_theta_shell, resolution_error
 from .reactions import MassActionSpec, ReactionSystem, build_builtin, mass_action_build
 from .solver import CutOffParams, SolverConfig
@@ -266,6 +266,9 @@ class RunConfig:
         # validate by building: each rule lives in its constructor
         grid = _collect(errors, "grid", TorusGrid, **_arguments(v, "grid"))
         errors.extend(_noise_errors(v))
+        if grid is not None and v["v0.kind"] == "single_mode" and (
+                problem := mode_error(v["v0.mode"], grid.d, grid.n_per_dim)):
+            errors.append(f"v0.mode: {problem}")  # the one kind that reads v0.mode
         cutoff = None
         if v["cutoff.enabled"]:
             cutoff = _collect(errors, "cutoff", CutOffParams, **_arguments(v, "cutoff"))
@@ -354,13 +357,7 @@ def build_v0(cfg: RunConfig, grid: TorusGrid, ell: int) -> list[GridField]:
         if kind == "constant":
             vals = np.full(grid.shape, offset + amp)
         elif kind == "single_mode":
-            mode = cfg["v0.mode"]
-            if len(mode) != grid.d:
-                raise ConfigError([f"v0.mode: expected {grid.d} components, got {len(mode)}"])
-            if max(map(abs, mode)) > grid.n_per_dim // 2:
-                raise ConfigError([f"v0.mode: {mode} aliases on grid n = {grid.n_per_dim}: "
-                                   f"every |k_j| must be <= n/2 = {grid.n_per_dim // 2}"])
-            phase = sum(2.0 * np.pi * m * x for m, x in zip(mode, coords))
+            phase = sum(2.0 * np.pi * m * x for m, x in zip(cfg["v0.mode"], coords))
             vals = offset + amp * np.cos(phase)
         elif kind == "random_smooth":
             rng = np.random.Generator(

@@ -8,25 +8,53 @@ of execution order and worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diagnostics import hminus_gamma_norm, hminus_weight, lq_norm_vector, survival_estimate
-from .fields import ArgumentErrors, GridField, forward
+from .fields import ArgumentErrors, GridField, forward, mode_error
 from .noise import NoiseModel, build_theta_shell, resolution_error, step_guard_error
 from .reactions import ReactionSystem
-from .solver import SolverConfig, run
+from .solver import SolverConfig, horizon_steps, run
 
 DEFAULT_THREADS = 1
 
 
-def _map_paths(worker, n_paths: int, threads: int):
-    """Run path workers, merging results in path order (scheduling-invariant)."""
+def _run_paths(plan, noise: NoiseModel | None, first: int, count: int, threads: int,
+               observer=None, nu_enhancement: float = 0.0) -> list[tuple[float | None, object]]:
+    """(tau, observer) of paths first, ..., first + count - 1 of plan, in
+    path order at any thread count; observer() makes each path's observer
+    (None: no observer).  No experiment reads a path's record, so the paths
+    track no balance, and a path without an observer reads its grid values
+    at its last step only: its tau is the same at any cadence (the solver's
+    sup-bound certificate)."""
+    solver = replace(plan.solver, balance_q=())
+    if observer is None:
+        solver = replace(solver, record_every=max(1, horizon_steps(solver.T, solver.dt)))
+
+    def path(p: int):
+        obs = None if observer is None else observer()
+        state, _ = run(plan.sys, noise, solver, plan.v0, nu_enhancement=nu_enhancement,
+                       path_index=p, observer=obs)
+        return state.blown_up, obs
+
+    paths = range(first, first + count)
     if threads <= 1:
-        return [worker(p) for p in range(n_paths)]
+        return [path(p) for p in paths]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_paths)))
+        return list(pool.map(path, paths))
+
+
+class _Series(list):
+    """An observer that appends sample(t, values, state) at every sample."""
+
+    def __init__(self, sample):
+        super().__init__()
+        self.sample = sample
+
+    def __call__(self, t: float, values: np.ndarray, state) -> None:
+        self.append(self.sample(t, values, state))
 
 
 def _paths_errors(paths: int) -> dict[str, str]:
@@ -150,30 +178,26 @@ class _StreamingDistance:
         self.r = r
         self.q = q
         self.hminus_weight = hminus_weight  # None: no H^{-gamma} distance
-        self.norms: list[float] = []
-        self.times: list[float] = []
+        self.norms: list[float] = []  # one per reference sample reached
         self.hminus_sup = 0.0
         self.max_lq = 0.0
-        self._idx = 0
 
     def __call__(self, t: float, values: np.ndarray, state) -> None:
-        j = self._idx
+        j = len(self.norms)
         if j >= len(self.ref_times) or abs(self.ref_times[j] - t) > 1e-12:
             if state.blown_up is not None:
                 return  # final off-cadence sample of a blown-up path
             raise ValueError("stochastic path sampled off the reference cadence")
         diff = values - self.ref_snaps[j]
         self.norms.append(lq_norm_vector(diff, self.q))
-        self.times.append(t)
         self.max_lq = max(self.max_lq, lq_norm_vector(values, self.q))
         if self.hminus_weight is not None:
             dspec = forward(diff, self.hminus_weight.ndim)
             self.hminus_sup = max(self.hminus_sup, hminus_gamma_norm(dspec, self.hminus_weight))
-        self._idx += 1
 
     def distance(self) -> float:
         arr = np.array(self.norms)
-        return float(np.trapezoid(arr**self.r, np.array(self.times)) ** (1.0 / self.r))
+        return float(np.trapezoid(arr**self.r, self.ref_times[:len(arr)]) ** (1.0 / self.r))
 
 
 def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) -> ScalingLimitResult:
@@ -184,16 +208,11 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
     effect from discretization bias.
     """
     grid = plan.v0[0].grid
-    ref_snaps: list[np.ndarray] = []
-    ref_times: list[float] = []
-
-    def ref_observer(t, values, state):
-        ref_times.append(t)
-        ref_snaps.append(values.copy())
-
-    run(plan.sys, None, plan.solver, plan.v0,
-        nu_enhancement=plan.nu, observer=ref_observer)
-    rtimes = np.array(ref_times)
+    [(_, ref)] = _run_paths(plan, None, 0, 1, 1,
+                            lambda: _Series(lambda t, values, state: (t, values.copy())),
+                            nu_enhancement=plan.nu)
+    rtimes = np.array([t for t, _ in ref])
+    ref_snaps = [values for _, values in ref]
     weight = None if plan.hminus_gamma is None else hminus_weight(grid, plan.hminus_gamma)
 
     shell_results = []
@@ -202,25 +221,16 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
         # reference at nu = 0; at nu > 0 they run nu_i unenhanced against the
         # nu_i + nu reference, so every shell reads the same nonzero gap
         noise = _shell_noise(plan.solver, n, plan.gamma, grid.d, plan.nu)
-
-        def worker(p: int, noise=noise, si=si):
-            obs = _StreamingDistance(rtimes, ref_snaps, plan.r, plan.q, weight)
-            state, _ = run(plan.sys, noise, plan.solver, plan.v0,
-                           path_index=si * plan.paths + p, observer=obs)
-            return obs.distance(), obs.hminus_sup, obs.max_lq, state.blown_up
-
-        rows = _map_paths(worker, plan.paths, threads)
-        dists = np.array([r[0] for r in rows])
-        hm = np.array([r[1] for r in rows]) if plan.hminus_gamma is not None else None
-        shell_results.append(
-            ShellResult(
-                shell=n,
-                distances=dists,
-                hminus_distances=hm,
-                max_lq=float(max(r[2] for r in rows)),
-                taus=[r[3] for r in rows],
-            )
-        )
+        taus, dists = zip(*_run_paths(
+            plan, noise, si * plan.paths, plan.paths, threads,
+            lambda: _StreamingDistance(rtimes, ref_snaps, plan.r, plan.q, weight)))
+        shell_results.append(ShellResult(
+            shell=n,
+            distances=np.array([d.distance() for d in dists]),
+            hminus_distances=None if weight is None else np.array([d.hminus_sup for d in dists]),
+            max_lq=float(max(d.max_lq for d in dists)),
+            taus=list(taus),
+        ))
     return ScalingLimitResult(plan=plan, reference_times=rtimes, shells=shell_results)
 
 
@@ -290,24 +300,16 @@ def run_survival(plan: SurvivalPlan, threads: int = DEFAULT_THREADS) -> Survival
     rows = []
     for vi, nu in enumerate(plan.nus):
         noise = _shell_noise(plan.solver, plan.shell_n, plan.gamma, grid.d, nu)
-
-        def worker(p: int, noise=noise, vi=vi):
-            state, _ = run(plan.sys, noise, plan.solver, plan.v0,
-                           path_index=vi * plan.paths + p)
-            return state.blown_up
-
-        taus = _map_paths(worker, plan.paths, threads)
+        taus = [tau for tau, _ in _run_paths(plan, noise, vi * plan.paths, plan.paths, threads)]
         p_hat, wilson = survival_estimate(taus, plan.solver.T)
         blow = [t for t in taus if t is not None and t < plan.solver.T]
-        rows.append(
-            SurvivalRow(
-                nu=nu,
-                taus=taus,
-                p_hat=p_hat,
-                wilson=wilson,
-                mean_tau_blowups=float(np.mean(blow)) if blow else None,
-            )
-        )
+        rows.append(SurvivalRow(
+            nu=nu,
+            taus=taus,
+            p_hat=p_hat,
+            wilson=wilson,
+            mean_tau_blowups=float(np.mean(blow)) if blow else None,
+        ))
     return SurvivalResult(plan=plan, rows=rows)
 
 
@@ -320,11 +322,8 @@ def decay_plan_errors(paths: int, tail_fraction: float, q0: float, tracked_mode,
     problems = _paths_errors(paths)
     if not 0.0 < tail_fraction <= 1.0:
         problems["tail_fraction"] = f"must lie in (0, 1], got {tail_fraction}"
-    if tracked_mode and len(tracked_mode) != d:
-        problems["tracked_mode"] = f"expected empty or {d} components, got {list(tracked_mode)}"
-    elif tracked_mode and max(map(abs, tracked_mode)) > n // 2:
-        problems["tracked_mode"] = (f"{list(tracked_mode)} aliases on grid n = {n}: "
-                                    f"every |k_j| must be <= n/2 = {n // 2}")
+    if problem := mode_error(tracked_mode or (), d, n, empty_ok=True):
+        problems["tracked_mode"] = problem
     return problems | _exponent_errors(q0=q0)
 
 
@@ -393,37 +392,25 @@ def run_decay(plan: DecayPlan, threads: int = DEFAULT_THREADS) -> DecayReport:
         return DecayReport(True, None, None, None, None)
 
     mode = plan.tracked_mode
-    n = grid.n_per_dim
+    index = None if mode is None else tuple(m % grid.n_per_dim for m in mode)
 
-    def worker(p: int):
-        times: list[float] = []
-        norms: list[float] = []
-        amps: list[complex] = []
-
-        def obs(t, values, state):
-            times.append(t)
-            norms.append(float(np.mean(np.abs(values[0]) ** plan.q0) ** (1.0 / plan.q0)))
-            if mode is not None:
-                amps.append(complex(state.fields[0][tuple(m % n for m in mode)]))
-
-        run(plan.sys, noise, plan.solver, plan.v0,
-            nu_enhancement=plan.nu if noise is None else 0.0,
-            path_index=p, observer=obs)
-        return np.array(times), np.array(norms), np.array(amps)
+    def sample(t, values, state):
+        norm = float(np.mean(np.abs(values[0]) ** plan.q0) ** (1.0 / plan.q0))
+        return t, norm, None if index is None else complex(state.fields[0][index])
 
     # without noise every path is the same deterministic path
     paths = plan.paths if noise is not None else 1
-    results = _map_paths(worker, paths, threads)
-    times = results[0][0]
+    _, series = zip(*_run_paths(plan, noise, 0, paths, threads, lambda: _Series(sample),
+                                nu_enhancement=plan.nu if noise is None else 0.0))
+    times = np.array([row[0] for row in series[0]])
+    norms, amps = (np.array([[row[i] for row in s] for s in series]) for i in (1, 2))
     mode_rate = mode_expected = None
     if mode is not None:
-        mean_amp = np.abs(np.mean(np.stack([r[2] for r in results]), axis=0))
-        mode_rate = _tail_fit(times, mean_amp, plan.tail_fraction)
+        mode_rate = _tail_fit(times, np.abs(np.mean(amps, axis=0)), plan.tail_fraction)
         k2 = float(np.dot(mode, mode))
         nu_eff = plan.sys.nu[0] + plan.nu
         mode_expected = abs(a1) + 4.0 * np.pi**2 * k2 * nu_eff
-    mean_norm = np.mean(np.stack([r[1] for r in results]), axis=0)
-    rate = _tail_fit(times, mean_norm, plan.tail_fraction)
+    rate = _tail_fit(times, np.mean(norms, axis=0), plan.tail_fraction)
     return DecayReport(
         degenerate=rate is None,
         fitted_rate=rate,

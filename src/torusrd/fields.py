@@ -38,6 +38,20 @@ class ArgumentErrors(ValueError):
         super().__init__("; ".join(f"{name}: {msg}" for name, msg in problems.items()))
 
 
+def mode_error(mode, d: int, n: int, empty_ok: bool = False) -> str | None:
+    """Why the Fourier mode mode does not fit a d-dimensional grid of n
+    points per axis, or None: it needs d components (or none, with
+    empty_ok), and every |k_j| <= n/2, since a larger one aliases."""
+    if empty_ok and not mode:
+        return None
+    if len(mode) != d:
+        return (f"expected empty or {d} components, got {list(mode)}" if empty_ok
+                else f"expected {d} components, got {len(mode)}")
+    if max(map(abs, mode)) > n // 2:
+        return f"{list(mode)} aliases on grid n = {n}: every |k_j| must be <= n/2 = {n // 2}"
+    return None
+
+
 def _trailing(d: int) -> tuple[int, ...]:
     return tuple(range(-d, 0))
 

@@ -94,7 +94,9 @@ class TestConfigParsing:
         assert cfg["reaction.nu"] == [0.1, 0.2]
 
     def test_admissibility_gate(self):
-        text = "reaction.kind = builtin:logistic\nsolver.blowup.q0 = 2.5\nvalidate.admissibility = true\ngrid.d = 3\nnoise.enabled = false"
+        text = ("reaction.kind = builtin:logistic\nsolver.blowup.q0 = 2.5\n"
+                "validate.admissibility = true\ngrid.d = 3\nnoise.enabled = false\n"
+                "v0.mode = [1, 0, 0]")
         # h = 2 in d = 3 needs q0 > max(3/2, 2) = 2: q0 = 2.5 passes
         RunConfig.from_text(text)
         with pytest.raises(ConfigError, match="admissibility"):
@@ -164,6 +166,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             RunConfig.from_text(MINIMAL + binding + "\n")
         assert info.value.errors == [error]
+
+    @pytest.mark.parametrize("bindings, errors", [
+        # collected with the other key errors, not at run start
+        ("v0.mode = [9, 0, 1]\nsolver.record_every = 0",
+         ["v0.mode: expected 2 components, got 3", "solver.record_every: must be >= 1"]),
+        ("v0.mode = [17, 0]",
+         ["v0.mode: [17, 0] aliases on grid n = 32: every |k_j| must be <= n/2 = 16"]),
+        # a 3-D grid does not take the 2-D default mode
+        ("grid.d = 3\ngrid.n = 12", ["v0.mode: expected 3 components, got 2"]),
+    ])
+    def test_single_mode_v0_mode_checked_at_parse(self, bindings, errors):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(MINIMAL + "noise.enabled = false\n" + bindings + "\n")
+        assert info.value.errors == errors
+        # the other kinds do not read v0.mode
+        RunConfig.from_text(MINIMAL + "v0.kind = constant\nv0.mode = [17, 0, 0]\n")
 
 
     def test_track_balance_false_empties_balance_q(self):

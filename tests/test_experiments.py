@@ -211,6 +211,18 @@ class TestStreamingDistance:
         assert d(a, a) == 0.0
 
 
+def _blowing_survival_plan():
+    """f = v^2 from data near 2: paths blow up near t = 0.5, the noisy ones
+    at their own tau."""
+    grid = TorusGrid(2, 16)
+    sys = build_builtin("quadratic_unsafe", [0.05], allow_unsafe=True)
+    cfg = SolverConfig(dt=2e-3, T=0.6, noise_on=True, balance_q=(), seed=9,
+                       blowup_threshold=1e3, blowup_norm_q0=4.0)
+    v0 = [GridField(grid, 2.0 + mode_field(grid, (1, 0), 0.25).values)]
+    return SurvivalPlan(nus=(0.0, 0.2), shell_n=1, gamma=0.0, paths=3,
+                        solver=cfg, sys=sys, v0=v0)
+
+
 class TestSurvival:
     def test_gentle_system_always_survives(self):
         grid = TorusGrid(2, 16)
@@ -262,6 +274,13 @@ class TestSurvival:
                          sys=build_builtin("logistic", [0.1]),
                          v0=[GridField(grid, np.ones(grid.shape))])
         assert list(info.value.problems) == bad
+
+    def test_worker_count_does_not_change_taus(self):
+        plan = _blowing_survival_plan()
+        serial = run_survival(plan, threads=1)
+        pooled = run_survival(plan, threads=2)
+        assert [r.taus for r in serial.rows] == [r.taus for r in pooled.rows]
+        assert any(tau is not None for r in serial.rows for tau in r.taus)
 
     def test_negative_data_rejected(self):
         grid = TorusGrid(2, 8)
@@ -330,6 +349,10 @@ class TestDecay:
         assert calls == [0]
         assert report == run_decay(self._plan(paths=1, tracked=(1, 0), T=0.4))
 
+    def test_worker_count_does_not_change_report(self):
+        plan = self._plan(nu=0.1, paths=4, tracked=(1, 0), T=0.2)
+        assert run_decay(plan, threads=1) == run_decay(plan, threads=2)
+
     @pytest.mark.parametrize("q0", [0.0, -2.0])
     def test_norm_exponent_below_one_rejected(self, q0):
         with pytest.raises(ArgumentErrors, match="q0: must be >= 1"):
@@ -345,3 +368,44 @@ class TestDecay:
         cfg = SolverConfig(dt=1e-2, T=0.5, noise_on=False, balance_q=())
         with pytest.raises(ValueError, match="a1 < 0"):
             DecayPlan(solver=cfg, sys=sys, v0=[GridField(grid, np.ones(grid.shape))])
+
+
+def _with_solver(plan, **change):
+    return dataclasses.replace(plan, solver=dataclasses.replace(plan.solver, **change))
+
+
+class TestPathsReadNoRecord:
+    """No experiment reads a path's diagnostics record, so its outputs are
+    the same whatever balance and cadence of that record the plan asks for."""
+
+    # constant data 4 under f = v^2 blows up at the reference's time, 0.05
+    @pytest.mark.parametrize("reaction, amplitude", [("logistic", 0.5),
+                                                     ("quadratic_unsafe", 0.0)])
+    def test_scaling_limit(self, reaction, amplitude):
+        grid = TorusGrid(2, 16)
+        cfg = SolverConfig(dt=2e-3, T=0.1, record_every=2, seed=5, blowup_threshold=5.0)
+        v0 = [GridField(grid, 4.0 + mode_field(grid, (1, 1), amplitude).values)]
+        plan = ScalingLimitPlan(shells=(1, 2), gamma=0.0, nu=0.1, paths=2, solver=cfg,
+                                sys=build_builtin(reaction, [0.05], allow_unsafe=True),
+                                v0=v0, epsilon=0.1, hminus_gamma=0.5)
+        tracked, untracked = (run_scaling_limit(_with_solver(plan, balance_q=q))
+                              for q in ((2.0,), ()))
+        for a, b in zip(tracked.shells, untracked.shells):
+            assert np.array_equal(a.distances, b.distances)
+            assert np.array_equal(a.hminus_distances, b.hminus_distances)
+            assert a.max_lq == b.max_lq
+            assert a.taus == b.taus
+        blown = [tau is not None for s in tracked.shells for tau in s.taus]
+        assert all(blown) if reaction == "quadratic_unsafe" else not any(blown)
+
+    def test_survival(self):
+        plan = _blowing_survival_plan()
+        every_step = run_survival(_with_solver(plan, balance_q=(2.0,), record_every=1))
+        sparse = run_survival(_with_solver(plan, balance_q=(), record_every=7))
+        assert [r.taus for r in every_step.rows] == [r.taus for r in sparse.rows]
+        assert any(tau is not None for r in every_step.rows for tau in r.taus)
+
+    def test_decay(self):
+        plan = TestDecay()._plan(nu=0.1, paths=3, tracked=(1, 0), T=0.2)
+        assert run_decay(_with_solver(plan, balance_q=(2.0,))) == run_decay(
+            _with_solver(plan, balance_q=()))
