@@ -11,6 +11,7 @@ import argparse
 import ctypes
 import csv
 import dataclasses
+import itertools
 import sys
 from pathlib import Path
 
@@ -103,12 +104,8 @@ def write_diagnostics_csv(path: Path, record: DiagnosticsRecord, sys_) -> None:
     """One row per (sample time, species)."""
     lq = _lq_columns(record.lq)
     bq = sorted(record.grad_energy)
-    residual = None
-    if bq:
-        try:
-            residual = lq_balance_residual(record, bq[0], sys_)
-        except ValueError:
-            residual = None
+    # a T = 0 run has one sample and no balance
+    residual = lq_balance_residual(record, bq[0], sys_) if bq and len(record.times) > 1 else None
     rows = [{"t": t, "species": i, **{name: record.lq[q][j, i] for name, q in lq.items()},
              "mass": record.mass[j, i], "min_val": record.min_value[j, i],
              "grad_energy": record.grad_energy[bq[0]][j, i] if bq else None,
@@ -168,29 +165,26 @@ def _prepare(args):
 def _simulate(args, deterministic: bool) -> int:
     cfg, out, v0 = _prepare(args)
     noise = None if deterministic else build_noise(cfg)
-    nu_enh = cfg["noise.nu"] if deterministic else 0.0
-    qs = cfg.solver.lq_norms
+    # simulate-det integrates the enhanced-diffusion system nu_i + noise.nu
+    sys_ = cfg.reaction.enhanced(cfg["noise.nu"]) if deterministic else cfg.reaction
+    qs, bq = cfg.solver.lq_norms, cfg.solver.balance_q
     if len(_lq_columns(qs)) < len(set(qs)):
         raise ValueError(f"solver.lq_norms = {list(qs)} name one diagnostics.csv column twice")
-    Stepper(cfg.grid, cfg.reaction, noise, cfg.solver, nu_enh)  # the engine's step guard
+    if bq and min(bq) not in qs:
+        raise ValueError(f"solver.balance_q exponent {min(bq):g} is not in solver.lq_norms = "
+                         f"{list(qs)}: the residual column needs its L^q norm")
+    Stepper(cfg.grid, sys_, noise, cfg.solver)  # the engine's step guard
 
-    snapshots_every = cfg["io.snapshots_every"]
-    snap_count = [0]
+    every = cfg["io.snapshots_every"]
+    samples = itertools.count()
 
-    def observer(t, values, state):
-        if snapshots_every > 0 and snap_count[0] % snapshots_every == 0:
-            write_snapshot(
-                out / f"snapshot_{snap_count[0]:06d}.krdf",
-                [GridField(cfg.grid, values[i]) for i in range(len(values))],
-            )
-        snap_count[0] += 1
+    def snapshot(t, values, state):  # every `every`-th sample
+        if (j := next(samples)) % every == 0:
+            write_snapshot(out / f"snapshot_{j:06d}.krdf", [GridField(cfg.grid, v) for v in values])
 
     _write_manifest(out, cfg, "simulate-det" if deterministic else "simulate")
-    state, record = run(
-        cfg.reaction, noise, cfg.solver, v0, nu_enhancement=nu_enh,
-        observer=observer if snapshots_every > 0 else None,
-    )
-    write_diagnostics_csv(out / "diagnostics.csv", record, cfg.reaction)
+    state, record = run(sys_, noise, cfg.solver, v0, observer=snapshot if every > 0 else None)
+    write_diagnostics_csv(out / "diagnostics.csv", record, sys_)
     tau = state.blown_up
     print(f"final t = {state.t:g}  blown_up = {tau if tau is not None else 'no'}")
     print(f"wrote {out / 'diagnostics.csv'}")
@@ -387,6 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "threads", 1) < 1:
+            parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     handlers = {

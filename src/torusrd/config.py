@@ -266,9 +266,13 @@ class RunConfig:
         # validate by building: each rule lives in its constructor
         grid = _collect(errors, "grid", TorusGrid, **_arguments(v, "grid"))
         errors.extend(_noise_errors(v))
-        if grid is not None and v["v0.kind"] == "single_mode" and (
+        if v["v0.kind"] not in ("constant", "single_mode", "random_smooth"):  # build_v0's kinds
+            errors.append(f"v0.kind: unknown initial data kind {v['v0.kind']!r}")
+        elif grid is not None and v["v0.kind"] == "single_mode" and (
                 problem := mode_error(v["v0.mode"], grid.d, grid.n_per_dim)):
             errors.append(f"v0.mode: {problem}")  # the one kind that reads v0.mode
+        if v["io.snapshots_every"] < 0:
+            errors.append(f"io.snapshots_every: must be >= 0, got {v['io.snapshots_every']}")
         cutoff = None
         if v["cutoff.enabled"]:
             cutoff = _collect(errors, "cutoff", CutOffParams, **_arguments(v, "cutoff"))
@@ -359,7 +363,7 @@ def build_v0(cfg: RunConfig, grid: TorusGrid, ell: int) -> list[GridField]:
         elif kind == "single_mode":
             phase = sum(2.0 * np.pi * m * x for m, x in zip(cfg["v0.mode"], coords))
             vals = offset + amp * np.cos(phase)
-        elif kind == "random_smooth":
+        else:  # random_smooth
             rng = np.random.Generator(
                 np.random.Philox(key=[cfg["v0.seed"], i], counter=[0, 0, 0, 0])
             )
@@ -369,7 +373,5 @@ def build_v0(cfg: RunConfig, grid: TorusGrid, ell: int) -> list[GridField]:
                 phase = sum(2.0 * np.pi * m * x for m, x in zip(mode, coords))
                 vals += np.cos(phase + 2.0 * np.pi * rng.random())
             vals = offset + amp * vals / max(1e-12, np.abs(vals).max())
-        else:
-            raise ConfigError([f"v0.kind: unknown initial data kind {kind!r}"])
         out.append(GridField(grid, vals))
     return out

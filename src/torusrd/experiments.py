@@ -21,22 +21,21 @@ from .solver import SolverConfig, horizon_steps, run
 DEFAULT_THREADS = 1
 
 
-def _run_paths(plan, noise: NoiseModel | None, first: int, count: int, threads: int,
-               observer=None, nu_enhancement: float = 0.0) -> list[tuple[float | None, object]]:
-    """(tau, observer) of paths first, ..., first + count - 1 of plan, in
-    path order at any thread count; observer() makes each path's observer
-    (None: no observer).  No experiment reads a path's record, so the paths
-    track no balance, and a path without an observer reads its grid values
-    at its last step only: its tau is the same at any cadence (the solver's
-    sup-bound certificate)."""
+def _run_paths(plan, sys: ReactionSystem, noise: NoiseModel | None, first: int, count: int,
+               threads: int, observer=None) -> list[tuple[float | None, object]]:
+    """(tau, observer) of paths first, ..., first + count - 1 of sys from
+    plan's v0 under plan's solver, in path order at any thread count;
+    observer() makes each path's observer (None: no observer).  No
+    experiment reads a path's record, so the paths track no balance, and a
+    path without an observer reads its grid values at its last step only:
+    its tau is the same at any cadence (the solver's sup-bound certificate)."""
     solver = replace(plan.solver, balance_q=())
     if observer is None:
         solver = replace(solver, record_every=max(1, horizon_steps(solver.T, solver.dt)))
 
     def path(p: int):
         obs = None if observer is None else observer()
-        state, _ = run(plan.sys, noise, solver, plan.v0, nu_enhancement=nu_enhancement,
-                       path_index=p, observer=obs)
+        state, _ = run(sys, noise, solver, plan.v0, path_index=p, observer=obs)
         return state.blown_up, obs
 
     paths = range(first, first + count)
@@ -208,9 +207,8 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
     effect from discretization bias.
     """
     grid = plan.v0[0].grid
-    [(_, ref)] = _run_paths(plan, None, 0, 1, 1,
-                            lambda: _Series(lambda t, values, state: (t, values.copy())),
-                            nu_enhancement=plan.nu)
+    [(_, ref)] = _run_paths(plan, plan.sys.enhanced(plan.nu), None, 0, 1, 1,
+                            lambda: _Series(lambda t, values, state: (t, values.copy())))
     rtimes = np.array([t for t, _ in ref])
     ref_snaps = [values for _, values in ref]
     weight = None if plan.hminus_gamma is None else hminus_weight(grid, plan.hminus_gamma)
@@ -222,7 +220,7 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
         # nu_i + nu reference, so every shell reads the same nonzero gap
         noise = _shell_noise(plan.solver, n, plan.gamma, grid.d, plan.nu)
         taus, dists = zip(*_run_paths(
-            plan, noise, si * plan.paths, plan.paths, threads,
+            plan, plan.sys, noise, si * plan.paths, plan.paths, threads,
             lambda: _StreamingDistance(rtimes, ref_snaps, plan.r, plan.q, weight)))
         shell_results.append(ShellResult(
             shell=n,
@@ -300,7 +298,8 @@ def run_survival(plan: SurvivalPlan, threads: int = DEFAULT_THREADS) -> Survival
     rows = []
     for vi, nu in enumerate(plan.nus):
         noise = _shell_noise(plan.solver, plan.shell_n, plan.gamma, grid.d, nu)
-        taus = [tau for tau, _ in _run_paths(plan, noise, vi * plan.paths, plan.paths, threads)]
+        taus = [tau for tau, _ in _run_paths(plan, plan.sys, noise, vi * plan.paths,
+                                             plan.paths, threads)]
         p_hat, wilson = survival_estimate(taus, plan.solver.T)
         blow = [t for t in taus if t is not None and t < plan.solver.T]
         rows.append(SurvivalRow(
@@ -398,10 +397,9 @@ def run_decay(plan: DecayPlan, threads: int = DEFAULT_THREADS) -> DecayReport:
         norm = float(np.mean(np.abs(values[0]) ** plan.q0) ** (1.0 / plan.q0))
         return t, norm, None if index is None else complex(state.fields[0][index])
 
-    # without noise every path is the same deterministic path
-    paths = plan.paths if noise is not None else 1
-    _, series = zip(*_run_paths(plan, noise, 0, paths, threads, lambda: _Series(sample),
-                                nu_enhancement=plan.nu if noise is None else 0.0))
+    # without noise every path is the same deterministic, enhanced path
+    sys, paths = (plan.sys, plan.paths) if noise else (plan.sys.enhanced(plan.nu), 1)
+    _, series = zip(*_run_paths(plan, sys, noise, 0, paths, threads, lambda: _Series(sample)))
     times = np.array([row[0] for row in series[0]])
     norms, amps = (np.array([[row[i] for row in s] for s in series]) for i in (1, 2))
     mode_rate = mode_expected = None

@@ -70,6 +70,13 @@ class ReactionSystem:
         and there is no flux.  The solver then skips the drift."""
         return self.f is zero_rates and self.F is None
 
+    def enhanced(self, nu: float) -> ReactionSystem:
+        """The same system with diffusivities nu_i + nu: the deterministic
+        limit of transport noise of intensity nu >= 0."""
+        if nu < 0:
+            raise ValueError(f"enhancement nu must be >= 0, got {nu}")
+        return dataclasses.replace(self, nu=self.nu + nu)
+
 
 @dataclass(frozen=True)
 class MassActionSpec:

@@ -251,10 +251,7 @@ class Stepper:
         sys: ReactionSystem,
         noise: NoiseModel | None,
         cfg: SolverConfig,
-        nu_enhancement: float = 0.0,
     ):
-        if nu_enhancement < 0:
-            raise ValueError(f"nu_enhancement must be >= 0, got {nu_enhancement}")
         self.grid = grid
         self.sys = sys
         self.cfg = cfg
@@ -267,10 +264,9 @@ class Stepper:
             if problem:
                 raise ValueError(problem)
 
-        if cfg.scheme == "euler_maruyama_ito":
-            nu_extra = self.noise.nu if self.noise is not None else nu_enhancement
-        else:  # strat_substep: the Wong-Zakai substep supplies the nu-diffusion
-            nu_extra = 0.0 if self.noise is not None else nu_enhancement
+        # the Ito correction nu Delta (strat_substep: the Wong-Zakai substep
+        # supplies the nu-diffusion); a noise-free enhanced run has it in sys.nu
+        nu_extra = self.noise.nu if self.noise and cfg.scheme == "euler_maruyama_ito" else 0.0
         lam = grid.laplacian_multipliers  # -4 pi^2 |k|^2, dropped after __init__
         self.propagator = np.stack(
             [np.exp(lam * (nu_i + nu_extra) * cfg.dt) for nu_i in sys.nu]
@@ -585,7 +581,6 @@ def run(
     noise: NoiseModel | None,
     cfg: SolverConfig,
     v0: list[GridField],
-    nu_enhancement: float = 0.0,
     path_index: int = 0,
     observer=None,
     increments=None,
@@ -607,7 +602,7 @@ def run(
         if not np.all(np.isfinite(f.values)):
             raise ValueError("initial data contains non-finite values")
 
-    stepper = Stepper(grid, sys, noise, cfg, nu_enhancement=nu_enhancement)
+    stepper = Stepper(grid, sys, noise, cfg)
     state = initial_state(grid, v0, cfg)
     state.grid_values = stepper.to_values(state.fields)
 

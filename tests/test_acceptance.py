@@ -96,8 +96,7 @@ def test_criterion_03_exact_linear_diffusion():
     sys0 = build_builtin("zero", [nu_i])
     cfg = SolverConfig(dt=1e-3, T=T, noise_on=False, balance_q=(),
                        record_every=10**9)
-    state, _ = run(sys0, None, cfg, [mode_field(grid, (1, 0), 0.5)],
-                   nu_enhancement=nu)
+    state, _ = run(sys0.enhanced(nu), None, cfg, [mode_field(grid, (1, 0), 0.5)])
     expected = 0.5 * np.exp(-4 * np.pi**2 * (nu_i + nu) * T)
     rel = abs(state.fields[0][1, 0] - expected) / expected
     elapsed = time.perf_counter() - t0

@@ -184,6 +184,12 @@ class TestConfigParsing:
         RunConfig.from_text(MINIMAL + "v0.kind = constant\nv0.mode = [17, 0, 0]\n")
 
 
+    def test_unknown_v0_kind_collected_at_parse(self):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(MINIMAL + "v0.kind = bogus\nsolver.record_every = 0\n")
+        assert info.value.errors == ["v0.kind: unknown initial data kind 'bogus'",
+                                     "solver.record_every: must be >= 1"]
+
     def test_track_balance_false_empties_balance_q(self):
         cfg = RunConfig.from_text(MINIMAL + "solver.track_balance = false\n")
         assert cfg.solver.balance_q == ()
@@ -386,6 +392,7 @@ class TestCli:
         ("decay", "experiment.tracked_mode=[0, -9]", "experiment.tracked_mode"),
         # mode 9 would sample mode -7 on 16 points
         ("decay", "v0.mode=[9, 0]", "v0.mode"),
+        ("simulate", "io.snapshots_every=-2", "io.snapshots_every"),
     ])
     def test_config_errors_exit_one_without_output_dir(self, tmp_path, capsys, command,
                                                         override, key):
@@ -431,6 +438,9 @@ class TestCli:
         # both exponents print as lq_2: one column would overwrite the other
         ("simulate", "solver.lq_norms = [2, 2.0000001]\n",
          "solver.lq_norms = [2.0, 2.0000001] name one diagnostics.csv column twice"),
+        # the residual column reads the L^q norm of the smallest balance exponent
+        ("simulate", "solver.balance_q = [3]\n",
+         "solver.balance_q exponent 3 is not in solver.lq_norms = [2.0]"),
     ])
     def test_run_start_checks_exit_one_before_output(self, tmp_path, capsys, command,
                                                       bindings, error):
@@ -440,6 +450,31 @@ class TestCli:
         assert run_cli([command, "--config", str(config), "--out", str(out)]) == 1
         assert error in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_one_without_output_dir(self, tmp_path, capsys, threads):
+        config = tmp_path / "run.cfg"
+        config.write_text("grid.n = 16\nsolver.dt = 0.005\nsolver.T = 0.01\n"
+                          "experiment.shells = [1]\nexperiment.paths = 1\n")
+        out = tmp_path / "out"
+        assert run_cli(["scaling-limit", "--config", str(config), "--out", str(out),
+                        "--threads", threads]) == 1
+        assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme, T", [("euler_maruyama_ito", 0.2), ("strat_substep", 0.05)])
+    def test_simulate_det_residual_balances_the_enhanced_diffusion(self, tmp_path, scheme, T):
+        # the run diffuses at nu_i + noise.nu, so the balance must read the
+        # same diffusivity; with nu_i alone the last residual read -0.094
+        # (Ito, T = 0.2) and -0.040 (strat_substep, T = 0.05)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"grid.n = 32\nsolver.dt = 0.001\nsolver.T = {T}\n"
+                          f"solver.scheme = {scheme}\nreaction.nu = [0.01]\nnoise.nu = 0.1\n")
+        out = tmp_path / "out"
+        assert run_cli(["simulate-det", "--config", str(config), "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "diagnostics.csv").open()))
+        assert float(rows[-1]["t"]) == pytest.approx(T)
+        assert abs(float(rows[-1]["residual"])) < 1e-3
 
     def test_scaling_limit_with_noise_off_builds_no_shell_noise(self, tmp_path):
         # noise.gamma is checked only with noise on, and a noise-off sweep

@@ -165,17 +165,17 @@ class TestStreamingDistance:
                                    q=3.0)
         result = run_scaling_limit(plan)
 
-        def trajectory(noise, **kwargs):
+        def trajectory(sys, noise, **kwargs):
             out = []
-            run(plan.sys, noise, plan.solver, plan.v0,
+            run(sys, noise, plan.solver, plan.v0,
                 observer=lambda t, values, st: out.append(values.copy()), **kwargs)
             return out
 
-        ref = trajectory(None, nu_enhancement=plan.nu)
+        ref = trajectory(plan.sys.enhanced(plan.nu), None)
         noise = NoiseModel(build_theta_shell(1, plan.gamma, 2), nu=plan.nu)
         for p, got in enumerate(result.shells[0].distances):
             norms = np.array([lq_norm_vector(a - b, plan.q)
-                              for a, b in zip(trajectory(noise, path_index=p), ref)])
+                              for a, b in zip(trajectory(plan.sys, noise, path_index=p), ref)])
             expected = np.trapezoid(norms**plan.r, result.reference_times) ** (1.0 / plan.r)
             assert got > 0 and got == expected
 

@@ -258,3 +258,15 @@ class TestBuiltins:
             state, _ = run(sys, None, cfg, v0)
             means.append(state.fields[0][0, 0].real)
         assert means[0] == means[1] > 0.52
+
+
+class TestEnhanced:
+    def test_only_the_diffusivities_move(self):
+        sys = build_builtin("linear_flux", [0.01, 0.03])
+        enhanced = sys.enhanced(0.1)
+        assert np.array_equal(enhanced.nu, [0.01 + 0.1, 0.03 + 0.1])
+        assert (enhanced.f, enhanced.F, enhanced.h) == (sys.f, sys.F, sys.h)
+        assert enhanced.name == sys.name
+        assert np.array_equal(enhanced.mass_alpha, sys.mass_alpha)
+        assert enhanced.mass_consts == sys.mass_consts
+        assert np.array_equal(sys.nu, [0.01, 0.03])  # the system itself is unchanged

@@ -116,11 +116,8 @@ class TestConfigValidation:
         assert list(info.value.problems) == ["R", "r", "q"]
 
     def test_negative_enhancement_rejected(self):
-        grid = grid_32()
-        cfg = SolverConfig(dt=1e-3, T=0.01, noise_on=False, balance_q=())
-        v0 = [mode_field(grid, (1, 0), 0.3)]
-        with pytest.raises(ValueError, match="nu_enhancement must be >= 0"):
-            run(build_builtin("zero", [0.02]), None, cfg, v0, nu_enhancement=-0.1)
+        with pytest.raises(ValueError, match="enhancement nu must be >= 0, got -0.1"):
+            build_builtin("zero", [0.02]).enhanced(-0.1)
 
     def test_cfl_guard(self):
         grid = grid_32()
@@ -166,7 +163,7 @@ class TestLinearDiffusion:
         sys0 = build_builtin("zero", [0.02])
         cfg = SolverConfig(dt=1e-3, T=0.25, noise_on=False, balance_q=())
         v0 = [mode_field(grid, (2, 1), 0.3)]
-        state, _ = run(sys0, None, cfg, v0, nu_enhancement=0.05)
+        state, _ = run(sys0.enhanced(0.05), None, cfg, v0)
         expected = 0.3 * np.exp(-4 * np.pi**2 * 5 * (0.02 + 0.05) * 0.25)
         got = state.fields[0][2, 1]
         assert abs(got - expected) < 1e-12 * abs(expected)
