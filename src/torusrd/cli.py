@@ -158,7 +158,7 @@ def _prepare(args):
     """Config, output directory and v0 of a run."""
     cfg = _load_config(args)
     v0 = build_v0(cfg, cfg.grid, cfg.reaction.ell)
-    initial_state(cfg.grid, v0, cfg.solver)  # the engine's checks of v0 (require_nonneg)
+    initial_state(cfg.grid, v0, cfg.solver)  # the engine's checks of v0, before any output
     return cfg, Path(args.out or "out"), v0
 
 

@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from sys import float_info
 
 import numpy as np
 
@@ -89,6 +90,14 @@ SCHEMA: dict[str, _Field] = {
 }
 
 
+def _finite(key: str, raw: str, val: int | float, errors: list[str]) -> float | None:
+    """val as a float if it is finite, else None once the error is appended."""
+    if abs(val) <= float_info.max:  # False for JSON's NaN, Infinity, 1e999 and huge integers
+        return float(val)
+    errors.append(f"{key}: expected a finite number, got {raw!r}")
+    return None
+
+
 def _parse_value(key: str, raw: str, ftype: str, errors: list[str]):
     raw = raw.strip()
     try:
@@ -113,7 +122,7 @@ def _parse_value(key: str, raw: str, ftype: str, errors: list[str]):
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             errors.append(f"{key}: expected number, got {raw!r}")
             return None
-        return float(val)
+        return _finite(key, raw, val, errors)
     if ftype in ("int_list", "float_list"):
         if not isinstance(val, list):
             errors.append(f"{key}: expected a list, got {raw!r}")
@@ -123,13 +132,12 @@ def _parse_value(key: str, raw: str, ftype: str, errors: list[str]):
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 errors.append(f"{key}: list entries must be numbers, got {item!r}")
                 return None
-            if ftype == "int_list":
-                if not isinstance(item, int):
-                    errors.append(f"{key}: list entries must be integers, got {item!r}")
-                    return None
-                out.append(item)
-            else:
-                out.append(float(item))
+            if ftype == "int_list" and not isinstance(item, int):
+                errors.append(f"{key}: list entries must be integers, got {item!r}")
+                return None
+            if ftype == "float_list" and (item := _finite(key, raw, item, errors)) is None:
+                return None
+            out.append(item)
         return out
     raise AssertionError(f"unknown field type {ftype}")
 

@@ -16,7 +16,7 @@ from .diagnostics import hminus_gamma_norm, hminus_weight, lq_norm_vector, survi
 from .fields import ArgumentErrors, GridField, forward, mode_error
 from .noise import NoiseModel, build_theta_shell, resolution_error, step_guard_error
 from .reactions import ReactionSystem
-from .solver import SolverConfig, horizon_steps, run
+from .solver import SolverConfig, horizon_steps, negative_species, run
 
 DEFAULT_THREADS = 1
 
@@ -253,9 +253,8 @@ class SurvivalPlan:
     def __post_init__(self) -> None:
         if problems := survival_plan_errors(self.nus, self.paths):
             raise ArgumentErrors(problems)
-        for f in self.v0:
-            if np.min(f.values) < 0:
-                raise ValueError("survival experiments require v0 >= 0")
+        if negative_species(self.v0) is not None:
+            raise ValueError("survival experiments require v0 >= 0")
         n = self.v0[0].grid.n_per_dim
         for nu in self.nus:
             if problem := _shell_guard_error(self.solver, self.shell_n, nu, n):

@@ -112,8 +112,9 @@ def interp_feasible_tuple(
 
     Search runs from the extreme values (d/(d+2), inf, 2, 2d/(d-2)) inward
     over an ascending theta grid and returns the first tuple satisfying both
-    inequalities with strict margin, theta < d/(d+2), zeta1 in (1,2), and
-    xi1 < 2d/(d-2) for d >= 3.
+    inequalities with strict margin and zeta1 < 2.  By construction theta is
+    in (0, d/(d+2)), r1 >= 2.5, zeta1 >= 1.1, and xi1 in (2, 2d/(d-2)) for
+    d >= 3, xi1 >= 100 for d = 2.
     """
     boundary = 2.0 * (d + 2.0) / d
     if not 1.0 < psi_target < boundary:
@@ -140,15 +141,9 @@ def interp_feasible_tuple(
             continue
         r1 = max((1.0 - theta) / (avail1 * (1.0 - 1e-3)), 2.5)
         zeta1 = max((1.0 - theta) / (avail2 * (1.0 - 1e-3)), 1.1)
-        ok_constraints = (
-            0 < theta < theta_star
-            and 2.0 < r1 < math.inf
-            and 1.0 < zeta1 < 2.0
-            and 2.0 < xi1 < (xi_star if d >= 3 else math.inf)
-        )
         m1 = inv_psi - ((1.0 - theta) / r1 + theta / 2.0)
         m2 = inv_psi - ((1.0 - theta) / zeta1 + theta / xi1)
-        if ok_constraints and m1 >= margin and m2 >= margin:
+        if zeta1 < 2.0 and m1 >= margin and m2 >= margin:
             return float(theta), float(r1), float(zeta1), float(xi1)
     raise ValueError(f"no feasible tuple found for d={d}, psi={psi_target}")
 
@@ -183,10 +178,6 @@ def barrier_mu0(
     mu0 = (
         (1.0 + e_bar) / R * (m_target * (1.0 + e_bar) / (R * e_bar)) ** e_bar
     ) ** (1.0 / gamma)
-    mus = np.linspace(max(mu0 / 10.0, 1e-6), mu0 * 10.0, 50)
-    maxima = [barrier_value(mu, R, e_bar, gamma)[1] for mu in mus]
-    if np.any(np.diff(maxima) <= 0):
-        raise AssertionError("barrier maximum must increase with mu")
     m, M = barrier_value(mu0, R, e_bar, gamma)
     K0 = (1.0 + e_bar) / (R * e_bar) * (1.0 + N**q)
     return BarrierResult(mu0=mu0, m=m, M=M, K0=K0)

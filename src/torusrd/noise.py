@@ -108,6 +108,8 @@ class NoiseSpectrum:
             raise ValueError(f"theta is not radially symmetric at |k|^2={bad}")
         span = int(np.max(np.abs(self.support)))
         keys = np.sort(_row_keys(self.support, span))
+        if np.any(keys[1:] == keys[:-1]):  # NoiseGridOps would keep one copy
+            raise ValueError("support lists a mode twice")
         mirror = _row_keys(-self.support, span)
         found = keys[np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)] == mirror
         if not np.all(found):
@@ -137,9 +139,7 @@ def build_theta_shell(n: int, gamma: float, d: int) -> NoiseSpectrum:
     lattice = np.stack([m.ravel() for m in mesh], axis=1)
     r2 = np.sum(lattice**2, axis=1)
     keep = (r2 >= n * n) & (r2 <= 4 * n * n)
-    support = lattice[keep]
-    if len(support) == 0:
-        raise ValueError(f"annulus {n} <= |k| <= {2*n} is empty in d={d}")
+    support = lattice[keep]  # never empty: it holds (n, 0, ..., 0)
     weights = np.sum(support**2, axis=1) ** (-gamma / 2.0)
     theta = weights / np.sqrt(np.sum(weights**2))
     return NoiseSpectrum(support=support, theta=theta)
@@ -166,10 +166,8 @@ class NoiseModel:
 
     @cached_property
     def _plus_rows(self) -> np.ndarray:
-        rows = _partition_signs(self.spectrum.support) > 0
-        if 2 * np.count_nonzero(rows) != len(rows):
-            raise ValueError("support is not conjugation-symmetric")
-        return rows
+        # one of each pair {k, -k}: the support is distinct and closed under k -> -k
+        return _partition_signs(self.spectrum.support) > 0
 
     @cached_property
     def plus_modes(self) -> np.ndarray:

@@ -206,12 +206,13 @@ class SolverConfig:
     lq_norms: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
-        problems = {}
+        problems = {name: f"must be finite, got {value}" for name, value
+                    in (("dt", self.dt), ("T", self.T)) if not math.isfinite(value)}
         if self.dt <= 0:
             problems["dt"] = f"must be > 0, got {self.dt}"
         if self.T < 0:
             problems["T"] = f"must be >= 0, got {self.T}"
-        elif self.dt > 0 and horizon_steps(self.T, self.dt) is None:
+        elif not problems and horizon_steps(self.T, self.dt) is None:
             problems["T"] = f"{self.T} is not a multiple of dt = {self.dt}"
         if self.scheme not in SCHEMES:
             problems["scheme"] = f"must be one of {SCHEMES}, got {self.scheme!r}"
@@ -383,7 +384,6 @@ class Stepper:
         source (ell, n, ..., n) when one is given, in the same forward
         transform.  grad is the packed gradient of fields (gradients), if
         already taken; it is multiplied in place."""
-        assert self.noise_ops is not None
         return self._advection_rhs(fields, self.noise_ops.velocity_field(inc), source=source,
                                    grad=grad)
 
@@ -561,15 +561,24 @@ class Stepper:
         )
 
 
+def negative_species(v0: list[GridField]) -> int | None:
+    """The first species whose data is negative somewhere, or None."""
+    return next((i for i, f in enumerate(v0) if np.min(f.values) < 0), None)
+
+
 def initial_state(
     grid: TorusGrid,
     v0: list[GridField],
     cfg: SolverConfig,
 ) -> SimState:
-    if cfg.require_nonneg:
-        for i, f in enumerate(v0):
-            if np.min(f.values) < 0:
-                raise ValueError(f"require_nonneg: species {i} has negative initial data")
+    """The t = 0 state of v0, which must lie on grid, be finite and, if cfg.require_nonneg, >= 0."""
+    if any(f.grid != grid for f in v0):
+        raise ValueError("initial fields must share one grid")
+    for f in v0:
+        if not np.all(np.isfinite(f.values)):
+            raise ValueError("initial data contains non-finite values")
+    if cfg.require_nonneg and (i := negative_species(v0)) is not None:
+        raise ValueError(f"require_nonneg: species {i} has negative initial data")
     # v0 is kept verbatim (a T = 0 run returns it unchanged); dealiasing
     # applies to products during stepping, not to the data
     fields = forward(np.stack([f.values for f in v0]), grid.d)
@@ -593,17 +602,11 @@ def run(
     counter-based default (used by coupled-refinement tests); otherwise one
     generator per path is re-keyed to each step (path_rng).
     """
-    grid = v0[0].grid
-    if any(f.grid != grid for f in v0):
-        raise ValueError("initial fields must share one grid")
     if len(v0) != sys.ell:
         raise ValueError(f"expected {sys.ell} species fields, got {len(v0)}")
-    for f in v0:
-        if not np.all(np.isfinite(f.values)):
-            raise ValueError("initial data contains non-finite values")
-
-    stepper = Stepper(grid, sys, noise, cfg)
+    grid = v0[0].grid
     state = initial_state(grid, v0, cfg)
+    stepper = Stepper(grid, sys, noise, cfg)
     state.grid_values = stepper.to_values(state.fields)
 
     builder = RecordBuilder(sys=sys, lq_list=cfg.lq_norms, balance_q=cfg.balance_q)

@@ -1,0 +1,90 @@
+"""One SHA-256 over the outputs of a fixed set of tiny CLI runs.
+
+Each run of RUNS (16^2 to 24^2 grids, at most 20 steps) writes into its own
+folder of a temporary directory.  The digest covers every file there, in
+path order, with each manifest's `# timestamp` line removed, so two trees
+that give the same digest wrote the same bytes.  It runs against whichever
+torusrd is on the import path:
+
+    PYTHONPATH=path/to/checkout/src python tests/cli_digest.py [--threads 2]
+
+--threads goes to the Monte-Carlo commands (scaling-limit, survival, decay),
+whose outputs do not depend on it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+from torusrd.cli import main
+
+BASE = "grid.n = 16\nsolver.dt = 0.005\nsolver.T = 0.05\nsolver.seed = 3\n"  # 10 steps
+LOGISTIC = ("reaction.kind = builtin:logistic\nreaction.nu = [0.05]\n"
+            "v0.offset = 0.6\nv0.amplitude = 0.3\n")
+DECAY = ("grid.n = 16\nsolver.dt = 0.01\nsolver.T = 0.2\nreaction.kind = builtin:decay\n"
+         "v0.offset = 1.5\nv0.amplitude = 0.5\nexperiment.tracked_mode = [1, 0]\n"
+         "experiment.paths = 2\n")
+
+# name: (command and flags, config text or None, whether --threads applies)
+RUNS = {
+    "simulate_ito": (["simulate"], BASE + LOGISTIC + "noise.shell_n = 2\nio.snapshots_every = 3\n"
+                     "solver.lq_norms = [2, 4]\nsolver.balance_q = [2, 4]\n", False),
+    "simulate_strat": (["simulate"], BASE + LOGISTIC + "solver.scheme = strat_substep\n", False),
+    "simulate_det": (["simulate-det"], BASE + LOGISTIC + "noise.nu = 0.1\n", False),
+    "scaling_limit": (["scaling-limit"], "grid.n = 24\nsolver.dt = 0.002\nsolver.T = 0.02\n"
+                      "solver.record_every = 2\nexperiment.shells = [1, 2]\nexperiment.paths = 2\n"
+                      "experiment.hminus_gamma = 0.5\n", True),
+    # u' = u^2 from u = 50 blows up at t = 0.02; explicit steps cross the threshold later
+    "survival": (["survival", "--unsafe-reaction"],
+                 "grid.n = 16\nsolver.dt = 0.0025\nsolver.T = 0.05\n"
+                 "reaction.kind = builtin:quadratic_unsafe\nreaction.nu = [0.01]\n"
+                 "v0.kind = constant\nv0.amplitude = 50\nsolver.blowup.threshold = 1e4\n"
+                 "experiment.nus = [0.05, 0.2]\nexperiment.paths = 2\n", True),
+    "decay_noise": (["decay"], DECAY, True),
+    "decay_det": (["decay"], DECAY + "noise.enabled = false\n", True),
+    "exponents": (["exponents", "--d", "3", "--h", "3", "--q", "4"], None, False),
+}
+
+
+def _run(name: str, root: Path, threads: int) -> None:
+    argv, config, threaded = RUNS[name]
+    argv = [*argv, "--out", str(root / name)]
+    if config is not None:
+        path = root / f"{name}.cfg"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    if threaded:
+        argv += ["--threads", str(threads)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"{name}: torusrd {' '.join(argv)} exited {code}: {err.getvalue()}")
+
+
+def digest(threads: int = 1) -> str:
+    """SHA-256 over every output file of RUNS, at the given thread count."""
+    sha = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in RUNS:
+            _run(name, root, threads)
+        for path in sorted(p for name in RUNS for p in (root / name).rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            if path.name == "manifest.txt":
+                data = b"".join(line for line in data.splitlines(keepends=True)
+                                if not line.startswith(b"# timestamp"))
+            sha.update(str(path.relative_to(root)).encode() + b"\0")
+            sha.update(len(data).to_bytes(8, "little") + data)
+    return sha.hexdigest()
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--threads", type=int, default=1)
+    print(digest(parser.parse_args().threads))

@@ -70,6 +70,26 @@ class TestConfigParsing:
                 RunConfig.from_text(MINIMAL + f"solver.dealias = {value}\n")
         RunConfig.from_text(MINIMAL + "solver.scheme = strat_substep")
 
+    @pytest.mark.parametrize("key", [key for key, field in config_module.SCHEMA.items()
+                                     if field.type in ("float", "float_list")])
+    @pytest.mark.parametrize("number", ["NaN", "Infinity"])
+    def test_non_finite_numbers_rejected_at_parse(self, key, number):
+        raw = f"[{number}]" if config_module.SCHEMA[key].type == "float_list" else number
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(f"{key} = {raw}")
+        assert info.value.errors == [f"{key}: expected a finite number, got {raw!r}"]
+
+    # json reads 1e999 as inf; an integer literal can exceed the largest float
+    @pytest.mark.parametrize("raw", ["-Infinity", "1e999", "1" + "0" * 400,
+                                     "[0.1, 1e999]", "[-Infinity]"],
+                             ids=["-Infinity", "1e999", "1e400-integer", "list-1e999",
+                                  "list-minus-Infinity"])
+    def test_overflowing_numbers_rejected_at_parse(self, raw):
+        key = "reaction.nu" if raw.startswith("[") else "solver.dt"
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(f"{key} = {raw}")
+        assert info.value.errors == [f"{key}: expected a finite number, got {raw!r}"]
+
     def test_type_errors_carry_key_path(self):
         with pytest.raises(ConfigError, match="solver.dt"):
             RunConfig.from_text("solver.dt = fast")
@@ -300,6 +320,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "modes: 40" in out
 
+    def test_verify_noise_rejects_a_spectrum_listing_every_mode_twice(self, tmp_path, capsys):
+        # at theta / sqrt(2) each copy keeps the l2 norm and the ellipticity
+        # identity, but the sampled velocity would carry one copy of each mode
+        exported = tmp_path / "spec.csv"
+        assert run_cli(["verify-noise", "--d", "2", "--shell", "2",
+                        "--export", str(exported)]) == 0
+        rows = list(csv.reader(exported.open()))
+        doubled = tmp_path / "doubled.csv"
+        with doubled.open("w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0]] + 2 * [row[:-1] + [repr(float(row[-1]) / 2**0.5)]
+                                                      for row in rows[1:]])
+        assert run_cli(["verify-noise", "--d", "2", "--spectrum", str(doubled)]) == 1
+        assert "support lists a mode twice" in capsys.readouterr().err
+
     def test_exponents_matches_module(self, capsys, tmp_path):
         code = run_cli(["exponents", "--d", "4", "--h", "3", "--q", "5", "--p", "8",
                         "--delta", "1.1", "--out", str(tmp_path)])
@@ -312,6 +346,11 @@ class TestCli:
         assert table["admissibility.q_in_window"] == "True"  # bools as written by str
         assert float(table["r0"]) == pytest.approx(48.0, abs=1e-9)
         assert float(table["phi"]) == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("R", ["1e4", "1e6"])
+    def test_exponents_at_large_cutoff_level(self, capsys, R):
+        assert run_cli(["exponents", "--d", "2", "--h", "2", "--q", "4", "--R", R]) == 0
+        assert "barrier.mu0 = " in capsys.readouterr().out
 
     def test_exponents_bad_params_exit_one(self):
         assert run_cli(["exponents", "--d", "1", "--h", "3", "--q", "5"]) == 1
@@ -393,6 +432,12 @@ class TestCli:
         # mode 9 would sample mode -7 on 16 points
         ("decay", "v0.mode=[9, 0]", "v0.mode"),
         ("simulate", "io.snapshots_every=-2", "io.snapshots_every"),
+        # non-finite numbers once ran silently wrong or failed after the manifest
+        ("simulate", "reaction.nu=[NaN]", "reaction.nu"),
+        ("simulate-det", "noise.nu=NaN", "noise.nu"),
+        ("simulate-det", "solver.dt=Infinity", "solver.dt"),
+        ("simulate-det", "solver.dt=NaN", "solver.dt"),
+        ("survival", "solver.blowup.threshold=NaN", "solver.blowup.threshold"),
     ])
     def test_config_errors_exit_one_without_output_dir(self, tmp_path, capsys, command,
                                                         override, key):
@@ -441,6 +486,9 @@ class TestCli:
         # the residual column reads the L^q norm of the smallest balance exponent
         ("simulate", "solver.balance_q = [3]\n",
          "solver.balance_q exponent 3 is not in solver.lq_norms = [2.0]"),
+        # finite settings whose sum overflows: the data is inf everywhere
+        ("simulate", "v0.kind = constant\nv0.offset = 1e308\nv0.amplitude = 1e308\n",
+         "initial data contains non-finite values"),
     ])
     def test_run_start_checks_exit_one_before_output(self, tmp_path, capsys, command,
                                                       bindings, error):

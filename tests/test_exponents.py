@@ -94,6 +94,12 @@ class TestCutoffR0:
         vals = [cutoff_r0(3, 3, q, 8) for q in qs]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
+    def test_criticality_guard_fires_one_ulp_above_the_boundary(self):
+        # q is one ulp above d(h-1)/2 = 6, so q is subcritical, yet phi h
+        # rounds to 1 and the denominator 1 - phi h to 0: the guard is live
+        with pytest.raises(ValueError, match="criticality breach"):
+            cutoff_r0(3, 5.0, 6.000000000000001, 8.0)
+
 
 class TestInterpFeasibleTuple:
     def test_boundary_infeasible(self):
@@ -115,15 +121,18 @@ class TestInterpFeasibleTuple:
         assert (1 - theta) / r1 + theta / 2 < inv
         assert (1 - theta) / zeta1 + theta / xi1 < inv
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_margin_invariant_across_psi(self, d):
         boundary = 2 * (d + 2) / d
-        for psi in np.linspace(1.05, boundary - 0.05, 12):
+        xi_star = 2 * d / (d - 2) if d >= 3 else np.inf
+        for psi in np.linspace(1.05, boundary - 0.05, 40):
             theta, r1, zeta1, xi1 = interp_feasible_tuple(d, psi)
             inv = 1 / psi
             assert inv - ((1 - theta) / r1 + theta / 2) >= 1e-9
             assert inv - ((1 - theta) / zeta1 + theta / xi1) >= 1e-9
-            assert theta < d / (d + 2)
+            # the bounds the search meets by construction
+            assert 0 < theta < d / (d + 2) and 2 < r1 < np.inf
+            assert 1 < zeta1 < 2 and 2 < xi1 < xi_star
 
 
 class TestBarrier:
@@ -135,6 +144,14 @@ class TestBarrier:
         _, M = barrier_value(res.mu0, 1.0, 0.25, 0.5)
         assert abs(M - 3.0) < 1e-10
         assert res.M == pytest.approx(3.0, abs=1e-10)
+
+    @pytest.mark.parametrize("R", [1e4, 1e6])
+    def test_large_cutoff_level(self, R):
+        # mu0 lies far below 1e-6 here (6e-10 and 6e-15): the report takes
+        # the closed form, with no sampled check on a grid floored at 1e-6
+        res = barrier_mu0(R=R, e_bar=0.25, gamma=0.5, N=1.0, q=4.0)
+        assert res.mu0 < 1e-9
+        assert res.M == pytest.approx(3.0, rel=1e-12, abs=0)
 
     def test_k0_example(self):
         res = barrier_mu0(R=1.0, e_bar=0.25, gamma=0.5, N=1.0, q=4.0)

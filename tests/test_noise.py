@@ -139,6 +139,12 @@ class TestThetaShell:
                 support=np.array([[1, 0], [-1, 0], [0, 1]]),
                 theta=np.full(3, 3**-0.5),
             )
+        # every mode twice at theta / sqrt(2): normalized and symmetric, but
+        # the velocity synthesis keeps one copy of each mode
+        shell = build_theta_shell(2, 0.0, 2)
+        with pytest.raises(ValueError, match="support lists a mode twice"):
+            NoiseSpectrum(support=np.concatenate([shell.support, shell.support]),
+                          theta=np.concatenate([shell.theta, shell.theta]) / np.sqrt(2.0))
         # same |k|^2 = 4, unequal weights
         with pytest.raises(ValueError, match=r"radially symmetric at \|k\|\^2=4"):
             NoiseSpectrum(

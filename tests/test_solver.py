@@ -1,6 +1,7 @@
 """Stepping schemes: exact diffusion, cut-off semantics, conservation, blow-up."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from torusrd.solver import (
     SolverConfig,
     Stepper,
     chebyshev_expm,
+    initial_state,
     phi_bump,
     run,
     sup_bound,
@@ -98,6 +100,20 @@ class TestConfigValidation:
     def test_out_of_range_norm_exponents_rejected(self, kwargs):
         with pytest.raises(ValueError, match="exponents"):
             SolverConfig(dt=0.1, T=1.0, **kwargs)
+
+    # dt = inf once ran 0 steps, dt = nan skipped the T rule, and T = inf
+    # raised a bare OverflowError from horizon_steps
+    @pytest.mark.parametrize("kwargs, problems", [
+        ({"dt": math.inf}, {"dt": "must be finite, got inf"}),
+        ({"dt": math.nan}, {"dt": "must be finite, got nan"}),
+        ({"T": math.inf}, {"T": "must be finite, got inf"}),
+        ({"T": math.nan}, {"T": "must be finite, got nan"}),
+        ({"dt": -math.inf}, {"dt": "must be > 0, got -inf"}),
+    ])
+    def test_non_finite_step_and_horizon_rejected(self, kwargs, problems):
+        with pytest.raises(ArgumentErrors) as info:
+            SolverConfig(**{"dt": 0.1, "T": 0.5, **kwargs})
+        assert info.value.problems == problems
 
     def test_cutoff_params(self):
         with pytest.raises(ValueError):
@@ -228,6 +244,18 @@ class TestRunContract:
         v0 = [GridField(grid, -np.ones(grid.shape))]
         with pytest.raises(ValueError, match="nonneg"):
             run(build_builtin("zero", [0.1]), None, cfg, v0)
+
+    @pytest.mark.parametrize("v0, error", [
+        ([GridField(TorusGrid(2, 8), np.full((8, 8), np.inf))], "non-finite"),
+        ([GridField(TorusGrid(2, 8), np.ones((8, 8))),
+          GridField(TorusGrid(2, 16), np.ones((16, 16)))], "share one grid"),
+    ])
+    def test_initial_state_checks_the_data_for_run(self, v0, error):
+        cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False)
+        with pytest.raises(ValueError, match=error):
+            initial_state(TorusGrid(2, 8), v0, cfg)
+        with pytest.raises(ValueError, match=error):
+            run(build_builtin("zero", [0.1] * len(v0)), None, cfg, v0)
 
 
 class TestMeanModeDecayWithNoise:
