@@ -21,7 +21,8 @@ from . import __version__
 from .exponents import ParamSet, admissibility
 from .experiments import decay_plan_errors, scaling_plan_errors, survival_plan_errors
 from .fields import ArgumentErrors, GridField, TorusGrid, mode_error
-from .noise import NoiseModel, build_theta_shell, resolution_error
+from .noise import (NoiseModel, build_theta_shell, intensity_errors, resolution_error,
+                    shell_errors)
 from .reactions import MassActionSpec, ReactionSystem, build_builtin, mass_action_build
 from .solver import CutOffParams, SolverConfig
 
@@ -199,18 +200,16 @@ def _reaction(values: dict[str, object], allow_unsafe: bool) -> ReactionSystem:
 
 
 def _noise_errors(v: dict[str, object]) -> list[str]:
-    # noise.nu is also the enhancement of simulate-det and of the scaling-limit
-    # reference, so it is checked whatever noise.enabled says
-    errors = [f"noise.nu: must be > 0, got {v['noise.nu']}"] if v["noise.nu"] <= 0 else []
+    # noise's own rules, without building the spectrum; noise.nu is also the
+    # enhancement of simulate-det and of the scaling-limit reference, so it is
+    # checked whatever noise.enabled says
+    problems = intensity_errors(v["noise.nu"])
     if v["noise.enabled"]:
         shell = v["noise.shell_n"]
-        if shell < 1:
-            errors.append(f"noise.shell_n: must be >= 1, got {shell}")
-        elif problem := resolution_error(2 * shell, v["grid.n"]):
-            errors.append(f"noise.shell_n: shell {shell}: {problem}")
-        if v["noise.gamma"] < 0:
-            errors.append("noise.gamma: must be >= 0")
-    return errors
+        problems |= shell_errors(shell, v["noise.gamma"])
+        if shell >= 1 and (problem := resolution_error(2 * shell, v["grid.n"])):
+            problems["shell_n"] = f"shell {shell}: {problem}"
+    return [f"noise.{arg}: {msg}" for arg, msg in problems.items()]
 
 
 def _admissibility_errors(v: dict[str, object], sys: ReactionSystem) -> list[str]:
@@ -274,7 +273,7 @@ class RunConfig:
         # validate by building: each rule lives in its constructor
         grid = _collect(errors, "grid", TorusGrid, **_arguments(v, "grid"))
         errors.extend(_noise_errors(v))
-        if v["v0.kind"] not in ("constant", "single_mode", "random_smooth"):  # build_v0's kinds
+        if v["v0.kind"] not in V0_KINDS:
             errors.append(f"v0.kind: unknown initial data kind {v['v0.kind']!r}")
         elif grid is not None and v["v0.kind"] == "single_mode" and (
                 problem := mode_error(v["v0.mode"], grid.d, grid.n_per_dim)):
@@ -359,27 +358,31 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
     return cfg.solver
 
 
+def _constant(cfg: RunConfig, coords: tuple[np.ndarray, ...], species: int) -> np.ndarray:
+    return np.full(coords[0].shape, cfg["v0.offset"] + cfg["v0.amplitude"])
+
+
+def _single_mode(cfg: RunConfig, coords: tuple[np.ndarray, ...], species: int) -> np.ndarray:
+    phase = sum(2.0 * np.pi * m * x for m, x in zip(cfg["v0.mode"], coords))
+    return cfg["v0.offset"] + cfg["v0.amplitude"] * np.cos(phase)
+
+
+def _random_smooth(cfg: RunConfig, coords: tuple[np.ndarray, ...], species: int) -> np.ndarray:
+    rng = np.random.Generator(
+        np.random.Philox(key=[cfg["v0.seed"], species], counter=[0, 0, 0, 0]))
+    vals = np.zeros(coords[0].shape)
+    for _ in range(4):
+        mode = rng.integers(-3, 4, size=len(coords))
+        phase = sum(2.0 * np.pi * m * x for m, x in zip(mode, coords))
+        vals += np.cos(phase + 2.0 * np.pi * rng.random())
+    return cfg["v0.offset"] + cfg["v0.amplitude"] * vals / max(1e-12, np.abs(vals).max())
+
+
+# v0.kind -> the grid values of one species on the grid's node coordinates
+V0_KINDS = {"constant": _constant, "single_mode": _single_mode, "random_smooth": _random_smooth}
+
+
 def build_v0(cfg: RunConfig, grid: TorusGrid, ell: int) -> list[GridField]:
-    kind = cfg["v0.kind"]
-    amp = cfg["v0.amplitude"]
-    offset = cfg["v0.offset"]
+    make = V0_KINDS[cfg["v0.kind"]]  # the parse rejects any other kind
     coords = grid.node_coordinates()
-    out = []
-    for i in range(ell):
-        if kind == "constant":
-            vals = np.full(grid.shape, offset + amp)
-        elif kind == "single_mode":
-            phase = sum(2.0 * np.pi * m * x for m, x in zip(cfg["v0.mode"], coords))
-            vals = offset + amp * np.cos(phase)
-        else:  # random_smooth
-            rng = np.random.Generator(
-                np.random.Philox(key=[cfg["v0.seed"], i], counter=[0, 0, 0, 0])
-            )
-            vals = np.zeros(grid.shape)
-            for _ in range(4):
-                mode = rng.integers(-3, 4, size=grid.d)
-                phase = sum(2.0 * np.pi * m * x for m, x in zip(mode, coords))
-                vals += np.cos(phase + 2.0 * np.pi * rng.random())
-            vals = offset + amp * vals / max(1e-12, np.abs(vals).max())
-        out.append(GridField(grid, vals))
-    return out
+    return [GridField(grid, make(cfg, coords, i)) for i in range(ell)]

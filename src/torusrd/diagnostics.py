@@ -96,7 +96,7 @@ class RecordBuilder:
         self._times.append(t)
         axes = tuple(range(1, values.ndim))
         with np.errstate(over="ignore"):
-            sq = values**2
+            sq = values**2 if self.lq_list else None
             for q in self.lq_list:
                 self._lq[q].append(np.mean(sq ** (q / 2.0), axis=axes) ** (1.0 / q))
         self._mass.append(values.mean(axis=axes))
@@ -127,7 +127,7 @@ def lq_balance_residual(record: DiagnosticsRecord, q: float, sys: ReactionSystem
     where G is the running gradient-energy integral and W the running
     reaction work.  Zero for exact trajectories, O(dt) for the scheme.
     """
-    if q < 2:
+    if not q >= 2:
         raise ValueError(f"balance exponent must be >= 2, got {q}")
     if q not in record.lq or q not in record.grad_energy or len(record.times) < 2:
         raise ValueError(
@@ -163,7 +163,7 @@ def survival_estimate(
 def hminus_weight(grid: TorusGrid, gamma: float) -> np.ndarray:
     """The H^{-gamma} weight (1+|k|^2)^{-gamma} in fftn layout: built once
     and passed to every hminus_gamma_norm on that grid."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
     return (1.0 + grid.k_squared) ** (-gamma)
 

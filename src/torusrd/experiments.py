@@ -26,10 +26,11 @@ def _run_paths(plan, sys: ReactionSystem, noise: NoiseModel | None, first: int, 
     """(tau, observer) of paths first, ..., first + count - 1 of sys from
     plan's v0 under plan's solver, in path order at any thread count;
     observer() makes each path's observer (None: no observer).  No
-    experiment reads a path's record, so the paths track no balance, and a
-    path without an observer reads its grid values at its last step only:
-    its tau is the same at any cadence (the solver's sup-bound certificate)."""
-    solver = replace(plan.solver, balance_q=())
+    experiment reads a path's record, so the paths track no balance and
+    sample no L^q norm, and a path without an observer reads its grid
+    values at its last step only: its tau is the same at any cadence (the
+    solver's sup-bound certificate)."""
+    solver = replace(plan.solver, balance_q=(), lq_norms=())
     if observer is None:
         solver = replace(solver, record_every=max(1, horizon_steps(solver.T, solver.dt)))
 
@@ -62,7 +63,7 @@ def _paths_errors(paths: int) -> dict[str, str]:
 
 def _exponent_errors(**exponents: float) -> dict[str, str]:
     """The L^p exponents below 1, each mapped to its message."""
-    return {name: f"must be >= 1, got {value}" for name, value in exponents.items() if value < 1}
+    return {k: f"must be >= 1, got {v}" for k, v in exponents.items() if not v >= 1}
 
 
 def _shell_noise(solver: SolverConfig, shell: int, gamma: float, d: int,
@@ -92,10 +93,10 @@ def scaling_plan_errors(shells, paths: int, epsilon: float, r: float, q: float,
     if not shells or shells[0] < 1 or list(shells) != sorted(set(shells)):
         problems["shells"] = f"must be nonempty, positive, strictly increasing, got {list(shells)}"
     problems |= _paths_errors(paths)
-    if epsilon <= 0:
+    if not epsilon > 0:
         problems["epsilon"] = f"must be > 0, got {epsilon}"
     problems |= _exponent_errors(r=r, q=q)
-    if hminus_gamma is not None and hminus_gamma < 0:
+    if hminus_gamma is not None and not hminus_gamma >= 0:
         problems["hminus_gamma"] = f"must be >= 0, got {hminus_gamma}"
     return problems
 
@@ -235,7 +236,7 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
 def survival_plan_errors(nus, paths: int) -> dict[str, str]:
     """The rules of a SurvivalPlan's nus and paths, as scaling_plan_errors."""
     problems = {}
-    if not nus or min(nus) < 0:
+    if not (nus and all(nu >= 0 for nu in nus)):
         problems["nus"] = f"must be nonempty and >= 0, got {list(nus)}"
     return problems | _paths_errors(paths)
 

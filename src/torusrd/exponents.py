@@ -28,11 +28,11 @@ class ParamSet:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError("dimension must be >= 2")
-        if self.h <= 1:
+        if not self.h > 1:
             raise ValueError("growth exponent h must be > 1")
         if not 1 < self.delta <= 2:
             raise ValueError("delta must lie in (1, 2]")
-        if min(self.q, self.p) <= 0 or self.N < 1:
+        if not (self.q > 0 and self.p > 0 and self.N >= 1):
             raise ValueError("q, p must be positive and N >= 1")
 
 
@@ -72,7 +72,7 @@ def interp_exponents_strong(d: int, h: float, q: float) -> tuple[float, float]:
     h-fold power already lands in L^q without smoothing); psi = (d/q)(h-1)/(h+1).
     Subcriticality q > d(h-1)/2 guarantees phi*h < 1 and psi*(h+1)/2 < 1.
     """
-    if q <= max(d * (h - 1) / 2.0, 2.0):
+    if not q > max(d * (h - 1) / 2.0, 2.0):
         raise ValueError(
             f"q = {q} is not subcritical: need q > max(d(h-1)/2, 2) = "
             f"{max(d * (h - 1) / 2.0, 2.0)}"
@@ -171,7 +171,7 @@ def barrier_mu0(
     e_bar is the barrier exponent (h-1)/q and gamma = d/(d+2).  Also returns
     the trajectory bound K0 = (1+e_bar)/(R e_bar) (1 + N^q).
     """
-    if min(R, e_bar, gamma, N, q) <= 0:
+    if not all(x > 0 for x in (R, e_bar, gamma, N, q)):
         raise ValueError("all barrier inputs must be positive")
     m_target = 2.0 + N**q
     # invert M(mu) = R e_bar/(1+e_bar) (R mu^gamma/(1+e_bar))^{1/e_bar}

@@ -211,13 +211,6 @@ class TorusGrid:
         """The 2/3 rule keeps the modes with every |k_j| <= n/3."""
         return self.n_per_dim // 3
 
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean mask of the modes dealias_in_place keeps on this grid."""
-        mask = np.ones(self.shape, dtype=bool)
-        for ka in self.k_axes:
-            mask &= np.abs(ka) <= self.dealias_band
-        return mask
-
     def node_coordinates(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays of the grid nodes, each in [0, 1)."""
         x = np.arange(self.n_per_dim) * self.spacing

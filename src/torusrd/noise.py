@@ -20,26 +20,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import TorusGrid, inverse_pruned
+from .fields import ArgumentErrors, TorusGrid, inverse_pruned
 
 SPECTRUM_L2_TOL = 1e-12
 C_CFL = 0.5  # explicit-noise step guard: dt <= C_CFL / (nu max|k_j| n)
 
 
-def lattice_partition(k) -> int:
-    """+1 if k is in the plus half-lattice, -1 otherwise.
-
-    The rule is lexicographic: k is plus iff its first nonzero coordinate is
-    positive.  Exactly one of {k, -k} is plus.
-    """
-    kv = np.asarray(k).ravel()
-    if not np.any(kv):
-        raise ValueError("k = 0 has no partition sign")
-    return int(_partition_signs(kv[None, :])[0])
-
-
 def _partition_signs(vectors: np.ndarray) -> np.ndarray:
-    """lattice_partition of every row of a (m, d) array of nonzero vectors."""
+    """+1 for each row of a (m, d) array of nonzero vectors that lies in the
+    plus half-lattice, -1 otherwise.  The rule is lexicographic: k is plus
+    iff its first nonzero coordinate is positive, so exactly one of {k, -k}
+    is plus."""
     first = np.argmax(vectors != 0, axis=1)
     return np.sign(vectors[np.arange(len(vectors)), first]).astype(np.int64)
 
@@ -89,10 +80,10 @@ class NoiseSpectrum:
             raise ValueError("support and theta shapes are inconsistent")
         if np.any(~np.any(self.support, axis=1)):
             raise ValueError("k = 0 is not an admissible noise mode")
-        if np.any(self.theta < 0):
+        if not np.all(self.theta >= 0):
             raise ValueError("theta must be nonnegative")
         l2 = float(np.sqrt(np.sum(self.theta**2)))
-        if abs(l2 - 1.0) > SPECTRUM_L2_TOL:
+        if not abs(l2 - 1.0) <= SPECTRUM_L2_TOL:
             raise ValueError(f"theta is not l2-normalized: |theta|_2 = {l2!r}")
         self._check_symmetry()
 
@@ -128,18 +119,33 @@ class NoiseSpectrum:
         return int(np.max(np.abs(self.support)))
 
 
-def build_theta_shell(n: int, gamma: float, d: int) -> NoiseSpectrum:
-    """Normalized annulus spectrum: theta ~ |k|^-gamma on n <= |k| <= 2n."""
-    if n < 1:
-        raise ValueError(f"shell scale must be >= 1, got {n}")
-    if gamma < 0:
-        raise ValueError(f"decay gamma must be >= 0, got {gamma}")
-    rng_1d = np.arange(-2 * n, 2 * n + 1)
+def intensity_errors(nu: float) -> dict[str, str]:
+    """The rule of a noise intensity, nu > 0: {"nu": message} when nu (or
+    NaN) breaks it, else {}."""
+    return {} if nu > 0 else {"nu": f"must be > 0, got {nu}"}
+
+
+def shell_errors(shell_n: int, gamma: float) -> dict[str, str]:
+    """The rules of build_theta_shell, shell_n >= 1 and gamma >= 0, each
+    failing argument mapped to its message."""
+    problems = {}
+    if not shell_n >= 1:
+        problems["shell_n"] = f"must be >= 1, got {shell_n}"
+    if not gamma >= 0:
+        problems["gamma"] = f"must be >= 0, got {gamma}"
+    return problems
+
+
+def build_theta_shell(shell_n: int, gamma: float, d: int) -> NoiseSpectrum:
+    """Normalized annulus spectrum: theta ~ |k|^-gamma on shell_n <= |k| <= 2 shell_n."""
+    if problems := shell_errors(shell_n, gamma):
+        raise ArgumentErrors(problems)
+    rng_1d = np.arange(-2 * shell_n, 2 * shell_n + 1)
     mesh = np.meshgrid(*([rng_1d] * d), indexing="ij")
     lattice = np.stack([m.ravel() for m in mesh], axis=1)
     r2 = np.sum(lattice**2, axis=1)
-    keep = (r2 >= n * n) & (r2 <= 4 * n * n)
-    support = lattice[keep]  # never empty: it holds (n, 0, ..., 0)
+    keep = (r2 >= shell_n**2) & (r2 <= 4 * shell_n**2)
+    support = lattice[keep]  # never empty: it holds (shell_n, 0, ..., 0)
     weights = np.sum(support**2, axis=1) ** (-gamma / 2.0)
     theta = weights / np.sqrt(np.sum(weights**2))
     return NoiseSpectrum(support=support, theta=theta)
@@ -153,8 +159,8 @@ class NoiseModel:
     nu: float
 
     def __post_init__(self) -> None:
-        if self.nu <= 0:
-            raise ValueError(f"noise intensity nu must be > 0, got {self.nu}")
+        if problems := intensity_errors(self.nu):
+            raise ArgumentErrors(problems)
 
     @property
     def d(self) -> int:
@@ -210,21 +216,10 @@ class IncrementSet:
     model: NoiseModel
     dw_plus: np.ndarray  # (m+, d-1) complex
 
-    def dW(self, k, alpha: int) -> complex:
-        kv = np.asarray(k).ravel()
-        sign = lattice_partition(kv)
-        modes = self.model.plus_modes
-        match = np.all(modes == (kv if sign > 0 else -kv), axis=1)
-        idx = np.nonzero(match)[0]
-        if len(idx) != 1:
-            raise KeyError(f"mode {tuple(kv)} is not in the noise support")
-        val = self.dw_plus[int(idx[0]), alpha]
-        return complex(val) if sign > 0 else complex(np.conj(val))
-
 
 def sample_increments(model: NoiseModel, dt: float, rng: np.random.Generator) -> IncrementSet:
     """Draw one step of increments: Re, Im ~ N(0, dt) independently per plus mode."""
-    if dt < 0:
+    if not dt >= 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     shape = (len(model.plus_modes), model.d - 1)
     if dt == 0:

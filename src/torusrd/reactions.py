@@ -52,14 +52,14 @@ class ReactionSystem:
         if nu.shape != (self.ell,):
             problems["nu"] = f"expected {self.ell} diffusivities, got shape {nu.shape}"
         # nu_i = 0 is admitted for the pure-transport diagnostics
-        elif np.any(nu < 0):
+        elif not np.all(nu >= 0):
             problems["nu"] = f"diffusivities must be nonnegative, got {nu.tolist()}"
-        if self.h <= 1:
+        if not self.h > 1:
             problems["h"] = f"growth exponent must be > 1, got {self.h}"
         if self.mass_alpha is not None:
             alpha = np.asarray(self.mass_alpha, dtype=float)
             object.__setattr__(self, "mass_alpha", alpha)
-            if alpha.shape != (self.ell,) or np.any(alpha <= 0):
+            if alpha.shape != (self.ell,) or not np.all(alpha > 0):
                 problems["mass_alpha"] = "mass weights must be positive, one per species"
         if problems:
             raise ArgumentErrors(problems)
@@ -73,7 +73,7 @@ class ReactionSystem:
     def enhanced(self, nu: float) -> ReactionSystem:
         """The same system with diffusivities nu_i + nu: the deterministic
         limit of transport noise of intensity nu >= 0."""
-        if nu < 0:
+        if not nu >= 0:
             raise ValueError(f"enhancement nu must be >= 0, got {nu}")
         return dataclasses.replace(self, nu=self.nu + nu)
 
@@ -96,7 +96,7 @@ class MassActionSpec:
         elif not any(self.q + self.p):
             problems["q"] = "at least one coefficient of q or p must be positive"
         for name in ("r_plus", "r_minus"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 problems[name] = f"reaction rate must be positive, got {getattr(self, name)}"
         if problems:
             raise ArgumentErrors(problems)

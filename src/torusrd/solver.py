@@ -1,8 +1,8 @@
 """Time integration of the stochastic reaction-diffusion system.
 
 The Ito form is primary: writing E_i(dt) = exp(-4 pi^2 |k|^2 (nu_i + nu) dt)
-for the per-mode diffusion propagator (the +nu is the Stratonovich
-correction), one step is
+for the per-mode diffusion propagator (the +nu is the Ito correction
+nu Delta of the transport noise), one step is
 
     v+ = E_i(dt) [ v + dt * phi * (div F_i + f_i)(v) + transport(v, dW) ].
 
@@ -180,11 +180,11 @@ class CutOffParams:
 
     def __post_init__(self) -> None:
         problems = {}
-        if self.R <= 0:
+        if not self.R > 0:
             problems["R"] = f"must be > 0, got {self.R}"
-        if self.r <= 1:
+        if not self.r > 1:
             problems["r"] = f"must be > 1, got {self.r}"
-        if self.q < 1:
+        if not self.q >= 1:
             problems["q"] = f"must be >= 1, got {self.q}"
         if problems:
             raise ArgumentErrors(problems)
@@ -216,14 +216,14 @@ class SolverConfig:
             problems["T"] = f"{self.T} is not a multiple of dt = {self.dt}"
         if self.scheme not in SCHEMES:
             problems["scheme"] = f"must be one of {SCHEMES}, got {self.scheme!r}"
-        if self.blowup_norm_q0 <= 2:
+        if not self.blowup_norm_q0 > 2:
             problems["blowup_norm_q0"] = f"must be > 2, got {self.blowup_norm_q0}"
-        if self.blowup_threshold <= 0:
+        if not self.blowup_threshold > 0:
             problems["blowup_threshold"] = f"must be > 0, got {self.blowup_threshold}"
         if self.record_every < 1:
             problems["record_every"] = "must be >= 1"
         for name, low in (("lq_norms", 1.0), ("balance_q", 2.0)):  # L^q balance: q >= 2
-            if min(getattr(self, name), default=low) < low:
+            if not all(low <= q for q in getattr(self, name)):
                 problems[name] = f"exponents must be >= {low:g}, got {list(getattr(self, name))}"
         if problems:
             raise ArgumentErrors(problems)
@@ -393,20 +393,22 @@ class Stepper:
 
         u is the frozen displacement field (velocity * dt) of inc.  The
         operator is skew-adjoint on the dealiased ball, so exp(A)v is
-        evaluated by its Chebyshev series with rho = max|u| * k_max >= ||A||;
-        the L^2 norm is kept to round-off and the cost is ~rho + O(rho^(1/3))
-        right-hand sides.
+        evaluated by its Chebyshev series with rho = max|u| * k_max >= ||A||
+        (max|u| over the n-grid); the L^2 norm is kept to round-off and the
+        cost is ~rho + O(rho^(1/3)) right-hand sides.
 
         On a product grid (product_n < n), v = v_L + v_H splits at the band
         and A maps into the band, so the series is h v_H plus a band series
         Q_k with h = J_0 + 2 sum_{even k} J_k and
         Q_{k+1} = (2/rho)(A Q_k + [k even] g) + Q_{k-1}, g = A v_H.  g is
         one product on the n-grid per step; the Q_k live on the product
-        grid.  A scalar eta_k = [k even] carries the g term and ends as h; it
-        rides in the mode (M/2, 0, ...), outside the band, where the
-        derivative multipliers vanish and apply sets the product to 0.  The
-        other entries outside the band are never read: the multipliers are
-        zero there, and only the band and eta are copied back.
+        grid.  The products are exact in the band on both grids, so A is the
+        same operator on either, and the n-grid rho bounds it (so would the
+        product grid's max|u|).  A scalar eta_k = [k even] carries the g
+        term and ends as h; it rides in the mode (M/2, 0, ...), outside the
+        band, where the derivative multipliers vanish and apply sets the
+        product to 0.  The other entries outside the band are never read: the
+        multipliers are zero there, and only the band and eta are copied back.
         """
         w, u2 = vel = self.noise_ops.velocity_field(inc)
         speed2 = w.real * w.real
@@ -617,23 +619,25 @@ def run(
         if observer is not None:
             observer(st.t, st.grid_values, st)
 
-    record(state)
     n_steps = horizon_steps(cfg.T, cfg.dt)
     rng = None
-    for step_idx in range(n_steps):
-        if stepper.noise is not None:
-            if increments is not None:
-                inc = increments(step_idx)
+    # an overflow or NaN is a blow-up, which the step and record register
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(state)
+        for step_idx in range(n_steps):
+            if stepper.noise is not None:
+                if increments is not None:
+                    inc = increments(step_idx)
+                else:
+                    rng = path_rng(cfg.seed, path_index, step_idx, rng)
+                    inc = sample_increments(noise, cfg.dt, rng)
             else:
-                rng = path_rng(cfg.seed, path_index, step_idx, rng)
-                inc = sample_increments(noise, cfg.dt, rng)
-        else:
-            inc = None
-        read = (step_idx + 1) % cfg.record_every == 0 or step_idx + 1 == n_steps
-        state = stepper.step(state, inc, balance, values=read)
-        if read or state.blown_up is not None:
-            record(state)
-        if state.blown_up is not None:
-            break
+                inc = None
+            read = (step_idx + 1) % cfg.record_every == 0 or step_idx + 1 == n_steps
+            state = stepper.step(state, inc, balance, values=read)
+            if read or state.blown_up is not None:
+                record(state)
+            if state.blown_up is not None:
+                break
 
     return state, builder.finalize()

@@ -1,10 +1,12 @@
 """Test helpers on fftn-layout coefficients (fields.forward's layout): the
-real field of a single Fourier mode, and the Hermitian-symmetry defect of a
-spectrum."""
+real field of a single Fourier mode, the Hermitian-symmetry defect of a
+spectrum and the mask of the dealias band; and on noise increments: the
+half-lattice sign of a mode and the increment of any mode of the support."""
 
 import numpy as np
 
 from torusrd.fields import GridField, TorusGrid, inverse_packed
+from torusrd.noise import IncrementSet
 
 
 def mode_coeffs(grid: TorusGrid, k: tuple[int, ...], amplitude: complex) -> np.ndarray:
@@ -31,3 +33,31 @@ def hermitian_defect(coeffs: np.ndarray, d: int) -> float:
     defect = np.abs(mirrored - np.conj(coeffs)).max()
     scale = np.abs(coeffs).max()
     return float(defect / scale) if scale > 0 else float(defect)
+
+
+def dealias_mask(grid: TorusGrid) -> np.ndarray:
+    """Boolean mask of the modes fields.dealias_in_place keeps on grid:
+    every |k_j| <= grid.dealias_band."""
+    mask = np.ones(grid.shape, dtype=bool)
+    for ka in grid.k_axes:
+        mask &= np.abs(ka) <= grid.dealias_band
+    return mask
+
+
+def lattice_partition(k) -> int:
+    """+1 if the nonzero lattice vector k is in the plus half-lattice (its
+    first nonzero coordinate is positive), -1 otherwise."""
+    first = next((int(x) for x in np.ravel(k) if x), None)
+    if first is None:
+        raise ValueError("k = 0 has no partition sign")
+    return 1 if first > 0 else -1
+
+
+def increment(inc: IncrementSet, k, alpha: int) -> complex:
+    """dW(k, alpha) of inc for any mode k of the noise support: the stored
+    plus-mode increment, conjugated for a minus mode."""
+    kv = np.ravel(k)
+    sign = lattice_partition(kv)
+    (row,) = np.flatnonzero(np.all(inc.model.plus_modes == sign * kv, axis=1))
+    val = complex(inc.dw_plus[row, alpha])
+    return val if sign > 0 else val.conjugate()

@@ -19,7 +19,7 @@ from torusrd.fields import (
 from torusrd.diagnostics import lq_norm_vector
 from torusrd.solver import SolverConfig
 
-from spectral_helpers import hermitian_defect, mode_coeffs, mode_field
+from spectral_helpers import dealias_mask, hermitian_defect, mode_coeffs, mode_field
 
 
 @pytest.fixture
@@ -266,11 +266,11 @@ class TestDealias:
     @pytest.mark.parametrize("ell", [1, 2])
     @pytest.mark.parametrize("n, band", [(24, None), (48, 21)])
     def test_matches_mask_product(self, d, ell, n, band):
-        # on the n-grid (band n/3) against dealias_mask(), and on a 48-point
+        # on the n-grid (band n/3) against dealias_mask(grid), and on a 48-point
         # product grid with the 64-grid's band 21 against its band_index
         grid = TorusGrid(d, n)
         if band is None:
-            band, mask = grid.dealias_band, grid.dealias_mask()
+            band, mask = grid.dealias_band, dealias_mask(grid)
         else:
             mask = np.zeros(grid.shape, dtype=bool)
             mask[grid.band_index(band)] = True

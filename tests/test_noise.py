@@ -11,7 +11,6 @@ from torusrd.noise import (
     NoiseSpectrum,
     build_theta_shell,
     hyperplane_bases,
-    lattice_partition,
     path_rng,
     sample_increments,
     spectrum_from_csv,
@@ -21,7 +20,7 @@ from torusrd.noise import (
 from torusrd.reactions import build_builtin
 from torusrd.solver import SolverConfig, Stepper
 
-from spectral_helpers import hermitian_defect
+from spectral_helpers import hermitian_defect, increment, lattice_partition
 
 lattice_vec = st.lists(st.integers(-9, 9), min_size=2, max_size=3).filter(lambda k: any(k))
 
@@ -197,7 +196,7 @@ class TestIncrements:
         model = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.1)
         inc = sample_increments(model, 0.01, path_rng(5, 0, 0))
         for k in model.spectrum.support:
-            assert inc.dW(k, 0) == np.conj(inc.dW(-k, 0))
+            assert increment(inc, k, 0) == np.conj(increment(inc, -k, 0))
 
     def test_counter_rng_reproducible_and_distinct(self):
         model = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.1)
@@ -272,7 +271,7 @@ class TestTransport:
         model = NoiseModel(spectrum, nu=0.2)
         x1, x2 = self.grid.node_coordinates()
         inc = sample_increments(model, 1e-2, path_rng(3, 0, 0))
-        dw = inc.dW((0, 1), 0)
+        dw = increment(inc, (0, 1), 0)
         expected = (
             np.sqrt(model.c_d * model.nu)
             * 2**-0.5
@@ -299,8 +298,8 @@ class TestTransport:
         inc = sample_increments(model, 1e-2, path_rng(3, 0, 0))
         wave = np.exp(2j * np.pi * x1)
         expected = np.sqrt(model.c_d * model.nu) * 2**-0.5 * (
-            -2 * np.pi * np.sin(2 * np.pi * x2) * 2 * np.real(wave * inc.dW((1, 0, 0), 0))
-            + 2 * np.pi * np.cos(2 * np.pi * x3) * 2 * np.real(wave * inc.dW((1, 0, 0), 1))
+            -2 * np.pi * np.sin(2 * np.pi * x2) * 2 * np.real(wave * increment(inc, (1, 0, 0), 0))
+            + 2 * np.pi * np.cos(2 * np.pi * x3) * 2 * np.real(wave * increment(inc, (1, 0, 0), 1))
         )
         out = transport(model, grid, np.cos(2 * np.pi * x2) + np.sin(2 * np.pi * x3), inc)
         assert np.abs(inverse_packed(out, 3).real - expected).max() < 1e-10
@@ -333,7 +332,7 @@ class TestTransport:
             for k, theta, a in zip(model.plus_modes, model.theta_plus, model.basis_plus):
                 for mode in (k, -k):
                     spec[tuple(mode % n)] += np.sqrt(model.c_d * model.nu) * theta * sum(
-                        a[alpha, j] * inc.dW(mode, alpha) for alpha in range(d - 1)
+                        a[alpha, j] * increment(inc, mode, alpha) for alpha in range(d - 1)
                     )
             expected = np.fft.ifftn(spec).real * grid.n_points
             assert np.abs(got[j] - expected).max() <= 1e-13 * np.abs(expected).max()
