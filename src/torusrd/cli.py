@@ -270,7 +270,8 @@ def _decay(args) -> int:
     else:
         print(f"fitted rate = {report.fitted_rate:.4f} (|a1| bound rate = {report.expected_rate:g})")
         if report.mode_rate is not None:
-            print(f"tracked-mode rate = {report.mode_rate:.4f} (expected {report.mode_expected:.4f})")
+            print(f"tracked-mode rate = {report.mode_rate:.4f} "
+                  f"(expected {report.mode_expected:.4f} for the linear f = a1 v)")
     return 0
 
 

@@ -22,7 +22,7 @@ from .exponents import ParamSet, admissibility
 from .experiments import decay_plan_errors, scaling_plan_errors, survival_plan_errors
 from .fields import ArgumentErrors, GridField, TorusGrid, mode_error
 from .noise import (NoiseModel, build_theta_shell, intensity_errors, resolution_error,
-                    shell_errors)
+                    seed_error, shell_errors)
 from .reactions import MassActionSpec, ReactionSystem, build_builtin, mass_action_build
 from .solver import CutOffParams, SolverConfig
 
@@ -278,6 +278,8 @@ class RunConfig:
         elif grid is not None and v["v0.kind"] == "single_mode" and (
                 problem := mode_error(v["v0.mode"], grid.d, grid.n_per_dim)):
             errors.append(f"v0.mode: {problem}")  # the one kind that reads v0.mode
+        if problem := seed_error(v["v0.seed"]):
+            errors.append(f"v0.seed: {problem}")
         if v["io.snapshots_every"] < 0:
             errors.append(f"io.snapshots_every: must be >= 0, got {v['io.snapshots_every']}")
         cutoff = None

@@ -62,8 +62,9 @@ def _paths_errors(paths: int) -> dict[str, str]:
 
 
 def _exponent_errors(**exponents: float) -> dict[str, str]:
-    """The L^p exponents below 1, each mapped to its message."""
-    return {k: f"must be >= 1, got {v}" for k, v in exponents.items() if not v >= 1}
+    """The L^p exponents below 1 or infinite (mean(|v|^inf)^0 = 1), each with its message."""
+    return {k: f"must be >= 1, got {v}" if not v >= 1 else f"must be finite, got {v}"
+            for k, v in exponents.items() if not 1 <= v < float("inf")}
 
 
 def _shell_noise(solver: SolverConfig, shell: int, gamma: float, d: int,
@@ -359,7 +360,7 @@ class DecayReport:
     fitted_rate: float | None
     expected_rate: float | None
     mode_rate: float | None  # fitted decay of the tracked mean mode amplitude
-    mode_expected: float | None
+    mode_expected: float | None  # mode_rate of the linear f = a1 v, not of another f
 
 
 def _tail_fit(times: np.ndarray, values: np.ndarray, tail_fraction: float) -> float | None:
@@ -379,7 +380,8 @@ def run_decay(plan: DecayPlan, threads: int = DEFAULT_THREADS) -> DecayReport:
     Without noise the L^{q0} norm of the single deterministic path is
     fitted, and only that one path is run whatever plan.paths says; with
     noise the mean of the tracked mode amplitude over paths decays at
-    |a1| + 4 pi^2 |k|^2 (nu_i + nu).  With the noise off (solver.noise_on
+    mode_expected = |a1| + 4 pi^2 |k|^2 (nu_i + nu) if f = a1 v is linear
+    (a nonlinear f decays at its own rate).  With the noise off (solver.noise_on
     false) and nu > 0, nu enhances the diffusion of that one path instead,
     and its tracked mode decays at the same rate.
     """

@@ -204,34 +204,23 @@ def verify_ellipticity(model: NoiseModel) -> float:
     return float(np.max(np.abs(gram - target)))
 
 
-@dataclass(frozen=True)
-class IncrementSet:
-    """Complex Brownian increments over one step, stored on plus modes.
-
-    Minus-mode increments are materialized by conjugation, so the symmetry
-    dW(-k, alpha) = conj(dW(k, alpha)) is exact by construction.
-    """
-
-    dt: float
-    model: NoiseModel
-    dw_plus: np.ndarray  # (m+, d-1) complex
-
-
-def sample_increments(model: NoiseModel, dt: float, rng: np.random.Generator) -> IncrementSet:
-    """Draw one step of increments: Re, Im ~ N(0, dt) independently per plus mode."""
+def sample_increments(model: NoiseModel, dt: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw one step of complex Brownian increments on the plus modes, shape
+    (m+, d-1): Re, Im ~ N(0, dt) independently.  A minus mode's increment is
+    the conjugate, dW(-k, alpha) = conj(dW(k, alpha)), exact by construction."""
     if not dt >= 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    shape = (len(model.plus_modes), model.d - 1)
-    if dt == 0:
-        dw = np.zeros(shape, dtype=complex)
-    else:
-        # one draw of both parts: the same stream as drawing Re, then Im
-        parts = rng.standard_normal((2,) + shape)
-        parts *= np.sqrt(dt)
-        dw = np.empty(shape, dtype=complex)
-        dw.real = parts[0]
-        dw.imag = parts[1]
-    return IncrementSet(dt=dt, model=model, dw_plus=dw)
+    # one draw of both parts: the same stream as drawing Re, then Im
+    parts = rng.standard_normal((2, len(model.plus_modes), model.d - 1))
+    parts *= np.sqrt(dt)
+    dw = np.empty(parts.shape[1:], dtype=complex)
+    dw.real, dw.imag = parts
+    return dw
+
+
+def seed_error(seed: int) -> str | None:
+    """Why seed is not a Philox key word, a signed 64-bit integer, or None."""
+    return None if -2**63 <= seed < 2**63 else f"must lie in [-2^63, 2^63), got {seed}"
 
 
 class _PathGenerator(np.random.Generator):
@@ -306,7 +295,6 @@ class NoiseGridOps:
         max_k = model.spectrum.max_component()
         if problem := resolution_error(max_k, grid.n_per_dim):
             raise ValueError(f"noise support {problem}")
-        self.model = model
         self.grid = grid
         n = grid.n_per_dim
         plus = model.plus_modes
@@ -344,8 +332,9 @@ class NoiseGridOps:
         flat[self._flat_half_minus] = np.conj(plus_amp[self._half_minus])
         return inverse_pruned(half, self.grid.n_per_dim, self._band, real=True)
 
-    def velocity_field(self, inc: IncrementSet) -> tuple[np.ndarray, np.ndarray | None]:
-        """Packed velocity (w, u_2) for one increment set.
+    def velocity_field(self, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Packed velocity (w, u_2) for one step's plus-mode increments dw
+        (sample_increments).
 
         The velocity is u = sqrt(c_d nu) sum_{k,alpha} theta_k a_{k,alpha}
         e^{2 pi i k.x} dW^{k,alpha}; it is divergence free mode by mode.
@@ -355,7 +344,7 @@ class NoiseGridOps:
         grid space, and w is its conjugate.  u_2 is the real third
         component in d = 3, None in d = 2.
         """
-        amp = np.einsum("ma,maj->mj", inc.dw_plus, self.weights)
+        amp = np.einsum("ma,maj->mj", dw, self.weights)
         lines = np.zeros(self._lines_shape, dtype=complex)
         flat = lines.reshape(-1)
         flat[self._flat_plus] = amp[:, 0] + 1j * amp[:, 1]

@@ -48,7 +48,7 @@ from scipy.special import jv
 from .diagnostics import DiagnosticsRecord, RecordBuilder, lq_norm_vector
 from .fields import (ArgumentErrors, GridField, TorusGrid, dealias_in_place, forward,
                      inverse_packed, inverse_real)
-from .noise import (IncrementSet, NoiseGridOps, NoiseModel, path_rng, sample_increments,
+from .noise import (NoiseGridOps, NoiseModel, path_rng, sample_increments, seed_error,
                     step_guard_error)
 from .reactions import ReactionSystem
 
@@ -101,15 +101,6 @@ def sup_bound(coeffs: np.ndarray) -> float:
     stack: an upper bound of max_x |v(x)|, hence of every L^q norm of v,
     with one pass over the coefficients.  inf on overflow, NaN on NaN."""
     return math.sqrt(coeffs.size * np.vdot(coeffs, coeffs).real)
-
-
-def _scale_velocity(vel: tuple[np.ndarray, np.ndarray | None], scale: float) -> None:
-    """Multiply the packed velocity (w, u_2) by a real scale, in place, part
-    by part: the same bits as scaling u before packing it."""
-    for part in vel:
-        if part is not None:
-            flat = part.view(np.float64)
-            flat *= scale
 
 
 def _multiply_species(stack: np.ndarray, factor: np.ndarray) -> None:
@@ -184,8 +175,12 @@ class CutOffParams:
             problems["R"] = f"must be > 0, got {self.R}"
         if not self.r > 1:
             problems["r"] = f"must be > 1, got {self.r}"
+        elif self.r == math.inf:  # acc = inf would leave phi at 1
+            problems["r"] = f"must be finite, got {self.r}"
         if not self.q >= 1:
             problems["q"] = f"must be >= 1, got {self.q}"
+        elif self.q == math.inf:
+            problems["q"] = f"must be finite, got {self.q}"
         if problems:
             raise ArgumentErrors(problems)
 
@@ -218,13 +213,20 @@ class SolverConfig:
             problems["scheme"] = f"must be one of {SCHEMES}, got {self.scheme!r}"
         if not self.blowup_norm_q0 > 2:
             problems["blowup_norm_q0"] = f"must be > 2, got {self.blowup_norm_q0}"
+        elif self.blowup_norm_q0 == math.inf:  # mean(|v|^inf)^0 = 1 would hide a blow-up
+            problems["blowup_norm_q0"] = f"must be finite, got {self.blowup_norm_q0}"
         if not self.blowup_threshold > 0:
             problems["blowup_threshold"] = f"must be > 0, got {self.blowup_threshold}"
+        if problem := seed_error(self.seed):
+            problems["seed"] = problem
         if self.record_every < 1:
             problems["record_every"] = "must be >= 1"
         for name, low in (("lq_norms", 1.0), ("balance_q", 2.0)):  # L^q balance: q >= 2
-            if not all(low <= q for q in getattr(self, name)):
-                problems[name] = f"exponents must be >= {low:g}, got {list(getattr(self, name))}"
+            qs = list(getattr(self, name))
+            if not all(low <= q for q in qs):
+                problems[name] = f"exponents must be >= {low:g}, got {qs}"
+            elif math.inf in qs:
+                problems[name] = f"exponents must be finite, got {qs}"
         if problems:
             raise ArgumentErrors(problems)
 
@@ -283,19 +285,16 @@ class Stepper:
         self._half = grid.n_per_dim // 2 + 1
         self.zero_index = (Ellipsis,) + (0,) * grid.d  # mode 0 of every species
         self.grid_axes = tuple(range(-grid.d, 0))  # the grid axes of a species stack
-        self.product_n = grid.n_per_dim  # points per axis of the Wong-Zakai products
-        if cfg.scheme == "strat_substep":
+        if self.noise is not None and cfg.scheme == "strat_substep":
+            self._band = grid.band_index(self.band)
             # max |2 pi k| over the band: ||(u.grad)|| <= max|u| * k_max there
-            self.k_max = math.sqrt(-lam[grid.band_index(self.band)].min())
-            if self.noise is not None:
-                self.product_n = product_grid_size(
-                    grid.n_per_dim, self.band, self.noise.spectrum.max_component())
-                if self.product_n < grid.n_per_dim:
-                    product = TorusGrid(grid.d, self.product_n)
-                    self._band = grid.band_index(self.band)
-                    self._product_band = product.band_index(self.band)
-                    self.product_layout = ProductLayout.of(product, self.band)
-                    self.product_noise_ops = NoiseGridOps(self.noise, product)
+            self.k_max = math.sqrt(-lam[self._band].min())
+            # the grid of the Wong-Zakai products, M <= n points per axis
+            product = TorusGrid(grid.d, product_grid_size(
+                grid.n_per_dim, self.band, self.noise.spectrum.max_component()))
+            self._product_band = product.band_index(self.band)
+            self.product_layout = ProductLayout.of(product, self.band)
+            self.product_noise_ops = NoiseGridOps(self.noise, product)
 
     # -- spectral helpers ------------------------------------------------
 
@@ -376,41 +375,40 @@ class Stepper:
         out[self.zero_index] = 0.0 if source is None else source.mean(axis=self.grid_axes)
         return out
 
-    def transport(self, fields: np.ndarray, inc: IncrementSet,
+    def transport(self, fields: np.ndarray, dw: np.ndarray,
                   source: np.ndarray | None = None,
                   grad: tuple[np.ndarray, np.ndarray | None] | None = None) -> np.ndarray:
-        """Transport increments for all species from one sampled velocity,
-        plus the spectral coefficients of the dealiased real grid term
-        source (ell, n, ..., n) when one is given, in the same forward
-        transform.  grad is the packed gradient of fields (gradients), if
-        already taken; it is multiplied in place."""
-        return self._advection_rhs(fields, self.noise_ops.velocity_field(inc), source=source,
+        """Transport increments of all species by the velocity of the
+        plus-mode increments dw, plus the spectral coefficients of the
+        dealiased real grid term source (ell, n, ..., n) when one is given,
+        in the same forward transform.  grad is the packed gradient of
+        fields (gradients), if already taken; it is multiplied in place."""
+        return self._advection_rhs(fields, self.noise_ops.velocity_field(dw), source=source,
                                    grad=grad)
 
-    def _advect(self, fields: np.ndarray, inc: IncrementSet) -> None:
+    def _advect(self, fields: np.ndarray, dw: np.ndarray) -> None:
         """Wong-Zakai substep, in place: the flow of dv/ds = (u.grad)v over
         s in [0,1].
 
-        u is the frozen displacement field (velocity * dt) of inc.  The
-        operator is skew-adjoint on the dealiased ball, so exp(A)v is
-        evaluated by its Chebyshev series with rho = max|u| * k_max >= ||A||
-        (max|u| over the n-grid); the L^2 norm is kept to round-off and the
-        cost is ~rho + O(rho^(1/3)) right-hand sides.
+        u is the frozen displacement field (velocity * dt) of the increments
+        dw.  The operator is skew-adjoint on the dealiased ball, so exp(A)v
+        is evaluated by its Chebyshev series with rho = max|u| * k_max >=
+        ||A|| (max|u| over the n-grid); the L^2 norm is kept to round-off and
+        the cost is ~rho + O(rho^(1/3)) right-hand sides.
 
-        On a product grid (product_n < n), v = v_L + v_H splits at the band
-        and A maps into the band, so the series is h v_H plus a band series
-        Q_k with h = J_0 + 2 sum_{even k} J_k and
-        Q_{k+1} = (2/rho)(A Q_k + [k even] g) + Q_{k-1}, g = A v_H.  g is
-        one product on the n-grid per step; the Q_k live on the product
-        grid.  The products are exact in the band on both grids, so A is the
-        same operator on either, and the n-grid rho bounds it (so would the
-        product grid's max|u|).  A scalar eta_k = [k even] carries the g
-        term and ends as h; it rides in the mode (M/2, 0, ...), outside the
-        band, where the derivative multipliers vanish and apply sets the
-        product to 0.  The other entries outside the band are never read: the
-        multipliers are zero there, and only the band and eta are copied back.
+        The series runs on the product grid of M <= n points per axis
+        (product_layout): v = v_L + v_H splits at the band and A maps into
+        the band, so the series is h v_H plus a band series Q_k with
+        h = J_0 + 2 sum_{even k} J_k and
+        Q_{k+1} = (2/rho)(A Q_k + [k even] g) + Q_{k-1}, g = A v_H, one
+        product on the n-grid per step.  A is one operator on both grids
+        (one grid at M = n, else its products are exact in the band), so
+        the n-grid rho bounds it.  A scalar eta_k = [k even] carries the g term and
+        ends as h, in the mode (M/2, 0, ...) outside the band, where the
+        derivative multipliers vanish and apply sets the product to 0.  No
+        other entry outside the band is read; only the band and eta return.
         """
-        w, u2 = vel = self.noise_ops.velocity_field(inc)
+        w, u2 = vel = self.noise_ops.velocity_field(dw)
         speed2 = w.real * w.real
         speed2 += w.imag * w.imag
         if u2 is not None:
@@ -418,12 +416,6 @@ class Stepper:
         rho = math.sqrt(float(np.max(speed2))) * self.k_max
         del w, u2, speed2  # vel is the only reference left
         scale = 2.0 / rho if rho > 0 else 0.0  # apply returns (2/rho) A w
-        if self.product_n == self.grid.n_per_dim:
-            _scale_velocity(vel, scale)
-            for f in fields:
-                f[...] = chebyshev_expm(lambda y: self._advection_rhs(y, vel), f, rho)
-            return
-
         # band indices with the species axis in front
         band = (slice(None),) + self._band
         pband = (slice(None),) + self._product_band
@@ -434,8 +426,10 @@ class Stepper:
         gs[pband] = self._advection_rhs(high, vel)[band]
         gs *= scale
         del vel, high  # only the product grid is needed from here on
-        vel = self.product_noise_ops.velocity_field(inc)
-        _scale_velocity(vel, scale)
+        vel = self.product_noise_ops.velocity_field(dw)
+        for part in vel:  # times a real scale, float by float: the bits of scaling u
+            if part is not None:
+                np.multiply(part.view(np.float64), scale, out=part.view(np.float64))
         eta = (lay.shape[0] // 2,) + (0,) * (len(lay.shape) - 1)
         for f, g in zip(fields, gs):
 
@@ -461,9 +455,10 @@ class Stepper:
         co = self.cfg.cutoff
         return phi_bump(state.cutoff_acc ** (1.0 / co.r) / co.R)
 
-    def step(self, state: SimState, inc: IncrementSet | None,
+    def step(self, state: SimState, dw: np.ndarray | None,
              balance: RecordBuilder | None = None, values: bool = True) -> SimState:
-        """Advance one dt.  inc must be provided iff noise is active.  With
+        """Advance one dt.  dw, the step's plus-mode increments
+        (sample_increments), must be provided iff noise is active.  With
         balance, the pre-step rates f(t, v) and packed gradient advance its
         running balance integrals first; the drift and the Ito transport
         then reuse them, so each is evaluated once per step.
@@ -477,7 +472,7 @@ class Stepper:
         cfg = self.cfg
         phi = self.evaluate_phi(state)
 
-        if self.noise_ops is not None and inc is None:
+        if self.noise_ops is not None and dw is None:
             raise ValueError("noise is active but no increments were given")
         ito = self.noise_ops is not None and cfg.scheme == "euler_maruyama_ito"
         drift_on = not self.sys.is_linear and phi != 0.0
@@ -515,7 +510,7 @@ class Stepper:
         del rates  # read by the balance and the drift only: free it
 
         if ito:  # the transport multiplies grad in place: its last reader
-            tr = self.transport(state.fields, inc, source, grad)
+            tr = self.transport(state.fields, dw, source, grad)
             del source, grad
             tr += new
             new = tr
@@ -523,7 +518,7 @@ class Stepper:
             new = new.copy()
         new *= self.propagator
         if self.noise_ops is not None and not ito:
-            self._advect(new, inc)
+            self._advect(new, dw)
 
         # trapezoid advance of the cut-off accumulator A(t) = int |v|_{Lq}^r;
         # the pre-step integrand is carried over from the previous step
@@ -600,8 +595,9 @@ def run(
     steps; only the recorded steps read their grid values (Stepper.step with
     values True).
 
-    increments: optional callable step_index -> IncrementSet overriding the
-    counter-based default (used by coupled-refinement tests); otherwise one
+    increments: optional callable step_index -> plus-mode increment array
+    (sample_increments' shape) overriding the counter-based default, so a
+    coarse step can take the sum of two fine increments; otherwise one
     generator per path is re-keyed to each step (path_rng).
     """
     if len(v0) != sys.ell:
@@ -627,14 +623,14 @@ def run(
         for step_idx in range(n_steps):
             if stepper.noise is not None:
                 if increments is not None:
-                    inc = increments(step_idx)
+                    dw = increments(step_idx)
                 else:
                     rng = path_rng(cfg.seed, path_index, step_idx, rng)
-                    inc = sample_increments(noise, cfg.dt, rng)
+                    dw = sample_increments(noise, cfg.dt, rng)
             else:
-                inc = None
+                dw = None
             read = (step_idx + 1) % cfg.record_every == 0 or step_idx + 1 == n_steps
-            state = stepper.step(state, inc, balance, values=read)
+            state = stepper.step(state, dw, balance, values=read)
             if read or state.blown_up is not None:
                 record(state)
             if state.blown_up is not None:

@@ -6,7 +6,7 @@ half-lattice sign of a mode and the increment of any mode of the support."""
 import numpy as np
 
 from torusrd.fields import GridField, TorusGrid, inverse_packed
-from torusrd.noise import IncrementSet
+from torusrd.noise import NoiseModel
 
 
 def mode_coeffs(grid: TorusGrid, k: tuple[int, ...], amplitude: complex) -> np.ndarray:
@@ -53,11 +53,12 @@ def lattice_partition(k) -> int:
     return 1 if first > 0 else -1
 
 
-def increment(inc: IncrementSet, k, alpha: int) -> complex:
-    """dW(k, alpha) of inc for any mode k of the noise support: the stored
-    plus-mode increment, conjugated for a minus mode."""
+def increment(model: NoiseModel, dw: np.ndarray, k, alpha: int) -> complex:
+    """dW(k, alpha) for any mode k of the support of model, whose plus-mode
+    increments are dw (sample_increments): the stored plus-mode increment,
+    conjugated for a minus mode."""
     kv = np.ravel(k)
     sign = lattice_partition(kv)
-    (row,) = np.flatnonzero(np.all(inc.model.plus_modes == sign * kv, axis=1))
-    val = complex(inc.dw_plus[row, alpha])
+    (row,) = np.flatnonzero(np.all(model.plus_modes == sign * kv, axis=1))
+    val = complex(dw[row, alpha])
     return val if sign > 0 else val.conjugate()

@@ -33,7 +33,6 @@ from torusrd.experiments import ScalingLimitPlan, run_scaling_limit
 from torusrd.exponents import barrier_mu0, barrier_value, cutoff_r0
 from torusrd.fields import GridField, TorusGrid
 from torusrd.noise import (
-    IncrementSet,
     NoiseModel,
     build_theta_shell,
     path_rng,
@@ -129,10 +128,7 @@ def test_criterion_04_mean_l2_pure_transport():
     bias_c, bias_f = [], []
     for p in range(paths):
         fine = [sample_increments(noise, dt_f, path_rng(seed, p, s)) for s in range(n_f)]
-        coarse = [
-            IncrementSet(2 * dt_f, noise, fine[2 * s].dw_plus + fine[2 * s + 1].dw_plus)
-            for s in range(n_f // 2)
-        ]
+        coarse = [fine[2 * s] + fine[2 * s + 1] for s in range(n_f // 2)]
         for dt, incs, sink in ((1e-3, coarse, bias_c), (5e-4, fine, bias_f)):
             cfg = SolverConfig(dt=dt, T=T, noise_on=True, seed=seed,
                                balance_q=(), record_every=10**9)

@@ -471,6 +471,24 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, key", [
+        # 2^64 - 1 once ran seed 0's stream (and v0.seed seed 0's data); 2^64
+        # exited 2 after manifest.txt was written
+        (["--override", "solver.seed=18446744073709551615"], "solver.seed"),
+        (["--seed", "18446744073709551616"], "solver.seed"),
+        (["--override", "v0.kind=random_smooth", "--override", "v0.seed=18446744073709551615"],
+         "v0.seed"),
+    ])
+    def test_out_of_range_seeds_exit_one_before_output(self, tmp_path, capsys, flags, key):
+        config = tmp_path / "run.cfg"
+        config.write_text("grid.n = 16\nsolver.dt = 0.005\nsolver.T = 0.05\n")
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(config), "--out", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert f"{key}: must lie in [-2^63, 2^63), got 1844674407370955161" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, bindings, error", [
         # noisy dt = 0.01 against the guard bound 0.5 / (1 * 8 * 32) at shell 4
         ("simulate", NOISY_DT, "violates the noise step guard"),
@@ -644,3 +662,14 @@ class TestCli:
         assert rows[0] == ["degenerate", "fitted_rate", "expected_rate", "mode_rate",
                            "mode_expected"]
         assert rows[1][0] == "0"
+
+    def test_decay_cli_names_the_linear_rate(self, tmp_path, capsys):
+        # mode_expected is the tracked mode's rate for the linear f = a1 v only
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "grid.n = 16\nsolver.dt = 0.01\nsolver.T = 0.2\nnoise.enabled = false\n"
+            "reaction.kind = builtin:decay\nv0.offset = 1.5\nv0.amplitude = 0.5\n"
+            "experiment.tracked_mode = [1, 0]\n"
+        )
+        assert run_cli(["decay", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert "(expected 1.3948 for the linear f = a1 v)" in capsys.readouterr().out

@@ -2,9 +2,11 @@
 
 A rule written `x <= 0` lets NaN through, since every comparison with NaN is
 false; the rules are written `not x > 0` so that NaN breaks them.  The parse
-rejects NaN before any constructor sees it (`<key>: expected a finite
-number`), so the constructors, plan rules and closed forms are probed here
-directly.
+rejects NaN and inf before any constructor sees them (`<key>: expected a
+finite number`), so the constructors, plan rules and closed forms are probed
+here directly.  An infinite exponent passes a lower bound but switches its
+check off, so the exponent rules also reject inf; and a seed must be a
+signed 64-bit word, the key word of a Philox stream.
 """
 
 import math
@@ -18,11 +20,12 @@ from torusrd.experiments import decay_plan_errors, scaling_plan_errors, survival
 from torusrd.exponents import ParamSet, barrier_mu0, interp_exponents_strong
 from torusrd.fields import ArgumentErrors, TorusGrid
 from torusrd.noise import (NoiseModel, NoiseSpectrum, build_theta_shell, path_rng,
-                           sample_increments)
+                           sample_increments, seed_error)
 from torusrd.reactions import MassActionSpec, ReactionSystem, build_builtin, zero_rates
 from torusrd.solver import CutOffParams, SolverConfig
 
 NAN = math.nan
+INF = math.inf
 SHELL = build_theta_shell(1, 0.0, 2)
 
 
@@ -50,6 +53,15 @@ def _scaling(**kwargs):
 def _decay(**kwargs):
     return decay_plan_errors(**({"paths": 1, "tail_fraction": 0.5, "q0": 2.0,
                                  "tracked_mode": None, "d": 2, "n": 16} | kwargs))
+
+
+def _problems(make) -> dict[str, str]:
+    """The problems of make(): a plan's rules return them, a constructor
+    raises them as ArgumentErrors."""
+    try:
+        return make()
+    except ArgumentErrors as exc:
+        return exc.problems
 
 
 # (the rule's owner and argument, a call that gives it NaN, the owner's
@@ -118,11 +130,57 @@ def test_nan_fails_every_rule(make, expected):
         assert not isinstance(info.value, ArgumentErrors)
         assert str(info.value) == expected
         return
-    try:
-        problems = make()  # a plan's rules return their problems
-    except ArgumentErrors as exc:  # a constructor raises them
-        problems = exc.problems
-    assert problems == expected
+    assert _problems(make) == expected
+
+
+# an infinite exponent once ran with its check off: the L^inf blow-up norm
+# read mean(|v|^inf)^0 = 1 even for NaN fields, the cut-off's phi stayed 1
+INF_RULES = [
+    ("SolverConfig.blowup_norm_q0", lambda: _solver(blowup_norm_q0=INF),
+     {"blowup_norm_q0": "must be finite, got inf"}),
+    ("SolverConfig.lq_norms", lambda: _solver(lq_norms=(2.0, INF)),
+     {"lq_norms": "exponents must be finite, got [2.0, inf]"}),
+    ("SolverConfig.balance_q", lambda: _solver(balance_q=(INF,)),
+     {"balance_q": "exponents must be finite, got [inf]"}),
+    ("CutOffParams.r", lambda: CutOffParams(R=1.0, r=INF, q=4.0),
+     {"r": "must be finite, got inf"}),
+    ("CutOffParams.q", lambda: CutOffParams(R=1.0, r=2.0, q=INF),
+     {"q": "must be finite, got inf"}),
+    ("scaling_plan_errors.r", lambda: _scaling(r=INF), {"r": "must be finite, got inf"}),
+    ("scaling_plan_errors.q", lambda: _scaling(q=INF), {"q": "must be finite, got inf"}),
+    ("decay_plan_errors.q0", lambda: _decay(q0=INF), {"q0": "must be finite, got inf"}),
+]
+
+
+@pytest.mark.parametrize("make, expected", [case[1:] for case in INF_RULES],
+                         ids=[case[0] for case in INF_RULES])
+def test_inf_fails_every_exponent_rule(make, expected):
+    assert _problems(make) == expected
+
+
+SEED_RANGE = "must lie in [-2^63, 2^63), got"
+
+
+@pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
+def test_seeds_at_the_ends_of_the_range_are_accepted(seed):
+    assert seed_error(seed) is None
+    assert _solver(seed=seed).seed == seed
+    assert RunConfig.from_text(f"grid.n = 16\nv0.seed = {seed}\n")["v0.seed"] == seed
+    with np.errstate(all="raise"):  # keyed without a cast
+        path_rng(seed, 0, 0)
+
+
+@pytest.mark.parametrize("seed", [-2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1, 2**64])
+def test_seeds_outside_the_range_are_rejected(seed):
+    # 2^63 + 5 once shared 2^63's stream, 2^64 - 1 ran seed 0's, 2^64 crashed
+    assert seed_error(seed) == f"{SEED_RANGE} {seed}"
+    with pytest.raises(ArgumentErrors) as info:
+        _solver(seed=seed)
+    assert info.value.problems == {"seed": f"{SEED_RANGE} {seed}"}
+    with pytest.raises(ConfigError) as parsed:
+        RunConfig.from_text(f"grid.n = 16\nsolver.seed = {seed}\nv0.seed = {seed}\n")
+    assert parsed.value.errors == [f"v0.seed: {SEED_RANGE} {seed}",
+                                   f"solver.seed: {SEED_RANGE} {seed}"]
 
 
 @pytest.mark.parametrize("binding, make", [

@@ -14,7 +14,6 @@ from torusrd.diagnostics import RecordBuilder, lq_norm_vector
 from torusrd.experiments import ScalingLimitPlan, run_scaling_limit
 from torusrd.fields import ArgumentErrors, GridField, TorusGrid, forward
 from torusrd.noise import (
-    IncrementSet,
     NoiseModel,
     build_theta_shell,
     path_rng,
@@ -638,18 +637,20 @@ class TestProductGrid:
     ])
     def test_size_rule(self, d, n, shell, size):
         # smallest even fast length above 2 (n // 3) + 2 shell, capped at n
-        assert _product_stepper(d, n, shell).product_n == size
+        assert _product_stepper(d, n, shell).product_layout.shape == (size,) * d
 
     def test_ito_stays_on_the_grid(self):
         grid = TorusGrid(2, 64)
         noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
         cfg = SolverConfig(dt=1e-4, T=1e-4, balance_q=())
-        assert Stepper(grid, build_builtin("zero", [0.0]), noise, cfg).product_n == 64
+        stepper = Stepper(grid, build_builtin("zero", [0.0]), noise, cfg)
+        assert not hasattr(stepper, "product_layout")
 
-    @pytest.mark.parametrize("d, n, shell, ell", [(2, 64, 2, 2), (3, 24, 1, 1)])
+    @pytest.mark.parametrize("d, n, shell, ell", [
+        (2, 64, 2, 2), (3, 24, 1, 1), (2, 48, 8, 1), (3, 12, 2, 1),  # M < n, then M = n
+    ])
     def test_advect_matches_full_grid_series(self, d, n, shell, ell):
         stepper = _product_stepper(d, n, shell, ell)
-        assert stepper.product_n < n
         grid = stepper.grid
         # random real data: its modes fill the grid, beyond the mask
         rng = np.random.default_rng(d)
@@ -661,14 +662,24 @@ class TestProductGrid:
         stepper._advect(got, inc)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         # the data is not small outside the band, so the split is exercised
-        assert np.abs(fields[:, ~dealias_mask(grid)]).max() > 1e-3 * np.abs(fields).max()
+        outside = ~dealias_mask(grid)
+        assert np.abs(fields[:, outside]).max() > 1e-3 * np.abs(fields).max()
+        # band-limited data: g = A v_H = 0, and at M = n the band series runs
+        # the n-grid series' transforms, bit for bit
+        fields[:, outside] = 0.0
+        expected = _full_grid_series(stepper, fields, inc)
+        stepper._advect(fields, inc)
+        if stepper.product_layout.shape[0] == n:
+            assert np.array_equal(fields, expected)
+        else:
+            assert np.abs(fields - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_rho_bounds_the_product_grid_operator(self, monkeypatch):
         # rho comes from the n-grid velocity, and the series multiplies by the
         # product grid's, whose max|u| is larger at some steps.  The products
         # are exact in the band on both grids, so rho still bounds ||A||.
         stepper = _product_stepper(2, 16, 1)
-        assert stepper.product_n == 14
+        assert stepper.product_layout.shape == (14, 14)
         rhos = []
         monkeypatch.setattr(solver_module, "chebyshev_expm",
                             lambda apply, v, rho: rhos.append(rho) or v)
@@ -688,17 +699,6 @@ class TestProductGrid:
             u = _unpack(vel)
             product_max_larger |= np.sqrt(np.max(np.sum(u * u, axis=0))) * stepper.k_max > rhos[-1]
         assert product_max_larger
-
-    def test_full_grid_when_product_grid_is_not_smaller(self):
-        stepper = _product_stepper(2, 48, 8)
-        assert stepper.product_n == 48
-        assert not hasattr(stepper, "product_layout")
-        rng = np.random.default_rng(9)
-        fields = np.fft.fftn(rng.standard_normal((1, 48, 48)), axes=(1, 2)) / 48**2
-        inc = sample_increments(stepper.noise, 1e-3, path_rng(4, 0, 0))
-        expected = _full_grid_series(stepper, fields, inc)
-        stepper._advect(fields, inc)
-        assert np.array_equal(fields, expected)
 
 
 class TestBatchedTransport:
@@ -874,11 +874,7 @@ class TestPureTransportMeanEnergy:
         for p in range(paths):
             fine = [sample_increments(noise, dt_f, path_rng(seed, p, s)) for s in range(n_f)]
             for mult in (1, 2):
-                incs = [
-                    IncrementSet(dt_f * mult, noise,
-                                 sum(fine[mult * s + j].dw_plus for j in range(mult)))
-                    for s in range(n_f // mult)
-                ]
+                incs = [sum(fine[mult * s + j] for j in range(mult)) for s in range(n_f // mult)]
                 cfg = SolverConfig(dt=dt_f * mult, T=T, noise_on=True, seed=seed,
                                    balance_q=(), record_every=10**9)
                 st, _ = run(sys0, noise, cfg, v0, path_index=p,
