@@ -15,6 +15,7 @@ symmetry dW(-k) = conj(dW(k)), so every sampled velocity field is real.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -219,7 +220,10 @@ def sample_increments(model: NoiseModel, dt: float, rng: np.random.Generator) ->
 
 
 def seed_error(seed: int) -> str | None:
-    """Why seed is not a Philox key word, a signed 64-bit integer, or None."""
+    """Why seed is not a Philox key word, a signed 64-bit integer, or None.
+    A bool or a float is no seed: Philox would key with its truncation."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        return f"must be an integer, got {seed!r}"
     return None if -2**63 <= seed < 2**63 else f"must lie in [-2^63, 2^63), got {seed}"
 
 

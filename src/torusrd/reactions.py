@@ -111,11 +111,15 @@ class MassActionSpec:
 
 
 def _monomial(Y: np.ndarray, expo: tuple[int, ...]) -> np.ndarray:
-    out = np.ones_like(Y[0])
+    """prod_j Y_j^{e_j}, the factors multiplied in species order from the
+    first one with e_j > 0, and y itself at e_j = 1; bitwise the product
+    started from 1, since 1 * x is x.  It may be a view of Y: read it only."""
+    out = None
     for y, e in zip(Y, expo):
         if e:
-            out = out * y**e
-    return out
+            factor = y if e == 1 else y**e
+            out = factor if out is None else out * factor
+    return np.ones_like(Y[0]) if out is None else out
 
 
 def mass_action_build(
@@ -126,8 +130,12 @@ def mass_action_build(
     coeff = np.array([pi - qi for qi, pi in zip(q, p)], dtype=float)
 
     def f(t: float, Y: np.ndarray) -> np.ndarray:
-        g = spec.r_minus * _monomial(Y, q) - spec.r_plus * _monomial(Y, p)
-        return coeff.reshape((-1,) + (1,) * (Y.ndim - 1)) * g
+        rate_q, rate_p = _monomial(Y, q), _monomial(Y, p)
+        if spec.r_minus != 1.0:  # a product with a rate of 1 changes no bit: skip it
+            rate_q = spec.r_minus * rate_q
+        if spec.r_plus != 1.0:
+            rate_p = spec.r_plus * rate_p
+        return coeff.reshape((-1,) + (1,) * (Y.ndim - 1)) * (rate_q - rate_p)
 
     alpha = find_mass_weights(spec)
     return ReactionSystem(

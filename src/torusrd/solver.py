@@ -45,7 +45,7 @@ import numpy as np
 import scipy.fft
 from scipy.special import jv
 
-from .diagnostics import DiagnosticsRecord, RecordBuilder, lq_norm_vector
+from .diagnostics import DiagnosticsRecord, RecordBuilder, grid_mean, lq_norm_vector
 from .fields import (ArgumentErrors, GridField, TorusGrid, dealias_in_place, forward,
                      inverse_packed, inverse_real)
 from .noise import (NoiseGridOps, NoiseModel, path_rng, sample_increments, seed_error,
@@ -173,6 +173,8 @@ class CutOffParams:
         problems = {}
         if not self.R > 0:
             problems["R"] = f"must be > 0, got {self.R}"
+        elif self.R == math.inf:  # acc^(1/r) / inf = 0 would leave phi at 1
+            problems["R"] = f"must be finite, got {self.R}"
         if not self.r > 1:
             problems["r"] = f"must be > 1, got {self.r}"
         elif self.r == math.inf:  # acc = inf would leave phi at 1
@@ -372,7 +374,7 @@ class Stepper:
         if layout is None:
             dealias_in_place(out, self.grid.d, self.band)
         # div sigma = 0: the transport term is mean free
-        out[self.zero_index] = 0.0 if source is None else source.mean(axis=self.grid_axes)
+        out[self.zero_index] = 0.0 if source is None else grid_mean(source, self.grid_axes)
         return out
 
     def transport(self, fields: np.ndarray, dw: np.ndarray,

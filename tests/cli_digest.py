@@ -26,6 +26,9 @@ from torusrd.cli import main
 BASE = "grid.n = 16\nsolver.dt = 0.005\nsolver.T = 0.05\nsolver.seed = 3\n"  # 10 steps
 LOGISTIC = ("reaction.kind = builtin:logistic\nreaction.nu = [0.05]\n"
             "v0.offset = 0.6\nv0.amplitude = 0.3\n")
+MASS_ACTION = ("reaction.kind = mass_action\nreaction.q = [2, 0]\nreaction.p = [0, 1]\n"
+               "reaction.nu = [0.05, 0.08]\nv0.kind = random_smooth\nv0.offset = 1.0\n"
+               "v0.amplitude = 0.3\nv0.seed = 5\n")
 DECAY = ("grid.n = 16\nsolver.dt = 0.01\nsolver.T = 0.2\nreaction.kind = builtin:decay\n"
          "v0.offset = 1.5\nv0.amplitude = 0.5\nexperiment.tracked_mode = [1, 0]\n"
          "experiment.paths = 2\n")
@@ -34,6 +37,11 @@ DECAY = ("grid.n = 16\nsolver.dt = 0.01\nsolver.T = 0.2\nreaction.kind = builtin
 RUNS = {
     "simulate_ito": (["simulate"], BASE + LOGISTIC + "noise.shell_n = 2\nio.snapshots_every = 3\n"
                      "solver.lq_norms = [2, 4]\nsolver.balance_q = [2, 4]\n", False),
+    # the criterion-7 system: the mass-action evaluator, and the cut-off norm with phi < 1
+    # from t = 0.025 on
+    "simulate_mass_action": (["simulate"], BASE + MASS_ACTION + "cutoff.enabled = true\n"
+                             "cutoff.R = 0.2\nsolver.lq_norms = [2, 4]\n"
+                             "solver.balance_q = [2, 4]\n", False),
     "simulate_strat": (["simulate"], BASE + LOGISTIC + "solver.scheme = strat_substep\n", False),
     "simulate_det": (["simulate-det"], BASE + LOGISTIC + "noise.nu = 0.1\n", False),
     "scaling_limit": (["scaling-limit"], "grid.n = 24\nsolver.dt = 0.002\nsolver.T = 0.02\n"

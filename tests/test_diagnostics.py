@@ -8,6 +8,7 @@ import pytest
 
 from torusrd.diagnostics import (
     RecordBuilder,
+    grid_mean,
     hminus_gamma_norm,
     hminus_weight,
     lq_balance_residual,
@@ -185,6 +186,69 @@ class TestBalanceGradientEnergy:
         for q in qs:
             assert record.grad_energy[q][0].tobytes() == grad_ref[q].tobytes()
             assert record.work[q][0].tobytes() == work_ref[q].tobytes()
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestSameBitsAsTheDirectFormulas:
+    """The norms skip ** 1.0, take np.square for ** 2.0 and sum with
+    np.add.reduce where np.mean would: every output keeps the bits of the
+    np.mean / ** formulas, in 2D and 3D."""
+
+    SHAPES = [(2, 16, 16), (2, 8, 8, 8)]
+
+    @staticmethod
+    def values(shape):
+        return np.random.default_rng(len(shape)).standard_normal(shape) * 1.7
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("axes", [None, (1, 2), (-2, -1), (0,)])
+    def test_grid_mean_is_np_mean(self, shape, axes):
+        v = self.values(shape)
+        assert _bits(grid_mean(v, axes)) == _bits(np.mean(v, axis=axes))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_lq_norm_vector(self, shape, q):
+        v = self.values(shape)
+        sq = np.sum(np.square(v), axis=0)
+        sq **= q / 2.0
+        assert _bits(lq_norm_vector(v, q)) == _bits(float(np.mean(sq) ** (1.0 / q)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_sampled_lq_and_mass_columns(self, shape, q):
+        v = self.values(shape)
+        axes = tuple(range(1, len(shape)))
+        builder = RecordBuilder(build_builtin("zero", [0.1, 0.1]), lq_list=(q,), balance_q=())
+        builder.sample(0.0, v, 1.0, 0.0)
+        record = builder.finalize()
+        assert _bits(record.lq[q][0]) == _bits(np.mean((v**2) ** (q / 2.0), axis=axes) ** (1.0 / q))
+        assert _bits(record.mass[0]) == _bits(v.mean(axis=axes))
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_balance_integrals(self, d, n):
+        grid = TorusGrid(d, n)
+        sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.1, 0.2])
+        values = self.values((2,) + grid.shape) + 0.5
+        stepper = Stepper(grid, sys, None, SolverConfig(dt=1.0, T=1.0, noise_on=False))
+        qs, dt = (2.0, 3.0, 4.0), 2.5e-3
+        rates, (z, g2) = sys.f(0.0, values), stepper.gradients(forward(values, d))
+        grads_sq = z.real**2 + z.imag**2 + (0.0 if g2 is None else g2**2)
+        builder = RecordBuilder(sys, lq_list=(), balance_q=qs)
+        builder.accumulate_balance(dt, values, rates, (z, g2))
+        builder.sample(dt, values, 1.0, 0.0)
+        record = builder.finalize()
+        axes = tuple(range(1, d + 1))
+        for q in qs:
+            weight = 1.0 if q == 2.0 else np.abs(values) ** (q - 2.0)
+            work = rates * values if q == 2.0 else weight * rates * values
+            expected_grad = np.zeros(2) + dt * np.mean(weight * grads_sq, axis=axes)
+            expected_work = np.zeros(2) + dt * np.mean(work, axis=axes)
+            assert _bits(record.grad_energy[q][0]) == _bits(expected_grad)
+            assert _bits(record.work[q][0]) == _bits(expected_work)
 
 
 class TestSurvivalEstimate:

@@ -18,6 +18,7 @@ from torusrd.experiments import (
     run_scaling_limit,
     run_survival,
 )
+from torusrd.exponents import ParamSet, admissibility
 from torusrd.fields import ArgumentErrors, GridField, TorusGrid
 from torusrd.noise import NoiseModel, build_theta_shell
 from torusrd.reactions import build_builtin
@@ -146,6 +147,48 @@ class TestScalingLimit:
             assert np.array_equal(a.distances, b.distances)
             assert a.max_lq == b.max_lq
 
+
+class TestNonlinearEnhancedDiffusion:
+    """The scaling limit with the reaction on: the cubic non-triangular
+    system (q = (1, 2), p = (2, 1), h = 3) at 48^2, nu_i = (0.001, 0.05),
+    nu = 0.1, 8 paths per shell, with an L^{q0} blow-up norm whose q0 the
+    paper admits."""
+
+    Q0 = 3.0
+
+    @classmethod
+    def setup_class(cls):
+        grid = TorusGrid(2, 48)
+        cls.sys = build_builtin("cubic_nontriangular", [0.001, 0.05])
+        cls.cfg = SolverConfig(dt=1e-3, T=0.25, noise_on=True, balance_q=(), record_every=5,
+                               seed=23, blowup_norm_q0=cls.Q0)
+        x, y = grid.node_coordinates()
+        cls.v0 = [GridField(grid, 2.0 + 1.5 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)),
+                  GridField(grid, 2.0 + 1.5 * np.sin(2 * np.pi * (x + 2 * y)))]
+
+    def test_q0_is_admissible(self):
+        # the parse's validate.admissibility gate, and the q window of the strong exponents
+        report = admissibility(ParamSet(d=2, h=self.sys.h, q=self.Q0, p=4.0, delta=1.1))
+        assert self.sys.h == 3.0
+        assert report.q_meets_delayed_blowup and report.q_in_window
+
+    def test_distance_falls_with_the_shell(self):
+        plan = ScalingLimitPlan(shells=(1, 2, 4), gamma=0.0, nu=0.1, paths=8, solver=self.cfg,
+                                sys=self.sys, v0=self.v0, epsilon=0.05)
+        result = run_scaling_limit(plan)
+        assert all(tau is None for s in result.shells for tau in s.taus)
+        means = [s.mean for s in result.shells]
+        assert means[0] > means[1] > means[2]
+        assert means[2] < 0.5 * means[0]
+
+    def test_weighted_mass_is_constant_on_every_noisy_path(self):
+        noise = NoiseModel(build_theta_shell(4, 0.0, 2), nu=0.1)
+        alpha = self.sys.mass_alpha
+        for path in range(2):
+            state, record = run(self.sys, noise, self.cfg, self.v0, path_index=path)
+            mass = record.mass @ alpha
+            assert state.blown_up is None and len(mass) == 51
+            assert np.abs(mass - mass[0]).max() <= 1e-8 * abs(mass[0])
 
 
 def _streamed(ref, path, times, r=2.0, q=2.0):

@@ -5,8 +5,8 @@ false; the rules are written `not x > 0` so that NaN breaks them.  The parse
 rejects NaN and inf before any constructor sees them (`<key>: expected a
 finite number`), so the constructors, plan rules and closed forms are probed
 here directly.  An infinite exponent passes a lower bound but switches its
-check off, so the exponent rules also reject inf; and a seed must be a
-signed 64-bit word, the key word of a Philox stream.
+check off, so the exponent rules also reject inf; and a seed must be an
+integer in the signed 64-bit range, the key word of a Philox stream.
 """
 
 import math
@@ -133,8 +133,9 @@ def test_nan_fails_every_rule(make, expected):
     assert _problems(make) == expected
 
 
-# an infinite exponent once ran with its check off: the L^inf blow-up norm
-# read mean(|v|^inf)^0 = 1 even for NaN fields, the cut-off's phi stayed 1
+# an infinite exponent or radius once ran with its check off: the L^inf
+# blow-up norm read mean(|v|^inf)^0 = 1 even for NaN fields, and the
+# cut-off's phi stayed 1 at r = inf or R = inf
 INF_RULES = [
     ("SolverConfig.blowup_norm_q0", lambda: _solver(blowup_norm_q0=INF),
      {"blowup_norm_q0": "must be finite, got inf"}),
@@ -142,6 +143,8 @@ INF_RULES = [
      {"lq_norms": "exponents must be finite, got [2.0, inf]"}),
     ("SolverConfig.balance_q", lambda: _solver(balance_q=(INF,)),
      {"balance_q": "exponents must be finite, got [inf]"}),
+    ("CutOffParams.R", lambda: CutOffParams(R=INF, r=2.0, q=4.0),
+     {"R": "must be finite, got inf"}),
     ("CutOffParams.r", lambda: CutOffParams(R=1.0, r=INF, q=4.0),
      {"r": "must be finite, got inf"}),
     ("CutOffParams.q", lambda: CutOffParams(R=1.0, r=2.0, q=INF),
@@ -181,6 +184,31 @@ def test_seeds_outside_the_range_are_rejected(seed):
         RunConfig.from_text(f"grid.n = 16\nsolver.seed = {seed}\nv0.seed = {seed}\n")
     assert parsed.value.errors == [f"v0.seed: {SEED_RANGE} {seed}",
                                    f"solver.seed: {SEED_RANGE} {seed}"]
+
+
+@pytest.mark.parametrize("seed", [np.int64(-7), np.uint32(5), np.uint64(2**63 - 1)])
+def test_numpy_integer_seeds_are_accepted(seed):
+    assert seed_error(seed) is None
+    assert _solver(seed=seed).seed == seed
+    with np.errstate(all="raise"):
+        path_rng(seed, 0, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), True, False, np.True_, "3"])
+def test_seeds_that_are_not_integers_are_rejected(seed):
+    # Philox once keyed a float or a bool seed with its truncation: 1.5 ran seed 1's stream
+    expected = f"must be an integer, got {seed!r}"
+    assert seed_error(seed) == expected
+    with pytest.raises(ArgumentErrors) as info:
+        _solver(seed=seed)
+    assert info.value.problems == {"seed": expected}
+
+
+@pytest.mark.parametrize("literal", ["1.5", "true"])
+def test_parse_requires_an_integer_seed_before_the_seed_rule(literal):
+    with pytest.raises(ConfigError) as parsed:
+        RunConfig.from_text(f"grid.n = 16\nsolver.seed = {literal}\n")
+    assert parsed.value.errors == [f"solver.seed: expected integer, got '{literal}'"]
 
 
 @pytest.mark.parametrize("binding, make", [

@@ -272,3 +272,49 @@ class TestEnhanced:
         assert np.array_equal(enhanced.mass_alpha, sys.mass_alpha)
         assert enhanced.mass_consts == sys.mass_consts
         assert np.array_equal(sys.nu, [0.01, 0.03])  # the system itself is unchanged
+
+
+def _ones_start_rates(spec: MassActionSpec, Y: np.ndarray) -> np.ndarray:
+    """The mass-action rates as first written: each monomial a product
+    started from np.ones_like, both rates always multiplied in."""
+    def monomial(expo):
+        out = np.ones_like(Y[0])
+        for y, e in zip(Y, expo):
+            if e:
+                out = out * y**e
+        return out
+
+    coeff = np.array([pi - qi for qi, pi in zip(spec.q, spec.p)], dtype=float)
+    g = spec.r_minus * monomial(spec.q) - spec.r_plus * monomial(spec.p)
+    return coeff.reshape((-1,) + (1,) * (Y.ndim - 1)) * g
+
+
+class TestRatesKeepTheirBits:
+    """The evaluator skips the ones start, y^1 and a rate of 1: the rates
+    stay bitwise those of the product started from 1, also at NaN, inf
+    and -0."""
+
+    @pytest.mark.parametrize("q, p", [((2, 0), (0, 1)), ((1, 2), (2, 1)),
+                                      ((3, 0, 1), (0, 2, 1)), ((0, 0), (3, 1))])
+    @pytest.mark.parametrize("r_minus, r_plus", [(1.0, 1.0), (1.3, 0.7), (1.0, 3.0)])
+    def test_bitwise_the_ones_start_formula(self, q, p, r_minus, r_plus):
+        spec = MassActionSpec(q=q, p=p, r_plus=r_plus, r_minus=r_minus)
+        rng = np.random.default_rng(len(q) + int(10 * r_plus))
+        Y = rng.standard_normal((len(q), 12, 12)) * 3.0
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e200, -1e-320]
+        for i in range(len(q)):
+            Y[i].flat[i * len(specials): (i + 1) * len(specials)] = specials
+            Y[i, -1, : len(specials)] = specials  # each special against every other species
+        sys = mass_action_build(spec)
+        with np.errstate(all="ignore"):
+            got, expected = sys.f(0.0, Y), _ones_start_rates(spec, Y)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert np.isnan(got).any() and np.isinf(got).any()
+
+    def test_rates_do_not_alias_the_values(self):
+        # a single y^1 factor is the values' own view: f must return a new array
+        Y = np.array([[2.0, 3.0], [5.0, 7.0]])
+        out = mass_action_build(MassActionSpec(q=(1, 0), p=(0, 1))).f(0.0, Y)
+        assert not np.shares_memory(out, Y)
+        assert np.array_equal(Y, [[2.0, 3.0], [5.0, 7.0]])
