@@ -278,6 +278,10 @@ class RunConfig:
         elif grid is not None and v["v0.kind"] == "single_mode" and (
                 problem := mode_error(v["v0.mode"], grid.d, grid.n_per_dim)):
             errors.append(f"v0.mode: {problem}")  # the one kind that reads v0.mode
+        elif grid is not None and v["v0.kind"] == "random_smooth" and (
+                problem := mode_error([RANDOM_SMOOTH_K] * grid.d, grid.d, grid.n_per_dim)):
+            errors.append(f"v0.kind: random_smooth draws modes with |k_j| <= "
+                          f"{RANDOM_SMOOTH_K}; {problem}")
         if problem := seed_error(v["v0.seed"]):
             errors.append(f"v0.seed: {problem}")
         if v["io.snapshots_every"] < 0:
@@ -369,12 +373,15 @@ def _single_mode(cfg: RunConfig, coords: tuple[np.ndarray, ...], species: int) -
     return cfg["v0.offset"] + cfg["v0.amplitude"] * np.cos(phase)
 
 
+RANDOM_SMOOTH_K = 3  # the largest |k_j| that random_smooth draws
+
+
 def _random_smooth(cfg: RunConfig, coords: tuple[np.ndarray, ...], species: int) -> np.ndarray:
     rng = np.random.Generator(
         np.random.Philox(key=[cfg["v0.seed"], species], counter=[0, 0, 0, 0]))
     vals = np.zeros(coords[0].shape)
     for _ in range(4):
-        mode = rng.integers(-3, 4, size=len(coords))
+        mode = rng.integers(-RANDOM_SMOOTH_K, RANDOM_SMOOTH_K + 1, size=len(coords))
         phase = sum(2.0 * np.pi * m * x for m, x in zip(mode, coords))
         vals += np.cos(phase + 2.0 * np.pi * rng.random())
     return cfg["v0.offset"] + cfg["v0.amplitude"] * vals / max(1e-12, np.abs(vals).max())

@@ -16,7 +16,7 @@ from .diagnostics import hminus_gamma_norm, hminus_weight, lq_norm_vector, survi
 from .fields import ArgumentErrors, GridField, forward, mode_error
 from .noise import NoiseModel, build_theta_shell, resolution_error, step_guard_error
 from .reactions import ReactionSystem
-from .solver import SolverConfig, horizon_steps, negative_species, run
+from .solver import SolverConfig, exponent_error, horizon_steps, negative_species, run
 
 DEFAULT_THREADS = 1
 
@@ -62,9 +62,8 @@ def _paths_errors(paths: int) -> dict[str, str]:
 
 
 def _exponent_errors(**exponents: float) -> dict[str, str]:
-    """The L^p exponents below 1 or infinite (mean(|v|^inf)^0 = 1), each with its message."""
-    return {k: f"must be >= 1, got {v}" if not v >= 1 else f"must be finite, got {v}"
-            for k, v in exponents.items() if not 1 <= v < float("inf")}
+    """The L^p exponents below 1 or infinite, each with its message."""
+    return {k: problem for k, v in exponents.items() if (problem := exponent_error(v, 1.0))}
 
 
 def _shell_noise(solver: SolverConfig, shell: int, gamma: float, d: int,

@@ -41,14 +41,16 @@ class ArgumentErrors(ValueError):
 def mode_error(mode, d: int, n: int, empty_ok: bool = False) -> str | None:
     """Why the Fourier mode mode does not fit a d-dimensional grid of n
     points per axis, or None: it needs d components (or none, with
-    empty_ok), and every |k_j| <= n/2, since a larger one aliases."""
+    empty_ok), and every |k_j| <= n // 3, the dealias band that holds the
+    state (initial_state zeroes every mode outside it)."""
     if empty_ok and not mode:
         return None
     if len(mode) != d:
         return (f"expected empty or {d} components, got {list(mode)}" if empty_ok
                 else f"expected {d} components, got {len(mode)}")
-    if max(map(abs, mode)) > n // 2:
-        return f"{list(mode)} aliases on grid n = {n}: every |k_j| must be <= n/2 = {n // 2}"
+    if max(map(abs, mode)) > n // 3:
+        return (f"{list(mode)} lies outside the dealias band of grid n = {n}: "
+                f"every |k_j| must be <= n // 3 = {n // 3}")
     return None
 
 

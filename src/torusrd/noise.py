@@ -262,13 +262,17 @@ def path_rng(seed: int, path_index: int, step_index: int,
 
 def resolution_error(max_k: int, n: int) -> str | None:
     """Why modes with |k_j| <= max_k are under-resolved on n points per
-    axis, or None.  Products with them stay dealiasable while max_k <= n/3;
-    the shell-s annulus has max_k = 2s.
+    axis, or None.  Their product with the dealias band |k_j| <= n // 3 is
+    exact in the band only while 2 (n // 3) + max_k < n: a larger max_k
+    folds band-edge products back into the band.  The shell-s annulus has
+    max_k = 2s.
     """
-    if max_k <= n / 3:
+    band = n // 3
+    if 2 * band + max_k < n:
         return None
-    return (f"max|k_j| = {max_k} is under-resolved on grid n = {n}: products "
-            f"resolve only for max|k_j| <= n/3 = {n / 3:.1f}, i.e. shell <= {n / 6:.1f}")
+    return (f"max|k_j| = {max_k} is under-resolved on grid n = {n}: products with the "
+            f"band |k_j| <= {band} are exact only for max|k_j| < n - 2 (n // 3) = "
+            f"{n - 2 * band}, i.e. shell <= {(n - 2 * band - 1) // 2}")
 
 
 def step_guard_error(nu: float, max_k: int, n: int, dt: float) -> str | None:

@@ -13,10 +13,13 @@ ball A is skew-adjoint, so exp(A)v has a Chebyshev (Jacobi-Anger) series
 with Bessel coefficients J_k(rho), rho >= ||A||.  Cut where the Bessel tail
 drops below 1e-16, at degree rho + O(rho^(1/3) log(1/tol)), it keeps the
 L^2 norm pathwise to round-off (~1e-14 over 500 steps at 64^2).  Its
-propagator then carries nu_i only.  Every iterate past the data lies in the
-dealias band |k_j| <= K = n/3 and the velocity in |k_j| <= K_u, so the
-series runs on a product grid of M > 2K + K_u points per axis, where those
-products are exact (product_grid_size).
+propagator then carries nu_i only.
+
+The state lives in the dealias band |k_j| <= K = n/3: initial_state
+projects v0 onto it, and every step keeps it there (the transport and the
+drift are dealiased, the propagator is diagonal).  With the velocity in
+|k_j| <= K_u, the Wong-Zakai series runs on a product grid of M > 2K + K_u
+points per axis, where its products are exact (product_grid_size).
 
 Blow-up (threshold crossing of the L^{q0} norm, or non-finite values) is a
 recorded outcome with a tau estimate, never a process failure.  A step
@@ -151,6 +154,22 @@ class ProductLayout(NamedTuple):
         return cls(grid.shape, pack, last)
 
 
+def exponent_error(value: float | tuple[float, ...], low: float,
+                   strict: bool = False) -> str | None:
+    """Why an L^p exponent, or a tuple of them, is not >= low (> low with
+    strict) and finite, or None; NaN fails the bound.  An infinite
+    exponent would pass the bound but switch its check off: the blow-up
+    norm mean(|v|^inf)^0 = 1 hides a blow-up, and r = inf leaves phi at 1."""
+    many = isinstance(value, tuple)
+    values = value if many else (value,)
+    what, got = ("exponents ", list(value)) if many else ("", value)
+    if not all(q > low if strict else q >= low for q in values):
+        return f"{what}must be {'>' if strict else '>='} {low:g}, got {got}"
+    if math.inf in values:
+        return f"{what}must be finite, got {got}"
+    return None
+
+
 def phi_bump(x: float) -> float:
     """Cut-off profile: 1 on [0,1], 0 on [2,inf), C^2 smoothstep between."""
     if x < 0:
@@ -175,14 +194,10 @@ class CutOffParams:
             problems["R"] = f"must be > 0, got {self.R}"
         elif self.R == math.inf:  # acc^(1/r) / inf = 0 would leave phi at 1
             problems["R"] = f"must be finite, got {self.R}"
-        if not self.r > 1:
-            problems["r"] = f"must be > 1, got {self.r}"
-        elif self.r == math.inf:  # acc = inf would leave phi at 1
-            problems["r"] = f"must be finite, got {self.r}"
-        if not self.q >= 1:
-            problems["q"] = f"must be >= 1, got {self.q}"
-        elif self.q == math.inf:
-            problems["q"] = f"must be finite, got {self.q}"
+        if problem := exponent_error(self.r, 1.0, strict=True):
+            problems["r"] = problem
+        if problem := exponent_error(self.q, 1.0):
+            problems["q"] = problem
         if problems:
             raise ArgumentErrors(problems)
 
@@ -213,10 +228,8 @@ class SolverConfig:
             problems["T"] = f"{self.T} is not a multiple of dt = {self.dt}"
         if self.scheme not in SCHEMES:
             problems["scheme"] = f"must be one of {SCHEMES}, got {self.scheme!r}"
-        if not self.blowup_norm_q0 > 2:
-            problems["blowup_norm_q0"] = f"must be > 2, got {self.blowup_norm_q0}"
-        elif self.blowup_norm_q0 == math.inf:  # mean(|v|^inf)^0 = 1 would hide a blow-up
-            problems["blowup_norm_q0"] = f"must be finite, got {self.blowup_norm_q0}"
+        if problem := exponent_error(self.blowup_norm_q0, 2.0, strict=True):
+            problems["blowup_norm_q0"] = problem
         if not self.blowup_threshold > 0:
             problems["blowup_threshold"] = f"must be > 0, got {self.blowup_threshold}"
         if problem := seed_error(self.seed):
@@ -224,11 +237,8 @@ class SolverConfig:
         if self.record_every < 1:
             problems["record_every"] = "must be >= 1"
         for name, low in (("lq_norms", 1.0), ("balance_q", 2.0)):  # L^q balance: q >= 2
-            qs = list(getattr(self, name))
-            if not all(low <= q for q in qs):
-                problems[name] = f"exponents must be >= {low:g}, got {qs}"
-            elif math.inf in qs:
-                problems[name] = f"exponents must be finite, got {qs}"
+            if problem := exponent_error(tuple(getattr(self, name)), low):
+                problems[name] = problem
         if problems:
             raise ArgumentErrors(problems)
 
@@ -261,7 +271,8 @@ class Stepper:
         self.sys = sys
         self.cfg = cfg
         self.noise = noise if cfg.noise_on else None
-        self.noise_ops = NoiseGridOps(self.noise, grid) if self.noise else None
+        ito = self.noise is not None and cfg.scheme == "euler_maruyama_ito"
+        self.noise_ops = NoiseGridOps(self.noise, grid) if ito else None
 
         if self.noise is not None:
             problem = step_guard_error(self.noise.nu, self.noise.spectrum.max_component(),
@@ -271,7 +282,7 @@ class Stepper:
 
         # the Ito correction nu Delta (strat_substep: the Wong-Zakai substep
         # supplies the nu-diffusion); a noise-free enhanced run has it in sys.nu
-        nu_extra = self.noise.nu if self.noise and cfg.scheme == "euler_maruyama_ito" else 0.0
+        nu_extra = self.noise.nu if ito else 0.0
         lam = grid.laplacian_multipliers  # -4 pi^2 |k|^2, dropped after __init__
         self.propagator = np.stack(
             [np.exp(lam * (nu_i + nu_extra) * cfg.dt) for nu_i in sys.nu]
@@ -287,7 +298,7 @@ class Stepper:
         self._half = grid.n_per_dim // 2 + 1
         self.zero_index = (Ellipsis,) + (0,) * grid.d  # mode 0 of every species
         self.grid_axes = tuple(range(-grid.d, 0))  # the grid axes of a species stack
-        if self.noise is not None and cfg.scheme == "strat_substep":
+        if self.noise is not None and not ito:
             self._band = grid.band_index(self.band)
             # max |2 pi k| over the band: ||(u.grad)|| <= max|u| * k_max there
             self.k_max = math.sqrt(-lam[self._band].min())
@@ -395,22 +406,15 @@ class Stepper:
         u is the frozen displacement field (velocity * dt) of the increments
         dw.  The operator is skew-adjoint on the dealiased ball, so exp(A)v
         is evaluated by its Chebyshev series with rho = max|u| * k_max >=
-        ||A|| (max|u| over the n-grid); the L^2 norm is kept to round-off and
-        the cost is ~rho + O(rho^(1/3)) right-hand sides.
+        ||A||; the L^2 norm is kept to round-off and the cost is
+        ~rho + O(rho^(1/3)) right-hand sides.
 
-        The series runs on the product grid of M <= n points per axis
-        (product_layout): v = v_L + v_H splits at the band and A maps into
-        the band, so the series is h v_H plus a band series Q_k with
-        h = J_0 + 2 sum_{even k} J_k and
-        Q_{k+1} = (2/rho)(A Q_k + [k even] g) + Q_{k-1}, g = A v_H, one
-        product on the n-grid per step.  A is one operator on both grids
-        (one grid at M = n, else its products are exact in the band), so
-        the n-grid rho bounds it.  A scalar eta_k = [k even] carries the g term and
-        ends as h, in the mode (M/2, 0, ...) outside the band, where the
-        derivative multipliers vanish and apply sets the product to 0.  No
-        other entry outside the band is read; only the band and eta return.
+        The fields lie in the band and A maps the band into itself, so the
+        series runs on the band of the product grid of M <= n points per
+        axis (product_layout), where its products are exact; u and rho are
+        taken there.  No entry outside the band is read or written.
         """
-        w, u2 = vel = self.noise_ops.velocity_field(dw)
+        w, u2 = vel = self.product_noise_ops.velocity_field(dw)
         speed2 = w.real * w.real
         speed2 += w.imag * w.imag
         if u2 is not None:
@@ -418,35 +422,14 @@ class Stepper:
         rho = math.sqrt(float(np.max(speed2))) * self.k_max
         del w, u2, speed2  # vel is the only reference left
         scale = 2.0 / rho if rho > 0 else 0.0  # apply returns (2/rho) A w
-        # band indices with the species axis in front
-        band = (slice(None),) + self._band
-        pband = (slice(None),) + self._product_band
-        lay = self.product_layout
-        high = fields.copy()
-        high[band] = 0.0
-        gs = np.zeros((len(fields),) + lay.shape, dtype=complex)
-        gs[pband] = self._advection_rhs(high, vel)[band]
-        gs *= scale
-        del vel, high  # only the product grid is needed from here on
-        vel = self.product_noise_ops.velocity_field(dw)
         for part in vel:  # times a real scale, float by float: the bits of scaling u
             if part is not None:
                 np.multiply(part.view(np.float64), scale, out=part.view(np.float64))
-        eta = (lay.shape[0] // 2,) + (0,) * (len(lay.shape) - 1)
-        for f, g in zip(fields, gs):
-
-            def apply(y):
-                q = self._advection_rhs(y, vel, lay)
-                q[eta] = 0.0
-                if y[eta]:  # exactly 1 or 0 on every iterate
-                    q += g
-                return q
-
+        lay = self.product_layout
+        for f in fields:
             y = np.zeros(lay.shape, dtype=complex)
             y[self._product_band] = f[self._band]
-            y[eta] = 1.0
-            y = chebyshev_expm(apply, y, rho)
-            f *= y[eta]
+            y = chebyshev_expm(lambda q: self._advection_rhs(q, vel, lay), y, rho)
             f[self._band] = y[self._product_band]
 
     # -- the step ---------------------------------------------------------
@@ -474,9 +457,9 @@ class Stepper:
         cfg = self.cfg
         phi = self.evaluate_phi(state)
 
-        if self.noise_ops is not None and dw is None:
+        if self.noise is not None and dw is None:
             raise ValueError("noise is active but no increments were given")
-        ito = self.noise_ops is not None and cfg.scheme == "euler_maruyama_ito"
+        ito = self.noise_ops is not None
         drift_on = not self.sys.is_linear and phi != 0.0
         # the pre-step values are read by the balance, the drift and a
         # cut-off that has no carried-over integrand only
@@ -519,7 +502,7 @@ class Stepper:
         elif new is state.fields:
             new = new.copy()
         new *= self.propagator
-        if self.noise_ops is not None and not ito:
+        if self.noise is not None and not ito:
             self._advect(new, dw)
 
         # trapezoid advance of the cut-off accumulator A(t) = int |v|_{Lq}^r;
@@ -570,7 +553,8 @@ def initial_state(
     v0: list[GridField],
     cfg: SolverConfig,
 ) -> SimState:
-    """The t = 0 state of v0, which must lie on grid, be finite and, if cfg.require_nonneg, >= 0."""
+    """The t = 0 state of v0's dealias-band part; v0 must lie on grid, be
+    finite and, if cfg.require_nonneg, >= 0."""
     if any(f.grid != grid for f in v0):
         raise ValueError("initial fields must share one grid")
     for f in v0:
@@ -578,10 +562,9 @@ def initial_state(
             raise ValueError("initial data contains non-finite values")
     if cfg.require_nonneg and (i := negative_species(v0)) is not None:
         raise ValueError(f"require_nonneg: species {i} has negative initial data")
-    # v0 is kept verbatim (a T = 0 run returns it unchanged); dealiasing
-    # applies to products during stepping, not to the data
+    # the scheme integrates the dealiased system: its data is v0's band part
     fields = forward(np.stack([f.values for f in v0]), grid.d)
-    return SimState(t=0.0, fields=fields)
+    return SimState(t=0.0, fields=dealias_in_place(fields, grid.d, grid.dealias_band))
 
 
 def run(

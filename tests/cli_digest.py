@@ -1,10 +1,10 @@
 """One SHA-256 over the outputs of a fixed set of tiny CLI runs.
 
-Each run of RUNS (16^2 to 24^2 grids, at most 20 steps) writes into its own
-folder of a temporary directory.  The digest covers every file there, in
-path order, with each manifest's `# timestamp` line removed, so two trees
-that give the same digest wrote the same bytes.  It runs against whichever
-torusrd is on the import path:
+Each run of RUNS (16^2 to 24^2 grids and one 24^3 grid, at most 20 steps)
+writes into its own folder of a temporary directory.  The digest covers
+every file there, in path order, with each manifest's `# timestamp` line
+removed, so two trees that give the same digest wrote the same bytes.  It
+runs against whichever torusrd is on the import path:
 
     PYTHONPATH=path/to/checkout/src python tests/cli_digest.py [--threads 2]
 
@@ -44,6 +44,11 @@ RUNS = {
                              "solver.balance_q = [2, 4]\n", False),
     "simulate_strat": (["simulate"], BASE + LOGISTIC + "solver.scheme = strat_substep\n", False),
     "simulate_det": (["simulate-det"], BASE + LOGISTIC + "noise.nu = 0.1\n", False),
+    # the d = 3 branches: the third velocity and derivative components, on a
+    # 20-point Wong-Zakai product grid
+    "simulate_strat_3d": (["simulate"], "grid.d = 3\ngrid.n = 24\nsolver.dt = 0.005\n"
+                          "solver.T = 0.015\nsolver.seed = 3\n" + MASS_ACTION
+                          + "solver.scheme = strat_substep\n", False),
     "scaling_limit": (["scaling-limit"], "grid.n = 24\nsolver.dt = 0.002\nsolver.T = 0.02\n"
                       "solver.record_every = 2\nexperiment.shells = [1, 2]\nexperiment.paths = 2\n"
                       "experiment.hminus_gamma = 0.5\n", True),

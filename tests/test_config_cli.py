@@ -48,6 +48,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="shell"):
             RunConfig.from_text("noise.shell_n = 16\ngrid.n = 64")
 
+    @pytest.mark.parametrize("n, shell, limit", [(48, 8, 7), (24, 4, 3)])
+    def test_resolution_rule_at_the_limit(self, n, shell, limit):
+        # where 3 divides n, the product of a band-edge mode (k_j = n/3) with the
+        # top noise mode (2 shell = n/3) folds to -n/3, inside the band
+        band = n // 3
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(f"grid.n = {n}\nnoise.shell_n = {shell}")
+        assert info.value.errors == [
+            f"noise.shell_n: shell {shell}: max|k_j| = {2 * shell} is under-resolved on grid "
+            f"n = {n}: products with the band |k_j| <= {band} are exact only for "
+            f"max|k_j| < n - 2 (n // 3) = {n - 2 * band}, i.e. shell <= {limit}"]
+        RunConfig.from_text(f"grid.n = {n}\nnoise.shell_n = {limit}")
+        RunConfig.from_text(f"grid.n = {n + 2}\nnoise.shell_n = {shell}")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             RunConfig.from_text("grid.m = 4")
@@ -176,9 +190,14 @@ class TestConfigParsing:
         ("experiment.q0 = 0", "experiment.q0: must be >= 1, got 0.0"),
         ("experiment.tracked_mode = [1]",
          "experiment.tracked_mode: expected empty or 2 components, got [1]"),
-        # mode 17 would read the coefficient of mode -15 on 32 points
+        # mode 17 would read the coefficient of mode -15 on 32 points, and
+        # mode 11 one outside the dealias band, where the state is zero
         ("experiment.tracked_mode = [17, 0]",
-         "experiment.tracked_mode: [17, 0] aliases on grid n = 32: every |k_j| must be <= n/2 = 16"),
+         "experiment.tracked_mode: [17, 0] lies outside the dealias band of grid n = 32: "
+         "every |k_j| must be <= n // 3 = 10"),
+        ("experiment.tracked_mode = [11, 0]",
+         "experiment.tracked_mode: [11, 0] lies outside the dealias band of grid n = 32: "
+         "every |k_j| must be <= n // 3 = 10"),
         # every plan has the paths rule; it is reported once
         ("experiment.paths = 0", "experiment.paths: must be >= 1, got 0"),
     ])
@@ -192,7 +211,16 @@ class TestConfigParsing:
         ("v0.mode = [9, 0, 1]\nsolver.record_every = 0",
          ["v0.mode: expected 2 components, got 3", "solver.record_every: must be >= 1"]),
         ("v0.mode = [17, 0]",
-         ["v0.mode: [17, 0] aliases on grid n = 32: every |k_j| must be <= n/2 = 16"]),
+         ["v0.mode: [17, 0] lies outside the dealias band of grid n = 32: "
+          "every |k_j| must be <= n // 3 = 10"]),
+        # the initial projection would zero mode 11 without a word
+        ("v0.mode = [11, 0]",
+         ["v0.mode: [11, 0] lies outside the dealias band of grid n = 32: "
+          "every |k_j| must be <= n // 3 = 10"]),
+        # random_smooth draws modes up to |k_j| = 3, outside the band on 8 points
+        ("v0.kind = random_smooth\ngrid.n = 8",
+         ["v0.kind: random_smooth draws modes with |k_j| <= 3; [3, 3] lies outside the "
+          "dealias band of grid n = 8: every |k_j| must be <= n // 3 = 2"]),
         # a 3-D grid does not take the 2-D default mode
         ("grid.d = 3\ngrid.n = 12", ["v0.mode: expected 3 components, got 2"]),
     ])
@@ -429,8 +457,10 @@ class TestCli:
         ("decay", "experiment.tracked_mode=[1]", "experiment.tracked_mode"),
         ("decay", "experiment.tracked_mode=[1, 0, 0]", "experiment.tracked_mode"),
         ("decay", "experiment.tracked_mode=[0, -9]", "experiment.tracked_mode"),
-        # mode 9 would sample mode -7 on 16 points
+        # mode 9 would sample mode -7 on 16 points; mode 6 lies outside the band
         ("decay", "v0.mode=[9, 0]", "v0.mode"),
+        ("decay", "v0.mode=[6, 0]", "v0.mode"),
+        ("decay", "experiment.tracked_mode=[0, 6]", "experiment.tracked_mode"),
         ("simulate", "io.snapshots_every=-2", "io.snapshots_every"),
         # non-finite numbers once ran silently wrong or failed after the manifest
         ("simulate", "reaction.nu=[NaN]", "reaction.nu"),

@@ -70,11 +70,11 @@ class TestScalingLimit:
             small_heat_plan(shells=(1, 16), n=48)
 
     def test_step_guard_checked_for_every_shell_at_construction(self):
-        # shells 1-8 pass the guard at 96^2, dt = 2.5e-3; shell 16 does not
+        # shells 1-8 pass the guard at 96^2, dt = 2.5e-3; shell 12 does not
         grid = TorusGrid(2, 96)
         cfg = SolverConfig(dt=2.5e-3, T=0.25, balance_q=())
-        with pytest.raises(ValueError, match="shell 16: dt = 0.0025 violates the noise step guard"):
-            ScalingLimitPlan(shells=(1, 2, 4, 8, 16), gamma=0.0, nu=0.1, paths=1,
+        with pytest.raises(ValueError, match="shell 12: dt = 0.0025 violates the noise step guard"):
+            ScalingLimitPlan(shells=(1, 2, 4, 8, 12), gamma=0.0, nu=0.1, paths=1,
                              solver=cfg, sys=build_builtin("zero", [0.01]),
                              v0=[mode_field(grid, (1, 0), 1.0)], epsilon=0.1)
 
