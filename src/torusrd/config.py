@@ -22,7 +22,7 @@ from .exponents import ParamSet, admissibility
 from .experiments import decay_plan_errors, scaling_plan_errors, survival_plan_errors
 from .fields import ArgumentErrors, GridField, TorusGrid, mode_error
 from .noise import (NoiseModel, build_theta_shell, intensity_errors, resolution_error,
-                    seed_error, shell_errors)
+                    seed_error, shell_errors, shell_max_k)
 from .reactions import MassActionSpec, ReactionSystem, build_builtin, mass_action_build
 from .solver import CutOffParams, SolverConfig
 
@@ -207,7 +207,7 @@ def _noise_errors(v: dict[str, object]) -> list[str]:
     if v["noise.enabled"]:
         shell = v["noise.shell_n"]
         problems |= shell_errors(shell, v["noise.gamma"])
-        if shell >= 1 and (problem := resolution_error(2 * shell, v["grid.n"])):
+        if shell >= 1 and (problem := resolution_error(shell_max_k(shell), v["grid.n"])):
             problems["shell_n"] = f"shell {shell}: {problem}"
     return [f"noise.{arg}: {msg}" for arg, msg in problems.items()]
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .diagnostics import hminus_gamma_norm, hminus_weight, lq_norm_vector, survival_estimate
 from .fields import ArgumentErrors, GridField, forward, mode_error
-from .noise import NoiseModel, build_theta_shell, resolution_error, step_guard_error
+from .noise import (NoiseModel, build_theta_shell, resolution_error, shell_max_k,
+                    step_guard_error)
 from .reactions import ReactionSystem
 from .solver import SolverConfig, exponent_error, horizon_steps, negative_species, run
 
@@ -77,11 +78,11 @@ def _shell_noise(solver: SolverConfig, shell: int, gamma: float, d: int,
 
 def _shell_guard_error(solver: SolverConfig, shell: int, nu: float, n: int) -> str | None:
     """Why dt breaks the step guard of _shell_noise's model on n points per
-    axis, or None; the shell annulus has max|k_j| = 2 shell, so this builds
+    axis, or None; shell_max_k gives the annulus' max|k_j|, so this builds
     no spectrum."""
     if not (solver.noise_on and nu > 0):
         return None
-    return step_guard_error(nu, 2 * shell, n, solver.dt)
+    return step_guard_error(nu, shell_max_k(shell), n, solver.dt)
 
 
 def scaling_plan_errors(shells, paths: int, epsilon: float, r: float, q: float,
@@ -120,7 +121,7 @@ class ScalingLimitPlan:
                                            self.q, self.hminus_gamma):
             raise ArgumentErrors(problems)
         n = self.v0[0].grid.n_per_dim
-        if problem := resolution_error(2 * max(self.shells), n):
+        if problem := resolution_error(shell_max_k(max(self.shells)), n):
             raise ValueError(f"shell {max(self.shells)}: {problem}")
         for s in self.shells:
             if problem := _shell_guard_error(self.solver, s, self.nu, n):

@@ -8,10 +8,7 @@ coeffs[0,...,0] is the spatial mean of the field.
 Every transform of the package goes through the helpers below, on scipy.fft
 with one worker: forward, inverse_real and inverse_packed transform the
 trailing d axes, so a leading batch axis (species, derivative components)
-rides along; inverse_pruned is the complex (or real) inverse of a single
-spectrum that lives on the low lines |k_j| <= band of every axis but the
-first (the sampled noise velocity), transformed one axis at a time on those
-lines only.
+rides along.
 """
 
 from __future__ import annotations
@@ -38,6 +35,12 @@ class ArgumentErrors(ValueError):
         super().__init__("; ".join(f"{name}: {msg}" for name, msg in problems.items()))
 
 
+def dealias_band_of(n: int) -> int:
+    """The 2/3 rule keeps the modes with every |k_j| <= n // 3 of a grid of
+    n points per axis."""
+    return n // 3
+
+
 def mode_error(mode, d: int, n: int, empty_ok: bool = False) -> str | None:
     """Why the Fourier mode mode does not fit a d-dimensional grid of n
     points per axis, or None: it needs d components (or none, with
@@ -48,9 +51,10 @@ def mode_error(mode, d: int, n: int, empty_ok: bool = False) -> str | None:
     if len(mode) != d:
         return (f"expected empty or {d} components, got {list(mode)}" if empty_ok
                 else f"expected {d} components, got {len(mode)}")
-    if max(map(abs, mode)) > n // 3:
+    band = dealias_band_of(n)
+    if max(map(abs, mode)) > band:
         return (f"{list(mode)} lies outside the dealias band of grid n = {n}: "
-                f"every |k_j| must be <= n // 3 = {n // 3}")
+                f"every |k_j| must be <= n // 3 = {band}")
     return None
 
 
@@ -80,36 +84,6 @@ def inverse_packed(coeffs: np.ndarray, d: int, overwrite_x: bool = False) -> np.
     """
     return scipy.fft.ifftn(coeffs, axes=_trailing(d), norm="forward",
                            overwrite_x=overwrite_x, workers=1)
-
-
-def inverse_pruned(lines: np.ndarray, n: int, band: int, real: bool = False) -> np.ndarray:
-    """inverse_packed of a spectrum on the (n,)*d grid that is zero off the
-    lines with |k_j| <= band for every axis j >= 1.
-
-    lines holds those lines, shape (n,) + (2 band + 1,)*(d-1), each trailing
-    axis in the order 0..band, -band..-1 (index k_j mod 2 band + 1).  Axis j
-    is transformed before the lines of axis j+1 are zero-filled to n, in
-    pocketfft's own axis order, so the result equals inverse_packed of the
-    zero-filled spectrum bitwise: a zero line transforms to exact zeros.
-
-    With real, the spectrum is Hermitian and the last axis of lines holds
-    its half k_{d-1} = 0..band only, band + 1 entries: the last pass is the
-    real one, after the complex ones as in pocketfft's c2r, so the result
-    equals inverse_real of the zero-filled half bitwise.
-    """
-    out = lines
-    last = lines.ndim - 1
-    for j in range(lines.ndim):
-        if real and j == last:  # irfft zero-fills k_{d-1} = band+1..n/2 itself
-            return scipy.fft.irfft(out, n, axis=j, norm="forward", workers=1)
-        out = scipy.fft.ifft(out, axis=j, norm="forward", overwrite_x=True, workers=1)
-        if j < last and not (real and j + 1 == last):
-            full = np.zeros(out.shape[: j + 1] + (n,) + out.shape[j + 2 :], dtype=complex)
-            head = (slice(None),) * (j + 1)
-            full[head + (slice(None, band + 1),)] = out[head + (slice(None, band + 1),)]
-            full[head + (slice(-band, None),)] = out[head + (slice(-band, None),)]
-            out = full
-    return out
 
 
 def dealias_in_place(coeffs: np.ndarray, d: int, band: int) -> np.ndarray:
@@ -211,7 +185,7 @@ class TorusGrid:
     @property
     def dealias_band(self) -> int:
         """The 2/3 rule keeps the modes with every |k_j| <= n/3."""
-        return self.n_per_dim // 3
+        return dealias_band_of(self.n_per_dim)
 
     def node_coordinates(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays of the grid nodes, each in [0, 1)."""

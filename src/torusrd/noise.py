@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import ArgumentErrors, TorusGrid, inverse_pruned
+from .fields import ArgumentErrors, TorusGrid, dealias_band_of
 
 SPECTRUM_L2_TOL = 1e-12
 C_CFL = 0.5  # explicit-noise step guard: dt <= C_CFL / (nu max|k_j| n)
@@ -137,11 +137,18 @@ def shell_errors(shell_n: int, gamma: float) -> dict[str, str]:
     return problems
 
 
+def shell_max_k(shell_n: int) -> int:
+    """max|k_j| of the annulus shell_n <= |k| <= 2 shell_n of build_theta_shell,
+    without building it: the mode (2 shell_n, 0, ...)."""
+    return 2 * shell_n
+
+
 def build_theta_shell(shell_n: int, gamma: float, d: int) -> NoiseSpectrum:
     """Normalized annulus spectrum: theta ~ |k|^-gamma on shell_n <= |k| <= 2 shell_n."""
     if problems := shell_errors(shell_n, gamma):
         raise ArgumentErrors(problems)
-    rng_1d = np.arange(-2 * shell_n, 2 * shell_n + 1)
+    max_k = shell_max_k(shell_n)
+    rng_1d = np.arange(-max_k, max_k + 1)
     mesh = np.meshgrid(*([rng_1d] * d), indexing="ij")
     lattice = np.stack([m.ravel() for m in mesh], axis=1)
     r2 = np.sum(lattice**2, axis=1)
@@ -265,9 +272,9 @@ def resolution_error(max_k: int, n: int) -> str | None:
     axis, or None.  Their product with the dealias band |k_j| <= n // 3 is
     exact in the band only while 2 (n // 3) + max_k < n: a larger max_k
     folds band-edge products back into the band.  The shell-s annulus has
-    max_k = 2s.
+    max_k = shell_max_k(s) = 2s.
     """
-    band = n // 3
+    band = dealias_band_of(n)
     if 2 * band + max_k < n:
         return None
     return (f"max|k_j| = {max_k} is under-resolved on grid n = {n}: products with the "
@@ -289,12 +296,11 @@ def step_guard_error(nu: float, max_k: int, n: int, dt: float) -> str | None:
 class NoiseGridOps:
     """Grid-resolved noise machinery shared by transport evaluations.
 
-    Precomputes scatter indices of the plus/minus modes and the per-mode
-    basis weights.  Two real components ride one inverse transform as its
-    real and imaginary parts, and the spectrum lives on the lines with
-    |k_j| <= max|k_j| of the trailing axes, so assembling the sampled
-    velocity field costs one pruned transform (inverse_pruned) in d=2, and
-    in d=3 one more, pruned and real, transform of the third component.
+    Precomputes the flat indices of the plus and minus modes on the box
+    |k_j| <= max|k_j| of the support, the per-mode basis weights, and the
+    matrix wave[x, k] = e^{2 pi i x k / n} of the n grid points x of an
+    axis and the box's k_j.  The sampled velocity field is the box's
+    trigonometric sum: one product with wave per axis, no transform.
     """
 
     def __init__(self, model: NoiseModel, grid: TorusGrid):
@@ -305,40 +311,19 @@ class NoiseGridOps:
             raise ValueError(f"noise support {problem}")
         self.grid = grid
         n = grid.n_per_dim
+        k = np.arange(-max_k, max_k + 1)  # box index k_j + max_k
+        # x k mod n first keeps every phase in [0, 2 pi)
+        self.wave = np.exp(2j * np.pi / n * (np.outer(np.arange(n), k) % n))
         plus = model.plus_modes
-        # the lines |k_j| <= max_k of axes 1..d-1, stored at k_j mod 2 max_k + 1
-        self._band = max_k
-        self._lines_shape = (n,) + (2 * max_k + 1,) * (grid.d - 1)
-        wrap = np.array([n] + [2 * max_k + 1] * (grid.d - 1))[:, None]
-        # |k_j| <= max_k, below half of each wrap, keeps plus and minus apart
-        self._flat_plus = np.ravel_multi_index(tuple(plus.T % wrap), self._lines_shape)
-        self._flat_minus = np.ravel_multi_index(tuple(-plus.T % wrap), self._lines_shape)
-        if grid.d == 3:
-            # the real third component from the lines of its Hermitian half
-            # k_3 = 0..max_k, which hold k for k_3 >= 0 and -k for k_3 <= 0:
-            # both when k_3 = 0
-            self._half_shape = self._lines_shape[:-1] + (max_k + 1,)
-            self._half_plus = plus[:, -1] >= 0
-            self._half_minus = plus[:, -1] <= 0
-            self._flat_half_plus = np.ravel_multi_index(
-                tuple(plus[self._half_plus].T % wrap), self._half_shape)
-            self._flat_half_minus = np.ravel_multi_index(
-                tuple(-plus[self._half_minus].T % wrap), self._half_shape)
+        # the plus modes, then the minus modes
+        self._flat = np.ravel_multi_index(tuple(np.concatenate([plus, -plus]).T + max_k),
+                                          (len(k),) * grid.d)
         # weight[m, alpha, j] = sqrt(c_d nu) * theta_m * a_{m,alpha}^j
         self.weights = (
             np.sqrt(model.c_d * model.nu)
             * model.theta_plus[:, None, None]
             * model.basis_plus
         )
-
-    def _inverse_half(self, plus_amp: np.ndarray) -> np.ndarray:
-        """Real grid values of the Hermitian spectrum with plus_amp on the
-        plus modes, from the lines of its half k_3 >= 0 (d = 3)."""
-        half = np.zeros(self._half_shape, dtype=complex)
-        flat = half.reshape(-1)
-        flat[self._flat_half_plus] = plus_amp[self._half_plus]
-        flat[self._flat_half_minus] = np.conj(plus_amp[self._half_minus])
-        return inverse_pruned(half, self.grid.n_per_dim, self._band, real=True)
 
     def velocity_field(self, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Packed velocity (w, u_2) for one step's plus-mode increments dw
@@ -347,19 +332,29 @@ class NoiseGridOps:
         The velocity is u = sqrt(c_d nu) sum_{k,alpha} theta_k a_{k,alpha}
         e^{2 pi i k.x} dW^{k,alpha}; it is divergence free mode by mode.
         w = u_0 - i u_1 packs the first two components so that, for
-        z = a + i b, Re(z w) = u_0 a + u_1 b: u_0, u_1 have Hermitian
-        spectra, so the inverse transform of u_0 + i u_1 is u_0 + i u_1 in
-        grid space, and w is its conjugate.  u_2 is the real third
-        component in d = 3, None in d = 2.
+        z = a + i b, Re(z w) = u_0 a + u_1 b (u_0, u_1 are real); it is
+        the trigonometric sum of the spectrum u_0(k) - i u_1(k).  u_2 is
+        the real third component in d = 3, None in d = 2.  Both are
+        C-contiguous arrays of the grid's shape.
         """
+        d, wave = self.grid.d, self.wave
+        side = wave.shape[1]
         amp = np.einsum("ma,maj->mj", dw, self.weights)
-        lines = np.zeros(self._lines_shape, dtype=complex)
-        flat = lines.reshape(-1)
-        flat[self._flat_plus] = amp[:, 0] + 1j * amp[:, 1]
-        flat[self._flat_minus] = np.conj(amp[:, 0]) + 1j * np.conj(amp[:, 1])
-        w = inverse_pruned(lines, self.grid.n_per_dim, self._band)
-        np.conjugate(w, out=w)
-        return w, (self._inverse_half(amp[:, 2]) if self.grid.d == 3 else None)
+        amp = np.concatenate([amp, amp.conj()])  # a minus mode's amplitude is the conjugate
+        box = np.zeros((d - 1, side**d), dtype=complex)
+        box[0, self._flat] = amp[:, 0] - 1j * amp[:, 1]
+        if d == 3:
+            box[1, self._flat] = amp[:, 2]
+        # the sum over k_{d-1}, and in d = 3 over k_1, of both components at once
+        sums = box.reshape((d - 1,) + (side,) * d) @ wave.T
+        if d == 3:
+            sums = wave @ sums
+        # then over k_0, one component at a time: w holds no part of u_2
+        w = (wave @ sums[0].reshape(side, -1)).reshape(self.grid.shape)
+        if d == 2:
+            return w, None
+        u2 = (wave @ sums[1].reshape(side, -1)).real
+        return w, np.ascontiguousarray(u2).reshape(self.grid.shape)
 
 
 def spectrum_to_csv(spectrum: NoiseSpectrum, path) -> None:

@@ -61,6 +61,8 @@ SCHEMES = ("euler_maruyama_ito", "strat_substep")
 EXPM_TAIL_TOL = 1e-16
 # relative round-off margin by which sup_bound must clear the blow-up threshold
 SUP_BOUND_MARGIN = 1e-9
+# the band part of nonnegative data may dip below 0 by this times max|v0_i|
+NONNEG_TOL = 1e-12
 
 
 def horizon_steps(T: float, dt: float) -> int | None:
@@ -543,9 +545,24 @@ class Stepper:
         )
 
 
+def band_part(v0: list[GridField]) -> np.ndarray:
+    """Spectral coefficients of the dealias-band part of the species data v0,
+    the data the scheme integrates."""
+    grid = v0[0].grid
+    fields = forward(np.stack([f.values for f in v0]), grid.d)
+    return dealias_in_place(fields, grid.d, grid.dealias_band)
+
+
 def negative_species(v0: list[GridField]) -> int | None:
-    """The first species whose data is negative somewhere, or None."""
-    return next((i for i, f in enumerate(v0) if np.min(f.values) < 0), None)
+    """The first species whose band part (band_part) is negative somewhere,
+    or None.  Negative is below -NONNEG_TOL max|v0_i|: the band part of
+    data whose minimum is exactly 0 dips below 0 by round-off."""
+    grid = v0[0].grid
+    axes = tuple(range(1, grid.d + 1))
+    lows = np.min(inverse_real(band_part(v0)[..., : grid.n_per_dim // 2 + 1], grid.shape),
+                  axis=axes)
+    floors = [-NONNEG_TOL * np.max(np.abs(f.values)) for f in v0]
+    return next((i for i, (low, floor) in enumerate(zip(lows, floors)) if low < floor), None)
 
 
 def initial_state(
@@ -554,7 +571,8 @@ def initial_state(
     cfg: SolverConfig,
 ) -> SimState:
     """The t = 0 state of v0's dealias-band part; v0 must lie on grid, be
-    finite and, if cfg.require_nonneg, >= 0."""
+    finite and, if cfg.require_nonneg, have a nonnegative band part
+    (negative_species)."""
     if any(f.grid != grid for f in v0):
         raise ValueError("initial fields must share one grid")
     for f in v0:
@@ -562,9 +580,7 @@ def initial_state(
             raise ValueError("initial data contains non-finite values")
     if cfg.require_nonneg and (i := negative_species(v0)) is not None:
         raise ValueError(f"require_nonneg: species {i} has negative initial data")
-    # the scheme integrates the dealiased system: its data is v0's band part
-    fields = forward(np.stack([f.values for f in v0]), grid.d)
-    return SimState(t=0.0, fields=dealias_in_place(fields, grid.d, grid.dealias_band))
+    return SimState(t=0.0, fields=band_part(v0))
 
 
 def run(

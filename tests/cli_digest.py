@@ -1,6 +1,6 @@
 """One SHA-256 over the outputs of a fixed set of tiny CLI runs.
 
-Each run of RUNS (16^2 to 24^2 grids and one 24^3 grid, at most 20 steps)
+Each run of RUNS (16^2 to 50^2 grids and two 24^3 grids, at most 20 steps)
 writes into its own folder of a temporary directory.  The digest covers
 every file there, in path order, with each manifest's `# timestamp` line
 removed, so two trees that give the same digest wrote the same bytes.  It
@@ -29,6 +29,7 @@ LOGISTIC = ("reaction.kind = builtin:logistic\nreaction.nu = [0.05]\n"
 MASS_ACTION = ("reaction.kind = mass_action\nreaction.q = [2, 0]\nreaction.p = [0, 1]\n"
                "reaction.nu = [0.05, 0.08]\nv0.kind = random_smooth\nv0.offset = 1.0\n"
                "v0.amplitude = 0.3\nv0.seed = 5\n")
+GRID_3D = "grid.d = 3\ngrid.n = 24\nsolver.dt = 0.005\nsolver.T = 0.015\nsolver.seed = 3\n"
 DECAY = ("grid.n = 16\nsolver.dt = 0.01\nsolver.T = 0.2\nreaction.kind = builtin:decay\n"
          "v0.offset = 1.5\nv0.amplitude = 0.5\nexperiment.tracked_mode = [1, 0]\n"
          "experiment.paths = 2\n")
@@ -42,13 +43,16 @@ RUNS = {
     "simulate_mass_action": (["simulate"], BASE + MASS_ACTION + "cutoff.enabled = true\n"
                              "cutoff.R = 0.2\nsolver.lq_norms = [2, 4]\n"
                              "solver.balance_q = [2, 4]\n", False),
+    # the sweep's largest velocity box, |k_j| <= 16, on the smallest grid that resolves it
+    "simulate_shell8": (["simulate"], BASE.replace("grid.n = 16", "grid.n = 50") + LOGISTIC
+                        + "noise.shell_n = 8\n", False),
     "simulate_strat": (["simulate"], BASE + LOGISTIC + "solver.scheme = strat_substep\n", False),
     "simulate_det": (["simulate-det"], BASE + LOGISTIC + "noise.nu = 0.1\n", False),
-    # the d = 3 branches: the third velocity and derivative components, on a
-    # 20-point Wong-Zakai product grid
-    "simulate_strat_3d": (["simulate"], "grid.d = 3\ngrid.n = 24\nsolver.dt = 0.005\n"
-                          "solver.T = 0.015\nsolver.seed = 3\n" + MASS_ACTION
-                          + "solver.scheme = strat_substep\n", False),
+    # the d = 3 branches: the third velocity and derivative components, on the
+    # n-grid (Ito) and on a 20-point Wong-Zakai product grid
+    "simulate_ito_3d": (["simulate"], GRID_3D + MASS_ACTION, False),
+    "simulate_strat_3d": (["simulate"], GRID_3D + MASS_ACTION + "solver.scheme = strat_substep\n",
+                          False),
     "scaling_limit": (["scaling-limit"], "grid.n = 24\nsolver.dt = 0.002\nsolver.T = 0.02\n"
                       "solver.record_every = 2\nexperiment.shells = [1, 2]\nexperiment.paths = 2\n"
                       "experiment.hminus_gamma = 0.5\n", True),

@@ -334,6 +334,17 @@ class TestSurvival:
             SurvivalPlan(nus=(0.1,), shell_n=1, gamma=0.0, paths=2,
                          solver=cfg, sys=sys, v0=v0)
 
+    def test_data_with_a_negative_band_part_rejected(self):
+        # a box indicator has minimum 0, but its band part, the data the
+        # paths integrate, reaches -0.150
+        grid = TorusGrid(2, 16)
+        x, y = grid.node_coordinates()
+        v0 = [GridField(grid, ((x < 0.25) & (y < 0.25)).astype(float))]
+        cfg = SolverConfig(dt=5e-3, T=0.1, noise_on=True, balance_q=())
+        with pytest.raises(ValueError, match="v0 >= 0"):
+            SurvivalPlan(nus=(0.1,), shell_n=1, gamma=0.0, paths=2,
+                         solver=cfg, sys=build_builtin("logistic", [0.1]), v0=v0)
+
 
 class TestDecay:
     def _plan(self, v0_value=1.5, nu=0.0, paths=1, tracked=None, T=2.0, n=16):

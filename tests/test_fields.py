@@ -11,7 +11,6 @@ from torusrd.fields import (
     dealias_in_place,
     forward,
     inverse_packed,
-    inverse_pruned,
     inverse_real,
     read_snapshot,
     write_snapshot,
@@ -98,34 +97,6 @@ class TestTransformHelpers:
         got = inverse_packed(coeffs.copy() if overwrite_x else coeffs, d, overwrite_x=overwrite_x)
         assert got.shape == expected.shape
         assert rel_err(got, expected) <= 1e-13
-
-    # the noise velocity's lines: 96^2 at shells 1 and 8, 16^3 and 32^3 at shell 2
-    @pytest.mark.parametrize("d, n, band", [(2, 96, 2), (2, 96, 16), (3, 16, 4), (3, 32, 4)])
-    def test_inverse_pruned_is_inverse_packed_of_zero_filled(self, d, n, band):
-        rng = np.random.default_rng(n + band)
-        shape = (n,) + (2 * band + 1,) * (d - 1)
-        lines = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        idx = np.r_[0 : band + 1, n - band : n]
-        full = np.zeros((n,) * d, dtype=complex)
-        full[(slice(None),) + np.ix_(*([idx] * (d - 1)))] = lines
-        expected = inverse_packed(full, d)
-        got = inverse_pruned(lines, n, band)
-        assert got.tobytes() == expected.tobytes()  # bitwise
-
-    # the third velocity component's half lines at 16^3 and 32^3, shells 1 and 2
-    @pytest.mark.parametrize("n", [16, 32])
-    @pytest.mark.parametrize("band", [2, 4])
-    def test_real_inverse_pruned_is_inverse_real_of_zero_filled_half(self, n, band):
-        rng = np.random.default_rng(n + band)
-        shape = (n, 2 * band + 1, band + 1)
-        lines = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        idx = np.r_[0 : band + 1, n - band : n]
-        half = np.zeros((n, n, n // 2 + 1), dtype=complex)
-        half[:, idx[:, None], np.arange(band + 1)] = lines
-        expected = inverse_real(half, (n, n, n))
-        got = inverse_pruned(lines.copy(), n, band, real=True)
-        assert got.dtype == np.float64
-        assert got.tobytes() == expected.tobytes()  # bitwise
 
 
 def to_values(grid, coeffs):

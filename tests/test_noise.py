@@ -13,6 +13,7 @@ from torusrd.noise import (
     hyperplane_bases,
     path_rng,
     sample_increments,
+    shell_max_k,
     spectrum_from_csv,
     spectrum_to_csv,
     verify_ellipticity,
@@ -100,6 +101,11 @@ class TestThetaShell:
         sp = build_theta_shell(2, 0.0, 2)
         assert len(sp.support) == 40
         assert np.allclose(sp.theta, 40**-0.5)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shell_max_k_is_the_annulus_max_component(self, d):
+        for shell in range(1, 9):
+            assert shell_max_k(shell) == build_theta_shell(shell, 0.5, d).max_component()
 
     def test_linf_decreasing_in_n(self):
         linfs = [build_theta_shell(n, 0.0, 2).linf() for n in (1, 2, 4, 8)]
@@ -317,7 +323,10 @@ class TestTransport:
         with pytest.raises(ValueError, match="under-resolved"):
             NoiseGridOps(model, TorusGrid(2, 64))
 
-    @pytest.mark.parametrize("d, n, shell", [(2, 32, 2), (3, 16, 1)])
+    # (2, 96, 8) is the shell sweep's largest box, (2, 48, 2) the Wong-Zakai
+    # product grid of a 64^2 shell-2 run
+    @pytest.mark.parametrize("d, n, shell", [(2, 32, 2), (2, 96, 8), (2, 48, 2), (3, 16, 1),
+                                             (3, 24, 1), (3, 32, 2)])
     def test_packed_velocity_matches_per_component_transforms(self, d, n, shell):
         # direct formula: one complex inverse transform per component of
         # sqrt(c_d nu) sum_{k, alpha} theta_k a_{k,alpha} dW(k, alpha) e^{2 pi i k.x}
@@ -326,6 +335,10 @@ class TestTransport:
         inc = sample_increments(model, 1e-2, path_rng(4, 0, 0))
         w, u2 = NoiseGridOps(model, grid).velocity_field(inc)
         assert (u2 is None) == (d == 2)
+        # the Wong-Zakai step scales both in place through a float64 view
+        for part in (w, u2) if d == 3 else (w,):
+            assert part.shape == grid.shape and part.flags.c_contiguous
+        assert u2 is None or u2.dtype == np.float64
         got = [w.real, -w.imag, u2]  # w = u_0 - i u_1
         for j in range(d):
             spec = np.zeros(grid.shape, dtype=complex)

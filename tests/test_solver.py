@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import torusrd.solver as solver_module
+from torusrd.config import RunConfig, build_v0
 from torusrd.diagnostics import RecordBuilder, lq_norm_vector
 from torusrd.experiments import ScalingLimitPlan, run_scaling_limit
 from torusrd.fields import ArgumentErrors, GridField, TorusGrid, dealias_in_place, forward
@@ -30,6 +31,7 @@ from torusrd.solver import (
     Stepper,
     chebyshev_expm,
     initial_state,
+    negative_species,
     phi_bump,
     run,
     sup_bound,
@@ -245,6 +247,32 @@ class TestRunContract:
         v0 = [GridField(grid, -np.ones(grid.shape))]
         with pytest.raises(ValueError, match="nonneg"):
             run(build_builtin("zero", [0.1]), None, cfg, v0)
+
+    def test_require_nonneg_checks_the_band_part(self):
+        # a box indicator has minimum 0, but its band part, the data the
+        # scheme integrates, reaches -0.150
+        grid = TorusGrid(2, 16)
+        x, y = grid.node_coordinates()
+        v0 = [GridField(grid, ((x < 0.25) & (y < 0.25)).astype(float))]
+        assert np.min(v0[0].values) == 0.0
+        assert negative_species(v0) == 0
+        cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False, require_nonneg=True)
+        with pytest.raises(ValueError, match="require_nonneg: species 0"):
+            initial_state(grid, v0, cfg)
+
+    # data whose minimum is exactly 0: their band parts dip below 0 by round-off
+    @pytest.mark.parametrize("text", [
+        "grid.n = 16\nv0.kind = single_mode\n",
+        "grid.n = 64\nv0.kind = single_mode\n",
+        "grid.d = 3\ngrid.n = 24\nv0.kind = single_mode\nv0.mode = [1, 1, 0]\n",
+        "grid.n = 48\nv0.kind = random_smooth\nv0.seed = 4\n",
+    ])
+    def test_require_nonneg_admits_round_off_of_zero_minimum_data(self, text):
+        cfg = RunConfig.from_text(text + "v0.offset = 1.0\nv0.amplitude = 1.0\n")
+        v0 = build_v0(cfg, cfg.grid, 1)
+        assert np.min(v0[0].values) == 0.0
+        assert negative_species(v0) is None
+        initial_state(cfg.grid, v0, SolverConfig(dt=0.1, T=0.1, require_nonneg=True))
 
     @pytest.mark.parametrize("v0, error", [
         ([GridField(TorusGrid(2, 8), np.full((8, 8), np.inf))], "non-finite"),
