@@ -13,6 +13,7 @@ rides along.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -101,6 +102,20 @@ def dealias_in_place(coeffs: np.ndarray, d: int, band: int) -> np.ndarray:
     return coeffs
 
 
+def copy_band(src: np.ndarray, dst: np.ndarray, d: int, band: int) -> np.ndarray:
+    """Copy the coefficients with every |k_j| <= band over the trailing d
+    axes of src into dst, and return dst.  Both are in fftn layout with
+    more than 2 band points per axis; their grids may differ in size.
+
+    Each axis holds k_j = 0..band at its start and -band..-1 at its end, so
+    the band is 2^d corner blocks, copied by slices: no index array is
+    built, and no entry outside the band is read or written.
+    """
+    for corner in itertools.product((slice(0, band + 1), slice(-band, None)), repeat=d):
+        dst[(Ellipsis,) + corner] = src[(Ellipsis,) + corner]
+    return dst
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform grid on the d-torus, n_per_dim points per axis."""
@@ -172,15 +187,6 @@ class TorusGrid:
             TWO_PI * 1j * np.where(np.abs(ka) == ny, 0.0, ka.astype(float))
             for ka in self.k_axes
         )
-
-    def band_index(self, band: int) -> tuple[np.ndarray, ...]:
-        """Open-mesh index of the modes with every |k_j| <= band < n/2.
-
-        Each axis runs 0..band, -band..-1, so the same index order holds on
-        every grid with more than 2 band points per axis.
-        """
-        idx = np.r_[0 : band + 1, self.n_per_dim - band : self.n_per_dim]
-        return np.ix_(*([idx] * self.d))
 
     @property
     def dealias_band(self) -> int:

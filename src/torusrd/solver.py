@@ -18,8 +18,13 @@ propagator then carries nu_i only.
 The state lives in the dealias band |k_j| <= K = n/3: initial_state
 projects v0 onto it, and every step keeps it there (the transport and the
 drift are dealiased, the propagator is diagonal).  With the velocity in
-|k_j| <= K_u, the Wong-Zakai series runs on a product grid of M > 2K + K_u
-points per axis, where its products are exact (product_grid_size).
+|k_j| <= K_u, the product (u.grad)v is exact in the band on a product grid
+of M > 2K + K_u points per axis (product_grid_size).  The Wong-Zakai series
+and the pure-transport Ito step run there: an Ito transport with no
+reaction source and no reused balance gradient copies the band onto the
+M-grid, takes one M^d transform each way, and copies the band back.  An
+Ito step with a source or a gradient takes its product on the n-grid, where
+the source rides the product's forward transform.
 
 Blow-up (threshold crossing of the L^{q0} norm, or non-finite values) is a
 recorded outcome with a tau estimate, never a process failure.  A step
@@ -41,7 +46,9 @@ overflowed either.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +56,8 @@ import scipy.fft
 from scipy.special import jv
 
 from .diagnostics import DiagnosticsRecord, RecordBuilder, grid_mean, lq_norm_vector
-from .fields import (ArgumentErrors, GridField, TorusGrid, dealias_in_place, forward,
-                     inverse_packed, inverse_real)
+from .fields import (ArgumentErrors, GridField, TorusGrid, copy_band, dealias_in_place,
+                     forward, inverse_packed, inverse_real)
 from .noise import (NoiseGridOps, NoiseModel, path_rng, sample_increments, seed_error,
                     step_guard_error)
 from .reactions import ReactionSystem
@@ -119,7 +126,9 @@ def _multiply_species(stack: np.ndarray, factor: np.ndarray) -> None:
 def product_grid_size(n: int, band: int, max_k: int) -> int:
     """Points per axis on which (u.grad)v is exact in the band |k_j| <= band
     for v in that band and u in |k_j| <= max_k: the smallest even fast
-    transform length M > 2 band + max_k, capped at n.
+    transform length M > 2 band + max_k, capped at n.  M is at least 8, the
+    smallest TorusGrid: at n = 8 (band 2) a support with max_k = 1 would
+    otherwise give 6.
 
     The product has |k_j| <= band + max_k, so its aliases on M points sit
     at |k_j| >= M - band - max_k > band, outside the band.
@@ -127,7 +136,7 @@ def product_grid_size(n: int, band: int, max_k: int) -> int:
     m = scipy.fft.next_fast_len(2 * band + max_k + 1)
     while m % 2:
         m = scipy.fft.next_fast_len(m + 1)
-    return min(m, n)
+    return min(max(m, 8), n)
 
 
 class ProductLayout(NamedTuple):
@@ -236,7 +245,10 @@ class SolverConfig:
             problems["blowup_threshold"] = f"must be > 0, got {self.blowup_threshold}"
         if problem := seed_error(self.seed):
             problems["seed"] = problem
-        if self.record_every < 1:
+        every = self.record_every  # a bool or a float is no step count
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral):
+            problems["record_every"] = f"must be an integer, got {every!r}"
+        elif every < 1:
             problems["record_every"] = "must be >= 1"
         for name, low in (("lq_norms", 1.0), ("balance_q", 2.0)):  # L^q balance: q >= 2
             if problem := exponent_error(tuple(getattr(self, name)), low):
@@ -273,8 +285,7 @@ class Stepper:
         self.sys = sys
         self.cfg = cfg
         self.noise = noise if cfg.noise_on else None
-        ito = self.noise is not None and cfg.scheme == "euler_maruyama_ito"
-        self.noise_ops = NoiseGridOps(self.noise, grid) if ito else None
+        self.ito = ito = self.noise is not None and cfg.scheme == "euler_maruyama_ito"
 
         if self.noise is not None:
             problem = step_guard_error(self.noise.nu, self.noise.spectrum.max_component(),
@@ -295,21 +306,40 @@ class Stepper:
         overflow = (np.finfo(float).max / math.prod(grid.shape)) ** (1.0 / cfg.blowup_norm_q0)
         self.bound_cap = (1.0 - SUP_BOUND_MARGIN) * min(cfg.blowup_threshold, overflow)
         self.band = grid.dealias_band  # products keep |k_j| <= n/3 (dealias_in_place)
-        self.layout = ProductLayout.of(grid)
         # real inverse transforms read the Hermitian half k_d <= n/2 only
         self._half = grid.n_per_dim // 2 + 1
         self.zero_index = (Ellipsis,) + (0,) * grid.d  # mode 0 of every species
         self.grid_axes = tuple(range(-grid.d, 0))  # the grid axes of a species stack
         if self.noise is not None and not ito:
-            self._band = grid.band_index(self.band)
-            # max |2 pi k| over the band: ||(u.grad)|| <= max|u| * k_max there
-            self.k_max = math.sqrt(-lam[self._band].min())
-            # the grid of the Wong-Zakai products, M <= n points per axis
-            product = TorusGrid(grid.d, product_grid_size(
-                grid.n_per_dim, self.band, self.noise.spectrum.max_component()))
-            self._product_band = product.band_index(self.band)
-            self.product_layout = ProductLayout.of(product, self.band)
-            self.product_noise_ops = NoiseGridOps(self.noise, product)
+            # max |2 pi k| over the band, at its corners k = (+-band, ...):
+            # ||(u.grad)|| <= max|u| * k_max there
+            self.k_max = math.sqrt(-lam[(self.band,) * grid.d])
+
+    # -- the two grids, each built when a step first needs it -------------
+
+    @cached_property
+    def layout(self) -> ProductLayout:
+        """The n-grid layout: the gradients, and the transport of a step with
+        a source or a gradient."""
+        return ProductLayout.of(self.grid)
+
+    @cached_property
+    def noise_ops(self) -> NoiseGridOps:
+        """The n-grid velocity of a transport with a source or a gradient."""
+        return NoiseGridOps(self.noise, self.grid)
+
+    @cached_property
+    def product_layout(self) -> ProductLayout:
+        """The band layout of the product grid, M <= n points per axis
+        (product_grid_size): pure transport and the Wong-Zakai series."""
+        m = product_grid_size(self.grid.n_per_dim, self.band,
+                              self.noise.spectrum.max_component())
+        return ProductLayout.of(TorusGrid(self.grid.d, m), self.band)
+
+    @cached_property
+    def product_noise_ops(self) -> NoiseGridOps:
+        """The velocity on the product grid."""
+        return NoiseGridOps(self.noise, TorusGrid(self.grid.d, self.product_layout.shape[0]))
 
     # -- spectral helpers ------------------------------------------------
 
@@ -356,15 +386,17 @@ class Stepper:
                        grad: tuple[np.ndarray, np.ndarray | None] | None = None) -> np.ndarray:
         """Spectral coefficients of (u.grad)v for a species or a stack of
         species (...); vel is the packed velocity (w, u_2) of
-        NoiseGridOps.velocity_field, both on the grid of layout (default:
-        the stepper's).
+        NoiseGridOps.velocity_field, both on the grid of layout: the
+        stepper's n-grid by default, or the product grid (product_layout)
+        of pure transport and the Wong-Zakai series.
 
         The first two derivative components ride a single inverse transform
         z, and Re(z w) is their product with u_0 and u_1.  A real grid term
         source is added before the forward transform, which then takes the
         sum: mode 0 of the result is the source's mean, and 0 without one.
         grad, the packed gradient of coeffs on that grid when the caller has
-        it, saves the derivative transform and is multiplied in place.
+        it, saves the derivative transform and is multiplied in place; coeffs
+        is then not read.
 
         On the stepper's grid the result is dealiased.  A product layout
         leaves its entries outside the band as they come: its derivative
@@ -397,9 +429,27 @@ class Stepper:
         plus-mode increments dw, plus the spectral coefficients of the
         dealiased real grid term source (ell, n, ..., n) when one is given,
         in the same forward transform.  grad is the packed gradient of
-        fields (gradients), if already taken; it is multiplied in place."""
-        return self._advection_rhs(fields, self.noise_ops.velocity_field(dw), source=source,
-                                   grad=grad)
+        fields (gradients), if already taken; it is multiplied in place.
+
+        With a source or a gradient the product is taken on the n-grid.
+        Pure transport reads the band of fields only: it runs on the band
+        of the product grid (product_layout), where the product is exact,
+        one M^d transform each way, and its band is copied back into zeros.
+        """
+        if source is not None or grad is not None:
+            return self._advection_rhs(fields, self.noise_ops.velocity_field(dw),
+                                       source=source, grad=grad)
+        lay, d = self.product_layout, self.grid.d
+        y = copy_band(fields, np.zeros(fields.shape[:-d] + lay.shape, dtype=complex), d,
+                      self.band)
+        # each array is freed after its last reader: the band copy before the
+        # velocity is assembled, the derivative before the result
+        grad = self._derivatives(y, lay)
+        del y
+        out = self._advection_rhs(None, self.product_noise_ops.velocity_field(dw), lay,
+                                  grad=grad)
+        del grad
+        return copy_band(out, np.zeros_like(fields), d, self.band)
 
     def _advect(self, fields: np.ndarray, dw: np.ndarray) -> None:
         """Wong-Zakai substep, in place: the flow of dv/ds = (u.grad)v over
@@ -427,12 +477,11 @@ class Stepper:
         for part in vel:  # times a real scale, float by float: the bits of scaling u
             if part is not None:
                 np.multiply(part.view(np.float64), scale, out=part.view(np.float64))
-        lay = self.product_layout
+        lay, d = self.product_layout, self.grid.d
         for f in fields:
-            y = np.zeros(lay.shape, dtype=complex)
-            y[self._product_band] = f[self._band]
+            y = copy_band(f, np.zeros(lay.shape, dtype=complex), d, self.band)
             y = chebyshev_expm(lambda q: self._advection_rhs(q, vel, lay), y, rho)
-            f[self._band] = y[self._product_band]
+            copy_band(y, f, d, self.band)
 
     # -- the step ---------------------------------------------------------
 
@@ -461,7 +510,7 @@ class Stepper:
 
         if self.noise is not None and dw is None:
             raise ValueError("noise is active but no increments were given")
-        ito = self.noise_ops is not None
+        ito = self.ito
         drift_on = not self.sys.is_linear and phi != 0.0
         # the pre-step values are read by the balance, the drift and a
         # cut-off that has no carried-over integrand only

@@ -1,6 +1,6 @@
 """One SHA-256 over the outputs of a fixed set of tiny CLI runs.
 
-Each run of RUNS (16^2 to 50^2 grids and two 24^3 grids, at most 20 steps)
+Each run of RUNS (16^2 to 50^2 grids and three 24^3 grids, at most 20 steps)
 writes into its own folder of a temporary directory.  The digest covers
 every file there, in path order, with each manifest's `# timestamp` line
 removed, so two trees that give the same digest wrote the same bytes.  It
@@ -49,8 +49,13 @@ RUNS = {
     "simulate_strat": (["simulate"], BASE + LOGISTIC + "solver.scheme = strat_substep\n", False),
     "simulate_det": (["simulate-det"], BASE + LOGISTIC + "noise.nu = 0.1\n", False),
     # the d = 3 branches: the third velocity and derivative components, on the
-    # n-grid (Ito) and on a 20-point Wong-Zakai product grid
+    # n-grid (Ito with a source and balance gradients), and on the 20-point
+    # product grid (pure-transport Ito and Wong-Zakai)
     "simulate_ito_3d": (["simulate"], GRID_3D + MASS_ACTION, False),
+    "simulate_transport_3d": (["simulate"], GRID_3D + "reaction.kind = builtin:zero\n"
+                              "reaction.nu = [0.02]\nnoise.shell_n = 1\n"
+                              "solver.track_balance = false\nv0.kind = random_smooth\n"
+                              "v0.offset = 1.0\nv0.amplitude = 0.3\nv0.seed = 5\n", False),
     "simulate_strat_3d": (["simulate"], GRID_3D + MASS_ACTION + "solver.scheme = strat_substep\n",
                           False),
     "scaling_limit": (["scaling-limit"], "grid.n = 24\nsolver.dt = 0.002\nsolver.T = 0.02\n"

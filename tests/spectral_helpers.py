@@ -1,7 +1,8 @@
 """Test helpers on fftn-layout coefficients (fields.forward's layout): the
 real field of a single Fourier mode, the Hermitian-symmetry defect of a
-spectrum and the mask of the dealias band; and on noise increments: the
-half-lattice sign of a mode and the increment of any mode of the support."""
+spectrum, the mask of the dealias band and the index of a band; and on
+noise increments: the half-lattice sign of a mode and the increment of any
+mode of the support."""
 
 import numpy as np
 
@@ -42,6 +43,14 @@ def dealias_mask(grid: TorusGrid) -> np.ndarray:
     for ka in grid.k_axes:
         mask &= np.abs(ka) <= grid.dealias_band
     return mask
+
+
+def band_index(grid: TorusGrid, band: int) -> tuple[np.ndarray, ...]:
+    """Open-mesh index of the modes with every |k_j| <= band < n/2 on grid.
+    Each axis runs 0..band, -band..-1, so the index order is the same on
+    every grid with more than 2 band points per axis."""
+    idx = np.r_[0 : band + 1, grid.n_per_dim - band : grid.n_per_dim]
+    return np.ix_(*([idx] * grid.d))
 
 
 def lattice_partition(k) -> int:

@@ -8,6 +8,7 @@ from torusrd.fields import (
     ArgumentErrors,
     GridField,
     TorusGrid,
+    copy_band,
     dealias_in_place,
     forward,
     inverse_packed,
@@ -18,7 +19,7 @@ from torusrd.fields import (
 from torusrd.diagnostics import lq_norm_vector
 from torusrd.solver import SolverConfig
 
-from spectral_helpers import dealias_mask, hermitian_defect, mode_coeffs, mode_field
+from spectral_helpers import band_index, dealias_mask, hermitian_defect, mode_coeffs, mode_field
 
 
 @pytest.fixture
@@ -244,7 +245,7 @@ class TestDealias:
             band, mask = grid.dealias_band, dealias_mask(grid)
         else:
             mask = np.zeros(grid.shape, dtype=bool)
-            mask[grid.band_index(band)] = True
+            mask[band_index(grid, band)] = True
         rng = np.random.default_rng(d + 10 * ell)
         coeffs = forward(rng.standard_normal((ell,) + grid.shape), d)
         coeffs = coeffs if ell > 1 else coeffs[0]
@@ -256,6 +257,26 @@ class TestDealias:
         assert got[..., mask].tobytes() == coeffs[..., mask].tobytes()
         zeroed = got[..., ~mask]
         assert not np.any(np.signbit(zeroed.real) | np.signbit(zeroed.imag))
+
+    @pytest.mark.parametrize("d, n, m", [(2, 96, 70), (3, 24, 20), (2, 50, 50)])
+    def test_copy_band_moves_the_band_between_grids(self, d, n, m):
+        # the corner blocks of the n-grid's band land in the m-grid's band,
+        # bit for bit, in both directions; nothing else is written
+        band = TorusGrid(d, n).dealias_band
+        small, big = TorusGrid(d, m), TorusGrid(d, n)
+        rng = np.random.default_rng(d)
+        src = forward(rng.standard_normal((2,) + big.shape), d)
+        dst = forward(rng.standard_normal((2,) + small.shape), d)
+        expected = dst.copy()
+        expected[(Ellipsis,) + band_index(small, band)] = src[(Ellipsis,) + band_index(big, band)]
+        assert copy_band(src, dst, d, band) is dst
+        assert dst.tobytes() == expected.tobytes()
+        back = np.zeros_like(src)
+        copy_band(dst, back, d, band)
+        mask = np.zeros(big.shape, dtype=bool)
+        mask[band_index(big, band)] = True
+        assert back[..., mask].tobytes() == src[..., mask].tobytes()
+        assert not np.any(back[..., ~mask])
 
     def test_product_matches_convolution_oracle(self):
         # supports |k_j| <= 3 on n = 12: the grid product has degree <= 6,

@@ -5,8 +5,9 @@ false; the rules are written `not x > 0` so that NaN breaks them.  The parse
 rejects NaN and inf before any constructor sees them (`<key>: expected a
 finite number`), so the constructors, plan rules and closed forms are probed
 here directly.  An infinite exponent passes a lower bound but switches its
-check off, so the exponent rules also reject inf; and a seed must be an
-integer in the signed 64-bit range, the key word of a Philox stream.
+check off, so the exponent rules also reject inf; a seed must be an
+integer in the signed 64-bit range, the key word of a Philox stream; and a
+record interval must be an integer >= 1.
 """
 
 import math
@@ -202,6 +203,28 @@ def test_seeds_that_are_not_integers_are_rejected(seed):
     with pytest.raises(ArgumentErrors) as info:
         _solver(seed=seed)
     assert info.value.problems == {"seed": expected}
+
+
+@pytest.mark.parametrize("every", [2.5, 2.0, NAN, INF, True, False, np.True_, np.float64(5.0),
+                                   "3", None])
+def test_record_intervals_that_are_not_integers_are_rejected(every):
+    # 2.5 once recorded every 5 steps, NaN only the last step (NaN < 1 is
+    # false), and True as 1
+    with pytest.raises(ArgumentErrors) as info:
+        _solver(record_every=every)
+    assert info.value.problems == {"record_every": f"must be an integer, got {every!r}"}
+
+
+@pytest.mark.parametrize("every", [0, -3, np.int64(0)])
+def test_record_intervals_below_one_are_rejected(every):
+    with pytest.raises(ArgumentErrors) as info:
+        _solver(record_every=every)
+    assert info.value.problems == {"record_every": "must be >= 1"}
+
+
+@pytest.mark.parametrize("every", [1, 7, np.int64(3), np.uint8(2)])
+def test_integer_record_intervals_are_accepted(every):
+    assert _solver(record_every=every).record_every == every
 
 
 @pytest.mark.parametrize("literal", ["1.5", "true"])

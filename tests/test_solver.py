@@ -33,11 +33,12 @@ from torusrd.solver import (
     initial_state,
     negative_species,
     phi_bump,
+    product_grid_size,
     run,
     sup_bound,
 )
 
-from spectral_helpers import dealias_mask, mode_coeffs, mode_field
+from spectral_helpers import band_index, dealias_mask, mode_coeffs, mode_field
 
 
 def grid_32():
@@ -650,6 +651,36 @@ def _product_stepper(d, n, shell, ell=1):
     return Stepper(grid, build_builtin("zero", [0.0] * ell, d=d), noise, cfg)
 
 
+def _ito_stepper(d, n, shell, sys=None, **cfg):
+    grid = TorusGrid(d, n)
+    noise = NoiseModel(build_theta_shell(shell, 0.0, d), nu=0.1)
+    sys = build_builtin("zero", [0.0, 0.0], d=d) if sys is None else sys
+    return Stepper(grid, sys, noise, SolverConfig(**({"dt": 1e-4, "T": 1e-4, "balance_q": ()}
+                                                     | cfg)))
+
+
+def _band_data(stepper, ell):
+    """Spectral coefficients of random real data projected onto the band,
+    where the state lives."""
+    d = stepper.grid.d
+    values = np.random.default_rng(d).standard_normal((ell,) + stepper.grid.shape)
+    return dealias_in_place(forward(values, d), d, stepper.band)
+
+
+def _product_rhs(stepper, f, inc):
+    """One species' pure transport by hand: its band copied onto the
+    product grid by index, the product there, and the band copied back."""
+    lay = stepper.product_layout
+    big, small = (band_index(TorusGrid(stepper.grid.d, m), stepper.band)
+                  for m in (stepper.grid.n_per_dim, lay.shape[0]))
+    y = np.zeros(lay.shape, dtype=complex)
+    y[small] = f[big]
+    out = stepper._advection_rhs(y, stepper.product_noise_ops.velocity_field(inc), lay)
+    back = np.zeros_like(f)
+    back[big] = out[small]
+    return back
+
+
 def _full_grid_series(stepper, fields, inc):
     """The Wong-Zakai substep as one Chebyshev series of the n-grid
     right-hand side, with the packed velocity scaled by 2/rho."""
@@ -669,12 +700,29 @@ class TestProductGrid:
         # smallest even fast length above 2 (n // 3) + 2 shell, capped at n
         assert _product_stepper(d, n, shell).product_layout.shape == (size,) * d
 
-    def test_ito_stays_on_the_grid(self):
-        grid = TorusGrid(2, 64)
-        noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
-        cfg = SolverConfig(dt=1e-4, T=1e-4, balance_q=())
-        stepper = Stepper(grid, build_builtin("zero", [0.0]), noise, cfg)
-        assert not hasattr(stepper, "product_layout")
+    def test_size_is_a_grid(self):
+        # band 2 and max_k 1 need 6 points, below the smallest grid of 8
+        assert product_grid_size(8, 2, 1) == 8
+
+    @pytest.mark.parametrize("d, n, shell, size", [
+        (2, 64, 2, 48), (2, 96, 8, 84), (3, 24, 1, 20), (3, 32, 2, 28), (2, 50, 8, 50),
+    ])
+    def test_pure_transport_matches_grid_rhs(self, d, n, shell, size):
+        # an Ito transport with no source and no gradient runs on the band
+        # of the product grid: within round-off of the n-grid product where
+        # M < n, and its bits where M = n
+        stepper = _ito_stepper(d, n, shell)
+        fields = _band_data(stepper, 2)
+        inc = sample_increments(stepper.noise, 1e-3, path_rng(4, 0, 0))
+        expected = stepper._advection_rhs(
+            fields, NoiseGridOps(stepper.noise, stepper.grid).velocity_field(inc))
+        got = stepper.transport(fields, inc)
+        assert stepper.product_layout.shape == (size,) * d
+        if size == n:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.all(got[(Ellipsis,) + (0,) * d] == 0)
 
     @pytest.mark.parametrize("d, n, shell, ell", [
         (2, 64, 2, 2), (3, 24, 1, 1), (2, 50, 8, 1), (3, 14, 2, 1),  # M < n, then M = n
@@ -703,7 +751,7 @@ class TestProductGrid:
         rhos = []
         monkeypatch.setattr(solver_module, "chebyshev_expm",
                             lambda apply, v, rho: rhos.append(rho) or v)
-        lay, band = stepper.product_layout, stepper._product_band
+        lay, band = stepper.product_layout, band_index(TorusGrid(2, 14), stepper.band)
         width = 2 * stepper.band + 1
         for step in range(20):
             inc = sample_increments(stepper.noise, 1e-3, path_rng(3, 0, step))
@@ -722,16 +770,12 @@ class TestProductGrid:
 class TestBatchedTransport:
     @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
     def test_matches_per_species_rhs(self, d, n):
-        # one _advection_rhs on the species stack, bitwise the per-species ones
-        grid = TorusGrid(d, n)
-        noise = NoiseModel(build_theta_shell(2, 0.0, d), nu=0.1)
-        cfg = SolverConfig(dt=1e-4, T=1e-4, balance_q=())
-        stepper = Stepper(grid, build_builtin("zero", [0.0, 0.0], d=d), noise, cfg)
-        values = np.random.default_rng(d).standard_normal((2,) + grid.shape)
-        fields = np.fft.fftn(values, axes=tuple(range(1, d + 1))) / grid.n_points
-        inc = sample_increments(noise, 1e-3, path_rng(2, 0, 0))
-        vel = stepper.noise_ops.velocity_field(inc)
-        expected = np.stack([stepper._advection_rhs(f, vel) for f in fields])
+        # one pure transport of the species stack on the product grid,
+        # bitwise the per-species products there
+        stepper = _ito_stepper(d, n, 2)
+        fields = _band_data(stepper, 2)
+        inc = sample_increments(stepper.noise, 1e-3, path_rng(2, 0, 0))
+        expected = np.stack([_product_rhs(stepper, f, inc) for f in fields])
         got = stepper.transport(fields, inc)
         assert got.tobytes() == expected.tobytes()
         assert np.abs(got).max() > 0 and np.all(got[(Ellipsis,) + (0,) * d] == 0)
@@ -747,10 +791,14 @@ class TestBatchedTransport:
                            cutoff=CutOffParams(R=1.0, r=2.0, q=4.0))
         stepper = Stepper(grid, sys, noise, cfg)
         values = 1.0 + 0.3 * np.random.default_rng(4).standard_normal((2,) + grid.shape)
-        fields = forward(values, d)
+        fields = dealias_in_place(forward(values, d), d, stepper.band)  # the state's band
+        values = stepper.to_values(fields)
         inc = sample_increments(noise, cfg.dt, path_rng(3, 0, 0))
-        expected = fields + stepper.transport(fields, inc)
-        if not sys.is_linear:
+        if sys.is_linear:  # pure transport: on the product grid
+            expected = fields + np.stack([_product_rhs(stepper, f, inc) for f in fields])
+        else:  # f rides the forward transform of the n-grid product
+            expected = fields + stepper._advection_rhs(
+                fields, NoiseGridOps(noise, grid).velocity_field(inc))
             assert stepper.reaction_drift(0.0, values) is None
             drift = forward(sys.f(0.0, values), d)
             drift[..., ~dealias_mask(grid)] = 0.0
@@ -790,8 +838,9 @@ class TestBatchedTransport:
         inc = sample_increments(noise, 1e-3, path_rng(5, 0, 0))
         got = stepper.transport(fields, inc, source)
         assert np.array_equal(got[:, 0, 0], source.mean(axis=(1, 2)))
-        plain = stepper.transport(fields, inc)
-        assert np.all(plain[:, 0, 0] == 0)
+        assert np.all(stepper.transport(fields, inc)[:, 0, 0] == 0)
+        # the transport with a source takes its product on the n-grid
+        plain = stepper._advection_rhs(fields, NoiseGridOps(noise, grid).velocity_field(inc))
         expected = forward(source, 2)
         expected[..., ~dealias_mask(grid)] = 0.0
         expected += plain
@@ -818,6 +867,49 @@ class TestBatchedTransport:
         finally:
             tracemalloc.stop()
         assert peak <= out.nbytes + velocity_bytes + 16 * 1024
+
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("term", ["source", "gradient"])
+    def test_step_with_source_or_gradient_keeps_the_grid_product(self, d, n, term):
+        # a reaction source (nonlinear drift) or the balance's gradient keeps
+        # the n-grid product: the step is bitwise E (v + transport) with the
+        # transport's product taken on the n-grid, the source in its transform
+        mass_action = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.05, 0.08])
+        sys = mass_action if term == "source" else build_builtin("zero", [0.05, 0.08], d=d)
+        stepper = _ito_stepper(d, n, 2, sys, dt=1e-3, T=1e-3)
+        fields = _band_data(stepper, 2)
+        values = stepper.to_values(fields)
+        inc = sample_increments(stepper.noise, 1e-3, path_rng(7, 0, 0))
+        vel = NoiseGridOps(stepper.noise, stepper.grid).velocity_field(inc)
+        if term == "source":
+            balance = None
+            expected = stepper._advection_rhs(fields, vel, source=sys.f(0.0, values) * 1e-3)
+        else:
+            balance = RecordBuilder(sys=sys, lq_list=(2.0,), balance_q=(2.0,))
+            expected = stepper._advection_rhs(fields, vel, grad=stepper.gradients(fields))
+        expected += fields
+        expected *= stepper.propagator
+        state = stepper.step(SimState(t=0.0, fields=fields, grid_values=values), inc, balance)
+        assert state.fields.tobytes() == expected.tobytes()
+
+    def test_pure_transport_peak_is_result_plus_product_grid_stack(self):
+        # a pure transport frees the band copy once differentiated and the
+        # derivative before its result, so at its peak it holds the n-grid
+        # result and one stack on the 70-point product grid: no n-grid
+        # temporary (288 KiB here) and no second product-grid stack (153 KiB)
+        stepper = _ito_stepper(2, 96, 1)
+        fields = _band_data(stepper, 2)
+        inc = sample_increments(stepper.noise, 1e-3, path_rng(6, 0, 0))
+        stepper.transport(fields, inc)  # build the product grid
+        stack_bytes = 2 * math.prod(stepper.product_layout.shape) * 16
+        assert stack_bytes == 2 * 70 * 70 * 16
+        tracemalloc.start()
+        try:
+            out = stepper.transport(fields, inc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + stack_bytes + 16 * 1024
 
     def test_noisy_balance_step_calls_each_layer_once(self, monkeypatch):
         # transport, reaction_drift, gradients and f are the benchmark's
