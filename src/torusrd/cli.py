@@ -29,7 +29,7 @@ from .experiments import (
     run_survival,
 )
 from .exponents import ParamSet, full_report
-from .fields import write_snapshot, GridField
+from .fields import ArgumentErrors, GridField, write_snapshot
 from .noise import (
     NoiseModel,
     build_theta_shell,
@@ -43,6 +43,7 @@ from .reactions import (
     find_mass_weights,
     growth_certificate,
     mass_action_build,
+    probe_errors,
 )
 from .solver import Stepper, initial_state, run
 
@@ -173,7 +174,7 @@ def _simulate(args, deterministic: bool) -> int:
     if bq and min(bq) not in qs:
         raise ValueError(f"solver.balance_q exponent {min(bq):g} is not in solver.lq_norms = "
                          f"{list(qs)}: the residual column needs its L^q norm")
-    Stepper(cfg.grid, sys_, noise, cfg.solver)  # the engine's step guard
+    Stepper(cfg.grid, sys_, noise, cfg.solver)  # the engine's noise resolution and step guard
 
     every = cfg["io.snapshots_every"]
     samples = itertools.count()
@@ -193,20 +194,7 @@ def _simulate(args, deterministic: bool) -> int:
 
 def _scaling_limit(args) -> int:
     cfg, out, v0 = _prepare(args)
-    hm = cfg["experiment.hminus_gamma"]
-    plan = ScalingLimitPlan(
-        shells=tuple(cfg["experiment.shells"]),
-        gamma=cfg["noise.gamma"],
-        nu=cfg["noise.nu"],
-        paths=cfg["experiment.paths"],
-        solver=cfg.solver,
-        sys=cfg.reaction,
-        v0=v0,
-        epsilon=cfg["experiment.epsilon"],
-        r=cfg["experiment.r"],
-        q=cfg["experiment.q"],
-        hminus_gamma=hm if hm > 0 else None,
-    )
+    plan = cfg.plan(ScalingLimitPlan, v0)
     _write_manifest(out, cfg, "scaling-limit")
     result = run_scaling_limit(plan, threads=args.threads)
     _write_csv(out / "scaling_table.csv", result.table())
@@ -223,15 +211,7 @@ def _scaling_limit(args) -> int:
 
 def _survival(args) -> int:
     cfg, out, v0 = _prepare(args)
-    plan = SurvivalPlan(
-        nus=tuple(cfg["experiment.nus"]),
-        shell_n=cfg["noise.shell_n"],
-        gamma=cfg["noise.gamma"],
-        paths=cfg["experiment.paths"],
-        solver=cfg.solver,
-        sys=cfg.reaction,
-        v0=v0,
-    )
+    plan = cfg.plan(SurvivalPlan, v0)
     _write_manifest(out, cfg, "survival")
     result = run_survival(plan, threads=args.threads)
     _write_csv(out / "survival_table.csv", result.table())
@@ -248,19 +228,7 @@ def _survival(args) -> int:
 
 def _decay(args) -> int:
     cfg, out, v0 = _prepare(args)
-    tracked = tuple(cfg["experiment.tracked_mode"]) or None
-    plan = DecayPlan(
-        solver=cfg.solver,
-        sys=cfg.reaction,
-        v0=v0,
-        q0=cfg["experiment.q0"],
-        paths=cfg["experiment.paths"],
-        shell_n=cfg["noise.shell_n"],
-        gamma=cfg["noise.gamma"],
-        nu=cfg["noise.nu"] if cfg["noise.enabled"] else 0.0,
-        tracked_mode=tracked,
-        tail_fraction=cfg["experiment.tail_fraction"],
-    )
+    plan = cfg.plan(DecayPlan, v0)
     _write_manifest(out, cfg, "decay")
     report = run_decay(plan, threads=args.threads)
     _write_csv(out / "decay_report.csv",
@@ -317,6 +285,8 @@ def _verify_noise(args) -> int:
 
 
 def _mass_action_check(args) -> int:
+    if problems := probe_errors(args.samples, args.radius):
+        raise ArgumentErrors({f"--{arg}": msg for arg, msg in problems.items()})
     q = tuple(int(x) for x in args.q.split(","))
     p = tuple(int(x) for x in args.p.split(","))
     spec = MassActionSpec(q=q, p=p, r_plus=args.r_plus, r_minus=args.r_minus)
@@ -360,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write exponents.csv here")
 
     p = sub.add_parser("verify-noise", help="check the spectrum/basis identities")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=2, choices=(2, 3))
     p.add_argument("--shell", type=int, default=1)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--nu", type=float, default=0.1)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .exponents import ParamSet, admissibility
-from .experiments import decay_plan_errors, scaling_plan_errors, survival_plan_errors
+from .experiments import (DecayPlan, ScalingLimitPlan, SurvivalPlan, decay_plan_errors,
+                          scaling_plan_errors, survival_plan_errors)
 from .fields import ArgumentErrors, GridField, TorusGrid, mode_error
 from .noise import (NoiseModel, build_theta_shell, intensity_errors, resolution_error,
                     seed_error, shell_errors, shell_max_k)
@@ -153,22 +154,27 @@ RENAMED_KEYS = {
 }
 
 
-def _key(section: str, arg: str) -> str:
+def _key(section: str | type, arg: str) -> str:
+    if isinstance(section, type):  # a Monte-Carlo plan: noise.* for its shell noise
+        section = "noise" if arg in ("gamma", "nu", "shell_n") else "experiment"
     return RENAMED_KEYS.get(arg, f"{section}.{arg}")
 
 
 # the arguments each section passes to its constructor (reaction: MassActionSpec),
-# each mapped to its key
+# and each plan takes besides its solver, system and v0, each mapped to its key
 KEYS = {section: {arg: _key(section, arg) for arg in args} for section, args in {
     "grid": ("d", "n_per_dim"),
     "cutoff": ("R", "r", "q"),
     "solver": ("dt", "T", "scheme", "noise_on", "blowup_threshold", "blowup_norm_q0", "seed",
                "record_every", "require_nonneg", "balance_q", "lq_norms"),
     "reaction": ("q", "p", "r_plus", "r_minus"),
+    ScalingLimitPlan: ("shells", "gamma", "nu", "paths", "epsilon", "r", "q", "hminus_gamma"),
+    SurvivalPlan: ("nus", "shell_n", "gamma", "paths"),
+    DecayPlan: ("q0", "paths", "shell_n", "gamma", "nu", "tracked_mode", "tail_fraction"),
 }.items()}
 
 
-def _arguments(values: dict[str, object], section: str) -> dict[str, object]:
+def _arguments(values: dict[str, object], section: str | type) -> dict[str, object]:
     """The section's constructor arguments, lists as tuples."""
     out = {arg: values[key] for arg, key in KEYS[section].items()}
     return {arg: tuple(v) if isinstance(v, list) else v for arg, v in out.items()}
@@ -307,6 +313,18 @@ class RunConfig:
         if errors:
             raise ConfigError(errors)
         return cls(v, grid, solver, reaction)
+
+    def plan(self, kind: type, v0: list[GridField]):
+        """This config's ScalingLimitPlan, SurvivalPlan or DecayPlan (kind)
+        from v0: hminus_gamma 0 tracks no H^{-gamma} distance, an empty
+        tracked_mode no mode, and a decay with the noise off runs unenhanced."""
+        args = _arguments(self.values, kind)
+        for arg, off in (("hminus_gamma", 0.0), ("tracked_mode", ())):
+            if args.get(arg) == off:
+                args[arg] = None
+        if kind is DecayPlan and not self["noise.enabled"]:
+            args["nu"] = 0.0
+        return kind(solver=self.solver, sys=self.reaction, v0=v0, **args)
 
     # -- serialization -----------------------------------------------------
 

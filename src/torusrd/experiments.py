@@ -76,13 +76,16 @@ def _shell_noise(solver: SolverConfig, shell: int, gamma: float, d: int,
     return NoiseModel(build_theta_shell(shell, gamma, d), nu=nu)
 
 
-def _shell_guard_error(solver: SolverConfig, shell: int, nu: float, n: int) -> str | None:
-    """Why dt breaks the step guard of _shell_noise's model on n points per
-    axis, or None; shell_max_k gives the annulus' max|k_j|, so this builds
-    no spectrum."""
-    if not (solver.noise_on and nu > 0):
-        return None
-    return step_guard_error(nu, shell_max_k(shell), n, solver.dt)
+def _check_shell_noise(plan, runs: dict[str, tuple[int, float]]) -> None:
+    """Stepper.__init__'s checks of the _shell_noise of each label -> (shell,
+    nu) on the plan's grid, before any path runs: resolution, then the step
+    guard, each failure a ValueError prefixed by the label."""
+    n, dt = plan.v0[0].grid.n_per_dim, plan.solver.dt
+    for label, (shell, nu) in runs.items():
+        max_k = shell_max_k(shell)
+        if plan.solver.noise_on and nu > 0 and (problem := resolution_error(max_k, n) or
+                                                step_guard_error(nu, max_k, n, dt)):
+            raise ValueError(label + problem)
 
 
 def scaling_plan_errors(shells, paths: int, epsilon: float, r: float, q: float,
@@ -120,12 +123,7 @@ class ScalingLimitPlan:
         if problems := scaling_plan_errors(self.shells, self.paths, self.epsilon, self.r,
                                            self.q, self.hminus_gamma):
             raise ArgumentErrors(problems)
-        n = self.v0[0].grid.n_per_dim
-        if problem := resolution_error(shell_max_k(max(self.shells)), n):
-            raise ValueError(f"shell {max(self.shells)}: {problem}")
-        for s in self.shells:
-            if problem := _shell_guard_error(self.solver, s, self.nu, n):
-                raise ValueError(f"shell {s}: {problem}")
+        _check_shell_noise(self, {f"shell {s}: ": (s, self.nu) for s in self.shells})
 
 
 @dataclass
@@ -206,11 +204,14 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
 
     The reference is integrated once with the same grid, dt and dealiasing
     as the stochastic paths, so the measured distance isolates the noise
-    effect from discretization bias.
+    effect from discretization bias; one that blows up by T is an error.
     """
     grid = plan.v0[0].grid
-    [(_, ref)] = _run_paths(plan, plan.sys.enhanced(plan.nu), None, 0, 1, 1,
-                            lambda: _Series(lambda t, values, state: (t, values.copy())))
+    [(tau, ref)] = _run_paths(plan, plan.sys.enhanced(plan.nu), None, 0, 1, 1,
+                              lambda: _Series(lambda t, values, state: (t, values.copy())))
+    if tau is not None:
+        raise ValueError(f"the deterministic reference blows up at tau = {tau:g}, by "
+                         f"T = {plan.solver.T:g}: no L^r(0,T;L^q) distance to it exists")
     rtimes = np.array([t for t, _ in ref])
     ref_snaps = [values for _, values in ref]
     weight = None if plan.hminus_gamma is None else hminus_weight(grid, plan.hminus_gamma)
@@ -257,10 +258,7 @@ class SurvivalPlan:
             raise ArgumentErrors(problems)
         if negative_species(self.v0) is not None:
             raise ValueError("survival experiments require v0 >= 0")
-        n = self.v0[0].grid.n_per_dim
-        for nu in self.nus:
-            if problem := _shell_guard_error(self.solver, self.shell_n, nu, n):
-                raise ValueError(f"nu = {nu}: {problem}")
+        _check_shell_noise(self, {f"nu = {nu}: ": (self.shell_n, nu) for nu in self.nus})
 
 
 @dataclass
@@ -350,8 +348,7 @@ class DecayPlan:
         a0, a1 = self.sys.mass_consts
         if a0 != 0.0 or a1 >= 0.0:
             raise ValueError(f"decay regime requires a0 = 0 and a1 < 0, got ({a0}, {a1})")
-        if problem := _shell_guard_error(self.solver, self.shell_n, self.nu, grid.n_per_dim):
-            raise ValueError(problem)
+        _check_shell_noise(self, {"": (self.shell_n, self.nu)})
 
 
 @dataclass

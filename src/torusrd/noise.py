@@ -368,12 +368,19 @@ def spectrum_to_csv(spectrum: NoiseSpectrum, path) -> None:
 
 
 def spectrum_from_csv(path) -> NoiseSpectrum:
+    """Read spectrum_to_csv's format: a k1..kd, theta header, one row per mode."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise ValueError(f"spectrum CSV {path} lists no mode")
     header = rows[0]
-    if header[-1] != "theta" or not header[0].startswith("k"):
+    if header[-1:] != ["theta"] or not header[0].startswith("k"):
         raise ValueError(f"unrecognized spectrum CSV header: {header}")
     d = len(header) - 1
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != d + 1:
+            raise ValueError(f"spectrum CSV {path}, row {i}: expected {d + 1} entries "
+                             f"under {header}, got {row}")
     support = np.array([[int(x) for x in row[:d]] for row in rows[1:]], dtype=np.int64)
     theta = np.array([float(row[d]) for row in rows[1:]])
     return NoiseSpectrum(support=support, theta=theta)

@@ -171,6 +171,17 @@ def find_mass_weights(spec: MassActionSpec) -> np.ndarray | None:
     return alpha / alpha.min()
 
 
+def probe_errors(samples: int, radius: float) -> dict[str, str]:
+    """The rules of a probe of f at samples >= 1 points of [0, radius]^ell,
+    radius finite and > 0, each failing argument mapped to its message."""
+    problems = {}
+    if not samples >= 1:
+        problems["samples"] = f"must be >= 1, got {samples}"
+    if not 0 < radius < np.inf:
+        problems["radius"] = f"must be finite and > 0, got {radius}"
+    return problems
+
+
 def check_mass_control(
     sys: ReactionSystem,
     samples: int = 1024,
@@ -181,6 +192,8 @@ def check_mass_control(
     Returns (holds, worst violation); the worst value is the max of
     sum alpha_i f_i - a0 - a1 sum y_i over the sample.
     """
+    if problems := probe_errors(samples, radius):
+        raise ArgumentErrors(problems)
     if sys.mass_alpha is None or sys.mass_consts is None:
         raise ValueError("system declares no mass weights / constants")
     a0, a1 = sys.mass_consts
@@ -196,7 +209,9 @@ def check_mass_control(
 def growth_certificate(
     sys: ReactionSystem, radius: float = 10.0, samples: int = 4096, rng=None
 ) -> float:
-    """Max of |f(y)| / (1 + |y|^h) over sampled |y| <= radius."""
+    """Max of |f(y)| / (1 + |y|^h) over samples uniform points of [0, radius]^ell."""
+    if problems := probe_errors(samples, radius):
+        raise ArgumentErrors(problems)
     rng = np.random.default_rng(0) if rng is None else rng
     ys = rng.uniform(0.0, radius, size=(sys.ell, samples))
     fy = sys.f(0.0, ys)

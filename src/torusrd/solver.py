@@ -58,8 +58,8 @@ from scipy.special import jv
 from .diagnostics import DiagnosticsRecord, RecordBuilder, grid_mean, lq_norm_vector
 from .fields import (ArgumentErrors, GridField, TorusGrid, copy_band, dealias_in_place,
                      forward, inverse_packed, inverse_real)
-from .noise import (NoiseGridOps, NoiseModel, path_rng, sample_increments, seed_error,
-                    step_guard_error)
+from .noise import (NoiseGridOps, NoiseModel, path_rng, resolution_error, sample_increments,
+                    seed_error, step_guard_error)
 from .reactions import ReactionSystem
 
 SCHEMES = ("euler_maruyama_ito", "strat_substep")
@@ -287,10 +287,11 @@ class Stepper:
         self.noise = noise if cfg.noise_on else None
         self.ito = ito = self.noise is not None and cfg.scheme == "euler_maruyama_ito"
 
-        if self.noise is not None:
-            problem = step_guard_error(self.noise.nu, self.noise.spectrum.max_component(),
-                                       grid.n_per_dim, cfg.dt)
-            if problem:
+        if self.noise is not None:  # before any step builds a NoiseGridOps
+            max_k = self.noise.spectrum.max_component()
+            if problem := resolution_error(max_k, grid.n_per_dim):
+                raise ValueError(f"noise support {problem}")
+            if problem := step_guard_error(self.noise.nu, max_k, grid.n_per_dim, cfg.dt):
                 raise ValueError(problem)
 
         # the Ito correction nu Delta (strat_substep: the Wong-Zakai substep

@@ -6,10 +6,12 @@ every file there, in path order, with each manifest's `# timestamp` line
 removed, so two trees that give the same digest wrote the same bytes.  It
 runs against whichever torusrd is on the import path:
 
-    PYTHONPATH=path/to/checkout/src python tests/cli_digest.py [--threads 2]
+    PYTHONPATH=path/to/checkout/src python tests/cli_digest.py [--threads 2] [--files]
 
 --threads goes to the Monte-Carlo commands (scaling-limit, survival, decay),
-whose outputs do not depend on it.
+whose outputs do not depend on it.  --files prints one SHA-256 per output
+file instead, as `<sha256>  <path>` lines in path order, so a digest that
+moved names the files that moved.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ def _run(name: str, root: Path, threads: int) -> None:
         raise RuntimeError(f"{name}: torusrd {' '.join(argv)} exited {code}: {err.getvalue()}")
 
 
-def digest(threads: int = 1) -> str:
-    """SHA-256 over every output file of RUNS, at the given thread count."""
-    sha = hashlib.sha256()
+def outputs(threads: int = 1) -> list[tuple[str, bytes]]:
+    """(path under the run root, contents) of every output file of RUNS at
+    the given thread count, in path order, manifests without `# timestamp`."""
+    files = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name in RUNS:
@@ -101,12 +104,26 @@ def digest(threads: int = 1) -> str:
             if path.name == "manifest.txt":
                 data = b"".join(line for line in data.splitlines(keepends=True)
                                 if not line.startswith(b"# timestamp"))
-            sha.update(str(path.relative_to(root)).encode() + b"\0")
-            sha.update(len(data).to_bytes(8, "little") + data)
+            files.append((str(path.relative_to(root)), data))
+    return files
+
+
+def digest(threads: int = 1) -> str:
+    """SHA-256 over every output file of RUNS, at the given thread count."""
+    sha = hashlib.sha256()
+    for name, data in outputs(threads):
+        sha.update(name.encode() + b"\0")
+        sha.update(len(data).to_bytes(8, "little") + data)
     return sha.hexdigest()
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--threads", type=int, default=1)
-    print(digest(parser.parse_args().threads))
+    parser.add_argument("--files", action="store_true", help="one SHA-256 per output file")
+    args = parser.parse_args()
+    if args.files:
+        for name, data in outputs(args.threads):
+            print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    else:
+        print(digest(args.threads))

@@ -1,6 +1,7 @@
 """Monte-Carlo harnesses: scaling limit, survival sweep, decay fits."""
 
 import dataclasses
+import re
 import types
 
 import numpy as np
@@ -116,16 +117,40 @@ class TestScalingLimit:
             assert s.max_lq < 2.0
 
     def test_blown_up_paths_are_tolerated_and_reported(self):
+        # with the noise off the paths run f = v^2 from 2 + 2 cos 2 pi x at
+        # nu_i alone and blow up at 0.192, between two samples; the reference
+        # diffuses at nu_i + nu = 1.001, flattens the data to its mean 2
+        # first, and survives to T
         grid = TorusGrid(2, 16)
-        sys = build_builtin("quadratic_unsafe", [0.1], allow_unsafe=True)
-        cfg = SolverConfig(dt=2e-3, T=0.2, noise_on=True, balance_q=(),
-                           record_every=4, seed=5, blowup_threshold=5.0,
+        sys = build_builtin("quadratic_unsafe", [0.001], allow_unsafe=True)
+        cfg = SolverConfig(dt=2e-3, T=0.2, noise_on=False, balance_q=(),
+                           record_every=5, seed=5, blowup_threshold=10.0,
                            blowup_norm_q0=4.0)
-        v0 = [GridField(grid, np.full(grid.shape, 4.0))]
-        plan = ScalingLimitPlan(shells=(1,), gamma=0.0, nu=0.05, paths=2,
+        v0 = [GridField(grid, 2.0 + mode_field(grid, (1, 0), 1.0).values)]
+        plan = ScalingLimitPlan(shells=(1,), gamma=0.0, nu=1.0, paths=2,
                                 solver=cfg, sys=sys, v0=v0, epsilon=0.1)
-        result = run_scaling_limit(plan)
-        assert all(tau is not None for tau in result.shells[0].taus)
+        shell = run_scaling_limit(plan).shells[0]
+        assert shell.taus == [pytest.approx(0.192)] * 2
+        assert np.all(np.isfinite(shell.distances)) and np.all(shell.distances > 0)
+
+    def test_blown_up_reference_rejected_before_any_shell(self, monkeypatch):
+        # constant data 4 under f = v^2 reaches 5 at t = 0.05; the explicit steps
+        # cross the threshold at 0.052 < T
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["path_index"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_module, "run", counted)
+        grid = TorusGrid(2, 16)
+        cfg = SolverConfig(dt=2e-3, T=0.1, record_every=2, seed=5, blowup_threshold=5.0)
+        plan = ScalingLimitPlan(shells=(1, 2), gamma=0.0, nu=0.1, paths=2, solver=cfg,
+                                sys=build_builtin("quadratic_unsafe", [0.05], allow_unsafe=True),
+                                v0=[GridField(grid, np.full(grid.shape, 4.0))], epsilon=0.1)
+        with pytest.raises(ValueError, match=r"reference blows up at tau = 0\.052, by T = 0\.1:"):
+            run_scaling_limit(plan)
+        assert calls == [0]
 
     def test_worker_count_does_not_change_tables(self):
         # counter-based path seeding: results are scheduling-invariant
@@ -229,6 +254,15 @@ class TestStreamingDistance:
         path = [np.full((ell, 16, 16), 0.7)] * len(times)
         # |u - w|_{L^q} = c sqrt(ell) at every time; L^r over [0,1] keeps it
         assert _streamed(ref, path, times) == pytest.approx(0.7 * np.sqrt(ell), rel=1e-12)
+
+    def test_blown_up_path_ends_at_its_off_cadence_sample(self):
+        # a path's blow-up step is recorded whatever the cadence; it adds no norm
+        times = np.linspace(0.0, 1.0, 5)
+        ref = [np.zeros((1, 8, 8))] * len(times)
+        dist = _StreamingDistance(times, ref, 2.0, 2.0, None)
+        dist(0.0, np.ones((1, 8, 8)), types.SimpleNamespace(blown_up=None))
+        dist(0.1, np.full((1, 8, 8), np.inf), types.SimpleNamespace(blown_up=0.1))
+        assert dist.norms == [1.0] and dist.max_lq == 1.0
 
     def test_off_cadence_sample_rejected(self):
         times = np.linspace(0.0, 1.0, 5)
@@ -432,16 +466,13 @@ class TestPathsReadNoRecord:
     """No experiment reads a path's diagnostics record, so its outputs are
     the same whatever balance and cadence of that record the plan asks for."""
 
-    # constant data 4 under f = v^2 blows up at the reference's time, 0.05
-    @pytest.mark.parametrize("reaction, amplitude", [("logistic", 0.5),
-                                                     ("quadratic_unsafe", 0.0)])
-    def test_scaling_limit(self, reaction, amplitude):
+    def test_scaling_limit(self):
         grid = TorusGrid(2, 16)
         cfg = SolverConfig(dt=2e-3, T=0.1, record_every=2, seed=5, blowup_threshold=5.0)
-        v0 = [GridField(grid, 4.0 + mode_field(grid, (1, 1), amplitude).values)]
+        v0 = [GridField(grid, 4.0 + mode_field(grid, (1, 1), 0.5).values)]
         plan = ScalingLimitPlan(shells=(1, 2), gamma=0.0, nu=0.1, paths=2, solver=cfg,
-                                sys=build_builtin(reaction, [0.05], allow_unsafe=True),
-                                v0=v0, epsilon=0.1, hminus_gamma=0.5)
+                                sys=build_builtin("logistic", [0.05]), v0=v0, epsilon=0.1,
+                                hminus_gamma=0.5)
         tracked, untracked = (run_scaling_limit(_with_solver(plan, balance_q=q))
                               for q in ((2.0,), ()))
         for a, b in zip(tracked.shells, untracked.shells):
@@ -449,8 +480,7 @@ class TestPathsReadNoRecord:
             assert np.array_equal(a.hminus_distances, b.hminus_distances)
             assert a.max_lq == b.max_lq
             assert a.taus == b.taus
-        blown = [tau is not None for s in tracked.shells for tau in s.taus]
-        assert all(blown) if reaction == "quadratic_unsafe" else not any(blown)
+        assert not any(tau is not None for s in tracked.shells for tau in s.taus)
 
     def test_survival(self):
         plan = _blowing_survival_plan()
@@ -463,3 +493,26 @@ class TestPathsReadNoRecord:
         plan = TestDecay()._plan(nu=0.1, paths=3, tracked=(1, 0), T=0.2)
         assert run_decay(_with_solver(plan, balance_q=(2.0,))) == run_decay(
             _with_solver(plan, balance_q=()))
+
+
+UNRESOLVED_GRID = TorusGrid(2, 24)  # resolves shell <= 3; shell 4 reaches |k_j| = 8
+
+
+@pytest.mark.parametrize("make, prefix", [
+    (lambda cfg, v0: SurvivalPlan(nus=(0.01,), shell_n=4, gamma=0.0, paths=1, solver=cfg,
+                                  sys=build_builtin("zero", [0.01]), v0=v0), "nu = 0.01: "),
+    (lambda cfg, v0: DecayPlan(solver=cfg, sys=build_builtin("decay", [0.01]), v0=v0,
+                               shell_n=4, nu=0.01), ""),
+    (lambda cfg, v0: ScalingLimitPlan(shells=(1, 4), gamma=0.0, nu=0.01, paths=1, solver=cfg,
+                                      sys=build_builtin("zero", [0.01]), v0=v0, epsilon=0.1),
+     "shell 4: "),
+], ids=["survival", "decay", "scaling_limit"])
+def test_unresolved_shell_noise_rejected_at_construction(make, prefix):
+    # Stepper.__init__'s checks, before any path runs; dt passes the step guard
+    cfg = SolverConfig(dt=1e-4, T=1e-3, balance_q=())
+    v0 = [GridField(UNRESOLVED_GRID, np.ones(UNRESOLVED_GRID.shape))]
+    with pytest.raises(ValueError, match="^" + re.escape(
+            prefix + "max|k_j| = 8 is under-resolved on grid n = 24")):
+        make(cfg, v0)
+    # with the noise off no path builds the shell noise
+    make(dataclasses.replace(cfg, noise_on=False), v0)

@@ -341,6 +341,17 @@ class TestSnapshotFormat:
         assert (version, d, ell, n) == (1, 2, 1, 32)
         assert len(blob) == 20 + 8 * 32**2
 
+    def test_empty_snapshot_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^snapshot requires at least one field$"):
+            write_snapshot(tmp_path / "state.krdf", [])
+        assert not (tmp_path / "state.krdf").exists()
+
+    def test_mixed_grids_rejected(self, tmp_path, grid2):
+        fields = [random_field(grid2), GridField(TorusGrid(2, 16), np.zeros((16, 16)))]
+        with pytest.raises(ValueError, match="^all snapshot fields must share one grid$"):
+            write_snapshot(tmp_path / "state.krdf", fields)
+        assert not (tmp_path / "state.krdf").exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.krdf"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -157,6 +157,15 @@ class TestThetaShell:
                 theta=np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0]) / np.sqrt(12.0),
             )
 
+    @pytest.mark.parametrize("support, theta, error", [
+        ([1, 0, -1, 0], [0.5**0.5] * 2, "support and theta shapes are inconsistent"),
+        ([[1, 0], [-1, 0]], [1.0], "support and theta shapes are inconsistent"),
+        ([[1, 0], [0, 0], [-1, 0]], [3**-0.5] * 3, "k = 0 is not an admissible noise mode"),
+    ])
+    def test_malformed_support_rejected(self, support, theta, error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            NoiseSpectrum(support=np.array(support), theta=np.array(theta))
+
 
 class TestEllipticity:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -384,3 +393,19 @@ class TestSpectrumCsv:
         path = tmp_path / "spectrum.csv"
         spectrum_to_csv(sp, path)
         assert path.read_text().splitlines()[0] == "k1,k2,k3,theta"
+
+    @pytest.mark.parametrize("text, error", [
+        ("k1,k2,weight\n1,0,1.0\n", r"unrecognized spectrum CSV header: \['k1', 'k2', 'weight'\]"),
+        ("x,y,theta\n1,0,1.0\n", r"unrecognized spectrum CSV header: \['x', 'y', 'theta'\]"),
+        ("", r"spectrum CSV .*spectrum\.csv lists no mode"),
+        ("\n", r"spectrum CSV .*spectrum\.csv lists no mode"),
+        ("k1,k2,theta\n", r"spectrum CSV .*spectrum\.csv lists no mode"),
+        ("k1,k2,theta\n1,0\n", r"spectrum CSV .*spectrum\.csv, row 2: expected 3 entries"),
+        ("k1,k2,theta\n1,0,0.7,0.7\n", r"spectrum CSV .*spectrum\.csv, row 2: expected 3 entries"),
+    ], ids=["theta_column", "k_columns", "empty", "blank", "header_only", "short_row",
+            "long_row"])
+    def test_malformed_file_rejected(self, tmp_path, text, error):
+        path = tmp_path / "spectrum.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{error}"):
+            spectrum_from_csv(path)

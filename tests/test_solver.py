@@ -146,6 +146,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="step guard"):
             Stepper(grid, sys0, noise, cfg)
 
+    def test_unresolved_noise_rejected_at_construction(self):
+        # the rule of NoiseGridOps, which a step builds only when it first
+        # needs the velocity: shell 4 reaches |k_j| = 8, and 24^2 resolves
+        # shell <= 3; dt passes the step guard
+        noise = NoiseModel(build_theta_shell(4, 0.0, 2), nu=0.01)
+        cfg = SolverConfig(dt=1e-4, T=1e-3)
+        with pytest.raises(ValueError, match=r"^noise support max\|k_j\| = 8 is under-resolved "
+                                             r"on grid n = 24: .* shell <= 3$"):
+            Stepper(TorusGrid(2, 24), build_builtin("zero", [0.01]), noise, cfg)
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ArgumentErrors) as info:
+            SolverConfig(dt=0.1, T=-1.0)
+        assert info.value.problems == {"T": "must be >= 0, got -1.0"}
+
 
 class TestRealInverseTransforms:
     """Stepper's batched irfftn paths against one complex ifftn per field."""
@@ -210,6 +225,31 @@ class TestReactionStepping:
 
 
 class TestRunContract:
+    def test_unresolved_noise_rejected_before_the_first_sample(self):
+        grid = TorusGrid(2, 24)
+        noise = NoiseModel(build_theta_shell(4, 0.0, 2), nu=0.01)
+        cfg = SolverConfig(dt=1e-4, T=1e-3)
+        seen = []
+        with pytest.raises(ValueError, match="under-resolved on grid n = 24"):
+            run(build_builtin("zero", [0.01]), noise, cfg, constant_fields(grid, [1.0]),
+                observer=lambda t, values, state: seen.append(t))
+        assert seen == []
+
+    def test_wrong_species_count_rejected(self):
+        grid = TorusGrid(2, 8)
+        cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False, balance_q=())
+        with pytest.raises(ValueError, match="^expected 1 species fields, got 2$"):
+            run(build_builtin("zero", [0.1]), None, cfg, constant_fields(grid, [1.0, 2.0]))
+
+    def test_noisy_step_without_increments_rejected(self):
+        grid = grid_32()
+        noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.1)
+        cfg = SolverConfig(dt=1e-3, T=0.01)
+        stepper = Stepper(grid, build_builtin("zero", [0.1]), noise, cfg)
+        state = initial_state(grid, constant_fields(grid, [1.0]), cfg)
+        with pytest.raises(ValueError, match="^noise is active but no increments were given$"):
+            stepper.step(state, None)
+
     def test_t_zero_returns_the_band_part_of_v0(self):
         # the scheme integrates the dealiased system: its data is v0's band part
         grid = grid_32()
