@@ -287,9 +287,7 @@ def _verify_noise(args) -> int:
 def _mass_action_check(args) -> int:
     if problems := probe_errors(args.samples, args.radius):
         raise ArgumentErrors({f"--{arg}": msg for arg, msg in problems.items()})
-    q = tuple(int(x) for x in args.q.split(","))
-    p = tuple(int(x) for x in args.p.split(","))
-    spec = MassActionSpec(q=q, p=p, r_plus=args.r_plus, r_minus=args.r_minus)
+    spec = MassActionSpec(q=args.q, p=args.p, r_plus=args.r_plus, r_minus=args.r_minus)
     sys_ = mass_action_build(spec)
     alpha = find_mass_weights(spec)
     print(f"species: {spec.ell}, growth h = {spec.h:g}")
@@ -302,6 +300,14 @@ def _mass_action_check(args) -> int:
     cert = growth_certificate(sys_, radius=args.radius)
     print(f"growth certificate: max |f| / (1 + |y|^h) = {cert:.6g}")
     return 0
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """An argparse type: comma-separated integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_run_flags(p)
 
     p = sub.add_parser("exponents", help="closed-form exponent and threshold report")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True,
+                   help="dimension: any d >= 2 (the paper and the simulator use 2 or 3)")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--p", type=float, default=8.0)
@@ -338,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export", help="write the spectrum as CSV")
 
     p = sub.add_parser("mass-action-check", help="stoichiometry, weights, mass control")
-    p.add_argument("--q", required=True, help="comma-separated reactant coefficients")
-    p.add_argument("--p", required=True, help="comma-separated product coefficients")
+    p.add_argument("--q", type=_int_list, required=True, help="reactant coefficients, e.g. 2,0")
+    p.add_argument("--p", type=_int_list, required=True, help="product coefficients, e.g. 0,1")
     p.add_argument("--r-plus", type=float, default=1.0)
     p.add_argument("--r-minus", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=10.0)

@@ -18,7 +18,7 @@ from sys import float_info
 import numpy as np
 
 from . import __version__
-from .exponents import ParamSet, admissibility
+from .exponents import subcriticality_error
 from .experiments import (DecayPlan, ScalingLimitPlan, SurvivalPlan, decay_plan_errors,
                           scaling_plan_errors, survival_plan_errors)
 from .fields import ArgumentErrors, GridField, TorusGrid, mode_error
@@ -180,7 +180,7 @@ def _arguments(values: dict[str, object], section: str | type) -> dict[str, obje
     return {arg: tuple(v) if isinstance(v, list) else v for arg, v in out.items()}
 
 
-def _collect(errors: list[str], section: str, make, *args, **kwargs):
+def _collect(errors: list[str], section: str | type, make, *args, **kwargs):
     """make(*args, **kwargs), or None once each of its ArgumentErrors is
     appended to errors under its key path."""
     try:
@@ -216,17 +216,6 @@ def _noise_errors(v: dict[str, object]) -> list[str]:
         if shell >= 1 and (problem := resolution_error(shell_max_k(shell), v["grid.n"])):
             problems["shell_n"] = f"shell {shell}: {problem}"
     return [f"noise.{arg}: {msg}" for arg, msg in problems.items()]
-
-
-def _admissibility_errors(v: dict[str, object], sys: ReactionSystem) -> list[str]:
-    d, q0 = v["grid.d"], v["solver.blowup.q0"]
-    params = ParamSet(d=d, h=sys.h, q=q0, p=max(q0, 4.0), delta=1.1)
-    if admissibility(params).q_meets_delayed_blowup:
-        return []
-    return [
-        f"validate.admissibility: solver.blowup.q0 = {q0} does not satisfy "
-        f"q > max(d(h-1)/2, 2) = {max(d * (sys.h - 1) / 2, 2.0)} for growth h = {sys.h}"
-    ]
 
 
 @dataclass(eq=False)
@@ -308,8 +297,10 @@ class RunConfig:
                                         v["experiment.q0"], v["experiment.tracked_mode"],
                                         v["grid.d"], v["grid.n"]))
         errors.extend(f"experiment.{arg}: {msg}" for arg, msg in problems.items())
-        if v["validate.admissibility"] and not errors:
-            errors.extend(_admissibility_errors(v, reaction))
+        if v["validate.admissibility"] and not errors and (problem := subcriticality_error(
+                v["grid.d"], reaction.h, v["solver.blowup.q0"])):
+            errors.append(f"validate.admissibility: solver.blowup.q0: {problem} "
+                          f"for growth h = {reaction.h}")
         if errors:
             raise ConfigError(errors)
         return cls(v, grid, solver, reaction)
@@ -324,7 +315,11 @@ class RunConfig:
                 args[arg] = None
         if kind is DecayPlan and not self["noise.enabled"]:
             args["nu"] = 0.0
-        return kind(solver=self.solver, sys=self.reaction, v0=v0, **args)
+        errors: list[str] = []  # the plan's shell-noise checks, under their key paths
+        plan = _collect(errors, kind, kind, solver=self.solver, sys=self.reaction, v0=v0, **args)
+        if errors:
+            raise ConfigError(errors)
+        return plan
 
     # -- serialization -----------------------------------------------------
 

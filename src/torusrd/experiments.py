@@ -76,16 +76,19 @@ def _shell_noise(solver: SolverConfig, shell: int, gamma: float, d: int,
     return NoiseModel(build_theta_shell(shell, gamma, d), nu=nu)
 
 
-def _check_shell_noise(plan, runs: dict[str, tuple[int, float]]) -> None:
+def _check_shell_noise(plan, runs: dict[str, tuple[int, float]], shell_arg: str,
+                       nu_arg: str) -> None:
     """Stepper.__init__'s checks of the _shell_noise of each label -> (shell,
-    nu) on the plan's grid, before any path runs: resolution, then the step
-    guard, each failure a ValueError prefixed by the label."""
+    nu) on the plan's grid, before any path runs: resolution (of shell_arg),
+    then the step guard (of nu_arg), the first failure an ArgumentErrors."""
     n, dt = plan.v0[0].grid.n_per_dim, plan.solver.dt
     for label, (shell, nu) in runs.items():
-        max_k = shell_max_k(shell)
-        if plan.solver.noise_on and nu > 0 and (problem := resolution_error(max_k, n) or
-                                                step_guard_error(nu, max_k, n, dt)):
-            raise ValueError(label + problem)
+        if plan.solver.noise_on and nu > 0:
+            max_k = shell_max_k(shell)
+            if problem := resolution_error(max_k, n):
+                raise ArgumentErrors({shell_arg: label + problem})
+            if problem := step_guard_error(nu, max_k, n, dt):
+                raise ArgumentErrors({nu_arg: label + problem})
 
 
 def scaling_plan_errors(shells, paths: int, epsilon: float, r: float, q: float,
@@ -123,7 +126,8 @@ class ScalingLimitPlan:
         if problems := scaling_plan_errors(self.shells, self.paths, self.epsilon, self.r,
                                            self.q, self.hminus_gamma):
             raise ArgumentErrors(problems)
-        _check_shell_noise(self, {f"shell {s}: ": (s, self.nu) for s in self.shells})
+        _check_shell_noise(self, {f"shell {s}: ": (s, self.nu) for s in self.shells},
+                           "shells", "nu")
 
 
 @dataclass
@@ -258,7 +262,8 @@ class SurvivalPlan:
             raise ArgumentErrors(problems)
         if negative_species(self.v0) is not None:
             raise ValueError("survival experiments require v0 >= 0")
-        _check_shell_noise(self, {f"nu = {nu}: ": (self.shell_n, nu) for nu in self.nus})
+        _check_shell_noise(self, {f"nu = {nu}: ": (self.shell_n, nu) for nu in self.nus},
+                           "shell_n", "nus")
 
 
 @dataclass
@@ -348,7 +353,7 @@ class DecayPlan:
         a0, a1 = self.sys.mass_consts
         if a0 != 0.0 or a1 >= 0.0:
             raise ValueError(f"decay regime requires a0 = 0 and a1 < 0, got ({a0}, {a1})")
-        _check_shell_noise(self, {"": (self.shell_n, self.nu)})
+        _check_shell_noise(self, {"": (self.shell_n, self.nu)}, "shell_n", "nu")
 
 
 @dataclass

@@ -61,8 +61,15 @@ def admissibility(params: ParamSet) -> AdmissibilityReport:
         p_min=p_min,
         p_ok=p >= p_min,
         a_p_delta=p * (1.0 - delta / 2.0) - 1.0,
-        q_meets_delayed_blowup=q > max(d * (h - 1) / 2.0, 2.0),
+        q_meets_delayed_blowup=subcriticality_error(d, h, q) is None,
     )
+
+
+def subcriticality_error(d: int, h: float, q: float) -> str | None:
+    """Why q fails the subcriticality rule q > max(d(h-1)/2, 2), or None."""
+    if q > (floor := max(d * (h - 1) / 2.0, 2.0)):
+        return None
+    return f"q = {q} is not subcritical: need q > max(d(h-1)/2, 2) = {floor}"
 
 
 def interp_exponents_strong(d: int, h: float, q: float) -> tuple[float, float]:
@@ -72,11 +79,8 @@ def interp_exponents_strong(d: int, h: float, q: float) -> tuple[float, float]:
     h-fold power already lands in L^q without smoothing); psi = (d/q)(h-1)/(h+1).
     Subcriticality q > d(h-1)/2 guarantees phi*h < 1 and psi*(h+1)/2 < 1.
     """
-    if not q > max(d * (h - 1) / 2.0, 2.0):
-        raise ValueError(
-            f"q = {q} is not subcritical: need q > max(d(h-1)/2, 2) = "
-            f"{max(d * (h - 1) / 2.0, 2.0)}"
-        )
+    if problem := subcriticality_error(d, h, q):
+        raise ValueError(problem)
     phi = max(0.0, (d * h - d - q) / (h * q))
     psi = (d / q) * (h - 1.0) / (h + 1.0)
     return phi, psi

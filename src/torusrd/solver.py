@@ -381,31 +381,19 @@ class Stepper:
             div += fhat[:, j] * self.grid.derivative_multipliers[j]
         return dealias_in_place(div, self.grid.d, self.band)
 
-    def _advection_rhs(self, coeffs: np.ndarray, vel: tuple[np.ndarray, np.ndarray | None],
-                       layout: ProductLayout | None = None,
-                       source: np.ndarray | None = None,
-                       grad: tuple[np.ndarray, np.ndarray | None] | None = None) -> np.ndarray:
+    def _advection_rhs(self, grad: tuple[np.ndarray, np.ndarray | None],
+                       vel: tuple[np.ndarray, np.ndarray | None],
+                       source: np.ndarray | None = None) -> np.ndarray:
         """Spectral coefficients of (u.grad)v for a species or a stack of
-        species (...); vel is the packed velocity (w, u_2) of
-        NoiseGridOps.velocity_field, both on the grid of layout: the
-        stepper's n-grid by default, or the product grid (product_layout)
-        of pure transport and the Wong-Zakai series.
-
-        The first two derivative components ride a single inverse transform
-        z, and Re(z w) is their product with u_0 and u_1.  A real grid term
-        source is added before the forward transform, which then takes the
-        sum: mode 0 of the result is the source's mean, and 0 without one.
-        grad, the packed gradient of coeffs on that grid when the caller has
-        it, saves the derivative transform and is multiplied in place; coeffs
-        is then not read.
-
-        On the stepper's grid the result is dealiased.  A product layout
-        leaves its entries outside the band as they come: its derivative
-        multipliers are zero there, so no later product reads them.
+        species (...): grad is its packed gradient (z, g_2) (_derivatives),
+        multiplied in place, and vel the packed velocity (w, u_2)
+        (NoiseGridOps.velocity_field) on the same grid; Re(z w) is the
+        product of the first two components with u_0 and u_1.  A real grid
+        term source rides the forward transform: mode 0 of the result is its
+        mean, and 0 without one.  No band is imposed; the caller keeps its own.
         """
-        lay = self.layout if layout is None else layout
         w, u2 = vel
-        z, d3 = self._derivatives(coeffs, lay) if grad is None else grad
+        z, d3 = grad
         _multiply_species(z, w)
         vals = z.real
         if d3 is not None:
@@ -417,8 +405,6 @@ class Stepper:
         if source is not None:
             vals += source
         out = forward(vals, self.grid.d)
-        if layout is None:
-            dealias_in_place(out, self.grid.d, self.band)
         # div sigma = 0: the transport term is mean free
         out[self.zero_index] = 0.0 if source is None else grid_mean(source, self.grid_axes)
         return out
@@ -432,14 +418,16 @@ class Stepper:
         in the same forward transform.  grad is the packed gradient of
         fields (gradients), if already taken; it is multiplied in place.
 
-        With a source or a gradient the product is taken on the n-grid.
-        Pure transport reads the band of fields only: it runs on the band
-        of the product grid (product_layout), where the product is exact,
-        one M^d transform each way, and its band is copied back into zeros.
+        With a source or a gradient the product is taken on the n-grid and
+        dealiased.  Pure transport reads the band of fields only: it runs on
+        the band of the product grid (product_layout), where the product is
+        exact, one M^d transform each way; its band is copied back into zeros.
         """
         if source is not None or grad is not None:
-            return self._advection_rhs(fields, self.noise_ops.velocity_field(dw),
-                                       source=source, grad=grad)
+            if grad is None:
+                grad = self._derivatives(fields, self.layout)
+            out = self._advection_rhs(grad, self.noise_ops.velocity_field(dw), source)
+            return dealias_in_place(out, self.grid.d, self.band)
         lay, d = self.product_layout, self.grid.d
         y = copy_band(fields, np.zeros(fields.shape[:-d] + lay.shape, dtype=complex), d,
                       self.band)
@@ -447,8 +435,7 @@ class Stepper:
         # velocity is assembled, the derivative before the result
         grad = self._derivatives(y, lay)
         del y
-        out = self._advection_rhs(None, self.product_noise_ops.velocity_field(dw), lay,
-                                  grad=grad)
+        out = self._advection_rhs(grad, self.product_noise_ops.velocity_field(dw))
         del grad
         return copy_band(out, np.zeros_like(fields), d, self.band)
 
@@ -463,9 +450,9 @@ class Stepper:
         ~rho + O(rho^(1/3)) right-hand sides.
 
         The fields lie in the band and A maps the band into itself, so the
-        series runs on the band of the product grid of M <= n points per
-        axis (product_layout), where its products are exact; u and rho are
-        taken there.  No entry outside the band is read or written.
+        series runs, species by species, on the band of the product grid of
+        M <= n points per axis (product_layout), where its products are
+        exact; u and rho are taken there.  Only the band is read or copied back.
         """
         w, u2 = vel = self.product_noise_ops.velocity_field(dw)
         speed2 = w.real * w.real
@@ -481,7 +468,8 @@ class Stepper:
         lay, d = self.product_layout, self.grid.d
         for f in fields:
             y = copy_band(f, np.zeros(lay.shape, dtype=complex), d, self.band)
-            y = chebyshev_expm(lambda q: self._advection_rhs(q, vel, lay), y, rho)
+            y = chebyshev_expm(lambda q: self._advection_rhs(self._derivatives(q, lay), vel),
+                               y, rho)
             copy_band(y, f, d, self.band)
 
     # -- the step ---------------------------------------------------------

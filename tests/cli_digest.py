@@ -1,6 +1,6 @@
 """One SHA-256 over the outputs of a fixed set of tiny CLI runs.
 
-Each run of RUNS (16^2 to 50^2 grids and three 24^3 grids, at most 20 steps)
+Each run of RUNS (16^2 to 50^2 grids and four 24^3 grids, at most 20 steps)
 writes into its own folder of a temporary directory.  The digest covers
 every file there, in path order, with each manifest's `# timestamp` line
 removed, so two trees that give the same digest wrote the same bytes.  It
@@ -54,6 +54,9 @@ RUNS = {
     # n-grid (Ito with a source and balance gradients), and on the 20-point
     # product grid (pure-transport Ito and Wong-Zakai)
     "simulate_ito_3d": (["simulate"], GRID_3D + MASS_ACTION, False),
+    # a source and no balance: the n-grid product takes its own derivative
+    "simulate_source_3d": (["simulate"], GRID_3D + MASS_ACTION + "solver.track_balance = false\n",
+                           False),
     "simulate_transport_3d": (["simulate"], GRID_3D + "reaction.kind = builtin:zero\n"
                               "reaction.nu = [0.02]\nnoise.shell_n = 1\n"
                               "solver.track_balance = false\nv0.kind = random_smooth\n"

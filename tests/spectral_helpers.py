@@ -1,12 +1,12 @@
 """Test helpers on fftn-layout coefficients (fields.forward's layout): the
 real field of a single Fourier mode, the Hermitian-symmetry defect of a
-spectrum, the mask of the dealias band and the index of a band; and on
-noise increments: the half-lattice sign of a mode and the increment of any
-mode of the support."""
+spectrum, the mask of the dealias band and the index of a band; on noise
+increments: the half-lattice sign of a mode and the increment of any mode
+of the support; and the advection product of a stepper from coefficients."""
 
 import numpy as np
 
-from torusrd.fields import GridField, TorusGrid, inverse_packed
+from torusrd.fields import GridField, TorusGrid, dealias_in_place, inverse_packed
 from torusrd.noise import NoiseModel
 
 
@@ -71,3 +71,16 @@ def increment(model: NoiseModel, dw: np.ndarray, k, alpha: int) -> complex:
     (row,) = np.flatnonzero(np.all(model.plus_modes == sign * kv, axis=1))
     val = complex(dw[row, alpha])
     return val if sign > 0 else val.conjugate()
+
+
+def advection_rhs(stepper, coeffs: np.ndarray, vel, layout=None, source=None) -> np.ndarray:
+    """Spectral coefficients of (u.grad)v for the species (stack) coeffs on
+    the grid of layout, the stepper's n-grid by default: Stepper._advection_rhs
+    of the packed derivative of coeffs there and the packed velocity vel on
+    that grid, with the optional real grid term source in its transform.
+    On the n-grid the result is dealiased; a product layout's is not."""
+    lay = stepper.layout if layout is None else layout
+    out = stepper._advection_rhs(stepper._derivatives(coeffs, lay), vel, source)
+    if layout is None:
+        dealias_in_place(out, stepper.grid.d, stepper.band)
+    return out

@@ -133,8 +133,12 @@ class TestConfigParsing:
                 "v0.mode = [1, 0, 0]")
         # h = 2 in d = 3 needs q0 > max(3/2, 2) = 2: q0 = 2.5 passes
         RunConfig.from_text(text)
-        with pytest.raises(ConfigError, match="admissibility"):
+        # h = 3 needs q0 > max(3, 2) = 3
+        with pytest.raises(ConfigError) as info:
             RunConfig.from_text(text + "\nreaction.kind = builtin:cubic_nontriangular\nreaction.nu = [0.1, 0.1]")
+        assert info.value.errors == [
+            "validate.admissibility: solver.blowup.q0: q = 2.5 is not subcritical: "
+            "need q > max(d(h-1)/2, 2) = 3.0 for growth h = 3.0"]
 
     def test_mass_action_lengths_checked(self):
         with pytest.raises(ConfigError, match="reaction"):
@@ -537,6 +541,16 @@ class TestCli:
         # finite settings whose sum overflows: the data is inf everywhere
         ("simulate", "v0.kind = constant\nv0.offset = 1e308\nv0.amplitude = 1e308\n",
          "initial data contains non-finite values"),
+        # a plan's shell-noise checks, under the key of the argument at fault: shell 16
+        # reaches |k_j| = 32, which 48 points do not resolve (the parse checks
+        # noise.shell_n only); the guard allows nu <= 0.02 at shell 12 on 96 points
+        # at dt = 2.5e-3, and nu <= 0.78 at shell 1 on 32 points at dt = 1e-2
+        ("scaling-limit", "grid.n = 48\nexperiment.shells = [1, 16]\n",
+         "  experiment.shells: shell 16: max|k_j| = 32 is under-resolved on grid n = 48"),
+        ("scaling-limit", "grid.n = 96\nsolver.dt = 0.0025\nexperiment.shells = [1, 12]\n",
+         "  noise.nu: shell 12: dt = 0.0025 violates the noise step guard"),
+        ("survival", "v0.kind = constant\nexperiment.nus = [0.1, 1.0]\n",
+         "  experiment.nus: nu = 1.0: dt = 0.01 violates the noise step guard"),
     ])
     def test_run_start_checks_exit_one_before_output(self, tmp_path, capsys, command,
                                                       bindings, error):
@@ -544,7 +558,9 @@ class TestCli:
         config.write_text("grid.n = 32\nsolver.dt = 0.01\nsolver.T = 0.05\n" + bindings)
         out = tmp_path / "out"
         assert run_cli([command, "--config", str(config), "--out", str(out)]) == 1
-        assert error in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert error in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -500,18 +500,19 @@ UNRESOLVED_GRID = TorusGrid(2, 24)  # resolves shell <= 3; shell 4 reaches |k_j|
 
 @pytest.mark.parametrize("make, prefix", [
     (lambda cfg, v0: SurvivalPlan(nus=(0.01,), shell_n=4, gamma=0.0, paths=1, solver=cfg,
-                                  sys=build_builtin("zero", [0.01]), v0=v0), "nu = 0.01: "),
+                                  sys=build_builtin("zero", [0.01]), v0=v0),
+     "shell_n: nu = 0.01: "),
     (lambda cfg, v0: DecayPlan(solver=cfg, sys=build_builtin("decay", [0.01]), v0=v0,
-                               shell_n=4, nu=0.01), ""),
+                               shell_n=4, nu=0.01), "shell_n: "),
     (lambda cfg, v0: ScalingLimitPlan(shells=(1, 4), gamma=0.0, nu=0.01, paths=1, solver=cfg,
                                       sys=build_builtin("zero", [0.01]), v0=v0, epsilon=0.1),
-     "shell 4: "),
+     "shells: shell 4: "),
 ], ids=["survival", "decay", "scaling_limit"])
 def test_unresolved_shell_noise_rejected_at_construction(make, prefix):
     # Stepper.__init__'s checks, before any path runs; dt passes the step guard
     cfg = SolverConfig(dt=1e-4, T=1e-3, balance_q=())
     v0 = [GridField(UNRESOLVED_GRID, np.ones(UNRESOLVED_GRID.shape))]
-    with pytest.raises(ValueError, match="^" + re.escape(
+    with pytest.raises(ArgumentErrors, match="^" + re.escape(
             prefix + "max|k_j| = 8 is under-resolved on grid n = 24")):
         make(cfg, v0)
     # with the noise off no path builds the shell noise

@@ -13,6 +13,7 @@ from torusrd.exponents import (
     interp_exponents_strong,
     interp_feasible_tuple,
     mean_zero_gamma,
+    subcriticality_error,
 )
 
 
@@ -32,6 +33,20 @@ class TestAdmissibility:
         bad = admissibility(ParamSet(d=2, h=3, q=2.0, p=8, delta=1.1))
         assert ok.q_meets_delayed_blowup
         assert not bad.q_meets_delayed_blowup
+
+    @pytest.mark.parametrize("d, h, q, floor", [(2, 3, 2.0, 2.0), (3, 3, 3.0, 3.0),
+                                                (3, 2, 1.5, 2.0), (2, 3, float("nan"), 2.0)])
+    def test_one_subcriticality_rule(self, d, h, q, floor):
+        # at or below the floor max(d(h-1)/2, 2): the report, the strong
+        # exponents and the message read the same rule
+        message = f"q = {q} is not subcritical: need q > max(d(h-1)/2, 2) = {floor}"
+        assert subcriticality_error(d, h, q) == message
+        if q > 0:  # ParamSet rejects NaN
+            assert not admissibility(ParamSet(d=d, h=h, q=q)).q_meets_delayed_blowup
+        with pytest.raises(ValueError) as info:
+            interp_exponents_strong(d, h, q)
+        assert str(info.value) == message
+        assert subcriticality_error(d, h, np.nextafter(floor, np.inf)) is None
 
     def test_delta_two_degenerate(self):
         rep = admissibility(ParamSet(d=3, h=3, q=4, p=8, delta=2.0))

@@ -104,8 +104,12 @@ CHECK = ["mass-action-check", "--q", "2,0", "--p", "0,1"]
     (CHECK + ["--radius", "-1"], None, "error: --radius: must be finite and > 0, got -1.0"),
     (CHECK + ["--radius", "nan"], None, "error: --radius: must be finite and > 0, got nan"),
     (CHECK + ["--radius", "inf"], None, "error: --radius: must be finite and > 0, got inf"),
+    (["mass-action-check", "--q", "a,0", "--p", "0,1"], None,
+     "error: argument --q: expected comma-separated integers, got 'a,0'"),
+    (["mass-action-check", "--q", "2,0", "--p", "0,1.5"], None,
+     "error: argument --p: expected comma-separated integers, got '0,1.5'"),
 ], ids=["empty_spectrum", "short_spectrum_row", "spectrum_d", "d_1", "d_4", "samples_0",
-        "radius_negative", "radius_nan", "radius_inf"])
+        "radius_negative", "radius_nan", "radius_inf", "q_not_integers", "p_not_integers"])
 def test_malformed_cli_input_exits_one_before_any_output(tmp_path, capsys, argv, spectrum,
                                                          error):
     if spectrum is not None:

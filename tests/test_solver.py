@@ -38,7 +38,8 @@ from torusrd.solver import (
     sup_bound,
 )
 
-from spectral_helpers import band_index, dealias_mask, mode_coeffs, mode_field
+from spectral_helpers import (advection_rhs, band_index, dealias_mask, mode_coeffs,
+                              mode_field)
 
 
 def grid_32():
@@ -626,7 +627,7 @@ class TestChebyshevExpm:
 
         def advect_values(vals):
             coeffs = np.fft.fftn(vals) / N
-            return np.fft.ifftn(stepper._advection_rhs(coeffs, vel)).real * N
+            return np.fft.ifftn(advection_rhs(stepper, coeffs, vel)).real * N
 
         dense = np.empty((N, N))
         for j in range(N):
@@ -639,7 +640,7 @@ class TestChebyshevExpm:
 
         rho = np.sqrt(np.max(np.sum(u * u, axis=0))) * stepper.k_max
         assert rho > 5.0  # a nontrivial degree
-        got = chebyshev_expm(lambda w: (2.0 / rho) * stepper._advection_rhs(w, vel),
+        got = chebyshev_expm(lambda w: (2.0 / rho) * advection_rhs(stepper, w, vel),
                              np.fft.fftn(v) / N, rho)
         got_values = np.fft.ifftn(got) * N
         assert np.abs(got_values - expected).max() < 1e-12
@@ -654,7 +655,7 @@ class TestChebyshevExpm:
         mask = dealias_mask(grid)
         v, w = (np.fft.fftn(rng.standard_normal(grid.shape)) / grid.n_points * mask
                 for _ in range(2))
-        Av, Aw = stepper._advection_rhs(v, vel), stepper._advection_rhs(w, vel)
+        Av, Aw = advection_rhs(stepper, v, vel), advection_rhs(stepper, w, vel)
         scale = np.linalg.norm(Av) * np.linalg.norm(w)
         assert abs(np.vdot(w, Av) + np.vdot(Aw, v)) < 1e-13 * scale
 
@@ -715,7 +716,7 @@ def _product_rhs(stepper, f, inc):
                   for m in (stepper.grid.n_per_dim, lay.shape[0]))
     y = np.zeros(lay.shape, dtype=complex)
     y[small] = f[big]
-    out = stepper._advection_rhs(y, stepper.product_noise_ops.velocity_field(inc), lay)
+    out = advection_rhs(stepper, y, stepper.product_noise_ops.velocity_field(inc), lay)
     back = np.zeros_like(f)
     back[big] = out[small]
     return back
@@ -728,7 +729,7 @@ def _full_grid_series(stepper, fields, inc):
     rho = np.sqrt(np.max(np.sum(u * u, axis=0))) * stepper.k_max
     u *= 2.0 / rho
     vel = _pack(u)
-    return np.stack([chebyshev_expm(lambda w: stepper._advection_rhs(w, vel), f, rho)
+    return np.stack([chebyshev_expm(lambda w: advection_rhs(stepper, w, vel), f, rho)
                      for f in fields])
 
 
@@ -754,8 +755,8 @@ class TestProductGrid:
         stepper = _ito_stepper(d, n, shell)
         fields = _band_data(stepper, 2)
         inc = sample_increments(stepper.noise, 1e-3, path_rng(4, 0, 0))
-        expected = stepper._advection_rhs(
-            fields, NoiseGridOps(stepper.noise, stepper.grid).velocity_field(inc))
+        expected = advection_rhs(
+            stepper, fields, NoiseGridOps(stepper.noise, stepper.grid).velocity_field(inc))
         got = stepper.transport(fields, inc)
         assert stepper.product_layout.shape == (size,) * d
         if size == n:
@@ -803,7 +804,7 @@ class TestProductGrid:
             for unit in np.eye(width**2):
                 y = np.zeros(lay.shape, dtype=complex)
                 y[band] = unit.reshape(width, width)
-                columns.append(stepper._advection_rhs(y, vel, lay)[band].ravel())
+                columns.append(advection_rhs(stepper, y, vel, lay)[band].ravel())
             assert rhos[-1] >= np.linalg.norm(np.array(columns).T, 2)
 
 
@@ -837,8 +838,8 @@ class TestBatchedTransport:
         if sys.is_linear:  # pure transport: on the product grid
             expected = fields + np.stack([_product_rhs(stepper, f, inc) for f in fields])
         else:  # f rides the forward transform of the n-grid product
-            expected = fields + stepper._advection_rhs(
-                fields, NoiseGridOps(noise, grid).velocity_field(inc))
+            expected = fields + advection_rhs(
+                stepper, fields, NoiseGridOps(noise, grid).velocity_field(inc))
             assert stepper.reaction_drift(0.0, values) is None
             drift = forward(sys.f(0.0, values), d)
             drift[..., ~dealias_mask(grid)] = 0.0
@@ -880,7 +881,7 @@ class TestBatchedTransport:
         assert np.array_equal(got[:, 0, 0], source.mean(axis=(1, 2)))
         assert np.all(stepper.transport(fields, inc)[:, 0, 0] == 0)
         # the transport with a source takes its product on the n-grid
-        plain = stepper._advection_rhs(fields, NoiseGridOps(noise, grid).velocity_field(inc))
+        plain = advection_rhs(stepper, fields, NoiseGridOps(noise, grid).velocity_field(inc))
         expected = forward(source, 2)
         expected[..., ~dealias_mask(grid)] = 0.0
         expected += plain
@@ -923,10 +924,10 @@ class TestBatchedTransport:
         vel = NoiseGridOps(stepper.noise, stepper.grid).velocity_field(inc)
         if term == "source":
             balance = None
-            expected = stepper._advection_rhs(fields, vel, source=sys.f(0.0, values) * 1e-3)
+            expected = advection_rhs(stepper, fields, vel, source=sys.f(0.0, values) * 1e-3)
         else:
             balance = RecordBuilder(sys=sys, lq_list=(2.0,), balance_q=(2.0,))
-            expected = stepper._advection_rhs(fields, vel, grad=stepper.gradients(fields))
+            expected = advection_rhs(stepper, fields, vel)
         expected += fields
         expected *= stepper.propagator
         state = stepper.step(SimState(t=0.0, fields=fields, grid_values=values), inc, balance)
