@@ -179,8 +179,8 @@ def _simulate(args, deterministic: bool) -> int:
     every = cfg["io.snapshots_every"]
     samples = itertools.count()
 
-    def snapshot(t, values, state):  # every `every`-th sample
-        if (j := next(samples)) % every == 0:
+    def snapshot(t, values, state):  # every `every`-th record sample
+        if values is not None and (j := next(samples)) % every == 0:
             write_snapshot(out / f"snapshot_{j:06d}.krdf", [GridField(cfg.grid, v) for v in values])
 
     _write_manifest(out, cfg, "simulate-det" if deterministic else "simulate")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TorusGrid
 from .reactions import ReactionSystem
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -180,15 +179,25 @@ def survival_estimate(
     return p_hat, (max(0.0, center - half), min(1.0, center + half))
 
 
-def hminus_weight(grid: TorusGrid, gamma: float) -> np.ndarray:
-    """The H^{-gamma} weight (1+|k|^2)^{-gamma} in fftn layout: built once
-    and passed to every hminus_gamma_norm on that grid."""
+def spectral_weight(d: int, band: int, gamma: float) -> np.ndarray:
+    """The weights of spectral_norm on the half band (fields.half_band_index)
+    of |k_j| <= band in d dimensions: (1+|k|^2)^{-gamma}, doubled where
+    k_d > 0, for the mirror mode -k that the half leaves out.  gamma = 0
+    gives the L^2 weights 1 and 2."""
     if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
-    return (1.0 + grid.k_squared) ** (-gamma)
+    axis = np.r_[0:band + 1, -band:0].astype(float)
+    k_last = np.arange(band + 1.0)
+    k_squared = sum(np.ix_(*([axis**2] * (d - 1)), k_last**2))
+    return np.where(k_last > 0, 2.0, 1.0) * (1.0 + k_squared) ** (-gamma)
 
 
-def hminus_gamma_norm(coeffs: np.ndarray, weight: np.ndarray) -> float:
-    """Spectral negative-order norm (sum w_k |c_k|^2)^{1/2} of one field or
-    of a species stack, summed over all species, for w = hminus_weight."""
-    return float(np.sqrt(np.sum(weight * np.abs(coeffs) ** 2)))
+def spectral_norm(half: np.ndarray, weight: np.ndarray) -> float:
+    """(sum_k w_k |c_k|^2)^{1/2} over the half band c of a real field or of a
+    species stack (summed over species), for w = spectral_weight: by
+    Parseval the L^2 norm of the field at gamma = 0 (lq_norm_vector at
+    q = 2), its H^{-gamma} norm otherwise."""
+    squares = np.square(half.real)
+    squares += np.square(half.imag)
+    squares *= weight
+    return math.sqrt(squares.sum())

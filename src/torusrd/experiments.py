@@ -3,6 +3,13 @@
 Paths are embarrassingly parallel; each one derives its randomness from a
 counter-based key (seed, path_index), so aggregate tables are independent
 of execution order and worker count.
+
+The scaling-limit reference keeps the half dealias band of its state
+(fields.half_band_index) on each record step.  A path reads its grid values
+at its last step only, and its distances from its own half band at the
+reference times: by Parseval the L^2 distance and norm and the H^{-gamma}
+distance are weighted sums over it (diagnostics.spectral_norm); an L^q
+distance with q != 2 inverse-transforms the path's and the difference's.
 """
 
 from __future__ import annotations
@@ -12,10 +19,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import hminus_gamma_norm, hminus_weight, lq_norm_vector, survival_estimate
-from .fields import ArgumentErrors, GridField, forward, mode_error
-from .noise import (NoiseModel, build_theta_shell, resolution_error, shell_max_k,
-                    step_guard_error)
+from .diagnostics import lq_norm_vector, spectral_norm, spectral_weight, survival_estimate
+from .fields import (ArgumentErrors, GridField, TorusGrid, half_band_index, integer_error,
+                     inverse_real, mode_error)
+from .noise import (NoiseModel, build_theta_shell, resolution_error, shell_errors,
+                    shell_max_k, step_guard_error)
 from .reactions import ReactionSystem
 from .solver import SolverConfig, exponent_error, horizon_steps, negative_species, run
 
@@ -23,16 +31,19 @@ DEFAULT_THREADS = 1
 
 
 def _run_paths(plan, sys: ReactionSystem, noise: NoiseModel | None, first: int, count: int,
-               threads: int, observer=None) -> list[tuple[float | None, object]]:
+               threads: int, observer=None, record: bool = False
+               ) -> list[tuple[float | None, object]]:
     """(tau, observer) of paths first, ..., first + count - 1 of sys from
     plan's v0 under plan's solver, in path order at any thread count;
-    observer() makes each path's observer (None: no observer).  No
-    experiment reads a path's record, so the paths track no balance and
-    sample no L^q norm, and a path without an observer reads its grid
-    values at its last step only: its tau is the same at any cadence (the
-    solver's sup-bound certificate)."""
+    observer() makes each path's observer (None: no observer), which run
+    calls after every step.  No experiment reads a path's record, so the
+    paths track no balance and sample no L^q norm.  With record, the
+    paths keep the plan's record_every, whose steps give their observers
+    grid values; otherwise a path reads its grid values at its last step
+    only, and its tau is the same at any cadence (the solver's sup-bound
+    certificate)."""
     solver = replace(plan.solver, balance_q=(), lq_norms=())
-    if observer is None:
+    if not record:
         solver = replace(solver, record_every=max(1, horizon_steps(solver.T, solver.dt)))
 
     def path(p: int):
@@ -48,17 +59,21 @@ def _run_paths(plan, sys: ReactionSystem, noise: NoiseModel | None, first: int, 
 
 
 class _Series(list):
-    """An observer that appends sample(t, values, state) at every sample."""
+    """An observer that appends sample(t, values, state) at every step that
+    has grid values: the record steps of a _run_paths(record=True) path."""
 
     def __init__(self, sample):
         super().__init__()
         self.sample = sample
 
-    def __call__(self, t: float, values: np.ndarray, state) -> None:
-        self.append(self.sample(t, values, state))
+    def __call__(self, t: float, values: np.ndarray | None, state) -> None:
+        if values is not None:
+            self.append(self.sample(t, values, state))
 
 
 def _paths_errors(paths: int) -> dict[str, str]:
+    if problem := integer_error(paths):
+        return {"paths": problem}
     return {"paths": f"must be >= 1, got {paths}"} if paths < 1 else {}
 
 
@@ -79,11 +94,15 @@ def _shell_noise(solver: SolverConfig, shell: int, gamma: float, d: int,
 def _check_shell_noise(plan, runs: dict[str, tuple[int, float]], shell_arg: str,
                        nu_arg: str) -> None:
     """Stepper.__init__'s checks of the _shell_noise of each label -> (shell,
-    nu) on the plan's grid, before any path runs: resolution (of shell_arg),
-    then the step guard (of nu_arg), the first failure an ArgumentErrors."""
+    nu) on the plan's grid, before any path runs: the shell's own rules
+    (shell_errors, with the plan's gamma), resolution (of shell_arg), then
+    the step guard (of nu_arg), the first failure an ArgumentErrors."""
     n, dt = plan.v0[0].grid.n_per_dim, plan.solver.dt
     for label, (shell, nu) in runs.items():
         if plan.solver.noise_on and nu > 0:
+            if problems := shell_errors(shell, plan.gamma):
+                raise ArgumentErrors({shell_arg if arg == "shell_n" else arg: label + msg
+                                      for arg, msg in problems.items()})
             max_k = shell_max_k(shell)
             if problem := resolution_error(max_k, n):
                 raise ArgumentErrors({shell_arg: label + problem})
@@ -171,36 +190,66 @@ class ScalingLimitResult:
         ]
 
 
-class _StreamingDistance:
-    """Accumulates the L^r(0,T;L^q) distance to a reference trajectory."""
+class _Reference:
+    """The deterministic reference of a sweep, as every path's
+    _StreamingDistance reads it, and the observer of its run: on each record
+    step it keeps the time and the half band (half_band_index) of the state.
+    It holds the distance exponents r and q, and the spectral_norm weights
+    of L^2 and of H^{-gamma} (hminus_gamma None: no H^{-gamma} distance),
+    built once for all paths."""
 
-    def __init__(self, ref_times, ref_snaps, r: float, q: float,
-                 hminus_weight: np.ndarray | None):
-        self.ref_times = ref_times
-        self.ref_snaps = ref_snaps
-        self.r = r
-        self.q = q
-        self.hminus_weight = hminus_weight  # None: no H^{-gamma} distance
+    def __init__(self, grid: TorusGrid, r: float, q: float, hminus_gamma: float | None = None):
+        band = grid.dealias_band
+        self.times: list[float] = []
+        self.halves: list[np.ndarray] = []
+        self.shape, self.r, self.q = grid.shape, r, q
+        self.index = half_band_index(grid.n_per_dim, grid.d, band)
+        self.l2 = spectral_weight(grid.d, band, 0.0)
+        self.hminus = None if hminus_gamma is None else spectral_weight(grid.d, band, hminus_gamma)
+
+    def __call__(self, t: float, values: np.ndarray | None, state) -> None:
+        if values is not None:
+            self.times.append(t)
+            self.halves.append(state.fields[self.index])
+
+
+class _StreamingDistance:
+    """Accumulates a path's L^r(0,T;L^q) distance to a _Reference, with the
+    sup over time of its own L^q norm (max_lq) and of its H^{-gamma}
+    distance, from the half band of its state at each reference time.  The
+    solver calls it after every step, so a path that steps past a reference
+    time without sampling it is off the reference cadence: an error."""
+
+    def __init__(self, ref: _Reference):
+        self.ref = ref
         self.norms: list[float] = []  # one per reference sample reached
         self.hminus_sup = 0.0
         self.max_lq = 0.0
 
-    def __call__(self, t: float, values: np.ndarray, state) -> None:
-        j = len(self.norms)
-        if j >= len(self.ref_times) or abs(self.ref_times[j] - t) > 1e-12:
-            if state.blown_up is not None:
-                return  # final off-cadence sample of a blown-up path
-            raise ValueError("stochastic path sampled off the reference cadence")
-        diff = values - self.ref_snaps[j]
-        self.norms.append(lq_norm_vector(diff, self.q))
-        self.max_lq = max(self.max_lq, lq_norm_vector(values, self.q))
-        if self.hminus_weight is not None:
-            dspec = forward(diff, self.hminus_weight.ndim)
-            self.hminus_sup = max(self.hminus_sup, hminus_gamma_norm(dspec, self.hminus_weight))
+    def __call__(self, t: float, values: np.ndarray | None, state) -> None:
+        ref, j = self.ref, len(self.norms)
+        if j == len(ref.times) or t > ref.times[j] + 1e-12:
+            raise ValueError(f"stochastic path at t = {t:g} stepped off the reference cadence")
+        if t < ref.times[j] - 1e-12:
+            return  # between reference times
+        half = state.fields[ref.index]
+        diff = half - ref.halves[j]
+        if ref.q == 2.0:
+            norm, own = spectral_norm(diff, ref.l2), spectral_norm(half, ref.l2)
+        else:  # the path's grid values and the difference's, in one transform
+            n = ref.shape[-1]
+            stack = np.zeros((2, len(half)) + ref.shape[:-1] + (n // 2 + 1,), dtype=complex)
+            stack[0][ref.index], stack[1][ref.index] = half, diff
+            values, diff_values = inverse_real(stack, ref.shape)
+            norm, own = lq_norm_vector(diff_values, ref.q), lq_norm_vector(values, ref.q)
+        self.norms.append(norm)
+        self.max_lq = max(self.max_lq, own)
+        if ref.hminus is not None:
+            self.hminus_sup = max(self.hminus_sup, spectral_norm(diff, ref.hminus))
 
     def distance(self) -> float:
         arr = np.array(self.norms)
-        return float(np.trapezoid(arr**self.r, self.ref_times[:len(arr)]) ** (1.0 / self.r))
+        return float(np.trapezoid(arr**self.ref.r, self.ref.times[:len(arr)]) ** (1.0 / self.ref.r))
 
 
 def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) -> ScalingLimitResult:
@@ -211,14 +260,12 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
     effect from discretization bias; one that blows up by T is an error.
     """
     grid = plan.v0[0].grid
-    [(tau, ref)] = _run_paths(plan, plan.sys.enhanced(plan.nu), None, 0, 1, 1,
-                              lambda: _Series(lambda t, values, state: (t, values.copy())))
+    ref = _Reference(grid, plan.r, plan.q, plan.hminus_gamma)
+    [(tau, _)] = _run_paths(plan, plan.sys.enhanced(plan.nu), None, 0, 1, 1, lambda: ref,
+                            record=True)
     if tau is not None:
         raise ValueError(f"the deterministic reference blows up at tau = {tau:g}, by "
                          f"T = {plan.solver.T:g}: no L^r(0,T;L^q) distance to it exists")
-    rtimes = np.array([t for t, _ in ref])
-    ref_snaps = [values for _, values in ref]
-    weight = None if plan.hminus_gamma is None else hminus_weight(grid, plan.hminus_gamma)
 
     shell_results = []
     for si, n in enumerate(plan.shells):
@@ -226,17 +273,17 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
         # reference at nu = 0; at nu > 0 they run nu_i unenhanced against the
         # nu_i + nu reference, so every shell reads the same nonzero gap
         noise = _shell_noise(plan.solver, n, plan.gamma, grid.d, plan.nu)
-        taus, dists = zip(*_run_paths(
-            plan, plan.sys, noise, si * plan.paths, plan.paths, threads,
-            lambda: _StreamingDistance(rtimes, ref_snaps, plan.r, plan.q, weight)))
+        taus, dists = zip(*_run_paths(plan, plan.sys, noise, si * plan.paths, plan.paths,
+                                      threads, lambda: _StreamingDistance(ref)))
         shell_results.append(ShellResult(
             shell=n,
             distances=np.array([d.distance() for d in dists]),
-            hminus_distances=None if weight is None else np.array([d.hminus_sup for d in dists]),
+            hminus_distances=None if ref.hminus is None else np.array([d.hminus_sup for d in dists]),
             max_lq=float(max(d.max_lq for d in dists)),
             taus=list(taus),
         ))
-    return ScalingLimitResult(plan=plan, reference_times=rtimes, shells=shell_results)
+    return ScalingLimitResult(plan=plan, reference_times=np.array(ref.times),
+                              shells=shell_results)
 
 
 def survival_plan_errors(nus, paths: int) -> dict[str, str]:
@@ -403,7 +450,8 @@ def run_decay(plan: DecayPlan, threads: int = DEFAULT_THREADS) -> DecayReport:
 
     # without noise every path is the same deterministic, enhanced path
     sys, paths = (plan.sys, plan.paths) if noise else (plan.sys.enhanced(plan.nu), 1)
-    _, series = zip(*_run_paths(plan, sys, noise, 0, paths, threads, lambda: _Series(sample)))
+    _, series = zip(*_run_paths(plan, sys, noise, 0, paths, threads, lambda: _Series(sample),
+                                record=True))
     times = np.array([row[0] for row in series[0]])
     norms, amps = (np.array([[row[i] for row in s] for s in series]) for i in (1, 2))
     mode_rate = mode_expected = None

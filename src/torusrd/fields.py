@@ -14,6 +14,7 @@ rides along.
 from __future__ import annotations
 
 import itertools
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +35,16 @@ class ArgumentErrors(ValueError):
     def __init__(self, problems: dict[str, str]):
         self.problems = problems
         super().__init__("; ".join(f"{name}: {msg}" for name, msg in problems.items()))
+
+
+def integer_error(value) -> str | None:
+    """Why value is no integer count, or None: a bool or any value that is
+    not numbers.Integral (2.0 and NaN too) fails, numpy integers pass.  A
+    plain int skips the abstract-class check, which costs about 0.5 us."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        return f"must be an integer, got {value!r}"
+    return None
 
 
 def dealias_band_of(n: int) -> int:
@@ -114,6 +125,16 @@ def copy_band(src: np.ndarray, dst: np.ndarray, d: int, band: int) -> np.ndarray
     for corner in itertools.product((slice(0, band + 1), slice(-band, None)), repeat=d):
         dst[(Ellipsis,) + corner] = src[(Ellipsis,) + corner]
     return dst
+
+
+def half_band_index(n: int, d: int, band: int) -> tuple:
+    """Open-mesh index, over the trailing d axes of an fftn-layout array of
+    n points per axis or of its Hermitian half (inverse_real), of the k_d >= 0
+    half of the band |k_j| <= band: shape (2 band + 1, ..., 2 band + 1,
+    band + 1), each leading axis in the order k_j = 0..band, -band..-1.
+    Reading it copies the half band; assigning to it fills the band back in."""
+    axis = np.r_[0:band + 1, n - band:n]
+    return (Ellipsis,) + np.ix_(*([axis] * (d - 1)), np.arange(band + 1))
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,12 @@ symmetry dW(-k) = conj(dW(k)), so every sampled velocity field is real.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .fields import ArgumentErrors, TorusGrid, dealias_band_of
+from .fields import ArgumentErrors, TorusGrid, dealias_band_of, integer_error
 
 SPECTRUM_L2_TOL = 1e-12
 C_CFL = 0.5  # explicit-noise step guard: dt <= C_CFL / (nu max|k_j| n)
@@ -127,10 +126,12 @@ def intensity_errors(nu: float) -> dict[str, str]:
 
 
 def shell_errors(shell_n: int, gamma: float) -> dict[str, str]:
-    """The rules of build_theta_shell, shell_n >= 1 and gamma >= 0, each
-    failing argument mapped to its message."""
+    """The rules of build_theta_shell, shell_n an integer >= 1 and gamma >= 0,
+    each failing argument mapped to its message."""
     problems = {}
-    if not shell_n >= 1:
+    if problem := integer_error(shell_n):
+        problems["shell_n"] = problem
+    elif not shell_n >= 1:
         problems["shell_n"] = f"must be >= 1, got {shell_n}"
     if not gamma >= 0:
         problems["gamma"] = f"must be >= 0, got {gamma}"
@@ -229,8 +230,8 @@ def sample_increments(model: NoiseModel, dt: float, rng: np.random.Generator) ->
 def seed_error(seed: int) -> str | None:
     """Why seed is not a Philox key word, a signed 64-bit integer, or None.
     A bool or a float is no seed: Philox would key with its truncation."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        return f"must be an integer, got {seed!r}"
+    if problem := integer_error(seed):
+        return problem
     return None if -2**63 <= seed < 2**63 else f"must lie in [-2^63, 2^63), got {seed}"
 
 

@@ -46,7 +46,6 @@ overflowed either.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import NamedTuple
@@ -57,7 +56,7 @@ from scipy.special import jv
 
 from .diagnostics import DiagnosticsRecord, RecordBuilder, grid_mean, lq_norm_vector
 from .fields import (ArgumentErrors, GridField, TorusGrid, copy_band, dealias_in_place,
-                     forward, inverse_packed, inverse_real)
+                     forward, integer_error, inverse_packed, inverse_real)
 from .noise import (NoiseGridOps, NoiseModel, path_rng, resolution_error, sample_increments,
                     seed_error, step_guard_error)
 from .reactions import ReactionSystem
@@ -246,8 +245,8 @@ class SolverConfig:
         if problem := seed_error(self.seed):
             problems["seed"] = problem
         every = self.record_every  # a bool or a float is no step count
-        if isinstance(every, bool) or not isinstance(every, numbers.Integral):
-            problems["record_every"] = f"must be an integer, got {every!r}"
+        if problem := integer_error(every):
+            problems["record_every"] = problem
         elif every < 1:
             problems["record_every"] = "must be >= 1"
         for name, low in (("lq_norms", 1.0), ("balance_q", 2.0)):  # L^q balance: q >= 2
@@ -634,31 +633,41 @@ def run(
     steps; only the recorded steps read their grid values (Stepper.step with
     values True).
 
+    observer(t, values, state) is called after t = 0 and after every step.
+    values holds the grid values on the steps the record samples (t = 0,
+    every record_every-th step, the last step and a blow-up step) and is
+    None on every other step, whose state may hold no grid values.
+
     increments: optional callable step_index -> plus-mode increment array
     (sample_increments' shape) overriding the counter-based default, so a
     coarse step can take the sum of two fine increments; otherwise one
-    generator per path is re-keyed to each step (path_rng).
+    generator per path is re-keyed to each step (path_rng).  It needs the
+    noise on: a run without noise has no increments to override.
     """
     if len(v0) != sys.ell:
         raise ValueError(f"expected {sys.ell} species fields, got {len(v0)}")
     grid = v0[0].grid
     state = initial_state(grid, v0, cfg)
     stepper = Stepper(grid, sys, noise, cfg)
+    if increments is not None and stepper.noise is None:
+        raise ValueError("increments were given but the noise is off (no noise model, "
+                         "or noise_on false): no step would read them")
     state.grid_values = stepper.to_values(state.fields)
 
     builder = RecordBuilder(sys=sys, lq_list=cfg.lq_norms, balance_q=cfg.balance_q)
     balance = builder if builder.balance_q else None
 
-    def record(st: SimState) -> None:
-        builder.sample(st.t, st.grid_values, st.phi_value, st.cutoff_acc)
+    def observe(st: SimState, recorded: bool) -> None:
+        if recorded:
+            builder.sample(st.t, st.grid_values, st.phi_value, st.cutoff_acc)
         if observer is not None:
-            observer(st.t, st.grid_values, st)
+            observer(st.t, st.grid_values if recorded else None, st)
 
     n_steps = horizon_steps(cfg.T, cfg.dt)
     rng = None
     # an overflow or NaN is a blow-up, which the step and record register
     with np.errstate(over="ignore", invalid="ignore"):
-        record(state)
+        observe(state, True)
         for step_idx in range(n_steps):
             if stepper.noise is not None:
                 if increments is not None:
@@ -670,8 +679,7 @@ def run(
                 dw = None
             read = (step_idx + 1) % cfg.record_every == 0 or step_idx + 1 == n_steps
             state = stepper.step(state, dw, balance, values=read)
-            if read or state.blown_up is not None:
-                record(state)
+            observe(state, read or state.blown_up is not None)
             if state.blown_up is not None:
                 break
 

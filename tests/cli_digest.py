@@ -1,6 +1,6 @@
 """One SHA-256 over the outputs of a fixed set of tiny CLI runs.
 
-Each run of RUNS (16^2 to 50^2 grids and four 24^3 grids, at most 20 steps)
+Each run of RUNS (16^2 to 50^2 grids and five 24^3 grids, at most 20 steps)
 writes into its own folder of a temporary directory.  The digest covers
 every file there, in path order, with each manifest's `# timestamp` line
 removed, so two trees that give the same digest wrote the same bytes.  It
@@ -66,6 +66,10 @@ RUNS = {
     "scaling_limit": (["scaling-limit"], "grid.n = 24\nsolver.dt = 0.002\nsolver.T = 0.02\n"
                       "solver.record_every = 2\nexperiment.shells = [1, 2]\nexperiment.paths = 2\n"
                       "experiment.hminus_gamma = 0.5\n", True),
+    # the 3D half band of the reference, and the grid branch of an L^4 distance
+    "scaling_limit_3d": (["scaling-limit"], GRID_3D + "v0.mode = [1, 0, 0]\nsolver.record_every = 2\n"
+                         "experiment.shells = [1, 2]\nexperiment.paths = 2\nexperiment.q = 4\n"
+                         "experiment.hminus_gamma = 0.5\n", True),
     # u' = u^2 from u = 50 blows up at t = 0.02; explicit steps cross the threshold later
     "survival": (["survival", "--unsafe-reaction"],
                  "grid.n = 16\nsolver.dt = 0.0025\nsolver.T = 0.05\n"

@@ -9,18 +9,18 @@ import pytest
 from torusrd.diagnostics import (
     RecordBuilder,
     grid_mean,
-    hminus_gamma_norm,
-    hminus_weight,
     lq_balance_residual,
     lq_norm_vector,
+    spectral_norm,
+    spectral_weight,
     survival_estimate,
 )
-from torusrd.fields import GridField, TorusGrid, forward, inverse_packed
+from torusrd.fields import GridField, TorusGrid, forward, half_band_index, inverse_packed
 from torusrd.noise import NoiseModel, build_theta_shell
 from torusrd.reactions import MassActionSpec, build_builtin, mass_action_build
 from torusrd.solver import SolverConfig, Stepper, run
 
-from spectral_helpers import mode_coeffs, mode_field
+from spectral_helpers import dealias_mask, mode_coeffs, mode_field
 
 
 def heat_run(dt, T=0.2, q=(2.0,), record_every=1):
@@ -301,28 +301,49 @@ class TestSurvivalEstimate:
         assert hits / trials >= 0.9
 
 
-class TestHminusNorm:
+def _half(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    return coeffs[half_band_index(grid.n_per_dim, grid.d, grid.dealias_band)]
+
+
+def _weight(grid: TorusGrid, gamma: float) -> np.ndarray:
+    return spectral_weight(grid.d, grid.dealias_band, gamma)
+
+
+class TestSpectralNorm:
     def test_single_mode_value(self):
         grid = TorusGrid(2, 16)
         c = mode_coeffs(grid, (3, 0), 0.5)
-        # two conjugate modes at |k|^2 = 9
+        # two conjugate modes at |k|^2 = 9, both in the k_d = 0 plane
         expected = np.sqrt(2 * 0.25 * (1 + 9.0) ** -0.5)
-        got = hminus_gamma_norm(c, hminus_weight(grid, 0.5))
+        got = spectral_norm(_half(grid, c), _weight(grid, 0.5))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_gamma_zero_is_l2(self):
+        # k_d = 1 > 0: the half band holds (2, 1) alone, at weight 2
         grid = TorusGrid(2, 16)
         c = mode_coeffs(grid, (2, 1), 1.0)
-        assert hminus_gamma_norm(c, hminus_weight(grid, 0.0)) == pytest.approx(np.sqrt(2.0))
+        assert spectral_norm(_half(grid, c), _weight(grid, 0.0)) == pytest.approx(np.sqrt(2.0))
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     def test_stack_norm_is_root_sum_of_squared_species_norms(self, d, n):
         grid = TorusGrid(d, n)
-        weight = hminus_weight(grid, 0.75)
-        stack = forward(np.random.default_rng(d).standard_normal((3,) + grid.shape), d)
-        per_species = np.sqrt(sum(hminus_gamma_norm(c, weight) ** 2 for c in stack))
-        assert hminus_gamma_norm(stack, weight) == pytest.approx(per_species, rel=1e-14)
+        weight = _weight(grid, 0.75)
+        stack = _half(grid, forward(np.random.default_rng(d).standard_normal((3,) + grid.shape), d))
+        per_species = np.sqrt(sum(spectral_norm(c, weight) ** 2 for c in stack))
+        assert spectral_norm(stack, weight) == pytest.approx(per_species, rel=1e-14)
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 10)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_half_band_norm_is_the_full_band_norm(self, d, n, gamma):
+        # a real field in the band: the Hermitian weights count each mirror mode once
+        grid = TorusGrid(d, n)
+        coeffs = forward(np.random.default_rng(n).standard_normal((2,) + grid.shape), d)
+        outside = ~dealias_mask(grid)
+        coeffs[:, outside] = 0.0
+        full = np.sqrt(np.sum((1.0 + grid.k_squared) ** -gamma * np.abs(coeffs) ** 2))
+        assert spectral_norm(_half(grid, coeffs), _weight(grid, gamma)) == pytest.approx(
+            full, rel=1e-14)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            hminus_weight(TorusGrid(2, 16), -0.5)
+            spectral_weight(2, 5, -0.5)

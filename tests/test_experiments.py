@@ -14,16 +14,18 @@ from torusrd.experiments import (
     DecayPlan,
     ScalingLimitPlan,
     SurvivalPlan,
+    _Reference,
     _StreamingDistance,
     run_decay,
     run_scaling_limit,
     run_survival,
 )
 from torusrd.exponents import ParamSet, admissibility
-from torusrd.fields import ArgumentErrors, GridField, TorusGrid
+from torusrd.fields import (ArgumentErrors, GridField, TorusGrid, dealias_band_of,
+                            dealias_in_place, forward)
 from torusrd.noise import NoiseModel, build_theta_shell
 from torusrd.reactions import build_builtin
-from torusrd.solver import SolverConfig, run
+from torusrd.solver import SolverConfig, Stepper, run
 
 from spectral_helpers import mode_field
 
@@ -216,69 +218,93 @@ class TestNonlinearEnhancedDiffusion:
             assert np.abs(mass - mass[0]).max() <= 1e-8 * abs(mass[0])
 
 
+def _band_spectra(values: np.ndarray, d: int) -> np.ndarray:
+    """The dealias-band spectrum of grid values (a species stack), the state
+    a path holds."""
+    return dealias_in_place(forward(values, d), d, dealias_band_of(values.shape[-1]))
+
+
+def _state(spectra: np.ndarray, blown_up=None):
+    return types.SimpleNamespace(fields=spectra, blown_up=blown_up)
+
+
+def _reference(times, spectra, r=2.0, q=2.0):
+    """The _Reference of a trajectory of band spectra (fftn layout) at times,
+    each a record step."""
+    ref = _Reference(TorusGrid(spectra[0].ndim - 1, spectra[0].shape[-1]), r, q)
+    for t, c in zip(times, spectra):
+        ref(t, c, _state(c))
+    return ref
+
+
 def _streamed(ref, path, times, r=2.0, q=2.0):
-    """The _StreamingDistance of trajectory path to ref, both sampled at times."""
-    dist = _StreamingDistance(times, ref, r, q, None)
-    alive = types.SimpleNamespace(blown_up=None)
-    for t, values in zip(times, path):
-        dist(t, values, alive)
+    """The _StreamingDistance of the trajectory of band spectra path to ref,
+    both sampled at times."""
+    dist = _StreamingDistance(_reference(times, ref, r, q))
+    for t, spectra in zip(times, path):
+        dist(t, None, _state(spectra))
     return dist.distance()
+
+
+def _trajectory(plan, sys, noise, **kwargs):
+    """The grid values of a run of sys from plan's v0 on the steps its
+    record samples, as the observer sees them."""
+    out = []
+    run(sys, noise, plan.solver, plan.v0, observer=lambda t, values, st: (
+        None if values is None else out.append(values.copy())), **kwargs)
+    return out
 
 
 class TestStreamingDistance:
     """The L^r(0,T; L^q) distance that run_scaling_limit streams."""
 
     def test_scaling_limit_distance_is_the_recorded_trajectories_distance(self):
+        # q = 3: the grid branch, its difference from one inverse transform
         plan = dataclasses.replace(small_heat_plan(shells=(1,), paths=2, n=16, T=0.05),
                                    q=3.0)
         result = run_scaling_limit(plan)
-
-        def trajectory(sys, noise, **kwargs):
-            out = []
-            run(sys, noise, plan.solver, plan.v0,
-                observer=lambda t, values, st: out.append(values.copy()), **kwargs)
-            return out
-
-        ref = trajectory(plan.sys.enhanced(plan.nu), None)
+        ref = _trajectory(plan, plan.sys.enhanced(plan.nu), None)
         noise = NoiseModel(build_theta_shell(1, plan.gamma, 2), nu=plan.nu)
         for p, got in enumerate(result.shells[0].distances):
             norms = np.array([lq_norm_vector(a - b, plan.q)
-                              for a, b in zip(trajectory(plan.sys, noise, path_index=p), ref)])
+                              for a, b in zip(_trajectory(plan, plan.sys, noise, path_index=p), ref)])
             expected = np.trapezoid(norms**plan.r, result.reference_times) ** (1.0 / plan.r)
-            assert got > 0 and got == expected
+            assert got > 0 and got == pytest.approx(expected, rel=1e-13)
 
     def test_constant_offset_closed_form(self):
         times = np.linspace(0.0, 1.0, 21)
         ell = 3
-        ref = [np.zeros((ell, 16, 16))] * len(times)
-        path = [np.full((ell, 16, 16), 0.7)] * len(times)
+        ref = [np.zeros((ell, 16, 16), dtype=complex)] * len(times)
+        path = [_band_spectra(np.full((ell, 16, 16), 0.7), 2)] * len(times)
         # |u - w|_{L^q} = c sqrt(ell) at every time; L^r over [0,1] keeps it
         assert _streamed(ref, path, times) == pytest.approx(0.7 * np.sqrt(ell), rel=1e-12)
 
     def test_blown_up_path_ends_at_its_off_cadence_sample(self):
-        # a path's blow-up step is recorded whatever the cadence; it adds no norm
+        # a path's blow-up step off the reference cadence adds no norm
         times = np.linspace(0.0, 1.0, 5)
-        ref = [np.zeros((1, 8, 8))] * len(times)
-        dist = _StreamingDistance(times, ref, 2.0, 2.0, None)
-        dist(0.0, np.ones((1, 8, 8)), types.SimpleNamespace(blown_up=None))
-        dist(0.1, np.full((1, 8, 8), np.inf), types.SimpleNamespace(blown_up=0.1))
+        ref = [np.zeros((1, 8, 8), dtype=complex)] * len(times)
+        dist = _StreamingDistance(_reference(times, ref))
+        dist(0.0, None, _state(_band_spectra(np.ones((1, 8, 8)), 2)))
+        dist(0.1, np.full((1, 8, 8), np.inf), _state(np.full((1, 8, 8), np.inf + 0j), 0.1))
         assert dist.norms == [1.0] and dist.max_lq == 1.0
 
     def test_off_cadence_sample_rejected(self):
+        # a path that steps past a reference time without sampling it
         times = np.linspace(0.0, 1.0, 5)
-        ref = [np.zeros((1, 8, 8))] * len(times)
-        dist = _StreamingDistance(times, ref, 2.0, 2.0, None)
-        alive = types.SimpleNamespace(blown_up=None)
-        dist(0.0, ref[0], alive)
+        ref = [np.zeros((1, 8, 8), dtype=complex)] * len(times)
+        dist = _StreamingDistance(_reference(times, ref))
+        dist(0.0, None, _state(ref[0]))
+        dist(0.125, None, _state(ref[0]))  # between reference times: not sampled
         with pytest.raises(ValueError, match="off the reference cadence"):
-            dist(0.5, ref[1], alive)
+            dist(0.5, None, _state(ref[1]))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000))
     def test_triangle_inequality(self, seed):
         rng = np.random.default_rng(seed)
         times = np.linspace(0.0, 1.0, 6)
-        a, b, c = (list(rng.standard_normal((6, 2, 8, 8))) for _ in range(3))
+        a, b, c = ([_band_spectra(v, 2) for v in rng.standard_normal((6, 2, 8, 8))]
+                   for _ in range(3))
 
         def d(u, w):
             return _streamed(w, u, times, q=3.0)
@@ -286,6 +312,95 @@ class TestStreamingDistance:
         assert d(a, c) <= d(a, b) + d(b, c) + 1e-12
         assert d(a, b) == pytest.approx(d(b, a))
         assert d(a, a) == 0.0
+
+
+def _two_species_plan(d: int, n: int, q: float = 2.0, nu: float = 0.1):
+    """A two-species zero-reaction scaling-limit plan with an H^{-1/2}
+    distance: record_every 2 of 10 steps, two shells of two paths."""
+    grid = TorusGrid(d, n)
+    mode = (1,) + (0,) * (d - 1)
+    v0 = [mode_field(grid, mode, 0.5), GridField(grid, 1.0 + mode_field(grid, mode[::-1], 0.3).values)]
+    cfg = SolverConfig(dt=2e-3, T=0.02, record_every=2, seed=7, balance_q=())
+    return ScalingLimitPlan(shells=(1, 2), gamma=0.0, nu=nu, paths=2, solver=cfg,
+                            sys=build_builtin("zero", [0.01, 0.02]), v0=v0, epsilon=0.05,
+                            q=q, hminus_gamma=0.5)
+
+
+class TestSpectralObservables:
+    """The scaling-limit observables read from the half band equal their grid
+    formulas: lq_norm_vector of the grid values (or of their difference) and
+    the H^{-gamma} sum over forward of the grid difference."""
+
+    @pytest.fixture
+    def references(self, monkeypatch):
+        made = []
+
+        class Kept(experiments_module._Reference):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(experiments_module, "_Reference", Kept)
+        return made
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 16)])
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_observables_equal_their_grid_formulas(self, d, n, q, references):
+        plan = _two_species_plan(d, n, q)
+        result = run_scaling_limit(plan)
+        grid = plan.v0[0].grid
+        band = grid.dealias_band
+        [ref] = references
+        assert all(h.shape == (2,) + (2 * band + 1,) * (d - 1) + (band + 1,) for h in ref.halves)
+        weight = (1.0 + grid.k_squared) ** -0.5
+        ref_values = _trajectory(plan, plan.sys.enhanced(plan.nu), None)
+        for si, shell in enumerate(result.shells):
+            noise = NoiseModel(build_theta_shell(shell.shell, plan.gamma, d), nu=plan.nu)
+            max_lq = 0.0
+            for p in range(plan.paths):
+                values = _trajectory(plan, plan.sys, noise, path_index=si * plan.paths + p)
+                diffs = [a - b for a, b in zip(values, ref_values)]
+                norms = np.array([lq_norm_vector(x, q) for x in diffs])
+                expected = np.trapezoid(norms**plan.r, result.reference_times) ** (1.0 / plan.r)
+                hminus = max(np.sqrt(np.sum(weight * np.abs(forward(x, d)) ** 2)) for x in diffs)
+                max_lq = max([max_lq] + [lq_norm_vector(v, q) for v in values])
+                assert shell.distances[p] > 0
+                assert shell.distances[p] == pytest.approx(expected, rel=1e-13)
+                assert shell.hminus_distances[p] == pytest.approx(hminus, rel=1e-13)
+            assert shell.max_lq == pytest.approx(max_lq, rel=1e-13)
+
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_zero_noise_distance_is_exactly_zero(self, q):
+        result = run_scaling_limit(_two_species_plan(3, 16, q, nu=0.0))
+        for shell in result.shells:
+            assert np.all(shell.distances == 0.0) and np.all(shell.hminus_distances == 0.0)
+
+
+class TestObserverCost:
+    def test_q2_path_reads_grid_values_at_t0_and_its_last_step_only(self, monkeypatch):
+        # the reference reads its record steps; a path reads t = 0 and T only
+        calls: dict[int, list] = {}
+        to_values = Stepper.to_values
+
+        def counted(self, fields):
+            calls.setdefault(id(self), [self.noise is not None, 0])[1] += 1
+            return to_values(self, fields)
+
+        monkeypatch.setattr(Stepper, "to_values", counted)
+        plan = _two_species_plan(2, 16)
+        result = run_scaling_limit(plan)
+        assert len(result.reference_times) == 6  # t = 0 and 5 record steps
+        path_calls = [n for noisy, n in calls.values() if noisy]
+        assert path_calls == [2] * (len(plan.shells) * plan.paths)
+        assert [n for noisy, n in calls.values() if not noisy] == [6]
+
+    def test_tables_do_not_depend_on_the_thread_count(self):
+        plan = _two_species_plan(2, 16)
+        one, two = (run_scaling_limit(plan, threads=k) for k in (1, 2))
+        assert one.table() == two.table()
+        for a, b in zip(one.shells, two.shells):
+            assert np.array_equal(a.distances, b.distances)
+            assert np.array_equal(a.hminus_distances, b.hminus_distances)
 
 
 def _blowing_survival_plan():

@@ -7,7 +7,7 @@ finite number`), so the constructors, plan rules and closed forms are probed
 here directly.  An infinite exponent passes a lower bound but switches its
 check off, so the exponent rules also reject inf; a seed must be an
 integer in the signed 64-bit range, the key word of a Philox stream; and a
-record interval must be an integer >= 1.
+record interval, a path count and a noise shell must be integers >= 1.
 """
 
 import math
@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from torusrd.config import ConfigError, RunConfig, build_v0
-from torusrd.diagnostics import hminus_weight
-from torusrd.experiments import decay_plan_errors, scaling_plan_errors, survival_plan_errors
+from torusrd.diagnostics import spectral_weight
+from torusrd.experiments import (DecayPlan, ScalingLimitPlan, SurvivalPlan, decay_plan_errors,
+                                 scaling_plan_errors, survival_plan_errors)
 from torusrd.exponents import ParamSet, barrier_mu0, interp_exponents_strong
-from torusrd.fields import ArgumentErrors, TorusGrid
+from torusrd.fields import ArgumentErrors, GridField, TorusGrid
 from torusrd.noise import (NoiseModel, NoiseSpectrum, build_theta_shell, path_rng,
                            sample_increments, seed_error)
 from torusrd.reactions import MassActionSpec, ReactionSystem, build_builtin, zero_rates
@@ -118,7 +119,7 @@ NAN_RULES = [
     ("sample_increments.dt", lambda: sample_increments(NoiseModel(SHELL, 0.1), NAN,
                                                        path_rng(0, 0, 0)),
      "dt must be >= 0, got nan"),
-    ("hminus_weight.gamma", lambda: hminus_weight(TorusGrid(2, 8), NAN), "gamma must be >= 0"),
+    ("spectral_weight.gamma", lambda: spectral_weight(2, 2, NAN), "gamma must be >= 0"),
 ]
 
 
@@ -225,6 +226,67 @@ def test_record_intervals_below_one_are_rejected(every):
 @pytest.mark.parametrize("every", [1, 7, np.int64(3), np.uint8(2)])
 def test_integer_record_intervals_are_accepted(every):
     assert _solver(record_every=every).record_every == every
+
+
+NOT_COUNTS = [2.5, 2.0, NAN, True, np.True_, np.float64(3.0), "3"]
+
+
+def _plans(grid: TorusGrid, **change):
+    """One ScalingLimitPlan, SurvivalPlan and DecayPlan on grid, with change."""
+    cfg = SolverConfig(dt=1e-3, T=1e-2, balance_q=())
+    v0 = [GridField(grid, np.ones(grid.shape))]
+    common = {"solver": cfg, "v0": v0, "gamma": 0.0, "paths": 1}
+    yield lambda **kw: ScalingLimitPlan(**(common | {"shells": (1,), "nu": 0.1, "epsilon": 0.1,
+                                                     "sys": build_builtin("zero", [0.01])} | kw))
+    yield lambda **kw: SurvivalPlan(**(common | {"nus": (0.1,), "shell_n": 1,
+                                                 "sys": build_builtin("zero", [0.01])} | kw))
+    yield lambda **kw: DecayPlan(**(common | {"shell_n": 1, "nu": 0.1,
+                                              "sys": build_builtin("decay", [0.01])} | kw))
+
+
+@pytest.mark.parametrize("paths", NOT_COUNTS)
+def test_path_counts_that_are_not_integers_are_rejected(paths):
+    # paths = 2.5 once ran the reference before failing, and True ran one path
+    expected = {"paths": f"must be an integer, got {paths!r}"}
+    assert _scaling(paths=paths) == expected
+    assert _decay(paths=paths) == expected
+    assert survival_plan_errors([0.1], paths) == expected
+    for make in _plans(TorusGrid(2, 16)):
+        with pytest.raises(ArgumentErrors) as info:
+            make(paths=paths)
+        assert info.value.problems == expected
+
+
+@pytest.mark.parametrize("shell", NOT_COUNTS[:-1])
+def test_shells_that_are_not_integers_are_rejected(shell):
+    # build_theta_shell(1.5, ...) once built the annulus 1.5 <= |k| <= 3
+    problem = f"must be an integer, got {shell!r}"
+    with pytest.raises(ArgumentErrors) as info:
+        build_theta_shell(shell, 0.0, 2)
+    assert info.value.problems == {"shell_n": problem}
+    scaling, survival, decay = _plans(TorusGrid(2, 16))
+    for make, arg, expected in [
+            (lambda: scaling(shells=(shell,)), "shells", f"shell {shell}: {problem}"),
+            (lambda: survival(shell_n=shell), "shell_n", f"nu = 0.1: {problem}"),
+            (lambda: decay(shell_n=shell), "shell_n", problem)]:
+        with pytest.raises(ArgumentErrors) as info:
+            make()
+        assert info.value.problems == {arg: expected}
+
+
+def test_plan_shell_gamma_checked_at_construction():
+    # gamma < 0 once failed in build_theta_shell, after the reference run
+    for make in _plans(TorusGrid(2, 16)):
+        with pytest.raises(ArgumentErrors) as info:
+            make(gamma=-0.5)
+        [(arg, msg)] = info.value.problems.items()
+        assert arg == "gamma" and msg.endswith("must be >= 0, got -0.5")
+
+
+@pytest.mark.parametrize("count", [1, 3, np.int64(2)])
+def test_integer_counts_are_accepted(count):
+    assert _scaling(paths=count) == {}
+    assert len(build_theta_shell(count, 0.0, 2).theta) > 0
 
 
 @pytest.mark.parametrize("literal", ["1.5", "true"])

@@ -236,6 +236,44 @@ class TestRunContract:
                 observer=lambda t, values, state: seen.append(t))
         assert seen == []
 
+    def test_observer_sees_t0_and_every_step_with_values_on_record_steps(self):
+        grid = TorusGrid(2, 16)
+        noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.1)
+        cfg = SolverConfig(dt=1e-3, T=0.01, record_every=3, seed=2, balance_q=())
+        seen = []
+        _, record = run(build_builtin("zero", [0.05]), noise, cfg, constant_fields(grid, [1.0]),
+                        observer=lambda t, values, st: seen.append((t, st.step_index, values)))
+        assert [i for _, i, _ in seen] == list(range(11))
+        assert [i for _, i, values in seen if values is not None] == [0, 3, 6, 9, 10]
+        assert np.array_equal(record.times, [t for t, _, values in seen if values is not None])
+
+    def test_blown_up_step_off_the_record_cadence_has_values(self):
+        grid = TorusGrid(2, 8)
+        sys = build_builtin("quadratic_unsafe", [0.1], allow_unsafe=True)
+        cfg = SolverConfig(dt=5e-3, T=1.0, noise_on=False, balance_q=(), record_every=7,
+                           blowup_threshold=1e3)
+        seen = []
+        state, record = run(sys, None, cfg, constant_fields(grid, [2.0]),
+                            observer=lambda t, values, st: seen.append((st.step_index, values)))
+        last, values = seen[-1]
+        assert state.blown_up is not None and last == state.step_index and last % 7 != 0
+        assert values is not None and np.array_equal(values, state.grid_values)
+        assert [i for i, _ in seen] == list(range(last + 1))
+        assert [i for i, v in seen if v is not None] == list(range(0, last, 7)) + [last]
+        assert len(record.times) == last // 7 + 2
+
+    @pytest.mark.parametrize("noise_on", [True, False])
+    def test_increments_without_noise_rejected(self, noise_on):
+        # the override was never called with the noise off: no step reads increments
+        grid = TorusGrid(2, 8)
+        noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.1) if noise_on else None
+        cfg = SolverConfig(dt=1e-3, T=5e-3, noise_on=not noise_on, balance_q=())
+        calls = []
+        with pytest.raises(ValueError, match="increments were given but the noise is off"):
+            run(build_builtin("zero", [0.1]), noise, cfg, constant_fields(grid, [1.0]),
+                increments=lambda step: calls.append(step))
+        assert calls == []
+
     def test_wrong_species_count_rejected(self):
         grid = TorusGrid(2, 8)
         cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False, balance_q=())
@@ -450,9 +488,10 @@ class TestCutOffSemantics:
             return lq_norm_vector(stack, q)
 
         monkeypatch.setattr(solver_module, "lq_norm_vector", counted)
-        snapshots = []
-        _, record = run(sys, noise, cfg, v0,
-                        observer=lambda t, values, st: snapshots.append(values.copy()))
+        snapshots = []  # record_every 1: every step has values
+        _, record = run(sys, noise, cfg, v0, observer=lambda t, values, st: snapshots.append(
+            values.copy()))
+        assert cfg.record_every == 1 and len(snapshots) == len(record.times)
         n_steps = len(record.times) - 1
         assert len(calls) == 2 * n_steps + 1
         power = [lq_norm_vector(v, 2.0) ** 2.0 for v in snapshots]
@@ -1150,10 +1189,10 @@ class TestStateLivesInTheBand:
             # rough data: its modes fill the grid, beyond the band
             values = 1.0 + 0.3 * np.random.default_rng(d).standard_normal((sys.ell,) + grid.shape)
             assert np.abs(forward(values, d)[:, outside]).max() > 1e-3
-            states = []
+            states = []  # the observer sees every step, with values or without
             state, _ = run(sys, noise, cfg, [GridField(grid, v) for v in values],
                            observer=lambda t, vals, st: states.append(st))
-            assert state.step_index == 4 and len(states) == 5
+            assert state.step_index == 4 and [st.step_index for st in states] == list(range(5))
             assert any(0.0 < st.phi_value < 1.0 for st in states)  # the cut-off acts
             for st in states:
                 assert not np.any(st.fields[:, outside])
