@@ -5,11 +5,14 @@ counter-based key (seed, path_index), so aggregate tables are independent
 of execution order and worker count.
 
 The scaling-limit reference keeps the half dealias band of its state
-(fields.half_band_index) on each record step.  A path reads its grid values
-at its last step only, and its distances from its own half band at the
-reference times: by Parseval the L^2 distance and norm and the H^{-gamma}
-distance are weighted sums over it (diagnostics.spectral_norm); an L^q
-distance with q != 2 inverse-transforms the path's and the difference's.
+(fields.half_band_index) on each record step.  Of a linear system it keeps
+the t = 0 half band only: its reference is the heat flow v_j = E(dt)^j v_0,
+which each path regenerates bit for bit from the half band of the
+propagator E(dt).  A path reads its grid values at its last step only, and
+its distances from its own half band at the reference times: by Parseval
+the L^2 distance and norm and the H^{-gamma} distance are weighted sums over
+it (diagnostics.spectral_norm); an L^q distance with q != 2
+inverse-transforms the path's and the difference's.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .fields import (ArgumentErrors, GridField, TorusGrid, half_band_index, inte
 from .noise import (NoiseModel, build_theta_shell, resolution_error, shell_errors,
                     shell_max_k, step_guard_error)
 from .reactions import ReactionSystem
-from .solver import SolverConfig, exponent_error, horizon_steps, negative_species, run
+from .solver import (SolverConfig, diffusion_propagator, exponent_error, horizon_steps,
+                     negative_species, run)
 
 DEFAULT_THREADS = 1
 
@@ -194,23 +198,29 @@ class _Reference:
     """The deterministic reference of a sweep, as every path's
     _StreamingDistance reads it, and the observer of its run: on each record
     step it keeps the time and the half band (half_band_index) of the state.
-    It holds the distance exponents r and q, and the spectral_norm weights
-    of L^2 and of H^{-gamma} (hminus_gamma None: no H^{-gamma} distance),
-    built once for all paths."""
+    Given the reference's diffusion propagator (diffusion_propagator, fftn
+    layout), the run of a linear system, it keeps the half band of that
+    propagator and the t = 0 half band only.  It holds the distance
+    exponents r and q, and the spectral_norm weights of L^2 and of
+    H^{-gamma} (hminus_gamma None: no H^{-gamma} distance), built once for
+    all paths."""
 
-    def __init__(self, grid: TorusGrid, r: float, q: float, hminus_gamma: float | None = None):
+    def __init__(self, grid: TorusGrid, r: float, q: float, hminus_gamma: float | None = None,
+                 propagator: np.ndarray | None = None):
         band = grid.dealias_band
         self.times: list[float] = []
         self.halves: list[np.ndarray] = []
         self.shape, self.r, self.q = grid.shape, r, q
         self.index = half_band_index(grid.n_per_dim, grid.d, band)
+        self.propagator = None if propagator is None else propagator[self.index]
         self.l2 = spectral_weight(grid.d, band, 0.0)
         self.hminus = None if hminus_gamma is None else spectral_weight(grid.d, band, hminus_gamma)
 
     def __call__(self, t: float, values: np.ndarray | None, state) -> None:
         if values is not None:
             self.times.append(t)
-            self.halves.append(state.fields[self.index])
+            if self.propagator is None or not self.halves:
+                self.halves.append(state.fields[self.index])
 
 
 class _StreamingDistance:
@@ -218,22 +228,36 @@ class _StreamingDistance:
     sup over time of its own L^q norm (max_lq) and of its H^{-gamma}
     distance, from the half band of its state at each reference time.  The
     solver calls it after every step, so a path that steps past a reference
-    time without sampling it is off the reference cadence: an error."""
+    time without sampling it is off the reference cadence: an error.
+
+    Against a reference with a propagator it carries its own copy of the
+    t = 0 half band (heat) and multiplies it in place by the propagator
+    after every step, as the reference run multiplies its state, so it
+    reads the half bands that run had, bit for bit.  It drops the copy
+    after its last call: the last reference time, or a blow-up step."""
 
     def __init__(self, ref: _Reference):
         self.ref = ref
         self.norms: list[float] = []  # one per reference sample reached
         self.hminus_sup = 0.0
         self.max_lq = 0.0
+        # in the stored half band's memory order, so that every sum over the
+        # difference adds its terms in the order it would against that run
+        self.heat = None if ref.propagator is None else ref.halves[0].copy(order="K")
 
     def __call__(self, t: float, values: np.ndarray | None, state) -> None:
-        ref, j = self.ref, len(self.norms)
+        ref, j, heat = self.ref, len(self.norms), self.heat
         if j == len(ref.times) or t > ref.times[j] + 1e-12:
             raise ValueError(f"stochastic path at t = {t:g} stepped off the reference cadence")
+        if heat is not None:
+            if state.step_index:
+                heat *= ref.propagator
+            if state.blown_up is not None or t > ref.times[-1] - 1e-12:
+                self.heat = None
         if t < ref.times[j] - 1e-12:
             return  # between reference times
         half = state.fields[ref.index]
-        diff = half - ref.halves[j]
+        diff = half - (ref.halves[j] if heat is None else heat)
         if ref.q == 2.0:
             norm, own = spectral_norm(diff, ref.l2), spectral_norm(half, ref.l2)
         else:  # the path's grid values and the difference's, in one transform
@@ -260,9 +284,13 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
     effect from discretization bias; one that blows up by T is an error.
     """
     grid = plan.v0[0].grid
-    ref = _Reference(grid, plan.r, plan.q, plan.hminus_gamma)
-    [(tau, _)] = _run_paths(plan, plan.sys.enhanced(plan.nu), None, 0, 1, 1, lambda: ref,
-                            record=True)
+    ref_sys = plan.sys.enhanced(plan.nu)
+    # a linear reference steps by its diffusion propagator alone, of which
+    # _Reference keeps the half band
+    ref = _Reference(grid, plan.r, plan.q, plan.hminus_gamma,
+                     diffusion_propagator(grid, ref_sys.nu, plan.solver.dt)
+                     if ref_sys.is_linear else None)
+    [(tau, _)] = _run_paths(plan, ref_sys, None, 0, 1, 1, lambda: ref, record=True)
     if tau is not None:
         raise ValueError(f"the deterministic reference blows up at tau = {tau:g}, by "
                          f"T = {plan.solver.T:g}: no L^r(0,T;L^q) distance to it exists")

@@ -148,6 +148,7 @@ def build_theta_shell(shell_n: int, gamma: float, d: int) -> NoiseSpectrum:
     """Normalized annulus spectrum: theta ~ |k|^-gamma on shell_n <= |k| <= 2 shell_n."""
     if problems := shell_errors(shell_n, gamma):
         raise ArgumentErrors(problems)
+    shell_n = int(shell_n)  # -max_k and shell_n^2 wrap on a fixed-width numpy integer
     max_k = shell_max_k(shell_n)
     rng_1d = np.arange(-max_k, max_k + 1)
     mesh = np.meshgrid(*([rng_1d] * d), indexing="ij")

@@ -270,6 +270,13 @@ class SimState:
     cutoff_integrand: float | None = None  # |v|_{L^q}^r of the cut-off
 
 
+def diffusion_propagator(grid: TorusGrid, nus, dt: float) -> np.ndarray:
+    """exp(-4 pi^2 |k|^2 nu_i dt) of each diffusivity nu_i, stacked, in fftn
+    layout: one dt of the diagonal heat flow of a species stack."""
+    lam = grid.laplacian_multipliers  # built on each access, dropped on return
+    return np.stack([np.exp(lam * nu_i * dt) for nu_i in nus])
+
+
 class Stepper:
     """Engine bound to one (grid, system, noise, config) tuple."""
 
@@ -296,10 +303,8 @@ class Stepper:
         # the Ito correction nu Delta (strat_substep: the Wong-Zakai substep
         # supplies the nu-diffusion); a noise-free enhanced run has it in sys.nu
         nu_extra = self.noise.nu if ito else 0.0
-        lam = grid.laplacian_multipliers  # -4 pi^2 |k|^2, dropped after __init__
-        self.propagator = np.stack(
-            [np.exp(lam * (nu_i + nu_extra) * cfg.dt) for nu_i in sys.nu]
-        )
+        self.propagator = diffusion_propagator(grid, [nu_i + nu_extra for nu_i in sys.nu],
+                                               cfg.dt)
         # sup_bound below this cap certifies that the exact L^{q0} norm, a
         # mean of N grid values |v|^{q0} <= sup_bound^{q0}, neither reaches
         # the threshold nor overflows
@@ -311,9 +316,9 @@ class Stepper:
         self.zero_index = (Ellipsis,) + (0,) * grid.d  # mode 0 of every species
         self.grid_axes = tuple(range(-grid.d, 0))  # the grid axes of a species stack
         if self.noise is not None and not ito:
-            # max |2 pi k| over the band, at its corners k = (+-band, ...):
-            # ||(u.grad)|| <= max|u| * k_max there
-            self.k_max = math.sqrt(-lam[(self.band,) * grid.d])
+            # max |2 pi k| over the band, at its corners k = (+-band, ...),
+            # |k|^2 = d band^2: ||(u.grad)|| <= max|u| * k_max there
+            self.k_max = math.sqrt(4.0 * np.pi**2 * (grid.d * self.band**2))
 
     # -- the two grids, each built when a step first needs it -------------
 
@@ -636,7 +641,9 @@ def run(
     observer(t, values, state) is called after t = 0 and after every step.
     values holds the grid values on the steps the record samples (t = 0,
     every record_every-th step, the last step and a blow-up step) and is
-    None on every other step, whose state may hold no grid values.
+    None on every other step, whose state may hold no grid values.  The
+    t = 0 state drops its grid values after the first observation unless
+    a step reads them (the balance, the drift or a cut-off).
 
     increments: optional callable step_index -> plus-mode increment array
     (sample_increments' shape) overriding the counter-based default, so a
@@ -668,6 +675,8 @@ def run(
     # an overflow or NaN is a blow-up, which the step and record register
     with np.errstate(over="ignore", invalid="ignore"):
         observe(state, True)
+        if balance is None and sys.is_linear and cfg.cutoff is None:
+            state.grid_values = None  # read by the balance, drift and cut-off only
         for step_idx in range(n_steps):
             if stepper.noise is not None:
                 if increments is not None:

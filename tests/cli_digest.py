@@ -70,6 +70,10 @@ RUNS = {
     "scaling_limit_3d": (["scaling-limit"], GRID_3D + "v0.mode = [1, 0, 0]\nsolver.record_every = 2\n"
                          "experiment.shells = [1, 2]\nexperiment.paths = 2\nexperiment.q = 4\n"
                          "experiment.hminus_gamma = 0.5\n", True),
+    # a nonlinear reference, which keeps one half band per sample
+    "scaling_limit_logistic": (["scaling-limit"], BASE + LOGISTIC + "solver.record_every = 2\n"
+                               "experiment.shells = [1, 2]\nexperiment.paths = 2\n"
+                               "experiment.hminus_gamma = 0.5\n", True),
     # u' = u^2 from u = 50 blows up at t = 0.02; explicit steps cross the threshold later
     "survival": (["survival", "--unsafe-reaction"],
                  "grid.n = 16\nsolver.dt = 0.0025\nsolver.T = 0.05\n"

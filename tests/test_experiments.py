@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -326,6 +327,17 @@ def _two_species_plan(d: int, n: int, q: float = 2.0, nu: float = 0.1):
                             q=q, hminus_gamma=0.5)
 
 
+def _recording(cls, made: list):
+    """A subclass of cls that appends each instance it makes to made."""
+
+    class Recorded(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    return Recorded
+
+
 class TestSpectralObservables:
     """The scaling-limit observables read from the half band equal their grid
     formulas: lq_norm_vector of the grid values (or of their difference) and
@@ -334,13 +346,8 @@ class TestSpectralObservables:
     @pytest.fixture
     def references(self, monkeypatch):
         made = []
-
-        class Kept(experiments_module._Reference):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
-
-        monkeypatch.setattr(experiments_module, "_Reference", Kept)
+        monkeypatch.setattr(experiments_module, "_Reference",
+                            _recording(experiments_module._Reference, made))
         return made
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 16)])
@@ -351,7 +358,9 @@ class TestSpectralObservables:
         grid = plan.v0[0].grid
         band = grid.dealias_band
         [ref] = references
-        assert all(h.shape == (2,) + (2 * band + 1,) * (d - 1) + (band + 1,) for h in ref.halves)
+        # a linear reference keeps its t = 0 half band only
+        [half] = ref.halves
+        assert half.shape == (2,) + (2 * band + 1,) * (d - 1) + (band + 1,)
         weight = (1.0 + grid.k_squared) ** -0.5
         ref_values = _trajectory(plan, plan.sys.enhanced(plan.nu), None)
         for si, shell in enumerate(result.shells):
@@ -379,11 +388,13 @@ class TestSpectralObservables:
 class TestObserverCost:
     def test_q2_path_reads_grid_values_at_t0_and_its_last_step_only(self, monkeypatch):
         # the reference reads its record steps; a path reads t = 0 and T only
-        calls: dict[int, list] = {}
+        # keyed by the Stepper itself, which the dict keeps alive: a freed
+        # Stepper's id() can be reused by the next path's
+        calls: dict[Stepper, list] = {}
         to_values = Stepper.to_values
 
         def counted(self, fields):
-            calls.setdefault(id(self), [self.noise is not None, 0])[1] += 1
+            calls.setdefault(self, [self.noise is not None, 0])[1] += 1
             return to_values(self, fields)
 
         monkeypatch.setattr(Stepper, "to_values", counted)
@@ -401,6 +412,91 @@ class TestObserverCost:
         for a, b in zip(one.shells, two.shells):
             assert np.array_equal(a.distances, b.distances)
             assert np.array_equal(a.hminus_distances, b.hminus_distances)
+
+
+class TestRegeneratedReference:
+    """A linear sweep keeps the t = 0 half band of its reference, and each
+    path regenerates the others by the reference's propagator: its
+    observables keep the bits they have against the half bands the reference
+    run would store, which a nonlinear sweep still stores."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 16)])
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_observables_equal_those_against_stored_half_bands(self, d, n, q, threads,
+                                                                monkeypatch):
+        plan = _two_species_plan(d, n, q)
+        refs, dists = [], []
+        monkeypatch.setattr(experiments_module, "_Reference",
+                            _recording(experiments_module._Reference, refs))
+        monkeypatch.setattr(experiments_module, "_StreamingDistance",
+                            _recording(experiments_module._StreamingDistance, dists))
+        regenerated = run_scaling_limit(plan, threads=threads)
+        [ref] = refs
+        assert ref.propagator is not None and len(ref.halves) == 1
+        # every path dropped its copy after its last sample
+        assert len(dists) == len(plan.shells) * plan.paths
+        assert all(dist.heat is None for dist in dists)
+
+        class Stored(experiments_module._Reference):  # one half band per sample
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.propagator = None
+
+        monkeypatch.setattr(experiments_module, "_Reference", _recording(Stored, refs))
+        stored = run_scaling_limit(plan, threads=threads)
+        assert len(refs[1].halves) == len(stored.reference_times) == 6
+        assert np.array_equal(regenerated.reference_times, stored.reference_times)
+        for a, b in zip(regenerated.shells, stored.shells):
+            assert np.array_equal(a.distances, b.distances)
+            assert np.array_equal(a.hminus_distances, b.hminus_distances)
+            assert a.max_lq == b.max_lq and a.taus == b.taus
+
+    def test_nonlinear_reference_stores_a_half_band_per_sample(self, monkeypatch):
+        refs = []
+        monkeypatch.setattr(experiments_module, "_Reference",
+                            _recording(experiments_module._Reference, refs))
+        plan = dataclasses.replace(_two_species_plan(2, 16), sys=build_builtin("logistic", [0.05]),
+                                   v0=[GridField(TorusGrid(2, 16), np.full((16, 16), 0.6))])
+        result = run_scaling_limit(plan)
+        [ref] = refs
+        band = plan.v0[0].grid.dealias_band
+        assert ref.propagator is None and len(ref.halves) == len(result.reference_times) == 6
+        assert all(h.shape == (1, 2 * band + 1, band + 1) for h in ref.halves)
+
+    def test_blown_up_path_drops_its_copy(self):
+        grid = TorusGrid(2, 8)
+        spectra = _band_spectra(np.ones((1, 8, 8)), 2)
+        ref = _Reference(grid, 2.0, 2.0, propagator=np.full((1, 8, 8), 0.5))
+        for t in (0.0, 0.5, 1.0):
+            ref(t, np.ones((1, 8, 8)), _state(spectra))
+        assert len(ref.halves) == 1
+        dist = _StreamingDistance(ref)
+        dist(0.0, None, types.SimpleNamespace(fields=spectra, blown_up=None, step_index=0))
+        assert dist.heat is not None and dist.norms == [0.0]
+        dist(0.25, None, types.SimpleNamespace(fields=spectra, blown_up=0.25, step_index=1))
+        assert dist.heat is None and dist.norms == [0.0]
+
+    def test_peak_memory_does_not_grow_with_the_reference_samples(self):
+        # T and the samples after t = 0 x4 (5 -> 20 at 24^2, two species):
+        # the peaks differ by less than one half band, where a reference
+        # storing each sample would grow by 15 of them
+        plan = _two_species_plan(2, 24)
+        long = _with_solver(plan, T=4 * plan.solver.T)
+        half_band = plan.sys.ell * (2 * 8 + 1) * (8 + 1) * 16  # bytes, K = 8
+        run_scaling_limit(long)  # fills the lazy caches before the peaks are taken
+
+        def peak(p):
+            tracemalloc.start()
+            try:
+                result = run_scaling_limit(p)
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (short_result, short_peak), (long_result, long_peak) = peak(plan), peak(long)
+        assert (len(short_result.reference_times), len(long_result.reference_times)) == (6, 21)
+        assert abs(long_peak - short_peak) < half_band
 
 
 def _blowing_survival_plan():

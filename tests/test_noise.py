@@ -122,6 +122,15 @@ class TestThetaShell:
         sp = build_theta_shell(2, 1.0, 2)
         assert theta_at(sp, (2, 0)) > theta_at(sp, (4, 0))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_numpy_integer_counts_give_the_int_spectrum(self, d):
+        # -max_k of an unsigned numpy count would wrap and empty the lattice
+        sp = build_theta_shell(2, 0.5, d)
+        for shell in (np.uint8(2), np.int64(2)):
+            got = build_theta_shell(shell, 0.5, d)
+            assert np.array_equal(got.support, sp.support)
+            assert np.array_equal(got.theta, sp.theta)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             build_theta_shell(0, 0.0, 2)

@@ -247,6 +247,32 @@ class TestRunContract:
         assert [i for _, i, values in seen if values is not None] == [0, 3, 6, 9, 10]
         assert np.array_equal(record.times, [t for t, _, values in seen if values is not None])
 
+    @pytest.mark.parametrize("kind, balance_q, cutoff, released, calls", [
+        # t = 0 and the record steps 5 and 10: the steps read no pre-step values
+        ("zero", (), None, True, 3),
+        # the balance, the drift and a cut-off read them on every step, the
+        # first step the t = 0 values: one transform per step after t = 0
+        ("zero", (2.0,), None, False, 11),
+        ("logistic", (), None, False, 11),
+        ("zero", (), CutOffParams(R=10.0, r=2.0, q=2.0), False, 11),
+    ], ids=["linear", "balance", "drift", "cutoff"])
+    def test_t0_values_are_freed_when_no_step_reads_them(self, monkeypatch, kind, balance_q,
+                                                         cutoff, released, calls):
+        counted = []
+        to_values = Stepper.to_values
+        monkeypatch.setattr(Stepper, "to_values",
+                            lambda self, fields: counted.append(1) or to_values(self, fields))
+        grid = TorusGrid(2, 16)
+        noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.1)
+        cfg = SolverConfig(dt=1e-3, T=0.01, record_every=5, seed=2, balance_q=balance_q,
+                           cutoff=cutoff)
+        seen = []
+        v0 = [GridField(grid, 0.5 + mode_field(grid, (1, 0), 0.2).values)]
+        run(build_builtin(kind, [0.05]), noise, cfg, v0,
+            observer=lambda t, values, st: seen.append(st))
+        assert (seen[0].grid_values is None) == released
+        assert len(counted) == calls
+
     def test_blown_up_step_off_the_record_cadence_has_values(self):
         grid = TorusGrid(2, 8)
         sys = build_builtin("quadratic_unsafe", [0.1], allow_unsafe=True)
