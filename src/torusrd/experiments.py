@@ -5,7 +5,7 @@ counter-based key (seed, path_index), so aggregate tables are independent
 of execution order and worker count.
 
 The scaling-limit reference keeps the half dealias band of its state
-(fields.half_band_index) on each record step.  Of a linear system it keeps
+(fields.half_band_index) on each record step.  Of a drift-free system it keeps
 the t = 0 half band only: its reference is the heat flow v_j = E(dt)^j v_0,
 which each path regenerates bit for bit from the half band of the
 propagator E(dt).  A path reads its grid values at its last step only, and
@@ -199,7 +199,7 @@ class _Reference:
     _StreamingDistance reads it, and the observer of its run: on each record
     step it keeps the time and the half band (half_band_index) of the state.
     Given the reference's diffusion propagator (diffusion_propagator, fftn
-    layout), the run of a linear system, it keeps the half band of that
+    layout), the run of a drift-free system, it keeps the half band of that
     propagator and the t = 0 half band only.  It holds the distance
     exponents r and q, and the spectral_norm weights of L^2 and of
     H^{-gamma} (hminus_gamma None: no H^{-gamma} distance), built once for
@@ -285,11 +285,11 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
     """
     grid = plan.v0[0].grid
     ref_sys = plan.sys.enhanced(plan.nu)
-    # a linear reference steps by its diffusion propagator alone, of which
+    # a drift-free reference steps by its diffusion propagator alone, of which
     # _Reference keeps the half band
     ref = _Reference(grid, plan.r, plan.q, plan.hminus_gamma,
                      diffusion_propagator(grid, ref_sys.nu, plan.solver.dt)
-                     if ref_sys.is_linear else None)
+                     if ref_sys.is_drift_free else None)
     [(tau, _)] = _run_paths(plan, ref_sys, None, 0, 1, 1, lambda: ref, record=True)
     if tau is not None:
         raise ValueError(f"the deterministic reference blows up at tau = {tau:g}, by "

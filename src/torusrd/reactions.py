@@ -28,7 +28,7 @@ Evaluator = Callable[[float, np.ndarray], np.ndarray]
 
 
 def zero_rates(t: float, Y: np.ndarray) -> np.ndarray:
-    """The reaction f = 0; a system with this f and no flux is linear."""
+    """The reaction f = 0; a system with this f and no flux is drift-free."""
     return np.zeros_like(Y)
 
 
@@ -65,7 +65,7 @@ class ReactionSystem:
             raise ArgumentErrors(problems)
 
     @property
-    def is_linear(self) -> bool:
+    def is_drift_free(self) -> bool:
         """True when the drift div F + f is known to vanish: f is zero_rates
         and there is no flux.  The solver then skips the drift."""
         return self.f is zero_rates and self.F is None

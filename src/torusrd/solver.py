@@ -13,7 +13,9 @@ ball A is skew-adjoint, so exp(A)v has a Chebyshev (Jacobi-Anger) series
 with Bessel coefficients J_k(rho), rho >= ||A||.  Cut where the Bessel tail
 drops below 1e-16, at degree rho + O(rho^(1/3) log(1/tol)), it keeps the
 L^2 norm pathwise to round-off (~1e-14 over 500 steps at 64^2).  Its
-propagator then carries nu_i only.
+propagator E(dt) carries nu_i only and is applied to each species' band on
+the product grid (below) before the series; the step allocates its result
+after the series and does not write the state it is given.
 
 The state lives in the dealias band |k_j| <= K = n/3: initial_state
 projects v0 onto it, and every step keeps it there (the transport and the
@@ -88,6 +90,9 @@ def chebyshev_expm(apply, v: np.ndarray, rho: float) -> np.ndarray:
     |P_k| <= |v|, stopping at the first degree K whose tail
     2 sum_{j>K} |J_j(rho)| is below EXPM_TAIL_TOL bounds the error by that
     tail times |v|.  K calls of apply, three vectors plus the sum.
+
+    v is dropped after the first product, so a caller that keeps no
+    reference of its own has P_0 freed once the recurrence moves past it.
     """
     # J_j(rho) <= (e rho / 2j)^j, so orders past 2 rho + 64 are negligible
     c = jv(np.arange(2 * math.ceil(rho) + 64), rho)
@@ -97,6 +102,7 @@ def chebyshev_expm(apply, v: np.ndarray, rho: float) -> np.ndarray:
     if degree < 1:
         return out
     prev, cur = v, apply(v)
+    del v
     cur *= 0.5
     out += (2.0 * c[1]) * cur
     for k in range(2, degree + 1):
@@ -300,11 +306,15 @@ class Stepper:
             if problem := step_guard_error(self.noise.nu, max_k, grid.n_per_dim, cfg.dt):
                 raise ValueError(problem)
 
-        # the Ito correction nu Delta (strat_substep: the Wong-Zakai substep
-        # supplies the nu-diffusion); a noise-free enhanced run has it in sys.nu
-        nu_extra = self.noise.nu if ito else 0.0
-        self.propagator = diffusion_propagator(grid, [nu_i + nu_extra for nu_i in sys.nu],
-                                               cfg.dt)
+        # the n-grid propagator of the Ito and noise-free steps, with the Ito
+        # correction nu Delta; a noise-free enhanced run has it in sys.nu.  The
+        # Wong-Zakai step (its substep supplies the nu-diffusion) reads
+        # product_propagator instead
+        self.propagator = None
+        if self.noise is None or ito:
+            nu_extra = self.noise.nu if ito else 0.0
+            self.propagator = diffusion_propagator(grid, [nu_i + nu_extra for nu_i in sys.nu],
+                                                   cfg.dt)
         # sup_bound below this cap certifies that the exact L^{q0} norm, a
         # mean of N grid values |v|^{q0} <= sup_bound^{q0}, neither reaches
         # the threshold nor overflows
@@ -345,6 +355,13 @@ class Stepper:
     def product_noise_ops(self) -> NoiseGridOps:
         """The velocity on the product grid."""
         return NoiseGridOps(self.noise, TorusGrid(self.grid.d, self.product_layout.shape[0]))
+
+    @cached_property
+    def product_propagator(self) -> np.ndarray:
+        """E(dt) of each species (nu_i only) on the product grid, for the
+        Wong-Zakai step; its band entries are bitwise the n-grid ones."""
+        return diffusion_propagator(TorusGrid(self.grid.d, self.product_layout.shape[0]),
+                                    self.sys.nu, self.cfg.dt)
 
     # -- spectral helpers ------------------------------------------------
 
@@ -443,9 +460,19 @@ class Stepper:
         del grad
         return copy_band(out, np.zeros_like(fields), d, self.band)
 
-    def _advect(self, fields: np.ndarray, dw: np.ndarray) -> None:
-        """Wong-Zakai substep, in place: the flow of dv/ds = (u.grad)v over
-        s in [0,1].
+    def _product_band(self, f: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """The band of one species f copied onto zeros on the product grid,
+        times factor there.  A call passed straight to chebyshev_expm leaves
+        the series the only reference to its P_0."""
+        y = copy_band(f, np.zeros(self.product_layout.shape, dtype=complex), self.grid.d,
+                      self.band)
+        y *= factor
+        return y
+
+    def _advect(self, src: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """Wong-Zakai step of the species stack src, as a new array (src is
+        not written): the diffusion E(dt), then the flow of dv/ds = (u.grad)v
+        over s in [0,1].
 
         u is the frozen displacement field (velocity * dt) of the increments
         dw.  The operator is skew-adjoint on the dealiased ball, so exp(A)v
@@ -453,10 +480,13 @@ class Stepper:
         ||A||; the L^2 norm is kept to round-off and the cost is
         ~rho + O(rho^(1/3)) right-hand sides.
 
-        The fields lie in the band and A maps the band into itself, so the
-        series runs, species by species, on the band of the product grid of
-        M <= n points per axis (product_layout), where its products are
-        exact; u and rho are taken there.  Only the band is read or copied back.
+        src lies in the band, and E(dt) and A map the band into itself, so
+        each species runs on the band of the product grid of M <= n points
+        per axis (product_layout), where the products are exact; u and rho
+        are taken there.  Its band is copied there and multiplied by
+        product_propagator, the series holds no other reference to P_0, and
+        only the band of its result is written back, into zeros allocated
+        after the first species' series has freed its vectors.
         """
         w, u2 = vel = self.product_noise_ops.velocity_field(dw)
         speed2 = w.real * w.real
@@ -469,12 +499,14 @@ class Stepper:
         for part in vel:  # times a real scale, float by float: the bits of scaling u
             if part is not None:
                 np.multiply(part.view(np.float64), scale, out=part.view(np.float64))
-        lay, d = self.product_layout, self.grid.d
-        for f in fields:
-            y = copy_band(f, np.zeros(lay.shape, dtype=complex), d, self.band)
+        lay, out = self.product_layout, None
+        for i, factor in enumerate(self.product_propagator):
             y = chebyshev_expm(lambda q: self._advection_rhs(self._derivatives(q, lay), vel),
-                               y, rho)
-            copy_band(y, f, d, self.band)
+                               self._product_band(src[i], factor), rho)
+            if out is None:
+                out = np.zeros_like(src)
+            copy_band(y, out[i], self.grid.d, self.band)
+        return out
 
     # -- the step ---------------------------------------------------------
 
@@ -504,7 +536,7 @@ class Stepper:
         if self.noise is not None and dw is None:
             raise ValueError("noise is active but no increments were given")
         ito = self.ito
-        drift_on = not self.sys.is_linear and phi != 0.0
+        drift_on = not self.sys.is_drift_free and phi != 0.0
         # the pre-step values are read by the balance, the drift and a
         # cut-off that has no carried-over integrand only
         pre_values = state.grid_values
@@ -543,11 +575,13 @@ class Stepper:
             del source, grad
             tr += new
             new = tr
+            new *= self.propagator
+        elif self.noise is not None:  # Wong-Zakai: a new array, E(dt) included
+            new = self._advect(new, dw)
         elif new is state.fields:
-            new = new.copy()
-        new *= self.propagator
-        if self.noise is not None and not ito:
-            self._advect(new, dw)
+            new = new * self.propagator
+        else:
+            new *= self.propagator
 
         # trapezoid advance of the cut-off accumulator A(t) = int |v|_{Lq}^r;
         # the pre-step integrand is carried over from the previous step
@@ -649,16 +683,20 @@ def run(
     (sample_increments' shape) overriding the counter-based default, so a
     coarse step can take the sum of two fine increments; otherwise one
     generator per path is re-keyed to each step (path_rng).  It needs the
-    noise on: a run without noise has no increments to override.
+    noise on: a run without noise has no increments to override.  An
+    override of another shape or with a non-finite entry raises ValueError
+    naming its step index.
     """
     if len(v0) != sys.ell:
         raise ValueError(f"expected {sys.ell} species fields, got {len(v0)}")
     grid = v0[0].grid
     state = initial_state(grid, v0, cfg)
     stepper = Stepper(grid, sys, noise, cfg)
-    if increments is not None and stepper.noise is None:
-        raise ValueError("increments were given but the noise is off (no noise model, "
-                         "or noise_on false): no step would read them")
+    if increments is not None:
+        if stepper.noise is None:
+            raise ValueError("increments were given but the noise is off (no noise model, "
+                             "or noise_on false): no step would read them")
+        dw_shape = (len(noise.plus_modes), noise.d - 1)
     state.grid_values = stepper.to_values(state.fields)
 
     builder = RecordBuilder(sys=sys, lq_list=cfg.lq_norms, balance_q=cfg.balance_q)
@@ -675,12 +713,17 @@ def run(
     # an overflow or NaN is a blow-up, which the step and record register
     with np.errstate(over="ignore", invalid="ignore"):
         observe(state, True)
-        if balance is None and sys.is_linear and cfg.cutoff is None:
+        if balance is None and sys.is_drift_free and cfg.cutoff is None:
             state.grid_values = None  # read by the balance, drift and cut-off only
         for step_idx in range(n_steps):
             if stepper.noise is not None:
                 if increments is not None:
                     dw = increments(step_idx)
+                    if np.shape(dw) != dw_shape:
+                        raise ValueError(f"increments({step_idx}) has shape {np.shape(dw)}, "
+                                         f"expected {dw_shape} (sample_increments)")
+                    if not np.all(np.isfinite(dw)):
+                        raise ValueError(f"increments({step_idx}) is not finite")
                 else:
                     rng = path_rng(cfg.seed, path_index, step_idx, rng)
                     dw = sample_increments(noise, cfg.dt, rng)

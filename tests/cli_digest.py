@@ -49,6 +49,10 @@ RUNS = {
     "simulate_shell8": (["simulate"], BASE.replace("grid.n = 16", "grid.n = 50") + LOGISTIC
                         + "noise.shell_n = 8\n", False),
     "simulate_strat": (["simulate"], BASE + LOGISTIC + "solver.scheme = strat_substep\n", False),
+    # drift-free Wong-Zakai, two species with nu_i > 0: E(dt) on the product-grid band
+    "simulate_strat_transport": (["simulate"], BASE + "reaction.kind = builtin:zero\n"
+                                 "reaction.nu = [0.02, 0.05]\nsolver.scheme = strat_substep\n",
+                                 False),
     "simulate_det": (["simulate-det"], BASE + LOGISTIC + "noise.nu = 0.1\n", False),
     # the d = 3 branches: the third velocity and derivative components, on the
     # n-grid (Ito with a source and balance gradients), and on the 20-point

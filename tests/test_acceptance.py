@@ -7,16 +7,22 @@ Criterion 4 (mean-L^2 conservation of pure transport at the stated dt and
 path count) is asserted verbatim and is expected to FAIL: the exponential
 Euler-Maruyama scheme's weak bias is saturated there (measured bias -0.4837
 of the initial 0.5 at dt = 1e-3 against 3 SE = 0.0022, and a refinement
-ratio of 1.004 where [1.5, 3] is needed).  Two known mechanisms act:
+ratio of 1.004 where [1.5, 3] is needed).  The diagnosis is measured
+(ROADMAP item 3: a re-anchor probe with the exact second-moment oracle of
+ROADMAP item 1, not a committed test):
 
-- stiffness: at the dealias edge |k| = 21 the step's stiffness is
-  x = 8 pi^2 nu |k|^2 dt ~ 3.5, so the propagator damps the fresh increment
-  at its target modes (a loss of 0.78 to 0.94 per path by T = 0.5);
-- an edge leak in the code: the Ito propagator damps every mode by the
-  continuum correction nu Delta, while the dealiased transport injects less
-  energy near the edge of the band, so energy leaks there at any dt.  The
-  diagonal correction of the dealiased system, tried in place of nu Delta,
-  leaves the criterion at -0.4837 and 1.004.
+- the statistic's exact expected bias is -0.48247 at dt = 1e-3 and
+  -0.48066 at dt/2, a refinement ratio of 1.004, the same under the
+  continuum correction nu Delta and under the dealiased correction g;
+  the Monte-Carlo mean above sits 1.7 SE from -0.48247, so the red is the
+  scheme's bias, not sampling noise;
+- at dt = 1e-3 the loss is booked at |k| < 5: the propagator damps each
+  fresh increment by its target mode's E_k^2, so a step's mean-square
+  factor falls below 1 wherever g dt is not small;
+- the edge leak (the Ito propagator damps every mode by nu Delta, while
+  the dealiased transport injects less energy near the dealias edge
+  |k| = 21) acts only as dt -> 0: in the continuum nu Delta loses 0.4662
+  of the 0.5 and g nothing.
 
 The companion checks in this suite and in test_solver.py verify the
 implementation independently (ellipticity identity, increment moments,

@@ -239,14 +239,14 @@ class TestBuiltins:
         assert sys.f(0.0, np.array([0.0]))[0] == 0.0
         assert sys.f(0.0, np.array([1.0]))[0] == 0.0
 
-    def test_zero_reaction_is_linear(self):
+    def test_zero_reaction_is_drift_free(self):
         sys = build_builtin("zero", [0.1, 0.2])
-        assert sys.is_linear
+        assert sys.is_drift_free
         assert np.abs(sys.f(0.0, np.ones((2, 4)))).max() == 0.0
 
-    def test_linearity_follows_the_evaluators_not_the_name(self):
-        assert not build_builtin("linear_flux", [0.1]).is_linear
-        assert ReactionSystem(ell=1, nu=[0.1], h=2.0, f=zero_rates, name="custom").is_linear
+    def test_drift_freedom_follows_the_evaluators_not_the_name(self):
+        assert not build_builtin("linear_flux", [0.1]).is_drift_free
+        assert ReactionSystem(ell=1, nu=[0.1], h=2.0, f=zero_rates, name="custom").is_drift_free
 
     def test_nonzero_reaction_named_zero_keeps_its_drift(self):
         # f = v^2 on a constant field: the drift must run whatever the name
@@ -256,7 +256,7 @@ class TestBuiltins:
         means = []
         for name in ("custom", "zero"):
             sys = ReactionSystem(ell=1, nu=[0.1], h=2.0, f=lambda t, Y: Y**2, name=name)
-            assert not sys.is_linear
+            assert not sys.is_drift_free
             state, _ = run(sys, None, cfg, v0)
             means.append(state.fields[0][0, 0].real)
         assert means[0] == means[1] > 0.52

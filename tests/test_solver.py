@@ -13,7 +13,8 @@ import torusrd.solver as solver_module
 from torusrd.config import RunConfig, build_v0
 from torusrd.diagnostics import RecordBuilder, lq_norm_vector
 from torusrd.experiments import ScalingLimitPlan, run_scaling_limit
-from torusrd.fields import ArgumentErrors, GridField, TorusGrid, dealias_in_place, forward
+from torusrd.fields import (ArgumentErrors, GridField, TorusGrid, copy_band, dealias_in_place,
+                            forward)
 from torusrd.noise import (
     NoiseGridOps,
     NoiseModel,
@@ -30,6 +31,7 @@ from torusrd.solver import (
     SolverConfig,
     Stepper,
     chebyshev_expm,
+    diffusion_propagator,
     initial_state,
     negative_species,
     phi_bump,
@@ -299,6 +301,34 @@ class TestRunContract:
             run(build_builtin("zero", [0.1]), noise, cfg, constant_fields(grid, [1.0]),
                 increments=lambda step: calls.append(step))
         assert calls == []
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("bad, match", [
+        (math.nan, r"^increments\(2\) is not finite$"),
+        (math.inf, r"^increments\(2\) is not finite$"),
+        ("shape", r"^increments\(2\) has shape \(5, 1\), expected \(6, 1\)"),
+    ])
+    def test_malformed_increments_rejected(self, scheme, bad, match):
+        # a NaN or inf increment used to fail strat_substep's Bessel series
+        # and blow the Ito step up; a wrong shape failed a numpy broadcast
+        grid = TorusGrid(2, 16)
+        noise = NoiseModel(build_theta_shell(1, 0.0, 2), nu=0.1)
+        cfg = SolverConfig(dt=1e-3, T=5e-3, scheme=scheme, balance_q=())
+        good = [sample_increments(noise, cfg.dt, path_rng(1, 0, s)) for s in range(5)]
+        assert good[0].shape == (6, 1)
+
+        def increments(step):
+            if step < 2:
+                return good[step]
+            if bad == "shape":
+                return good[step][:5]
+            dw = good[step].copy()
+            dw[1, 0] = complex(0.0, bad)
+            return dw
+
+        with pytest.raises(ValueError, match=match):
+            run(build_builtin("zero", [0.1]), noise, cfg, constant_fields(grid, [1.0]),
+                increments=increments)
 
     def test_wrong_species_count_rejected(self):
         grid = TorusGrid(2, 8)
@@ -842,12 +872,12 @@ class TestProductGrid:
                                   stepper.band)
         inc = sample_increments(stepper.noise, 1e-3, path_rng(4, 0, 0))
         expected = _full_grid_series(stepper, fields, inc)
-        stepper._advect(fields, inc)
+        got = stepper._advect(fields, inc)  # nu_i = 0: E(dt) is 1
         # at M = n the band series runs the n-grid series' transforms, bit for bit
         if stepper.product_layout.shape[0] == n:
-            assert np.array_equal(fields, expected)
+            assert np.array_equal(got, expected)
         else:
-            assert np.abs(fields - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_rho_bounds_the_product_grid_operator(self, monkeypatch):
         # rho is max|u| * k_max of the product-grid velocity that the series
@@ -871,6 +901,94 @@ class TestProductGrid:
                 y[band] = unit.reshape(width, width)
                 columns.append(advection_rhs(stepper, y, vel, lay)[band].ravel())
             assert rhos[-1] >= np.linalg.norm(np.array(columns).T, 2)
+
+
+def _old_step_fields(stepper, fields, dw):
+    """The fields of one step of a cut-off-free stepper from t = 0, as the
+    step computed them before it worked on the product-grid band: a copy of
+    the state (or the drift sum), times the n-grid propagator, then with
+    noise the Wong-Zakai series of each species' band, written back in
+    place.  The reference of TestStepAliasing."""
+    grid, sys, cfg, d = stepper.grid, stepper.sys, stepper.cfg, stepper.grid.d
+    nu_extra = stepper.noise.nu if stepper.ito else 0.0
+    new = fields.copy()
+    if not sys.is_drift_free:
+        values = stepper.to_values(fields)
+        new = dealias_in_place(forward(sys.f(0.0, values), d), d, stepper.band)
+        new *= cfg.dt
+        new += fields
+    new *= diffusion_propagator(grid, [nu_i + nu_extra for nu_i in sys.nu], cfg.dt)
+    if stepper.noise is None:
+        return new
+    w, u2 = vel = stepper.product_noise_ops.velocity_field(dw)
+    speed2 = w.real * w.real
+    speed2 += w.imag * w.imag
+    if u2 is not None:
+        speed2 += u2 * u2
+    rho = math.sqrt(float(np.max(speed2))) * stepper.k_max
+    for part in vel:
+        if part is not None:
+            np.multiply(part.view(np.float64), 2.0 / rho, out=part.view(np.float64))
+    lay = stepper.product_layout
+    for f in new:
+        y = copy_band(f, np.zeros(lay.shape, dtype=complex), d, stepper.band)
+        y = chebyshev_expm(lambda q: stepper._advection_rhs(stepper._derivatives(q, lay), vel),
+                           y, rho)
+        copy_band(y, f, d, stepper.band)
+    return new
+
+
+class TestStepAliasing:
+    """A step returns new fields and leaves the fields of its input state
+    unwritten."""
+
+    @pytest.mark.parametrize("d, n, shell", [(2, 32, 2), (3, 16, 1), (2, 50, 8)])  # M = n last
+    @pytest.mark.parametrize("reaction", ["zero", "logistic"])
+    @pytest.mark.parametrize("noise_on", [True, False])
+    def test_step_keeps_its_input_and_the_old_bits(self, d, n, shell, reaction, noise_on):
+        grid = TorusGrid(d, n)
+        noise = NoiseModel(build_theta_shell(shell, 0.0, d), nu=0.1)
+        sys = build_builtin(reaction, [0.02, 0.05] if reaction == "zero" else [0.05], d=d)
+        cfg = SolverConfig(dt=1e-3, T=1e-3, scheme="strat_substep", noise_on=noise_on,
+                           balance_q=())
+        stepper = Stepper(grid, sys, noise, cfg)
+        assert (stepper.propagator is None) == noise_on
+        values = 1.0 + 0.3 * np.random.default_rng(d).standard_normal((sys.ell,) + grid.shape)
+        fields = dealias_in_place(forward(values, d), d, stepper.band)
+        before = fields.tobytes()
+        dw = sample_increments(noise, cfg.dt, path_rng(2, 0, 0)) if noise_on else None
+        expected = _old_step_fields(stepper, fields, dw)
+        if noise_on and n == 50:
+            assert stepper.product_layout.shape == grid.shape
+        state = stepper.step(SimState(t=0.0, fields=fields), dw)
+        assert fields.tobytes() == before
+        assert state.fields is not fields
+        assert state.fields.tobytes() == expected.tobytes()
+
+    def test_wong_zakai_step_peak_holds_no_grid_copy(self):
+        # a drift-free Wong-Zakai step at 64^2 (one species, shell 2, M = 48)
+        # holds its 48^2 series vectors and the 64 KiB result allocated after
+        # them: 219.9 KiB above the pre-step allocation, measured.  A copy of
+        # the state before the series and a caller-held P_0 put the step at
+        # 320.1 KiB (the step before it worked on the product-grid band)
+        grid = TorusGrid(2, 64)
+        noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
+        cfg = SolverConfig(dt=1e-3, T=1e-3, scheme="strat_substep", balance_q=())
+        stepper = Stepper(grid, build_builtin("zero", [0.0]), noise, cfg)
+        values = np.random.default_rng(0).standard_normal((1,) + grid.shape)
+        fields = dealias_in_place(forward(values, 2), 2, stepper.band)
+        dw = sample_increments(noise, cfg.dt, path_rng(1, 0, 0))
+        stepper.step(SimState(t=0.0, fields=fields), dw, values=False)  # warm caches
+        state = SimState(t=0.0, fields=fields)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            new = stepper.step(state, dw, values=False)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert new.grid_values is None  # no grid values in the peak
+        assert peak < 240 * 1024
 
 
 class TestBatchedTransport:
@@ -900,7 +1018,7 @@ class TestBatchedTransport:
         fields = dealias_in_place(forward(values, d), d, stepper.band)  # the state's band
         values = stepper.to_values(fields)
         inc = sample_increments(noise, cfg.dt, path_rng(3, 0, 0))
-        if sys.is_linear:  # pure transport: on the product grid
+        if sys.is_drift_free:  # pure transport: on the product grid
             expected = fields + np.stack([_product_rhs(stepper, f, inc) for f in fields])
         else:  # f rides the forward transform of the n-grid product
             expected = fields + advection_rhs(
