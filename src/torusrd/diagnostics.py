@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import band_axis
 from .reactions import ReactionSystem
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -186,7 +187,7 @@ def spectral_weight(d: int, band: int, gamma: float) -> np.ndarray:
     gives the L^2 weights 1 and 2."""
     if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
-    axis = np.r_[0:band + 1, -band:0].astype(float)
+    axis = band_axis(band).astype(float)
     k_last = np.arange(band + 1.0)
     k_squared = sum(np.ix_(*([axis**2] * (d - 1)), k_last**2))
     return np.where(k_last > 0, 2.0, 1.0) * (1.0 + k_squared) ** (-gamma)

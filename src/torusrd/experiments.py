@@ -4,12 +4,14 @@ Paths are embarrassingly parallel; each one derives its randomness from a
 counter-based key (seed, path_index), so aggregate tables are independent
 of execution order and worker count.
 
-The scaling-limit reference keeps the half dealias band of its state
-(fields.half_band_index) on each record step.  Of a drift-free system it keeps
-the t = 0 half band only: its reference is the heat flow v_j = E(dt)^j v_0,
-which each path regenerates bit for bit from the half band of the
-propagator E(dt).  A path reads its grid values at its last step only, and
-its distances from its own half band at the reference times: by Parseval
+The scaling-limit reference keeps the half band of its state's band block
+(fields.half_band_index) on each record step, and like every path reads
+its grid values at t = 0 and its last step only.  Of a drift-free system it
+keeps the t = 0 half band only: its reference is the heat flow
+v_j = E(dt)^j v_0, which each path regenerates bit for bit from the half
+band of the propagator E(dt).  A path reads its grid values at its last
+step only, and its distances from its own half band at the reference
+times, read from its band block by the same open-mesh index: by Parseval
 the L^2 distance and norm and the H^{-gamma} distance are weighted sums over
 it (diagnostics.spectral_norm); an L^q distance with q != 2
 inverse-transforms the path's and the difference's.
@@ -196,28 +198,32 @@ class ScalingLimitResult:
 
 class _Reference:
     """The deterministic reference of a sweep, as every path's
-    _StreamingDistance reads it, and the observer of its run: on each record
-    step it keeps the time and the half band (half_band_index) of the state.
-    Given the reference's diffusion propagator (diffusion_propagator, fftn
-    layout), the run of a drift-free system, it keeps the half band of that
+    _StreamingDistance reads it, and the observer of its run: at step 0,
+    every record_every-th step and the last step (last) it keeps the time
+    and the half band of the state's band block (half_band_index).  Given
+    the reference's diffusion propagator (diffusion_propagator, a band
+    block), the run of a drift-free system, it keeps the half band of that
     propagator and the t = 0 half band only.  It holds the distance
     exponents r and q, and the spectral_norm weights of L^2 and of
     H^{-gamma} (hminus_gamma None: no H^{-gamma} distance), built once for
     all paths."""
 
-    def __init__(self, grid: TorusGrid, r: float, q: float, hminus_gamma: float | None = None,
-                 propagator: np.ndarray | None = None):
+    def __init__(self, grid: TorusGrid, r: float, q: float, record_every: int, last: int,
+                 hminus_gamma: float | None = None, propagator: np.ndarray | None = None):
         band = grid.dealias_band
         self.times: list[float] = []
         self.halves: list[np.ndarray] = []
         self.shape, self.r, self.q = grid.shape, r, q
-        self.index = half_band_index(grid.n_per_dim, grid.d, band)
+        self.every, self.last = record_every, last
+        self.index = half_band_index(2 * band + 1, grid.d, band)
+        # the half band on the grid's Hermitian half, for an L^q distance with q != 2
+        self.grid_index = half_band_index(grid.n_per_dim, grid.d, band)
         self.propagator = None if propagator is None else propagator[self.index]
         self.l2 = spectral_weight(grid.d, band, 0.0)
         self.hminus = None if hminus_gamma is None else spectral_weight(grid.d, band, hminus_gamma)
 
     def __call__(self, t: float, values: np.ndarray | None, state) -> None:
-        if values is not None:
+        if state.step_index % self.every == 0 or state.step_index == self.last:
             self.times.append(t)
             if self.propagator is None or not self.halves:
                 self.halves.append(state.fields[self.index])
@@ -263,7 +269,7 @@ class _StreamingDistance:
         else:  # the path's grid values and the difference's, in one transform
             n = ref.shape[-1]
             stack = np.zeros((2, len(half)) + ref.shape[:-1] + (n // 2 + 1,), dtype=complex)
-            stack[0][ref.index], stack[1][ref.index] = half, diff
+            stack[0][ref.grid_index], stack[1][ref.grid_index] = half, diff
             values, diff_values = inverse_real(stack, ref.shape)
             norm, own = lq_norm_vector(diff_values, ref.q), lq_norm_vector(values, ref.q)
         self.norms.append(norm)
@@ -283,14 +289,16 @@ def run_scaling_limit(plan: ScalingLimitPlan, threads: int = DEFAULT_THREADS) ->
     as the stochastic paths, so the measured distance isolates the noise
     effect from discretization bias; one that blows up by T is an error.
     """
-    grid = plan.v0[0].grid
+    grid, solver = plan.v0[0].grid, plan.solver
     ref_sys = plan.sys.enhanced(plan.nu)
     # a drift-free reference steps by its diffusion propagator alone, of which
-    # _Reference keeps the half band
-    ref = _Reference(grid, plan.r, plan.q, plan.hminus_gamma,
-                     diffusion_propagator(grid, ref_sys.nu, plan.solver.dt)
+    # _Reference keeps the half band.  The reference reads its state's band
+    # on the record steps, and its grid values at t = 0 and its last step only
+    ref = _Reference(grid, plan.r, plan.q, solver.record_every,
+                     horizon_steps(solver.T, solver.dt), plan.hminus_gamma,
+                     diffusion_propagator(grid, ref_sys.nu, solver.dt)
                      if ref_sys.is_drift_free else None)
-    [(tau, _)] = _run_paths(plan, ref_sys, None, 0, 1, 1, lambda: ref, record=True)
+    [(tau, _)] = _run_paths(plan, ref_sys, None, 0, 1, 1, lambda: ref)
     if tau is not None:
         raise ValueError(f"the deterministic reference blows up at tau = {tau:g}, by "
                          f"T = {plan.solver.T:g}: no L^r(0,T;L^q) distance to it exists")
@@ -470,7 +478,7 @@ def run_decay(plan: DecayPlan, threads: int = DEFAULT_THREADS) -> DecayReport:
         return DecayReport(True, None, None, None, None)
 
     mode = plan.tracked_mode
-    index = None if mode is None else tuple(m % grid.n_per_dim for m in mode)
+    index = None if mode is None else tuple(mode)  # signed: the band block is in fftn order
 
     def sample(t, values, state):
         norm = float(np.mean(np.abs(values[0]) ** plan.q0) ** (1.0 / plan.q0))

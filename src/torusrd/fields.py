@@ -3,7 +3,9 @@
 The torus has side length 1 in each of the d coordinates, so wavenumbers are
 integer vectors k and the Fourier basis is e^{2*pi*i k.x}.  Spectral
 coefficients follow the fftn layout and are normalized so that
-coeffs[0,...,0] is the spatial mean of the field.
+coeffs[0,...,0] is the spatial mean of the field.  The solver's state keeps
+the band block of the dealias band |k_j| <= band (band_block): the
+coefficients of the band in fftn order on 2 band + 1 points per axis.
 
 Every transform of the package goes through the helpers below, on scipy.fft
 with one worker: forward, inverse_real and inverse_packed transform the
@@ -13,6 +15,7 @@ rides along.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 import struct
@@ -113,18 +116,112 @@ def dealias_in_place(coeffs: np.ndarray, d: int, band: int) -> np.ndarray:
     return coeffs
 
 
-def copy_band(src: np.ndarray, dst: np.ndarray, d: int, band: int) -> np.ndarray:
+def copy_band(src: np.ndarray, dst: np.ndarray, d: int, band: int,
+              half: bool = False) -> np.ndarray:
     """Copy the coefficients with every |k_j| <= band over the trailing d
     axes of src into dst, and return dst.  Both are in fftn layout with
-    more than 2 band points per axis; their grids may differ in size.
+    more than 2 band points per axis; their grids may differ in size, and
+    either may be a band block (band_block).  With half, only the k_d >= 0
+    half of the band is copied, so either may be a Hermitian half
+    (inverse_real).
 
     Each axis holds k_j = 0..band at its start and -band..-1 at its end, so
-    the band is 2^d corner blocks, copied by slices: no index array is
-    built, and no entry outside the band is read or written.
+    the band is 2^d corner blocks (2^(d-1) with half), copied by slices: no
+    index array is built, and no entry outside the band is read or written.
     """
-    for corner in itertools.product((slice(0, band + 1), slice(-band, None)), repeat=d):
-        dst[(Ellipsis,) + corner] = src[(Ellipsis,) + corner]
+    for corner in _corners(d, band, half):
+        dst[corner] = src[corner]
     return dst
+
+
+@functools.lru_cache(maxsize=None)
+def _corners(d: int, band: int, half: bool) -> tuple[tuple, ...]:
+    """The index of each corner block of copy_band."""
+    ends = (slice(0, band + 1), slice(-band, None))
+    last = (slice(0, band + 1),) if half else ()
+    return tuple((Ellipsis,) + corner + last
+                 for corner in itertools.product(ends, repeat=d - 1 if half else d))
+
+
+def band_axis(band: int) -> np.ndarray:
+    """The wavenumbers k_j = 0..band, -band..-1 of one axis of a band block."""
+    return np.r_[0:band + 1, -band:0]
+
+
+def band_block(coeffs: np.ndarray, d: int, band: int) -> np.ndarray:
+    """The band block of coeffs: its coefficients with every |k_j| <= band
+    over the trailing d axes, shape (..., 2 band + 1, ..., 2 band + 1), each
+    axis in the order of band_axis.  The block is itself in fftn layout on
+    2 band + 1 points per axis, so c[k] = c[k mod (2 band + 1)] for every k
+    of the band, and its sum of |c|^2 is that of coeffs' band."""
+    block = np.empty(coeffs.shape[:-d] + (2 * band + 1,) * d, dtype=coeffs.dtype)
+    return copy_band(coeffs, block, d, band)
+
+
+def real_half(values: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian half of the coefficients of real values over the
+    trailing d axes (inverse_real's input), normalized as forward's."""
+    return scipy.fft.rfftn(values, axes=_trailing(d), norm="forward", workers=1)
+
+
+def half_band(half: np.ndarray, d: int, band: int) -> np.ndarray:
+    """A new band block holding the k_d >= 0 half of the band of the
+    Hermitian half half (real_half); fill_conjugates sets the rest."""
+    block = np.empty(half.shape[:-d] + (2 * band + 1,) * d, dtype=complex)
+    return copy_band(half, block, d, band, half=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_fills(d: int, band: int) -> tuple[tuple[tuple, tuple], ...]:
+    """(source, destination) index pairs of fill_conjugates, in order: the
+    k_d < 0 half; then within k_d = 0, axis by axis, the modes whose first
+    nonzero component is that axis' and negative; then mode 0, from itself."""
+    # (destination, source) slices along an axis: k and -k for every k, and
+    # k < 0 and -k > 0
+    mirror = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    neg, pos = slice(band + 1, None), slice(band, 0, -1)
+    fills = []
+    for others in itertools.product(mirror, repeat=d - 1):
+        fills.append(((Ellipsis,) + tuple(src for _, src in others) + (pos,),
+                      (Ellipsis,) + tuple(dst for dst, _ in others) + (neg,)))
+    for a in range(d - 1):
+        head = (Ellipsis,) + (0,) * a
+        for others in itertools.product(mirror, repeat=d - 2 - a):
+            fills.append((head + (pos,) + tuple(src for _, src in others) + (0,),
+                          head + (neg,) + tuple(dst for dst, _ in others) + (0,)))
+    zero = (Ellipsis,) + (slice(0, 1),) * d
+    return tuple(fills) + ((zero, zero),)
+
+
+def fill_conjugates(block: np.ndarray, d: int, band: int) -> np.ndarray:
+    """Complete, in place, band blocks whose k_d >= 0 half holds the half
+    band of real values' real_half (half_band) into band_block(forward(
+    values, d), d, band), bit for bit, and return them.
+
+    forward takes real input through the real transform as well, and then
+    fills the rest of its spectrum with conjugates in memory order: the
+    k_d < 0 half from the mirror modes, then within k_d = 0 each mode whose
+    first nonzero component is negative, and mode 0 with its own conjugate
+    (its imaginary zero changes sign).  The fills here repeat those.
+    """
+    for src, dst in _mirror_fills(d, band):
+        np.conjugate(block[src], out=block[dst])
+    return block
+
+
+def band_forward(values: np.ndarray, d: int, band: int) -> np.ndarray:
+    """band_block(forward(values, d), d, band) of real values, bit for bit,
+    with no full-grid spectrum: from the real transform (fill_conjugates)."""
+    return fill_conjugates(half_band(real_half(values, d), d, band), d, band)
+
+
+def block_values(block: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Real grid values of shape (..., *shape) of the band blocks block: the
+    k_d >= 0 half of the block is copied into a zeroed Hermitian half
+    (inverse_real) of shape's grid, which transforms back."""
+    d, band = len(shape), block.shape[-1] // 2
+    half = np.zeros(block.shape[:-d] + shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    return inverse_real(copy_band(block, half, d, band, half=True), shape)
 
 
 def half_band_index(n: int, d: int, band: int) -> tuple:
@@ -135,6 +232,17 @@ def half_band_index(n: int, d: int, band: int) -> tuple:
     Reading it copies the half band; assigning to it fills the band back in."""
     axis = np.r_[0:band + 1, n - band:n]
     return (Ellipsis,) + np.ix_(*([axis] * (d - 1)), np.arange(band + 1))
+
+
+def _spread(k: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
+    """The wavenumbers k along each of d axes, broadcast to d dimensions."""
+    return tuple(k.reshape((1,) * j + (-1,) + (1,) * (d - 1 - j)) for j in range(d))
+
+
+def _derivative_multipliers(k_axes: tuple[np.ndarray, ...], nyquist: int
+                            ) -> tuple[np.ndarray, ...]:
+    return tuple(TWO_PI * 1j * np.where(np.abs(ka) == nyquist, 0.0, ka.astype(float))
+                 for ka in k_axes)
 
 
 @dataclass(frozen=True)
@@ -174,11 +282,13 @@ class TorusGrid:
     @cached_property
     def k_axes(self) -> tuple[np.ndarray, ...]:
         """Per-axis wavenumber arrays broadcast to the spectral shape."""
-        k = self.wavenumbers_1d
-        return tuple(
-            k.reshape((1,) * j + (-1,) + (1,) * (self.d - 1 - j))
-            for j in range(self.d)
-        )
+        return _spread(self.wavenumbers_1d, self.d)
+
+    @cached_property
+    def band_k_axes(self) -> tuple[np.ndarray, ...]:
+        """Per-axis wavenumber arrays broadcast to the band block of the
+        dealias band (band_block)."""
+        return _spread(band_axis(self.dealias_band), self.d)
 
     @property
     def k_squared(self) -> np.ndarray:
@@ -203,11 +313,13 @@ class TorusGrid:
         The Nyquist plane is zeroed: an odd multiplier there would break both
         realness and Hermitian symmetry.
         """
-        ny = self.n_per_dim // 2
-        return tuple(
-            TWO_PI * 1j * np.where(np.abs(ka) == ny, 0.0, ka.astype(float))
-            for ka in self.k_axes
-        )
+        return _derivative_multipliers(self.k_axes, self.n_per_dim // 2)
+
+    @cached_property
+    def band_derivative_multipliers(self) -> tuple[np.ndarray, ...]:
+        """derivative_multipliers on the band block (band_k_axes), bitwise
+        their band entries."""
+        return _derivative_multipliers(self.band_k_axes, self.n_per_dim // 2)
 
     @property
     def dealias_band(self) -> int:

@@ -347,8 +347,10 @@ class NoiseGridOps:
         box[0, self._flat] = amp[:, 0] - 1j * amp[:, 1]
         if d == 3:
             box[1, self._flat] = amp[:, 2]
+        del amp  # each intermediate is freed once read: the caller may hold grid-sized arrays
         # the sum over k_{d-1}, and in d = 3 over k_1, of both components at once
         sums = box.reshape((d - 1,) + (side,) * d) @ wave.T
+        del box
         if d == 3:
             sums = wave @ sums
         # then over k_0, one component at a time: w holds no part of u_2

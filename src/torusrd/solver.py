@@ -13,20 +13,26 @@ ball A is skew-adjoint, so exp(A)v has a Chebyshev (Jacobi-Anger) series
 with Bessel coefficients J_k(rho), rho >= ||A||.  Cut where the Bessel tail
 drops below 1e-16, at degree rho + O(rho^(1/3) log(1/tol)), it keeps the
 L^2 norm pathwise to round-off (~1e-14 over 500 steps at 64^2).  Its
-propagator E(dt) carries nu_i only and is applied to each species' band on
-the product grid (below) before the series; the step allocates its result
-after the series and does not write the state it is given.
+propagator E(dt) carries nu_i only and is applied to each species' band
+block before the series; the step allocates its result after the series
+and does not write the state it is given.
 
-The state lives in the dealias band |k_j| <= K = n/3: initial_state
-projects v0 onto it, and every step keeps it there (the transport and the
-drift are dealiased, the propagator is diagonal).  With the velocity in
-|k_j| <= K_u, the product (u.grad)v is exact in the band on a product grid
-of M > 2K + K_u points per axis (product_grid_size).  The Wong-Zakai series
-and the pure-transport Ito step run there: an Ito transport with no
-reaction source and no reused balance gradient copies the band onto the
-M-grid, takes one M^d transform each way, and copies the band back.  An
-Ito step with a source or a gradient takes its product on the n-grid, where
-the source rides the product's forward transform.
+The state lives in the dealias band |k_j| <= K = n/3 and stores only it:
+SimState.fields is the band block (fields.band_block), shape (ell, 2K+1,
+..., 2K+1), each axis in fftn order, and the propagator is one band block
+per Stepper.  initial_state keeps the block of v0's spectrum, and every
+step returns a block.  A derivative multiplies the block by the band's
+multipliers and copies it into a zeroed grid array for the inverse
+transform; to_values copies its k_d >= 0 half into a zeroed Hermitian half;
+each forward transform of real grid values is a real transform whose half
+band is completed into the block with the conjugates the full transform
+would fill in (fields.band_forward), so every block holds the bits of the
+band of the full-grid spectrum.  With the velocity in |k_j| <= K_u, the
+product (u.grad)v is exact in the band on a product grid of M > 2K + K_u
+points per axis (product_grid_size).  The Wong-Zakai series and the
+pure-transport Ito step run there, one M^d transform each way.  An Ito
+step with a reaction source or a reused balance gradient takes its product
+on the n-grid, where the source rides the product's forward transform.
 
 Blow-up (threshold crossing of the L^{q0} norm, or non-finite values) is a
 recorded outcome with a tau estimate, never a process failure.  A step
@@ -38,8 +44,9 @@ c_ik in d = 2 or 3 and any q0,
     |v|_{L^{q0}} <= max_x |v(x)| <= sqrt(sum_i (sum_k |c_ik|)^2)
                  <= sqrt(N sum_ik |c_ik|^2) = sup_bound(c),
 
-and where that bound does not clear the threshold (or is not finite) the
-step takes the exact norm instead, so tau is the same either way.  A step
+with N = ell (2K+1)^d the band coefficients of the block; where that
+bound does not clear the threshold (or is not finite) the step takes the
+exact norm instead, so tau is the same either way.  A step
 certifies only where n^d sup_bound^{q0} is also below the largest float, so
 that the exact norm, which reads an overflow as a blow-up, could not have
 overflowed either.
@@ -57,8 +64,9 @@ import scipy.fft
 from scipy.special import jv
 
 from .diagnostics import DiagnosticsRecord, RecordBuilder, grid_mean, lq_norm_vector
-from .fields import (ArgumentErrors, GridField, TorusGrid, copy_band, dealias_in_place,
-                     forward, integer_error, inverse_packed, inverse_real)
+from .fields import (ArgumentErrors, GridField, TorusGrid, band_forward, block_values, copy_band,
+                     dealias_in_place, fill_conjugates, forward, half_band, integer_error,
+                     inverse_packed, inverse_real, real_half)
 from .noise import (NoiseGridOps, NoiseModel, path_rng, resolution_error, sample_increments,
                     seed_error, step_guard_error)
 from .reactions import ReactionSystem
@@ -115,8 +123,9 @@ def chebyshev_expm(apply, v: np.ndarray, rho: float) -> np.ndarray:
 
 def sup_bound(coeffs: np.ndarray) -> float:
     """sqrt(N sum |c|^2) for the N spectral coefficients c of a species
-    stack: an upper bound of max_x |v(x)|, hence of every L^q norm of v,
-    with one pass over the coefficients.  inf on overflow, NaN on NaN."""
+    stack, the band blocks of a state: an upper bound of max_x |v(x)|,
+    hence of every L^q norm of v, with one pass over the coefficients.  inf
+    on overflow, NaN on NaN."""
     return math.sqrt(coeffs.size * np.vdot(coeffs, coeffs).real)
 
 
@@ -154,20 +163,23 @@ class ProductLayout(NamedTuple):
     deriv_last_half: np.ndarray | None
 
     @classmethod
-    def of(cls, grid: TorusGrid, band: int | None = None) -> "ProductLayout":
-        """The layout of grid; with band, both multipliers are zero outside
-        |k_j| <= band, so a derivative reads the band of its data only."""
-        # one inverse transform yields two derivative components as its
-        # real and imaginary parts (both factors are Hermitian)
-        mult = grid.derivative_multipliers
-        pack, last = mult[0] + 1j * mult[1], mult[2] if grid.d == 3 else None
-        if band is not None:
-            pack = dealias_in_place(np.broadcast_to(pack, grid.shape).copy(), grid.d, band)
-            if last is not None:
-                last = dealias_in_place(np.broadcast_to(last, grid.shape).copy(), grid.d, band)
-        if last is not None:
-            last = np.ascontiguousarray(last[..., : grid.n_per_dim // 2 + 1])
-        return cls(grid.shape, pack, last)
+    def of(cls, grid: TorusGrid, band: int) -> "ProductLayout":
+        """The layout of grid, both multipliers zero outside |k_j| <= band,
+        so that a derivative reads the band of its data only."""
+        mult = tuple(dealias_in_place(np.broadcast_to(m, grid.shape).copy(), grid.d, band)
+                     for m in grid.derivative_multipliers)
+        return cls(grid.shape, *packed_multipliers(mult, grid.n_per_dim))
+
+
+def packed_multipliers(mult: tuple[np.ndarray, ...], n: int
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The packed derivative multiplier mult_0 + i mult_1 of the per-axis
+    multipliers mult over n points per axis (TorusGrid.derivative_multipliers,
+    or a band block's), and in d = 3 mult_2 over the Hermitian half k_2 <=
+    n/2, None in d = 2: one inverse transform yields two derivative
+    components as its real and imaginary parts (both factors are Hermitian)."""
+    last = None if len(mult) == 2 else np.ascontiguousarray(mult[2][..., : n // 2 + 1])
+    return mult[0] + 1j * mult[1], last
 
 
 def exponent_error(value: float | tuple[float, ...], low: float,
@@ -265,7 +277,7 @@ class SolverConfig:
 @dataclass
 class SimState:
     t: float
-    fields: np.ndarray  # (ell, n, ..., n) complex spectral coefficients
+    fields: np.ndarray  # (ell, 2K+1, ..., 2K+1) complex band blocks (fields.band_block)
     cutoff_acc: float = 0.0  # running integral of |v|_{L^q}^r
     phi_value: float = 1.0
     step_index: int = 0
@@ -277,9 +289,11 @@ class SimState:
 
 
 def diffusion_propagator(grid: TorusGrid, nus, dt: float) -> np.ndarray:
-    """exp(-4 pi^2 |k|^2 nu_i dt) of each diffusivity nu_i, stacked, in fftn
-    layout: one dt of the diagonal heat flow of a species stack."""
-    lam = grid.laplacian_multipliers  # built on each access, dropped on return
+    """exp(-4 pi^2 |k|^2 nu_i dt) of each diffusivity nu_i, stacked, on the
+    band block of grid's dealias band (fields.band_block): one dt of the
+    diagonal heat flow of a species stack, bitwise the band of its fftn
+    layout."""
+    lam = -4.0 * np.pi**2 * sum(ka.astype(float) ** 2 for ka in grid.band_k_axes)
     return np.stack([np.exp(lam * nu_i * dt) for nu_i in nus])
 
 
@@ -306,23 +320,18 @@ class Stepper:
             if problem := step_guard_error(self.noise.nu, max_k, grid.n_per_dim, cfg.dt):
                 raise ValueError(problem)
 
-        # the n-grid propagator of the Ito and noise-free steps, with the Ito
-        # correction nu Delta; a noise-free enhanced run has it in sys.nu.  The
-        # Wong-Zakai step (its substep supplies the nu-diffusion) reads
-        # product_propagator instead
-        self.propagator = None
-        if self.noise is None or ito:
-            nu_extra = self.noise.nu if ito else 0.0
-            self.propagator = diffusion_propagator(grid, [nu_i + nu_extra for nu_i in sys.nu],
-                                                   cfg.dt)
+        # the propagator of the band blocks, with the Ito correction nu Delta
+        # of an Ito step; a noise-free enhanced run has it in sys.nu, and the
+        # Wong-Zakai substep supplies the nu-diffusion
+        nu_extra = self.noise.nu if ito else 0.0
+        self.propagator = diffusion_propagator(grid, [nu_i + nu_extra for nu_i in sys.nu],
+                                               cfg.dt)
         # sup_bound below this cap certifies that the exact L^{q0} norm, a
         # mean of N grid values |v|^{q0} <= sup_bound^{q0}, neither reaches
         # the threshold nor overflows
         overflow = (np.finfo(float).max / math.prod(grid.shape)) ** (1.0 / cfg.blowup_norm_q0)
         self.bound_cap = (1.0 - SUP_BOUND_MARGIN) * min(cfg.blowup_threshold, overflow)
-        self.band = grid.dealias_band  # products keep |k_j| <= n/3 (dealias_in_place)
-        # real inverse transforms read the Hermitian half k_d <= n/2 only
-        self._half = grid.n_per_dim // 2 + 1
+        self.band = grid.dealias_band  # the state and every product keep |k_j| <= n/3
         self.zero_index = (Ellipsis,) + (0,) * grid.d  # mode 0 of every species
         self.grid_axes = tuple(range(-grid.d, 0))  # the grid axes of a species stack
         if self.noise is not None and not ito:
@@ -330,13 +339,13 @@ class Stepper:
             # |k|^2 = d band^2: ||(u.grad)|| <= max|u| * k_max there
             self.k_max = math.sqrt(4.0 * np.pi**2 * (grid.d * self.band**2))
 
-    # -- the two grids, each built when a step first needs it -------------
+    # -- the grids, each built when a step first needs it ------------------
 
     @cached_property
-    def layout(self) -> ProductLayout:
-        """The n-grid layout: the gradients, and the transport of a step with
-        a source or a gradient."""
-        return ProductLayout.of(self.grid)
+    def band_multipliers(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The packed derivative multipliers of the band block
+        (packed_multipliers): the derivative of a band block on any grid."""
+        return packed_multipliers(self.grid.band_derivative_multipliers, 2 * self.band + 1)
 
     @cached_property
     def noise_ops(self) -> NoiseGridOps:
@@ -344,46 +353,60 @@ class Stepper:
         return NoiseGridOps(self.noise, self.grid)
 
     @cached_property
-    def product_layout(self) -> ProductLayout:
-        """The band layout of the product grid, M <= n points per axis
-        (product_grid_size): pure transport and the Wong-Zakai series."""
+    def product_shape(self) -> tuple[int, ...]:
+        """The product grid, M <= n points per axis (product_grid_size):
+        pure transport and the Wong-Zakai series."""
         m = product_grid_size(self.grid.n_per_dim, self.band,
                               self.noise.spectrum.max_component())
-        return ProductLayout.of(TorusGrid(self.grid.d, m), self.band)
+        return (m,) * self.grid.d
+
+    @cached_property
+    def product_layout(self) -> ProductLayout:
+        """The band layout of the product grid, for the Wong-Zakai series."""
+        return ProductLayout.of(TorusGrid(self.grid.d, self.product_shape[0]), self.band)
 
     @cached_property
     def product_noise_ops(self) -> NoiseGridOps:
         """The velocity on the product grid."""
-        return NoiseGridOps(self.noise, TorusGrid(self.grid.d, self.product_layout.shape[0]))
-
-    @cached_property
-    def product_propagator(self) -> np.ndarray:
-        """E(dt) of each species (nu_i only) on the product grid, for the
-        Wong-Zakai step; its band entries are bitwise the n-grid ones."""
-        return diffusion_propagator(TorusGrid(self.grid.d, self.product_layout.shape[0]),
-                                    self.sys.nu, self.cfg.dt)
+        return NoiseGridOps(self.noise, TorusGrid(self.grid.d, self.product_shape[0]))
 
     # -- spectral helpers ------------------------------------------------
 
     def to_values(self, fields: np.ndarray) -> np.ndarray:
-        return inverse_real(fields[..., : self._half], self.grid.shape)
+        """Grid values of a stack of band blocks (fields.block_values)."""
+        return block_values(fields, self.grid.shape)
 
     def _derivatives(self, coeffs: np.ndarray, lay: ProductLayout
                      ) -> tuple[np.ndarray, np.ndarray | None]:
         """Grid values of the derivatives of a species stack (...) on the
-        grid of lay: z = d_0 v + i d_1 v, both components in one packed
-        inverse transform, and in d = 3 the real d_2 v (None in d = 2)."""
+        grid of lay, in its fftn layout: z = d_0 v + i d_1 v, both
+        components in one packed inverse transform, and in d = 3 the real
+        d_2 v (None in d = 2)."""
         z = inverse_packed(coeffs * lay.deriv_pack, self.grid.d, overwrite_x=True)
         if lay.deriv_last_half is None:
             return z, None
         half = coeffs[..., : lay.shape[-1] // 2 + 1]
         return z, inverse_real(half * lay.deriv_last_half, lay.shape)
 
+    def _block_derivatives(self, block: np.ndarray, shape: tuple[int, ...]
+                           ) -> tuple[np.ndarray, np.ndarray | None]:
+        """_derivatives of a stack of band blocks on the grid of shape: the
+        block times band_multipliers, copied into zeros there."""
+        d, band = self.grid.d, self.band
+        pack, last = self.band_multipliers
+        z = copy_band(block * pack, np.zeros(block.shape[:-d] + shape, dtype=complex), d, band)
+        z = inverse_packed(z, d, overwrite_x=True)
+        if last is None:
+            return z, None
+        half = np.zeros(block.shape[:-d] + shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+        copy_band(block[..., : band + 1] * last, half, d, band, half=True)
+        return z, inverse_real(half, shape)
+
     def gradients(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Packed gradient (z, g_2) of a species stack (...): z = d_0 v + i d_1 v
-        and g_2 = d_2 v in d = 3, None in d = 2, so that
-        |grad v|^2 = z.real^2 + z.imag^2 (+ g_2^2)."""
-        return self._derivatives(coeffs, self.layout)
+        """Packed gradient (z, g_2) on the n-grid of a stack of band blocks
+        (...): z = d_0 v + i d_1 v and g_2 = d_2 v in d = 3, None in d = 2,
+        so that |grad v|^2 = z.real^2 + z.imag^2 (+ g_2^2)."""
+        return self._block_derivatives(coeffs, self.grid.shape)
 
     # -- physics terms ---------------------------------------------------
 
@@ -396,22 +419,25 @@ class Stepper:
         non-finite and the L^{q0} norm flags the blow-up."""
         if self.sys.F is None:
             return None
-        fhat = forward(self.sys.F(t, values), self.grid.d)  # (ell, d, ...)
+        d = self.grid.d
+        fhat = band_forward(self.sys.F(t, values), d, self.band)  # (ell, d, ...)
         div = np.zeros(fhat.shape[:1] + fhat.shape[2:], dtype=complex)
-        for j in range(self.grid.d):
-            div += fhat[:, j] * self.grid.derivative_multipliers[j]
-        return dealias_in_place(div, self.grid.d, self.band)
+        for j in range(d):
+            div += fhat[:, j] * self.grid.band_derivative_multipliers[j]
+        return div
 
     def _advection_rhs(self, grad: tuple[np.ndarray, np.ndarray | None],
                        vel: tuple[np.ndarray, np.ndarray | None],
-                       source: np.ndarray | None = None) -> np.ndarray:
+                       source: np.ndarray | None = None, block: bool = False) -> np.ndarray:
         """Spectral coefficients of (u.grad)v for a species or a stack of
         species (...): grad is its packed gradient (z, g_2) (_derivatives),
         multiplied in place, and vel the packed velocity (w, u_2)
         (NoiseGridOps.velocity_field) on the same grid; Re(z w) is the
         product of the first two components with u_0 and u_1.  A real grid
         term source rides the forward transform: mode 0 of the result is its
-        mean, and 0 without one.  No band is imposed; the caller keeps its own.
+        mean, and 0 without one.  With block, the result is the band block
+        (fields.band_forward); without, the grid's fftn layout, on which no
+        band is imposed: the caller keeps its own.
         """
         w, u2 = vel
         z, d3 = grad
@@ -420,12 +446,20 @@ class Stepper:
         if d3 is not None:
             _multiply_species(d3, u2)
             vals += d3
-        # free the velocity, if this frame holds its last reference, before
-        # the forward transform allocates its output
+        # free the velocity, and after the transform the derivative, where
+        # this frame holds its last reference
         del vel, w, u2
         if source is not None:
             vals += source
-        out = forward(vals, self.grid.d)
+        d, band = self.grid.d, self.band
+        if not block:
+            out = forward(vals, d)
+        else:  # each array is freed before the next one is allocated
+            half = real_half(vals, d)
+            del grad, z, d3, vals
+            out = half_band(half, d, band)
+            del half
+            fill_conjugates(out, d, band)
         # div sigma = 0: the transport term is mean free
         out[self.zero_index] = 0.0 if source is None else grid_mean(source, self.grid_axes)
         return out
@@ -433,41 +467,23 @@ class Stepper:
     def transport(self, fields: np.ndarray, dw: np.ndarray,
                   source: np.ndarray | None = None,
                   grad: tuple[np.ndarray, np.ndarray | None] | None = None) -> np.ndarray:
-        """Transport increments of all species by the velocity of the
-        plus-mode increments dw, plus the spectral coefficients of the
-        dealiased real grid term source (ell, n, ..., n) when one is given,
-        in the same forward transform.  grad is the packed gradient of
+        """Band blocks of the transport increments of a stack of band blocks
+        fields by the velocity of the plus-mode increments dw, plus those of
+        the real grid term source (ell, n, ..., n) when one is given, in the
+        same forward transform.  grad is the n-grid packed gradient of
         fields (gradients), if already taken; it is multiplied in place.
 
-        With a source or a gradient the product is taken on the n-grid and
-        dealiased.  Pure transport reads the band of fields only: it runs on
-        the band of the product grid (product_layout), where the product is
-        exact, one M^d transform each way; its band is copied back into zeros.
+        With a source or a gradient the product is taken on the n-grid.
+        Pure transport runs on the product grid (product_shape), where the
+        product is exact, one M^d transform each way.  Either way the band
+        block of the product is the result.
         """
         if source is not None or grad is not None:
             if grad is None:
-                grad = self._derivatives(fields, self.layout)
-            out = self._advection_rhs(grad, self.noise_ops.velocity_field(dw), source)
-            return dealias_in_place(out, self.grid.d, self.band)
-        lay, d = self.product_layout, self.grid.d
-        y = copy_band(fields, np.zeros(fields.shape[:-d] + lay.shape, dtype=complex), d,
-                      self.band)
-        # each array is freed after its last reader: the band copy before the
-        # velocity is assembled, the derivative before the result
-        grad = self._derivatives(y, lay)
-        del y
-        out = self._advection_rhs(grad, self.product_noise_ops.velocity_field(dw))
-        del grad
-        return copy_band(out, np.zeros_like(fields), d, self.band)
-
-    def _product_band(self, f: np.ndarray, factor: np.ndarray) -> np.ndarray:
-        """The band of one species f copied onto zeros on the product grid,
-        times factor there.  A call passed straight to chebyshev_expm leaves
-        the series the only reference to its P_0."""
-        y = copy_band(f, np.zeros(self.product_layout.shape, dtype=complex), self.grid.d,
-                      self.band)
-        y *= factor
-        return y
+                grad = self._block_derivatives(fields, self.grid.shape)
+            return self._advection_rhs(grad, self.noise_ops.velocity_field(dw), source, True)
+        return self._advection_rhs(self._block_derivatives(fields, self.product_shape),
+                                   self.product_noise_ops.velocity_field(dw), None, True)
 
     def _advect(self, src: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Wong-Zakai step of the species stack src, as a new array (src is
@@ -480,12 +496,12 @@ class Stepper:
         ||A||; the L^2 norm is kept to round-off and the cost is
         ~rho + O(rho^(1/3)) right-hand sides.
 
-        src lies in the band, and E(dt) and A map the band into itself, so
+        src holds band blocks, and E(dt) and A map the band into itself, so
         each species runs on the band of the product grid of M <= n points
         per axis (product_layout), where the products are exact; u and rho
-        are taken there.  Its band is copied there and multiplied by
-        product_propagator, the series holds no other reference to P_0, and
-        only the band of its result is written back, into zeros allocated
+        are taken there.  Its block times the propagator is copied there
+        into zeros, the series holds no other reference to P_0, and the
+        band block of its result is written into the result, allocated
         after the first species' series has freed its vectors.
         """
         w, u2 = vel = self.product_noise_ops.velocity_field(dw)
@@ -499,13 +515,14 @@ class Stepper:
         for part in vel:  # times a real scale, float by float: the bits of scaling u
             if part is not None:
                 np.multiply(part.view(np.float64), scale, out=part.view(np.float64))
-        lay, out = self.product_layout, None
-        for i, factor in enumerate(self.product_propagator):
+        lay, d, out = self.product_layout, self.grid.d, None
+        for i, factor in enumerate(self.propagator):
             y = chebyshev_expm(lambda q: self._advection_rhs(self._derivatives(q, lay), vel),
-                               self._product_band(src[i], factor), rho)
+                               copy_band(src[i] * factor, np.zeros(lay.shape, dtype=complex),
+                                         d, self.band), rho)
             if out is None:
-                out = np.zeros_like(src)
-            copy_band(y, out[i], self.grid.d, self.band)
+                out = np.empty_like(src)
+            copy_band(y, out[i], d, self.band)
         return out
 
     # -- the step ---------------------------------------------------------
@@ -561,7 +578,7 @@ class Stepper:
             if ito:  # f rides the forward transform of the advection product
                 source = rates * (cfg.dt * phi)
             else:
-                drift = dealias_in_place(forward(rates, self.grid.d), self.grid.d, self.band)
+                drift = band_forward(rates, self.grid.d, self.band)
                 if div is not None:
                     drift = drift + div
             if drift is not None:
@@ -622,11 +639,10 @@ class Stepper:
 
 
 def band_part(v0: list[GridField]) -> np.ndarray:
-    """Spectral coefficients of the dealias-band part of the species data v0,
-    the data the scheme integrates."""
+    """Band blocks (fields.band_block) of the dealias-band part of the
+    species data v0, the data the scheme integrates."""
     grid = v0[0].grid
-    fields = forward(np.stack([f.values for f in v0]), grid.d)
-    return dealias_in_place(fields, grid.d, grid.dealias_band)
+    return band_forward(np.stack([f.values for f in v0]), grid.d, grid.dealias_band)
 
 
 def negative_species(v0: list[GridField]) -> int | None:
@@ -634,9 +650,7 @@ def negative_species(v0: list[GridField]) -> int | None:
     or None.  Negative is below -NONNEG_TOL max|v0_i|: the band part of
     data whose minimum is exactly 0 dips below 0 by round-off."""
     grid = v0[0].grid
-    axes = tuple(range(1, grid.d + 1))
-    lows = np.min(inverse_real(band_part(v0)[..., : grid.n_per_dim // 2 + 1], grid.shape),
-                  axis=axes)
+    lows = np.min(block_values(band_part(v0), grid.shape), axis=tuple(range(1, grid.d + 1)))
     floors = [-NONNEG_TOL * np.max(np.abs(f.values)) for f in v0]
     return next((i for i, (low, floor) in enumerate(zip(lows, floors)) if low < floor), None)
 

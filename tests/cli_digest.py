@@ -86,6 +86,8 @@ RUNS = {
                  "experiment.nus = [0.05, 0.2]\nexperiment.paths = 2\n", True),
     "decay_noise": (["decay"], DECAY, True),
     "decay_det": (["decay"], DECAY + "noise.enabled = false\n", True),
+    # a tracked mode with a negative component: its index in the band block
+    "decay_negative_mode": (["decay"], DECAY.replace("[1, 0]", "[-1, 2]"), True),
     "exponents": (["exponents", "--d", "3", "--h", "3", "--q", "4"], None, False),
 }
 

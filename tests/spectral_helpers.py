@@ -1,13 +1,17 @@
 """Test helpers on fftn-layout coefficients (fields.forward's layout): the
 real field of a single Fourier mode, the Hermitian-symmetry defect of a
-spectrum, the mask of the dealias band and the index of a band; on noise
-increments: the half-lattice sign of a mode and the increment of any mode
-of the support; and the advection product of a stepper from coefficients."""
+spectrum, the mask of the dealias band and the index of a band, and the
+conversions between a grid's full layout and the band blocks the state is
+kept in; on noise increments: the half-lattice sign of a mode and the
+increment of any mode of the support; and the advection product of a
+stepper from coefficients."""
 
 import numpy as np
 
-from torusrd.fields import GridField, TorusGrid, dealias_in_place, inverse_packed
+from torusrd.fields import (GridField, TorusGrid, band_block, copy_band, dealias_in_place,
+                            inverse_packed)
 from torusrd.noise import NoiseModel
+from torusrd.solver import ProductLayout, packed_multipliers
 
 
 def mode_coeffs(grid: TorusGrid, k: tuple[int, ...], amplitude: complex) -> np.ndarray:
@@ -45,6 +49,19 @@ def dealias_mask(grid: TorusGrid) -> np.ndarray:
     return mask
 
 
+def block_of(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """The band blocks (fields.band_block) of grid's dealias band of the
+    full-layout coefficients coeffs (..., n, ..., n)."""
+    return band_block(coeffs, grid.d, grid.dealias_band)
+
+
+def full_layout(grid: TorusGrid, block: np.ndarray) -> np.ndarray:
+    """The band blocks block (..., 2K+1, ..., 2K+1) in grid's full fftn
+    layout, zero outside the dealias band: the inverse of block_of there."""
+    full = np.zeros(block.shape[:-grid.d] + grid.shape, dtype=block.dtype)
+    return copy_band(block, full, grid.d, grid.dealias_band)
+
+
 def band_index(grid: TorusGrid, band: int) -> tuple[np.ndarray, ...]:
     """Open-mesh index of the modes with every |k_j| <= band < n/2 on grid.
     Each axis runs 0..band, -band..-1, so the index order is the same on
@@ -79,7 +96,11 @@ def advection_rhs(stepper, coeffs: np.ndarray, vel, layout=None, source=None) ->
     of the packed derivative of coeffs there and the packed velocity vel on
     that grid, with the optional real grid term source in its transform.
     On the n-grid the result is dealiased; a product layout's is not."""
-    lay = stepper.layout if layout is None else layout
+    grid = stepper.grid
+    lay = layout
+    if layout is None:  # the n-grid layout of the full fftn layout
+        lay = ProductLayout(grid.shape, *packed_multipliers(grid.derivative_multipliers,
+                                                           grid.n_per_dim))
     out = stepper._advection_rhs(stepper._derivatives(coeffs, lay), vel, source)
     if layout is None:
         dealias_in_place(out, stepper.grid.d, stepper.band)

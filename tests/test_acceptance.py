@@ -24,6 +24,29 @@ ROADMAP item 1, not a committed test):
   |k| = 21) acts only as dt -> 0: in the continuum nu Delta loses 0.4662
   of the 0.5 and g nothing.
 
+The exact bias at the criterion's point (64^2, shell 2, nu = 0.1, T = 0.5,
+E0 = 0.5), with the ratio bias(2 dt) / bias(dt):
+
+    dt         nu Delta   ratio    g          ratio
+    1e-3       -0.48247            -0.48247
+    5e-4       -0.48066   1.004    -0.48066   1.004
+    1.56e-5    -0.47003   1.004    -0.46670   1.010
+    9.77e-7    -0.46651   1.001    -0.26067   1.390
+    4.88e-7    -0.46634   1.000    -0.16210   1.608
+    1.53e-8    -0.46617   1.000    -0.00643   1.984
+
+With g the ratio first enters [1.5, 3] at the pair 9.77e-7 / 4.88e-7.  Two
+Ito variants were probed against it (not committed):
+
+- drift-implicit theta = 1/2 with g: bias -0.277 at dt = 1e-3 and -0.181
+  at 5e-4, ratio 1.53, first order from there on; |bias| <= 0.0022 would
+  need dt near 4.5e-6;
+- a variance-matched step v+ = E(dt) v + T(Phi v, dW) with
+  Phi_j^2 = (1 - exp(-2 g_j dt)) / (2 g_j dt): each column of its energy
+  map sums to 1, so E|v|^2 is exact at every dt, yet 64 paths read
+  -0.4694 +- 0.0022 at 1e-3 and -0.441 +- 0.028 at 5e-4; the typical path
+  still loses its energy, and rare paths carry the mean.
+
 The companion checks in this suite and in test_solver.py verify the
 implementation independently (ellipticity identity, increment moments,
 velocity covariance, Wong-Zakai pathwise conservation and the

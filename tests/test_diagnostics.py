@@ -20,7 +20,7 @@ from torusrd.noise import NoiseModel, build_theta_shell
 from torusrd.reactions import MassActionSpec, build_builtin, mass_action_build
 from torusrd.solver import SolverConfig, Stepper, run
 
-from spectral_helpers import dealias_mask, mode_coeffs, mode_field
+from spectral_helpers import block_of, dealias_mask, full_layout, mode_coeffs, mode_field
 
 
 def heat_run(dt, T=0.2, q=(2.0,), record_every=1):
@@ -129,10 +129,11 @@ class TestBalanceGradientEnergy:
         grid = TorusGrid(d, n)
         sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.1, 0.2])
         values = 1.0 + 0.3 * np.random.default_rng(d).standard_normal((2,) + grid.shape)
-        fields = forward(values, d)
+        block = block_of(grid, forward(values, d))
+        fields = full_layout(grid, block)
         stepper = Stepper(grid, sys, None, SolverConfig(dt=1.0, T=1.0, noise_on=False))
         builder = RecordBuilder(sys, lq_list=(q,), balance_q=(q,))
-        builder.accumulate_balance(1.0, values, sys.f(0.0, values), stepper.gradients(fields))
+        builder.accumulate_balance(1.0, values, sys.f(0.0, values), stepper.gradients(block))
         builder.sample(1.0, values, 1.0, 0.0)
         record = builder.finalize()
         work = [np.mean(np.abs(v) ** (q - 2.0) * f * v)
@@ -164,7 +165,7 @@ class TestBalanceGradientEnergy:
         grid = TorusGrid(d, n)
         sys = mass_action_build(MassActionSpec(q=(2, 0), p=(0, 1)), nu=[0.1, 0.2])
         values = 1.0 + 0.3 * np.random.default_rng(d + 7).standard_normal((2,) + grid.shape)
-        fields = forward(values, d)
+        fields = block_of(grid, forward(values, d))
         stepper = Stepper(grid, sys, None, SolverConfig(dt=1.0, T=1.0, noise_on=False))
         qs, dt = (2.0, 3.0, 4.5), 2.5e-3
         builder = RecordBuilder(sys, lq_list=(2.0,), balance_q=qs)
@@ -235,7 +236,7 @@ class TestSameBitsAsTheDirectFormulas:
         values = self.values((2,) + grid.shape) + 0.5
         stepper = Stepper(grid, sys, None, SolverConfig(dt=1.0, T=1.0, noise_on=False))
         qs, dt = (2.0, 3.0, 4.0), 2.5e-3
-        rates, (z, g2) = sys.f(0.0, values), stepper.gradients(forward(values, d))
+        rates, (z, g2) = sys.f(0.0, values), stepper.gradients(block_of(grid, forward(values, d)))
         grads_sq = z.real**2 + z.imag**2 + (0.0 if g2 is None else g2**2)
         builder = RecordBuilder(sys, lq_list=(), balance_q=qs)
         builder.accumulate_balance(dt, values, rates, (z, g2))

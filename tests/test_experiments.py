@@ -28,7 +28,7 @@ from torusrd.noise import NoiseModel, build_theta_shell
 from torusrd.reactions import build_builtin
 from torusrd.solver import SolverConfig, Stepper, run
 
-from spectral_helpers import mode_field
+from spectral_helpers import block_of, mode_field
 
 
 def small_heat_plan(nu=0.1, shells=(1, 2), paths=6, n=48, T=0.15):
@@ -225,16 +225,21 @@ def _band_spectra(values: np.ndarray, d: int) -> np.ndarray:
     return dealias_in_place(forward(values, d), d, dealias_band_of(values.shape[-1]))
 
 
-def _state(spectra: np.ndarray, blown_up=None):
-    return types.SimpleNamespace(fields=spectra, blown_up=blown_up)
+def _state(spectra: np.ndarray, blown_up=None, step_index=0):
+    """The state of step step_index that holds the band spectra (fftn
+    layout), as band blocks."""
+    grid = TorusGrid(spectra.ndim - 1, spectra.shape[-1])
+    return types.SimpleNamespace(fields=block_of(grid, spectra), blown_up=blown_up,
+                                 step_index=step_index)
 
 
 def _reference(times, spectra, r=2.0, q=2.0):
     """The _Reference of a trajectory of band spectra (fftn layout) at times,
     each a record step."""
-    ref = _Reference(TorusGrid(spectra[0].ndim - 1, spectra[0].shape[-1]), r, q)
-    for t, c in zip(times, spectra):
-        ref(t, c, _state(c))
+    ref = _Reference(TorusGrid(spectra[0].ndim - 1, spectra[0].shape[-1]), r, q, 1,
+                     len(times) - 1)
+    for i, (t, c) in enumerate(zip(times, spectra)):
+        ref(t, c, _state(c, step_index=i))
     return ref
 
 
@@ -378,6 +383,15 @@ class TestSpectralObservables:
                 assert shell.hminus_distances[p] == pytest.approx(hminus, rel=1e-13)
             assert shell.max_lq == pytest.approx(max_lq, rel=1e-13)
 
+    def test_3d_q2_distance_keeps_its_bits(self):
+        # the path's and the reference's half bands are read from the band
+        # block by the open-mesh index (half_band_index), whose result the
+        # L^2 sum adds in its memory order: a slice of the block, summed in
+        # another order, moves the distance by about one ulp
+        result = run_scaling_limit(_two_species_plan(3, 16, 2.0))
+        assert [d.hex() for d in result.shells[0].distances] == [
+            "0x1.8a329331797a8p-6", "0x1.f8db0906c1c02p-6"]
+
     @pytest.mark.parametrize("q", [2.0, 4.0])
     def test_zero_noise_distance_is_exactly_zero(self, q):
         result = run_scaling_limit(_two_species_plan(3, 16, q, nu=0.0))
@@ -387,7 +401,8 @@ class TestSpectralObservables:
 
 class TestObserverCost:
     def test_q2_path_reads_grid_values_at_t0_and_its_last_step_only(self, monkeypatch):
-        # the reference reads its record steps; a path reads t = 0 and T only
+        # the reference and every path read their grid values at t = 0 and T
+        # only: the reference reads its record steps' band blocks
         # keyed by the Stepper itself, which the dict keeps alive: a freed
         # Stepper's id() can be reused by the next path's
         calls: dict[Stepper, list] = {}
@@ -403,7 +418,7 @@ class TestObserverCost:
         assert len(result.reference_times) == 6  # t = 0 and 5 record steps
         path_calls = [n for noisy, n in calls.values() if noisy]
         assert path_calls == [2] * (len(plan.shells) * plan.paths)
-        assert [n for noisy, n in calls.values() if not noisy] == [6]
+        assert [n for noisy, n in calls.values() if not noisy] == [2]
 
     def test_tables_do_not_depend_on_the_thread_count(self):
         plan = _two_species_plan(2, 16)
@@ -467,14 +482,14 @@ class TestRegeneratedReference:
     def test_blown_up_path_drops_its_copy(self):
         grid = TorusGrid(2, 8)
         spectra = _band_spectra(np.ones((1, 8, 8)), 2)
-        ref = _Reference(grid, 2.0, 2.0, propagator=np.full((1, 8, 8), 0.5))
-        for t in (0.0, 0.5, 1.0):
-            ref(t, np.ones((1, 8, 8)), _state(spectra))
+        ref = _Reference(grid, 2.0, 2.0, 1, 2, propagator=block_of(grid, np.full((1, 8, 8), 0.5)))
+        for i, t in enumerate((0.0, 0.5, 1.0)):
+            ref(t, np.ones((1, 8, 8)), _state(spectra, step_index=i))
         assert len(ref.halves) == 1
         dist = _StreamingDistance(ref)
-        dist(0.0, None, types.SimpleNamespace(fields=spectra, blown_up=None, step_index=0))
+        dist(0.0, None, _state(spectra, None, 0))
         assert dist.heat is not None and dist.norms == [0.0]
-        dist(0.25, None, types.SimpleNamespace(fields=spectra, blown_up=0.25, step_index=1))
+        dist(0.25, None, _state(spectra, 0.25, 1))
         assert dist.heat is None and dist.norms == [0.0]
 
     def test_peak_memory_does_not_grow_with_the_reference_samples(self):

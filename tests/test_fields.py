@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusrd.fields import (
+    band_block,
+    band_forward,
+    block_values,
     ArgumentErrors,
     GridField,
     TorusGrid,
@@ -364,3 +367,30 @@ class TestSnapshotFormat:
         path = tmp_path / "cube.krdf"
         write_snapshot(path, [f])
         assert np.array_equal(read_snapshot(path)[0].values, f.values)
+
+
+class TestBandBlock:
+    """The state's band block and the real-transform route to it."""
+
+    @pytest.mark.parametrize("d, n, lead", [(2, 16, ()), (2, 64, (2,)), (2, 84, (1,)), (2, 50, (2, 2)),
+                                            (3, 8, (1,)), (3, 14, (2,)), (3, 24, (1, 3))])
+    def test_band_forward_is_the_band_of_forward_bit_for_bit(self, d, n, lead):
+        # fftn of real input fills half its spectrum with conjugates, in an
+        # order band_forward repeats: its block keeps every bit, signed zeros
+        # included, also from a strided view (the real part of a product)
+        rng = np.random.default_rng(n)
+        band = n // 3
+        z = rng.standard_normal(lead + (n,) * d) + 1j * rng.standard_normal(lead + (n,) * d)
+        for values in (z.real.copy(), z.real, 1e-3 * z.imag):
+            got = band_forward(values, d, band)
+            assert got.shape == lead + (2 * band + 1,) * d
+            assert got.tobytes() == band_block(forward(values, d), d, band).tobytes()
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 12)])
+    def test_block_values_and_signed_modes(self, d, n):
+        grid = TorusGrid(d, n)
+        k = (-1, 2) + (0,) * (d - 2)
+        block = band_block(mode_coeffs(grid, k, 0.3 - 0.2j), d, grid.dealias_band)
+        assert block[tuple(k)] == 0.3 - 0.2j and block[tuple(-kj for kj in k)] == 0.3 + 0.2j
+        values = block_values(block[None], grid.shape)[0]
+        assert np.abs(values - mode_field(grid, k, 0.3 - 0.2j).values).max() < 1e-15

@@ -21,7 +21,8 @@ from torusrd.noise import (
 from torusrd.reactions import build_builtin
 from torusrd.solver import SolverConfig, Stepper
 
-from spectral_helpers import hermitian_defect, increment, lattice_partition
+from spectral_helpers import (block_of, full_layout, hermitian_defect, increment,
+                              lattice_partition)
 
 lattice_vec = st.lists(st.integers(-9, 9), min_size=2, max_size=3).filter(lambda k: any(k))
 
@@ -262,10 +263,12 @@ class TestIncrements:
 
 
 def transport(model, grid, values, dw):
-    """Stepper.transport of one species with grid values, as coefficients."""
+    """Stepper.transport of the band part of one species with grid values,
+    as full-layout coefficients."""
     cfg = SolverConfig(dt=1e-3, T=1e-3)
     stepper = Stepper(grid, build_builtin("zero", [0.0], d=grid.d), model, cfg)
-    return stepper.transport(forward(values, grid.d)[None], dw)[0]
+    block = block_of(grid, forward(values, grid.d)[None])
+    return full_layout(grid, stepper.transport(block, dw))[0]
 
 
 class TestTransport:

@@ -16,7 +16,7 @@ from torusrd.reactions import (
 )
 from torusrd.solver import SimState, SolverConfig, Stepper, run
 
-from spectral_helpers import dealias_mask
+from spectral_helpers import block_of, dealias_mask, full_layout
 
 TWO_TO_ONE = MassActionSpec(q=(2, 0), p=(0, 1))  # 2 V1 <-> V2
 
@@ -129,7 +129,7 @@ def reaction_drift(sys, grid, values):
     div = stepper.reaction_drift(0.0, values)
     drift = forward(sys.f(0.0, values), grid.d)
     drift[..., ~dealias_mask(grid)] = 0.0
-    return drift if div is None else drift + div
+    return drift if div is None else drift + full_layout(grid, div)
 
 
 class TestEvaluateReaction:
@@ -166,7 +166,7 @@ class TestEvaluateReaction:
         # a NaN rate flags blow-up at the step that reads it
         sys = ReactionSystem(ell=1, nu=np.array([0.1]), h=2.0, f=f)
         cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False, balance_q=())
-        fields = forward(np.ones((1,) + self.grid.shape), self.grid.d)
+        fields = block_of(self.grid, forward(np.ones((1,) + self.grid.shape), self.grid.d))
         state = Stepper(self.grid, sys, None, cfg).step(SimState(t=0.0, fields=fields), None)
         assert state.blown_up == cfg.dt
 
@@ -196,7 +196,7 @@ class TestFluxDivergence:
         sys = build_builtin("linear_flux", [0.1, 0.2], d=d)
         values = np.random.default_rng(7).standard_normal((2,) + grid.shape)
         stepper = Stepper(grid, sys, None, SolverConfig(dt=0.1, T=0.1, noise_on=False))
-        div = stepper.reaction_drift(0.0, values)
+        div = full_layout(grid, stepper.reaction_drift(0.0, values))
         for v, got in zip(values, div):
             expected = grid.derivative_multipliers[0] * forward(v, d)
             expected[~dealias_mask(grid)] = 0.0

@@ -14,7 +14,7 @@ from torusrd.config import RunConfig, build_v0
 from torusrd.diagnostics import RecordBuilder, lq_norm_vector
 from torusrd.experiments import ScalingLimitPlan, run_scaling_limit
 from torusrd.fields import (ArgumentErrors, GridField, TorusGrid, copy_band, dealias_in_place,
-                            forward)
+                            forward, inverse_real)
 from torusrd.noise import (
     NoiseGridOps,
     NoiseModel,
@@ -31,7 +31,6 @@ from torusrd.solver import (
     SolverConfig,
     Stepper,
     chebyshev_expm,
-    diffusion_propagator,
     initial_state,
     negative_species,
     phi_bump,
@@ -40,8 +39,8 @@ from torusrd.solver import (
     sup_bound,
 )
 
-from spectral_helpers import (advection_rhs, band_index, dealias_mask, mode_coeffs,
-                              mode_field)
+from spectral_helpers import (advection_rhs, band_index, block_of, dealias_mask, full_layout,
+                              mode_coeffs, mode_field)
 
 
 def grid_32():
@@ -176,17 +175,19 @@ class TestRealInverseTransforms:
         cfg = SolverConfig(dt=0.1, T=0.1, noise_on=False)
         stepper = Stepper(grid, build_builtin("zero", [0.1] * ell, d=d), None, cfg)
         values = np.random.default_rng(ell).standard_normal((ell,) + grid.shape)
-        fields = np.fft.fftn(values, axes=tuple(range(1, d + 1))) / N
+        # the band part, which the stepper's band blocks hold
+        fields = full_layout(grid, block_of(grid, np.fft.fftn(values, axes=tuple(range(1, d + 1)))
+                                            / N))
 
         def inverse(c):
             return np.fft.ifftn(c).real * N
 
-        got = stepper.to_values(fields)
+        got = stepper.to_values(block_of(grid, fields))
         expected = np.stack([inverse(c) for c in fields])
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         for c in fields:
-            z, g2 = stepper.gradients(c)
+            z, g2 = stepper.gradients(block_of(grid, c))
             assert (g2 is None) == (d == 2)
             grads = np.stack([z.real, z.imag] + ([g2] if d == 3 else []))
             expected = np.stack([inverse(m * c) for m in grid.derivative_multipliers])
@@ -214,7 +215,7 @@ class TestReactionStepping:
         v0 = constant_fields(grid, [1.0, 1.0])
         state, _ = run(sys, None, cfg, v0)
         for i, target in enumerate([1.0, 1.0]):
-            vals = np.fft.ifftn(state.fields[i]).real * grid.n_points
+            vals = np.fft.ifftn(full_layout(grid, state.fields)[i]).real * grid.n_points
             assert np.abs(vals - target).max() < 1e-12
 
     def test_logistic_converges_to_one(self):
@@ -223,7 +224,7 @@ class TestReactionStepping:
         cfg = SolverConfig(dt=1e-2, T=20.0, noise_on=False, balance_q=(),
                            record_every=10**9)
         state, _ = run(sys, None, cfg, constant_fields(grid, [0.5]))
-        vals = np.fft.ifftn(state.fields[0]).real * grid.n_points
+        vals = np.fft.ifftn(full_layout(grid, state.fields)[0]).real * grid.n_points
         assert np.abs(vals - 1.0).max() < 1e-6
 
 
@@ -352,7 +353,8 @@ class TestRunContract:
         v0 = [GridField(grid, rng.standard_normal(grid.shape))]
         cfg = SolverConfig(dt=0.1, T=0.0, noise_on=False, balance_q=())
         state, record = run(build_builtin("zero", [0.1]), None, cfg, v0)
-        expected = dealias_in_place(forward(v0[0].values[None], 2), 2, grid.dealias_band)
+        expected = block_of(grid, dealias_in_place(forward(v0[0].values[None], 2), 2,
+                                                   grid.dealias_band))
         assert state.fields.tobytes() == expected.tobytes()
         assert state.t == 0.0 and len(record.times) == 1
 
@@ -630,7 +632,7 @@ class TestBlowUpDetection:
         stepper = Stepper(grid, build_builtin("zero", [0.1]), None, cfg)
         fields = np.zeros((1,) + grid.shape, dtype=complex)
         fields[0, 0, 0] = value
-        state = stepper.step(SimState(t=0.0, fields=fields), None)
+        state = stepper.step(SimState(t=0.0, fields=block_of(grid, fields)), None)
         assert state.blown_up == cfg.dt
 
     @pytest.mark.parametrize("scheme, noisy", DRIFT_KINDS)
@@ -852,7 +854,7 @@ class TestProductGrid:
         inc = sample_increments(stepper.noise, 1e-3, path_rng(4, 0, 0))
         expected = advection_rhs(
             stepper, fields, NoiseGridOps(stepper.noise, stepper.grid).velocity_field(inc))
-        got = stepper.transport(fields, inc)
+        got = full_layout(stepper.grid, stepper.transport(block_of(stepper.grid, fields), inc))
         assert stepper.product_layout.shape == (size,) * d
         if size == n:
             assert got.tobytes() == expected.tobytes()
@@ -872,7 +874,7 @@ class TestProductGrid:
                                   stepper.band)
         inc = sample_increments(stepper.noise, 1e-3, path_rng(4, 0, 0))
         expected = _full_grid_series(stepper, fields, inc)
-        got = stepper._advect(fields, inc)  # nu_i = 0: E(dt) is 1
+        got = full_layout(grid, stepper._advect(block_of(grid, fields), inc))  # nu_i = 0: E(dt) is 1
         # at M = n the band series runs the n-grid series' transforms, bit for bit
         if stepper.product_layout.shape[0] == n:
             assert np.array_equal(got, expected)
@@ -891,7 +893,7 @@ class TestProductGrid:
         width = 2 * stepper.band + 1
         for step in range(20):
             inc = sample_increments(stepper.noise, 1e-3, path_rng(3, 0, step))
-            stepper._advect(np.zeros((1, 16, 16), dtype=complex), inc)
+            stepper._advect(block_of(stepper.grid, np.zeros((1, 16, 16), dtype=complex)), inc)
             vel = stepper.product_noise_ops.velocity_field(inc)
             u = _unpack(vel)
             assert rhos[-1] == np.sqrt(np.max(np.sum(u * u, axis=0))) * stepper.k_max
@@ -905,19 +907,22 @@ class TestProductGrid:
 
 def _old_step_fields(stepper, fields, dw):
     """The fields of one step of a cut-off-free stepper from t = 0, as the
-    step computed them before it worked on the product-grid band: a copy of
-    the state (or the drift sum), times the n-grid propagator, then with
-    noise the Wong-Zakai series of each species' band, written back in
-    place.  The reference of TestStepAliasing."""
+    step computed them in the full fftn layout of the n-grid, before it
+    worked on the product-grid band and kept band blocks: from the full
+    layout fields, a copy of the state (or the drift sum), times the n-grid
+    propagator, then with noise the Wong-Zakai series of each species'
+    band, written back in place.  The reference of TestStepAliasing, which
+    compares its band blocks."""
     grid, sys, cfg, d = stepper.grid, stepper.sys, stepper.cfg, stepper.grid.d
     nu_extra = stepper.noise.nu if stepper.ito else 0.0
     new = fields.copy()
     if not sys.is_drift_free:
-        values = stepper.to_values(fields)
+        values = inverse_real(fields[..., : grid.n_per_dim // 2 + 1], grid.shape)
         new = dealias_in_place(forward(sys.f(0.0, values), d), d, stepper.band)
         new *= cfg.dt
         new += fields
-    new *= diffusion_propagator(grid, [nu_i + nu_extra for nu_i in sys.nu], cfg.dt)
+    lam = grid.laplacian_multipliers
+    new *= np.stack([np.exp(lam * (nu_i + nu_extra) * cfg.dt) for nu_i in sys.nu])
     if stepper.noise is None:
         return new
     w, u2 = vel = stepper.product_noise_ops.velocity_field(dw)
@@ -952,12 +957,14 @@ class TestStepAliasing:
         cfg = SolverConfig(dt=1e-3, T=1e-3, scheme="strat_substep", noise_on=noise_on,
                            balance_q=())
         stepper = Stepper(grid, sys, noise, cfg)
-        assert (stepper.propagator is None) == noise_on
+        # one band-block propagator per stepper, with or without noise
+        assert stepper.propagator.shape == (sys.ell,) + (2 * stepper.band + 1,) * d
         values = 1.0 + 0.3 * np.random.default_rng(d).standard_normal((sys.ell,) + grid.shape)
-        fields = dealias_in_place(forward(values, d), d, stepper.band)
+        full = dealias_in_place(forward(values, d), d, stepper.band)
+        fields = block_of(grid, full)
         before = fields.tobytes()
         dw = sample_increments(noise, cfg.dt, path_rng(2, 0, 0)) if noise_on else None
-        expected = _old_step_fields(stepper, fields, dw)
+        expected = block_of(grid, _old_step_fields(stepper, full, dw))
         if noise_on and n == 50:
             assert stepper.product_layout.shape == grid.shape
         state = stepper.step(SimState(t=0.0, fields=fields), dw)
@@ -967,8 +974,9 @@ class TestStepAliasing:
 
     def test_wong_zakai_step_peak_holds_no_grid_copy(self):
         # a drift-free Wong-Zakai step at 64^2 (one species, shell 2, M = 48)
-        # holds its 48^2 series vectors and the 64 KiB result allocated after
-        # them: 219.9 KiB above the pre-step allocation, measured.  A copy of
+        # holds its 48^2 series vectors, and allocates its 29 KiB band-block
+        # result after them: 219.9 KiB above the pre-step allocation,
+        # measured.  A copy of
         # the state before the series and a caller-held P_0 put the step at
         # 320.1 KiB (the step before it worked on the product-grid band)
         grid = TorusGrid(2, 64)
@@ -976,7 +984,7 @@ class TestStepAliasing:
         cfg = SolverConfig(dt=1e-3, T=1e-3, scheme="strat_substep", balance_q=())
         stepper = Stepper(grid, build_builtin("zero", [0.0]), noise, cfg)
         values = np.random.default_rng(0).standard_normal((1,) + grid.shape)
-        fields = dealias_in_place(forward(values, 2), 2, stepper.band)
+        fields = block_of(grid, forward(values, 2))
         dw = sample_increments(noise, cfg.dt, path_rng(1, 0, 0))
         stepper.step(SimState(t=0.0, fields=fields), dw, values=False)  # warm caches
         state = SimState(t=0.0, fields=fields)
@@ -999,8 +1007,8 @@ class TestBatchedTransport:
         stepper = _ito_stepper(d, n, 2)
         fields = _band_data(stepper, 2)
         inc = sample_increments(stepper.noise, 1e-3, path_rng(2, 0, 0))
-        expected = np.stack([_product_rhs(stepper, f, inc) for f in fields])
-        got = stepper.transport(fields, inc)
+        expected = block_of(stepper.grid, np.stack([_product_rhs(stepper, f, inc) for f in fields]))
+        got = stepper.transport(block_of(stepper.grid, fields), inc)
         assert got.tobytes() == expected.tobytes()
         assert np.abs(got).max() > 0 and np.all(got[(Ellipsis,) + (0,) * d] == 0)
 
@@ -1016,7 +1024,7 @@ class TestBatchedTransport:
         stepper = Stepper(grid, sys, noise, cfg)
         values = 1.0 + 0.3 * np.random.default_rng(4).standard_normal((2,) + grid.shape)
         fields = dealias_in_place(forward(values, d), d, stepper.band)  # the state's band
-        values = stepper.to_values(fields)
+        values = stepper.to_values(block_of(grid, fields))
         inc = sample_increments(noise, cfg.dt, path_rng(3, 0, 0))
         if sys.is_drift_free:  # pure transport: on the product grid
             expected = fields + np.stack([_product_rhs(stepper, f, inc) for f in fields])
@@ -1027,8 +1035,9 @@ class TestBatchedTransport:
             drift = forward(sys.f(0.0, values), d)
             drift[..., ~dealias_mask(grid)] = 0.0
             expected += cfg.dt * 0.5 * drift
+        expected = block_of(grid, expected)
         expected *= stepper.propagator
-        state = stepper.step(SimState(t=0.0, fields=fields, grid_values=values,
+        state = stepper.step(SimState(t=0.0, fields=block_of(grid, fields), grid_values=values,
                                       cutoff_acc=2.25), inc)
         assert state.phi_value == 0.5
         return state.fields, expected
@@ -1057,12 +1066,14 @@ class TestBatchedTransport:
         stepper = Stepper(grid, build_builtin("zero", [0.0, 0.0]), noise,
                           SolverConfig(dt=1e-3, T=1e-3, balance_q=()))
         rng = np.random.default_rng(6)
-        fields = forward(rng.standard_normal((2,) + grid.shape), 2)
+        # the band part, which the band blocks hold
+        fields = full_layout(grid, block_of(grid, forward(rng.standard_normal((2,) + grid.shape),
+                                                          2)))
         source = rng.standard_normal((2,) + grid.shape)
         inc = sample_increments(noise, 1e-3, path_rng(5, 0, 0))
-        got = stepper.transport(fields, inc, source)
+        got = full_layout(grid, stepper.transport(block_of(grid, fields), inc, source))
         assert np.array_equal(got[:, 0, 0], source.mean(axis=(1, 2)))
-        assert np.all(stepper.transport(fields, inc)[:, 0, 0] == 0)
+        assert np.all(stepper.transport(block_of(grid, fields), inc)[:, 0, 0] == 0)
         # the transport with a source takes its product on the n-grid
         plain = advection_rhs(stepper, fields, NoiseGridOps(noise, grid).velocity_field(inc))
         expected = forward(source, 2)
@@ -1079,7 +1090,8 @@ class TestBatchedTransport:
         noise = NoiseModel(build_theta_shell(2, 0.0, 2), nu=0.1)
         stepper = Stepper(grid, build_builtin("zero", [0.0, 0.0]), noise,
                           SolverConfig(dt=1e-3, T=1e-3, balance_q=()))
-        fields = forward(np.random.default_rng(8).standard_normal((2,) + grid.shape), 2)
+        fields = block_of(grid, forward(np.random.default_rng(8).standard_normal((2,) + grid.shape),
+                                        2))
         inc = sample_increments(noise, 1e-3, path_rng(6, 0, 0))
         stepper.transport(fields, inc, grad=stepper.gradients(fields))  # warm caches
         grad = stepper.gradients(fields)
@@ -1102,7 +1114,7 @@ class TestBatchedTransport:
         sys = mass_action if term == "source" else build_builtin("zero", [0.05, 0.08], d=d)
         stepper = _ito_stepper(d, n, 2, sys, dt=1e-3, T=1e-3)
         fields = _band_data(stepper, 2)
-        values = stepper.to_values(fields)
+        values = stepper.to_values(block_of(stepper.grid, fields))
         inc = sample_increments(stepper.noise, 1e-3, path_rng(7, 0, 0))
         vel = NoiseGridOps(stepper.noise, stepper.grid).velocity_field(inc)
         if term == "source":
@@ -1112,9 +1124,33 @@ class TestBatchedTransport:
             balance = RecordBuilder(sys=sys, lq_list=(2.0,), balance_q=(2.0,))
             expected = advection_rhs(stepper, fields, vel)
         expected += fields
+        expected = block_of(stepper.grid, expected)
         expected *= stepper.propagator
-        state = stepper.step(SimState(t=0.0, fields=fields, grid_values=values), inc, balance)
+        state = stepper.step(SimState(t=0.0, fields=block_of(stepper.grid, fields),
+                                      grid_values=values), inc, balance)
         assert state.fields.tobytes() == expected.tobytes()
+
+    def test_ito_pure_transport_step_peak(self):
+        # one Ito pure-transport step at 96^2, shell 8 (M = 84), one species:
+        # 271,440 B above the pre-step allocation, measured, at the velocity
+        # assembly beside the derivative.  The step before the state became
+        # the band block held its n-grid result: 308,384 B
+        grid = TorusGrid(2, 96)
+        noise = NoiseModel(build_theta_shell(8, 0.0, 2), nu=0.1)
+        cfg = SolverConfig(dt=2.5e-3, T=2.5e-3, balance_q=())
+        stepper = Stepper(grid, build_builtin("zero", [0.01]), noise, cfg)
+        state = initial_state(grid, [mode_field(grid, (1, 0), 0.5)], cfg)
+        dw = sample_increments(noise, cfg.dt, path_rng(1, 0, 0))
+        stepper.step(state, dw, values=False)  # warm caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            new = stepper.step(state, dw, values=False)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert new.grid_values is None and new.fields.nbytes == 65 * 65 * 16
+        assert peak < 280 * 1024
 
     def test_pure_transport_peak_is_result_plus_product_grid_stack(self):
         # a pure transport frees the band copy once differentiated and the
@@ -1122,7 +1158,7 @@ class TestBatchedTransport:
         # result and one stack on the 70-point product grid: no n-grid
         # temporary (288 KiB here) and no second product-grid stack (153 KiB)
         stepper = _ito_stepper(2, 96, 1)
-        fields = _band_data(stepper, 2)
+        fields = block_of(stepper.grid, _band_data(stepper, 2))
         inc = sample_increments(stepper.noise, 1e-3, path_rng(6, 0, 0))
         stepper.transport(fields, inc)  # build the product grid
         stack_bytes = 2 * math.prod(stepper.product_layout.shape) * 16
@@ -1176,7 +1212,7 @@ class TestThreeDimensions:
         assert state.blown_up is None
         # mode 0 untouched, output stays real
         assert np.abs(record.mass[:, 0] - 1.0).max() < 1e-13
-        values = np.fft.ifftn(state.fields[0])
+        values = np.fft.ifftn(full_layout(grid, state.fields)[0])
         assert np.abs(values.imag).max() < 1e-12 * np.abs(values.real).max()
 
     def test_strat_scheme_conserves_in_3d(self):
@@ -1250,16 +1286,17 @@ class TestSharedGradient:
         # the balance and the Ito transport read one gradient of the
         # pre-step fields; a Wong-Zakai step differentiates other arrays only
         inputs, calls = [], []
-        original = Stepper._derivatives
+        original = Stepper._block_derivatives
 
         def counted(self, coeffs, lay):
             calls.append(sum(coeffs is f for f in inputs))
             return original(self, coeffs, lay)
 
-        monkeypatch.setattr(Stepper, "_derivatives", counted)
+        monkeypatch.setattr(Stepper, "_block_derivatives", counted)
         stepper, sys, noise, cfg, v0 = _balanced_mass_action(d, n, scheme, noise_on=noise_on)
         builder = RecordBuilder(sys, lq_list=(2.0,), balance_q=cfg.balance_q) if balance else None
-        state = SimState(t=0.0, fields=forward(np.stack([f.values for f in v0]), d))
+        state = SimState(t=0.0, fields=block_of(stepper.grid,
+                                                forward(np.stack([f.values for f in v0]), d)))
         for k in range(3):
             inc = sample_increments(noise, cfg.dt, path_rng(8, 0, k)) if noise_on else None
             inputs.append(state.fields)
@@ -1288,7 +1325,7 @@ class TestSharedGradient:
                                                    with_values):
         stepper, sys, noise, cfg, v0 = _balanced_mass_action(2, 16, scheme, noise_on=noise_on)
         builder = RecordBuilder(sys, lq_list=(2.0,), balance_q=cfg.balance_q) if balance else None
-        fields = forward(np.stack([f.values for f in v0]), 2)
+        fields = block_of(stepper.grid, forward(np.stack([f.values for f in v0]), 2))
         # A = 2.25e12 puts the cut-off argument A^(1/r)/R at 1.5, where phi = 1/2
         state = SimState(t=0.0, fields=fields, cutoff_acc=2.25e12)
         if with_values:
@@ -1339,7 +1376,44 @@ class TestStateLivesInTheBand:
             assert state.step_index == 4 and [st.step_index for st in states] == list(range(5))
             assert any(0.0 < st.phi_value < 1.0 for st in states)  # the cut-off acts
             for st in states:
-                assert not np.any(st.fields[:, outside])
+                assert not np.any(full_layout(grid, st.fields)[:, outside])
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 10)])
+    @pytest.mark.parametrize("scheme, noise_on", STEP_KINDS)
+    @pytest.mark.parametrize("kind", ["zero", "logistic"])
+    def test_state_is_the_band_block(self, d, n, scheme, noise_on, kind):
+        # fields holds the (2K+1)^d band block of every species, from
+        # initial_state on and after a step of every scheme, and sup_bound
+        # over its coefficients bounds the grid values
+        grid = TorusGrid(d, n)
+        noise = NoiseModel(build_theta_shell(1, 0.0, d), nu=0.05)
+        sys = build_builtin(kind, [0.05, 0.08] if kind == "zero" else [0.05], d=d)
+        cfg = SolverConfig(dt=5e-3, T=0.01, scheme=scheme, noise_on=noise_on, seed=3,
+                           balance_q=())
+        values = 1.0 + 0.3 * np.random.default_rng(d).standard_normal((sys.ell,) + grid.shape)
+        state = initial_state(grid, [GridField(grid, v) for v in values], cfg)
+        stepper = Stepper(grid, sys, noise, cfg)
+        shape = (sys.ell,) + (2 * grid.dealias_band + 1,) * d
+        for k in range(2):
+            assert state.fields.shape == shape and state.fields.dtype == complex
+            grid_values = stepper.to_values(state.fields)
+            assert grid_values.shape == (sys.ell,) + grid.shape
+            assert np.sqrt(np.square(grid_values).sum(axis=0)).max() <= sup_bound(state.fields)
+            inc = sample_increments(noise, cfg.dt, path_rng(3, 0, k)) if noise_on else None
+            state = stepper.step(state, inc)
+        assert state.fields.shape == shape
+
+    def test_signed_index_and_parseval_on_the_block(self):
+        # the block keeps fftn order on 2K + 1 points per axis: a negative
+        # index reads the mode -k, and sum |c|^2 is the mean of v^2
+        grid = TorusGrid(2, 16)
+        v0 = [mode_field(grid, (-1, 2), 0.25 + 0.5j)]
+        state = initial_state(grid, v0, SolverConfig(dt=0.1, T=0.1, noise_on=False))
+        assert state.fields.shape == (1, 11, 11)
+        assert state.fields[0][-1, 2] == pytest.approx(0.25 + 0.5j, abs=1e-15)
+        assert state.fields[0][1, -2] == pytest.approx(0.25 - 0.5j, abs=1e-15)
+        energy = float(np.sum(np.abs(state.fields) ** 2))
+        assert energy == pytest.approx(float(np.mean(v0[0].values ** 2)), rel=1e-14)
 
 
 class TestOneTransformBackend:
@@ -1403,7 +1477,7 @@ class TestValuesOnlyWhenRead:
         values = rng.standard_normal((ell,) + grid.shape)
         values.flat[rng.integers(values.size)] += spike
         # an even weight growing with |k| keeps the spectrum Hermitian and rough
-        coeffs = forward(values, d) * (1.0 + grid.k_squared) ** roughness
+        coeffs = block_of(grid, forward(values, d) * (1.0 + grid.k_squared) ** roughness)
         cfg = SolverConfig(dt=1e-3, T=0.0, noise_on=False)
         stepper = Stepper(grid, build_builtin("zero", [0.1] * ell), None, cfg)
         grid_values = stepper.to_values(coeffs)
@@ -1481,7 +1555,8 @@ class TestValuesOnlyWhenRead:
         sys, noise, cfg, v0 = self._cases()["ito_sweep"]
         grid = v0[0].grid
         stepper = Stepper(grid, sys, noise, cfg)
-        state = SimState(t=0.0, fields=forward(np.stack([f.values for f in v0]), grid.d))
+        state = SimState(t=0.0, fields=block_of(grid, forward(np.stack([f.values for f in v0]),
+                                                              grid.d)))
         inc = sample_increments(noise, cfg.dt, path_rng(cfg.seed, 0, 0))
         lazy = stepper.step(state, inc, values=False)
         exact = stepper.step(state, inc)
