@@ -163,23 +163,23 @@ class ProductLayout(NamedTuple):
     deriv_last_half: np.ndarray | None
 
     @classmethod
-    def of(cls, grid: TorusGrid, band: int) -> "ProductLayout":
-        """The layout of grid, both multipliers zero outside |k_j| <= band,
-        so that a derivative reads the band of its data only."""
-        mult = tuple(dealias_in_place(np.broadcast_to(m, grid.shape).copy(), grid.d, band)
-                     for m in grid.derivative_multipliers)
-        return cls(grid.shape, *packed_multipliers(mult, grid.n_per_dim))
-
-
-def packed_multipliers(mult: tuple[np.ndarray, ...], n: int
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The packed derivative multiplier mult_0 + i mult_1 of the per-axis
-    multipliers mult over n points per axis (TorusGrid.derivative_multipliers,
-    or a band block's), and in d = 3 mult_2 over the Hermitian half k_2 <=
-    n/2, None in d = 2: one inverse transform yields two derivative
-    components as its real and imaginary parts (both factors are Hermitian)."""
-    last = None if len(mult) == 2 else np.ascontiguousarray(mult[2][..., : n // 2 + 1])
-    return mult[0] + 1j * mult[1], last
+    def of(cls, mult: tuple[np.ndarray, ...], shape: tuple[int, ...],
+           band: int | None = None) -> "ProductLayout":
+        """The layout of the per-axis derivative multipliers mult
+        (TorusGrid.derivative_multipliers, or a band block's) of a grid of
+        shape; with band, both multipliers are full arrays, zero outside
+        |k_j| <= band, so that a derivative reads the band of its data only."""
+        # one inverse transform yields two derivative components as its
+        # real and imaginary parts (both factors are Hermitian)
+        d = len(shape)
+        pack, last = mult[0] + 1j * mult[1], mult[2] if d == 3 else None
+        if band is not None:
+            pack = dealias_in_place(np.broadcast_to(pack, shape).copy(), d, band)
+            if last is not None:
+                last = dealias_in_place(np.broadcast_to(last, shape).copy(), d, band)
+        if last is not None:
+            last = np.ascontiguousarray(last[..., : shape[-1] // 2 + 1])
+        return cls(shape, pack, last)
 
 
 def exponent_error(value: float | tuple[float, ...], low: float,
@@ -342,10 +342,11 @@ class Stepper:
     # -- the grids, each built when a step first needs it ------------------
 
     @cached_property
-    def band_multipliers(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The packed derivative multipliers of the band block
-        (packed_multipliers): the derivative of a band block on any grid."""
-        return packed_multipliers(self.grid.band_derivative_multipliers, 2 * self.band + 1)
+    def band_layout(self) -> ProductLayout:
+        """The derivative multipliers of the band block: the derivative of a
+        band block on any grid (_block_derivatives)."""
+        return ProductLayout.of(self.grid.band_derivative_multipliers,
+                                (2 * self.band + 1,) * self.grid.d)
 
     @cached_property
     def noise_ops(self) -> NoiseGridOps:
@@ -363,7 +364,8 @@ class Stepper:
     @cached_property
     def product_layout(self) -> ProductLayout:
         """The band layout of the product grid, for the Wong-Zakai series."""
-        return ProductLayout.of(TorusGrid(self.grid.d, self.product_shape[0]), self.band)
+        return ProductLayout.of(TorusGrid(self.grid.d, self.product_shape[0]).derivative_multipliers,
+                                self.product_shape, self.band)
 
     @cached_property
     def product_noise_ops(self) -> NoiseGridOps:
@@ -391,15 +393,15 @@ class Stepper:
     def _block_derivatives(self, block: np.ndarray, shape: tuple[int, ...]
                            ) -> tuple[np.ndarray, np.ndarray | None]:
         """_derivatives of a stack of band blocks on the grid of shape: the
-        block times band_multipliers, copied into zeros there."""
-        d, band = self.grid.d, self.band
-        pack, last = self.band_multipliers
-        z = copy_band(block * pack, np.zeros(block.shape[:-d] + shape, dtype=complex), d, band)
+        block times the band_layout multipliers, copied into zeros there."""
+        d, band, lay = self.grid.d, self.band, self.band_layout
+        z = copy_band(block * lay.deriv_pack, np.zeros(block.shape[:-d] + shape, dtype=complex),
+                      d, band)
         z = inverse_packed(z, d, overwrite_x=True)
-        if last is None:
+        if lay.deriv_last_half is None:
             return z, None
         half = np.zeros(block.shape[:-d] + shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
-        copy_band(block[..., : band + 1] * last, half, d, band, half=True)
+        copy_band(block[..., : band + 1] * lay.deriv_last_half, half, d, band, half=True)
         return z, inverse_real(half, shape)
 
     def gradients(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -11,7 +11,7 @@ import numpy as np
 from torusrd.fields import (GridField, TorusGrid, band_block, copy_band, dealias_in_place,
                             inverse_packed)
 from torusrd.noise import NoiseModel
-from torusrd.solver import ProductLayout, packed_multipliers
+from torusrd.solver import ProductLayout
 
 
 def mode_coeffs(grid: TorusGrid, k: tuple[int, ...], amplitude: complex) -> np.ndarray:
@@ -97,10 +97,7 @@ def advection_rhs(stepper, coeffs: np.ndarray, vel, layout=None, source=None) ->
     that grid, with the optional real grid term source in its transform.
     On the n-grid the result is dealiased; a product layout's is not."""
     grid = stepper.grid
-    lay = layout
-    if layout is None:  # the n-grid layout of the full fftn layout
-        lay = ProductLayout(grid.shape, *packed_multipliers(grid.derivative_multipliers,
-                                                           grid.n_per_dim))
+    lay = ProductLayout.of(grid.derivative_multipliers, grid.shape) if layout is None else layout
     out = stepper._advection_rhs(stepper._derivatives(coeffs, lay), vel, source)
     if layout is None:
         dealias_in_place(out, stepper.grid.d, stepper.band)
