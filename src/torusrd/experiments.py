@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import lq_norm_vector, spectral_norm, spectral_weight, survival_estimate
-from .fields import (ArgumentErrors, GridField, TorusGrid, half_band_index, integer_error,
-                     inverse_real, mode_error)
+from .fields import (ArgumentErrors, GridField, TorusGrid, copy_band, half_band_index,
+                     integer_error, inverse_real, mode_error)
 from .noise import (NoiseModel, build_theta_shell, resolution_error, shell_errors,
                     shell_max_k, step_guard_error)
 from .reactions import ReactionSystem
@@ -213,11 +213,9 @@ class _Reference:
         band = grid.dealias_band
         self.times: list[float] = []
         self.halves: list[np.ndarray] = []
-        self.shape, self.r, self.q = grid.shape, r, q
+        self.shape, self.band, self.r, self.q = grid.shape, band, r, q
         self.every, self.last = record_every, last
         self.index = half_band_index(2 * band + 1, grid.d, band)
-        # the half band on the grid's Hermitian half, for an L^q distance with q != 2
-        self.grid_index = half_band_index(grid.n_per_dim, grid.d, band)
         self.propagator = None if propagator is None else propagator[self.index]
         self.l2 = spectral_weight(grid.d, band, 0.0)
         self.hminus = None if hminus_gamma is None else spectral_weight(grid.d, band, hminus_gamma)
@@ -269,7 +267,8 @@ class _StreamingDistance:
         else:  # the path's grid values and the difference's, in one transform
             n = ref.shape[-1]
             stack = np.zeros((2, len(half)) + ref.shape[:-1] + (n // 2 + 1,), dtype=complex)
-            stack[0][ref.grid_index], stack[1][ref.grid_index] = half, diff
+            for dst, src in zip(stack, (half, diff)):
+                copy_band(src, dst, len(ref.shape), ref.band, half=True)
             values, diff_values = inverse_real(stack, ref.shape)
             norm, own = lq_norm_vector(diff_values, ref.q), lq_norm_vector(values, ref.q)
         self.norms.append(norm)

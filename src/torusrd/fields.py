@@ -101,21 +101,6 @@ def inverse_packed(coeffs: np.ndarray, d: int, overwrite_x: bool = False) -> np.
                            overwrite_x=overwrite_x, workers=1)
 
 
-def dealias_in_place(coeffs: np.ndarray, d: int, band: int) -> np.ndarray:
-    """Zero, in place, every coefficient with some |k_j| > band over the
-    trailing d axes of coeffs (fftn layout, n > 2 band points per axis), and
-    return coeffs.
-
-    Each axis zeroes the slab k_j = band+1..n-band-1 by assignment: no mask
-    is stored or multiplied, so no temporary is made, and the kept entries
-    keep their bits (a product with 1+0j can flip the sign of a zero).
-    """
-    n = coeffs.shape[-1]
-    for j in range(d):
-        coeffs[(Ellipsis, slice(band + 1, n - band)) + (slice(None),) * (d - 1 - j)] = 0.0
-    return coeffs
-
-
 def copy_band(src: np.ndarray, dst: np.ndarray, d: int, band: int,
               half: bool = False) -> np.ndarray:
     """Copy the coefficients with every |k_j| <= band over the trailing d
@@ -234,17 +219,6 @@ def half_band_index(n: int, d: int, band: int) -> tuple:
     return (Ellipsis,) + np.ix_(*([axis] * (d - 1)), np.arange(band + 1))
 
 
-def _spread(k: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
-    """The wavenumbers k along each of d axes, broadcast to d dimensions."""
-    return tuple(k.reshape((1,) * j + (-1,) + (1,) * (d - 1 - j)) for j in range(d))
-
-
-def _derivative_multipliers(k_axes: tuple[np.ndarray, ...], nyquist: int
-                            ) -> tuple[np.ndarray, ...]:
-    return tuple(TWO_PI * 1j * np.where(np.abs(ka) == nyquist, 0.0, ka.astype(float))
-                 for ka in k_axes)
-
-
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform grid on the d-torus, n_per_dim points per axis."""
@@ -274,52 +248,18 @@ class TorusGrid:
         return self.n_per_dim**self.d
 
     @cached_property
-    def wavenumbers_1d(self) -> np.ndarray:
-        """Integer wavenumbers along one axis in fftn order."""
-        n = self.n_per_dim
-        return np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
-
-    @cached_property
-    def k_axes(self) -> tuple[np.ndarray, ...]:
-        """Per-axis wavenumber arrays broadcast to the spectral shape."""
-        return _spread(self.wavenumbers_1d, self.d)
-
-    @cached_property
     def band_k_axes(self) -> tuple[np.ndarray, ...]:
         """Per-axis wavenumber arrays broadcast to the band block of the
         dealias band (band_block)."""
-        return _spread(band_axis(self.dealias_band), self.d)
-
-    @property
-    def k_squared(self) -> np.ndarray:
-        """|k|^2 in fftn layout, built on each access: a full-grid array is
-        kept by whoever needs it, not by the grid."""
-        out = np.zeros(self.shape)
-        for ka in self.k_axes:
-            out = out + ka.astype(float) ** 2
-        return out
-
-    @property
-    def laplacian_multipliers(self) -> np.ndarray:
-        """Eigenvalues of the Laplacian, -4 pi^2 |k|^2, in fftn layout,
-        built on each access like k_squared."""
-        return -4.0 * np.pi**2 * self.k_squared
-
-    @cached_property
-    def derivative_multipliers(self) -> tuple[np.ndarray, ...]:
-        """Per-axis spectral derivative multipliers 2 pi i k_j, broadcast to
-        the spectral shape.
-
-        The Nyquist plane is zeroed: an odd multiplier there would break both
-        realness and Hermitian symmetry.
-        """
-        return _derivative_multipliers(self.k_axes, self.n_per_dim // 2)
+        k, d = band_axis(self.dealias_band), self.d
+        return tuple(k.reshape((1,) * j + (-1,) + (1,) * (d - 1 - j)) for j in range(d))
 
     @cached_property
     def band_derivative_multipliers(self) -> tuple[np.ndarray, ...]:
-        """derivative_multipliers on the band block (band_k_axes), bitwise
-        their band entries."""
-        return _derivative_multipliers(self.band_k_axes, self.n_per_dim // 2)
+        """Per-axis spectral derivative multipliers 2 pi i k_j on the band
+        block (band_k_axes).  The band holds no Nyquist mode (n // 3 < n / 2),
+        so no multiplier is zeroed for realness."""
+        return tuple(TWO_PI * 1j * ka.astype(float) for ka in self.band_k_axes)
 
     @property
     def dealias_band(self) -> int:

@@ -65,8 +65,8 @@ from scipy.special import jv
 
 from .diagnostics import DiagnosticsRecord, RecordBuilder, grid_mean, lq_norm_vector
 from .fields import (ArgumentErrors, GridField, TorusGrid, band_forward, block_values, copy_band,
-                     dealias_in_place, fill_conjugates, forward, half_band, integer_error,
-                     inverse_packed, inverse_real, real_half)
+                     fill_conjugates, forward, half_band, integer_error, inverse_packed,
+                     inverse_real, real_half)
 from .noise import (NoiseGridOps, NoiseModel, path_rng, resolution_error, sample_increments,
                     seed_error, step_guard_error)
 from .reactions import ReactionSystem
@@ -163,22 +163,26 @@ class ProductLayout(NamedTuple):
     deriv_last_half: np.ndarray | None
 
     @classmethod
-    def of(cls, mult: tuple[np.ndarray, ...], shape: tuple[int, ...],
-           band: int | None = None) -> "ProductLayout":
-        """The layout of the per-axis derivative multipliers mult
-        (TorusGrid.derivative_multipliers, or a band block's) of a grid of
-        shape; with band, both multipliers are full arrays, zero outside
-        |k_j| <= band, so that a derivative reads the band of its data only."""
+    def of(cls, grid: TorusGrid, shape: tuple[int, ...] | None = None) -> "ProductLayout":
+        """The layout of grid's band derivative multipliers
+        (TorusGrid.band_derivative_multipliers) on its band block; with
+        shape, copied into zeros on the grid of shape (fields.copy_band), so
+        that a derivative there reads the band of its data only."""
+        d, band = grid.d, grid.dealias_band
+        block = (2 * band + 1,) * d
+        mult = grid.band_derivative_multipliers
         # one inverse transform yields two derivative components as its
         # real and imaginary parts (both factors are Hermitian)
-        d = len(shape)
         pack, last = mult[0] + 1j * mult[1], mult[2] if d == 3 else None
-        if band is not None:
-            pack = dealias_in_place(np.broadcast_to(pack, shape).copy(), d, band)
+        if shape is None:
             if last is not None:
-                last = dealias_in_place(np.broadcast_to(last, shape).copy(), d, band)
+                last = last[..., : band + 1]
+            return cls(block, pack, last)
+        pack = copy_band(np.broadcast_to(pack, block), np.zeros(shape, dtype=complex), d, band)
         if last is not None:
-            last = np.ascontiguousarray(last[..., : shape[-1] // 2 + 1])
+            last = copy_band(np.broadcast_to(last, block),
+                             np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex),
+                             d, band, half=True)
         return cls(shape, pack, last)
 
 
@@ -345,8 +349,7 @@ class Stepper:
     def band_layout(self) -> ProductLayout:
         """The derivative multipliers of the band block: the derivative of a
         band block on any grid (_block_derivatives)."""
-        return ProductLayout.of(self.grid.band_derivative_multipliers,
-                                (2 * self.band + 1,) * self.grid.d)
+        return ProductLayout.of(self.grid)
 
     @cached_property
     def noise_ops(self) -> NoiseGridOps:
@@ -364,8 +367,7 @@ class Stepper:
     @cached_property
     def product_layout(self) -> ProductLayout:
         """The band layout of the product grid, for the Wong-Zakai series."""
-        return ProductLayout.of(TorusGrid(self.grid.d, self.product_shape[0]).derivative_multipliers,
-                                self.product_shape, self.band)
+        return ProductLayout.of(self.grid, self.product_shape)
 
     @cached_property
     def product_noise_ops(self) -> NoiseGridOps:
@@ -504,7 +506,10 @@ class Stepper:
         are taken there.  Its block times the propagator is copied there
         into zeros, the series holds no other reference to P_0, and the
         band block of its result is written into the result, allocated
-        after the first species' series has freed its vectors.
+        after the first species' series has freed its vectors.  The series
+        keeps the product grid's full layout between terms: moving each term
+        through band blocks (copy_band into zeros, half_band,
+        fill_conjugates) adds about 17 us to its 52 us at 64^2.
         """
         w, u2 = vel = self.product_noise_ops.velocity_field(dw)
         speed2 = w.real * w.real

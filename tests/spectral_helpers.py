@@ -1,17 +1,72 @@
 """Test helpers on fftn-layout coefficients (fields.forward's layout): the
-real field of a single Fourier mode, the Hermitian-symmetry defect of a
-spectrum, the mask of the dealias band and the index of a band, and the
-conversions between a grid's full layout and the band blocks the state is
-kept in; on noise increments: the half-lattice sign of a mode and the
-increment of any mode of the support; and the advection product of a
-stepper from coefficients."""
+wavenumbers, |k|^2 and Nyquist-zeroed derivative multipliers of a full
+grid, the slab dealias and the derivative layout built from them (the
+references of the engine's band-block pieces), the real field of a single
+Fourier mode, the Hermitian-symmetry defect of a spectrum, the mask of the
+dealias band and the index of a band, and the conversions between a
+grid's full layout and the band blocks the state is kept in; on noise
+increments: the half-lattice sign of a mode and the increment of any mode
+of the support; and the advection product of a stepper from coefficients."""
 
 import numpy as np
 
-from torusrd.fields import (GridField, TorusGrid, band_block, copy_band, dealias_in_place,
-                            inverse_packed)
+from torusrd.fields import GridField, TorusGrid, band_block, copy_band, inverse_packed
 from torusrd.noise import NoiseModel
 from torusrd.solver import ProductLayout
+
+
+def k_axes(grid: TorusGrid) -> tuple[np.ndarray, ...]:
+    """Integer wavenumbers of each axis in fftn order, broadcast to grid's
+    spectral shape."""
+    n, d = grid.n_per_dim, grid.d
+    k = np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
+    return tuple(k.reshape((1,) * j + (-1,) + (1,) * (d - 1 - j)) for j in range(d))
+
+
+def k_squared(grid: TorusGrid) -> np.ndarray:
+    """|k|^2 in grid's fftn layout."""
+    out = np.zeros(grid.shape)
+    for ka in k_axes(grid):
+        out = out + ka.astype(float) ** 2
+    return out
+
+
+def derivative_multipliers(grid: TorusGrid) -> tuple[np.ndarray, ...]:
+    """Per-axis spectral derivative multipliers 2 pi i k_j on grid's fftn
+    layout, broadcast to its spectral shape.  The Nyquist plane is zeroed:
+    an odd multiplier there would break realness and Hermitian symmetry."""
+    nyquist = grid.n_per_dim // 2
+    return tuple(2.0 * np.pi * 1j * np.where(np.abs(ka) == nyquist, 0.0, ka.astype(float))
+                 for ka in k_axes(grid))
+
+
+def dealias_in_place(coeffs: np.ndarray, d: int, band: int) -> np.ndarray:
+    """Zero, in place, every coefficient with some |k_j| > band over the
+    trailing d axes of coeffs (fftn layout, n > 2 band points per axis), and
+    return coeffs: each axis assigns 0 to the slab k_j = band+1..n-band-1,
+    so the kept entries keep their bits."""
+    n = coeffs.shape[-1]
+    for j in range(d):
+        coeffs[(Ellipsis, slice(band + 1, n - band)) + (slice(None),) * (d - 1 - j)] = 0.0
+    return coeffs
+
+
+def product_layout_of(mult: tuple[np.ndarray, ...], shape: tuple[int, ...],
+                      band: int | None = None) -> ProductLayout:
+    """The ProductLayout of the full-grid multipliers mult
+    (derivative_multipliers) of a grid of shape; with band, both multipliers
+    are full arrays with the slab dealias to |k_j| <= band.  With band, the
+    reference of Stepper.product_layout, which copies the band block's
+    multipliers into zeros instead."""
+    d = len(shape)
+    pack, last = mult[0] + 1j * mult[1], mult[2] if d == 3 else None
+    if band is not None:
+        pack = dealias_in_place(np.broadcast_to(pack, shape).copy(), d, band)
+        if last is not None:
+            last = dealias_in_place(np.broadcast_to(last, shape).copy(), d, band)
+    if last is not None:
+        last = np.ascontiguousarray(last[..., : shape[-1] // 2 + 1])
+    return ProductLayout(shape, pack, last)
 
 
 def mode_coeffs(grid: TorusGrid, k: tuple[int, ...], amplitude: complex) -> np.ndarray:
@@ -41,10 +96,10 @@ def hermitian_defect(coeffs: np.ndarray, d: int) -> float:
 
 
 def dealias_mask(grid: TorusGrid) -> np.ndarray:
-    """Boolean mask of the modes fields.dealias_in_place keeps on grid:
-    every |k_j| <= grid.dealias_band."""
+    """Boolean mask of the modes dealias_in_place keeps on grid: every
+    |k_j| <= grid.dealias_band."""
     mask = np.ones(grid.shape, dtype=bool)
-    for ka in grid.k_axes:
+    for ka in k_axes(grid):
         mask &= np.abs(ka) <= grid.dealias_band
     return mask
 
@@ -97,7 +152,7 @@ def advection_rhs(stepper, coeffs: np.ndarray, vel, layout=None, source=None) ->
     that grid, with the optional real grid term source in its transform.
     On the n-grid the result is dealiased; a product layout's is not."""
     grid = stepper.grid
-    lay = ProductLayout.of(grid.derivative_multipliers, grid.shape) if layout is None else layout
+    lay = product_layout_of(derivative_multipliers(grid), grid.shape) if layout is None else layout
     out = stepper._advection_rhs(stepper._derivatives(coeffs, lay), vel, source)
     if layout is None:
         dealias_in_place(out, stepper.grid.d, stepper.band)

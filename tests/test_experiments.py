@@ -22,13 +22,12 @@ from torusrd.experiments import (
     run_survival,
 )
 from torusrd.exponents import ParamSet, admissibility
-from torusrd.fields import (ArgumentErrors, GridField, TorusGrid, dealias_band_of,
-                            dealias_in_place, forward)
+from torusrd.fields import ArgumentErrors, GridField, TorusGrid, dealias_band_of, forward
 from torusrd.noise import NoiseModel, build_theta_shell
 from torusrd.reactions import build_builtin
 from torusrd.solver import SolverConfig, Stepper, run
 
-from spectral_helpers import block_of, mode_field
+from spectral_helpers import block_of, dealias_in_place, k_squared, mode_field
 
 
 def small_heat_plan(nu=0.1, shells=(1, 2), paths=6, n=48, T=0.15):
@@ -366,7 +365,7 @@ class TestSpectralObservables:
         # a linear reference keeps its t = 0 half band only
         [half] = ref.halves
         assert half.shape == (2,) + (2 * band + 1,) * (d - 1) + (band + 1,)
-        weight = (1.0 + grid.k_squared) ** -0.5
+        weight = (1.0 + k_squared(grid)) ** -0.5
         ref_values = _trajectory(plan, plan.sys.enhanced(plan.nu), None)
         for si, shell in enumerate(result.shells):
             noise = NoiseModel(build_theta_shell(shell.shell, plan.gamma, d), nu=plan.nu)

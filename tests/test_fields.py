@@ -12,7 +12,6 @@ from torusrd.fields import (
     GridField,
     TorusGrid,
     copy_band,
-    dealias_in_place,
     forward,
     inverse_packed,
     inverse_real,
@@ -20,9 +19,10 @@ from torusrd.fields import (
     write_snapshot,
 )
 from torusrd.diagnostics import lq_norm_vector
-from torusrd.solver import SolverConfig
+from torusrd.solver import SolverConfig, diffusion_propagator
 
-from spectral_helpers import band_index, dealias_mask, hermitian_defect, mode_coeffs, mode_field
+from spectral_helpers import (band_index, dealias_in_place, dealias_mask, derivative_multipliers,
+                              hermitian_defect, mode_coeffs, mode_field)
 
 
 @pytest.fixture
@@ -150,22 +150,23 @@ class TestInverse:
 
 
 class TestDerivatives:
-    """grid.derivative_multipliers[j] * c, the engine's spectral derivative."""
+    """derivative_multipliers(grid)[j] * c, the full-grid spectral derivative
+    whose band is TorusGrid.band_derivative_multipliers."""
 
     def test_cosine_derivative(self, grid2):
         c = forward(np.cos(2 * np.pi * grid2.node_coordinates()[0]), 2)
-        d = to_values(grid2, grid2.derivative_multipliers[0] * c)
+        d = to_values(grid2, derivative_multipliers(grid2)[0] * c)
         expected = -2 * np.pi * np.sin(2 * np.pi * grid2.node_coordinates()[0])
         assert np.abs(d - expected).max() < 1e-10
 
     def test_constant_axis_derivative_zero(self, grid2):
         x = grid2.node_coordinates()[0]
-        d = grid2.derivative_multipliers[1] * forward(np.sin(2 * np.pi * x), 2)
+        d = derivative_multipliers(grid2)[1] * forward(np.sin(2 * np.pi * x), 2)
         assert np.abs(d).max() == 0.0
 
     def test_mixed_derivatives_commute(self, grid2):
         c = forward(random_field(grid2, seed=2).values, 2)
-        m0, m1 = grid2.derivative_multipliers
+        m0, m1 = derivative_multipliers(grid2)
         d12 = m1 * (m0 * c)
         d21 = m0 * (m1 * c)
         scale = np.abs(d12).max()
@@ -173,20 +174,40 @@ class TestDerivatives:
 
     def test_hermitian_preserved(self, grid2):
         c = forward(random_field(grid2, seed=3).values, 2)
-        assert hermitian_defect(grid2.derivative_multipliers[0] * c, 2) < 1e-12
+        assert hermitian_defect(derivative_multipliers(grid2)[0] * c, 2) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [8, 10, 64, 96])
+    def test_band_multipliers_are_the_band_of_the_full_grid(self, d, n):
+        # the band holds no Nyquist mode (n // 3 < n / 2), so the plain
+        # 2 pi i k_j of the band block keeps the bits of the Nyquist-zeroed
+        # full-grid multipliers' band
+        grid = TorusGrid(d, n)
+        band, block = grid.dealias_band, (2 * grid.dealias_band + 1,) * d
+        for got, full in zip(grid.band_derivative_multipliers, derivative_multipliers(grid)):
+            expected = band_block(np.broadcast_to(full, grid.shape), d, band)
+            assert np.broadcast_to(got, block).tobytes() == expected.tobytes()
+
+
+def laplacian_multipliers(grid: TorusGrid) -> np.ndarray:
+    """log E / (nu dt) of the diffusion propagator E = exp(-4 pi^2 |k|^2
+    nu dt) on grid's band block: the Laplacian's eigenvalues -4 pi^2 |k|^2."""
+    nu, dt = 0.3, 0.01
+    return np.log(diffusion_propagator(grid, [nu], dt)[0]) / (nu * dt)
 
 
 class TestLaplacianMultiplier:
-    """TorusGrid.laplacian_multipliers at single lattice vectors."""
+    """solver.diffusion_propagator at single lattice vectors of the band
+    block (each axis k_j = 0..K, -K..-1)."""
 
     def test_zero_mode(self, grid2):
-        assert grid2.laplacian_multipliers[0, 0] == 0.0
+        assert laplacian_multipliers(grid2)[0, 0] == 0.0
 
     def test_unit_mode(self, grid2):
-        assert grid2.laplacian_multipliers[1, 0] == pytest.approx(-4 * np.pi**2)
+        assert laplacian_multipliers(grid2)[1, 0] == pytest.approx(-4 * np.pi**2)
 
     def test_diagonal_mode(self, grid2):
-        assert grid2.laplacian_multipliers[1, -1] == pytest.approx(-8 * np.pi**2)
+        assert laplacian_multipliers(grid2)[1, -1] == pytest.approx(-8 * np.pi**2)
 
 
 def species_lq_norm(f: GridField, q: float) -> float:
@@ -223,7 +244,7 @@ class TestLpNorm:
 
 
 def dealias(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    """c with the 2/3 rule applied, by the in-place helper on a copy."""
+    """c with the 2/3 rule applied, by the slab dealias on a copy."""
     return dealias_in_place(c.copy(), grid.d, grid.dealias_band)
 
 

@@ -13,8 +13,7 @@ import torusrd.solver as solver_module
 from torusrd.config import RunConfig, build_v0
 from torusrd.diagnostics import RecordBuilder, lq_norm_vector
 from torusrd.experiments import ScalingLimitPlan, run_scaling_limit
-from torusrd.fields import (ArgumentErrors, GridField, TorusGrid, copy_band, dealias_in_place,
-                            forward, inverse_real)
+from torusrd.fields import ArgumentErrors, GridField, TorusGrid, copy_band, forward, inverse_real
 from torusrd.noise import (
     NoiseGridOps,
     NoiseModel,
@@ -39,8 +38,9 @@ from torusrd.solver import (
     sup_bound,
 )
 
-from spectral_helpers import (advection_rhs, band_index, block_of, dealias_mask, full_layout,
-                              mode_coeffs, mode_field)
+from spectral_helpers import (advection_rhs, band_index, block_of, dealias_in_place, dealias_mask,
+                              derivative_multipliers, full_layout, k_squared, mode_coeffs,
+                              mode_field, product_layout_of)
 
 
 def grid_32():
@@ -190,7 +190,7 @@ class TestRealInverseTransforms:
             z, g2 = stepper.gradients(block_of(grid, c))
             assert (g2 is None) == (d == 2)
             grads = np.stack([z.real, z.imag] + ([g2] if d == 3 else []))
-            expected = np.stack([inverse(m * c) for m in grid.derivative_multipliers])
+            expected = np.stack([inverse(m * c) for m in derivative_multipliers(grid)])
             assert grads.shape == expected.shape
             assert np.abs(grads - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -844,6 +844,37 @@ class TestProductGrid:
 
     @pytest.mark.parametrize("d, n, shell, size", [
         (2, 64, 2, 48), (2, 96, 8, 84), (3, 24, 1, 20), (3, 32, 2, 28), (2, 50, 8, 50),
+        (3, 14, 2, 14),
+    ])
+    def test_layout_is_the_slab_dealiased_full_grid_layout(self, d, n, shell, size):
+        # the band block's multipliers copied into zeros on the product grid
+        # are, bit for bit, the full M-grid's Nyquist-zeroed multipliers with
+        # every slab outside the band zeroed
+        lay = _product_stepper(d, n, shell).product_layout
+        shape = (size,) * d
+        expected = product_layout_of(derivative_multipliers(TorusGrid(d, size)), shape,
+                                     TorusGrid(d, n).dealias_band)
+        assert lay.shape == expected.shape == shape
+        assert (lay.deriv_last_half is None) == (expected.deriv_last_half is None) == (d == 2)
+        for got, want in zip(lay[1:], expected[1:]):
+            if want is not None:
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_wong_zakai_stepper_keeps_no_band_layout(self):
+        # the product layout builds the band's multiplier pack transiently: a
+        # cached band_layout would keep a (2K+1)^d complex array (29.6 KB at
+        # 64^2) on every Wong-Zakai stepper
+        stepper = _product_stepper(2, 64, 2)
+        values = np.random.default_rng(0).standard_normal((1,) + stepper.grid.shape)
+        fields = block_of(stepper.grid, forward(values, 2))
+        dw = sample_increments(stepper.noise, 1e-4, path_rng(1, 0, 0))
+        stepper.step(SimState(t=0.0, fields=fields), dw, values=False)
+        assert "product_layout" in vars(stepper)
+        assert "band_layout" not in vars(stepper)
+
+    @pytest.mark.parametrize("d, n, shell, size", [
+        (2, 64, 2, 48), (2, 96, 8, 84), (3, 24, 1, 20), (3, 32, 2, 28), (2, 50, 8, 50),
     ])
     def test_pure_transport_matches_grid_rhs(self, d, n, shell, size):
         # an Ito transport with no source and no gradient runs on the band
@@ -921,7 +952,7 @@ def _old_step_fields(stepper, fields, dw):
         new = dealias_in_place(forward(sys.f(0.0, values), d), d, stepper.band)
         new *= cfg.dt
         new += fields
-    lam = grid.laplacian_multipliers
+    lam = -4.0 * np.pi**2 * k_squared(grid)
     new *= np.stack([np.exp(lam * (nu_i + nu_extra) * cfg.dt) for nu_i in sys.nu])
     if stepper.noise is None:
         return new
@@ -1477,7 +1508,7 @@ class TestValuesOnlyWhenRead:
         values = rng.standard_normal((ell,) + grid.shape)
         values.flat[rng.integers(values.size)] += spike
         # an even weight growing with |k| keeps the spectrum Hermitian and rough
-        coeffs = block_of(grid, forward(values, d) * (1.0 + grid.k_squared) ** roughness)
+        coeffs = block_of(grid, forward(values, d) * (1.0 + k_squared(grid)) ** roughness)
         cfg = SolverConfig(dt=1e-3, T=0.0, noise_on=False)
         stepper = Stepper(grid, build_builtin("zero", [0.1] * ell), None, cfg)
         grid_values = stepper.to_values(coeffs)
